@@ -76,13 +76,21 @@ automaton read_kiss(std::istream& in, bdd_manager& mgr,
     };
 
     std::string reset_name;
-    bool have_rows = false;
+    std::size_t rows = 0;
     bool have_i = false, have_o = false;
+    // declared counts and the lines declaring them (0 = not declared):
+    // `.p` must match the body exactly, `.s` bounds the distinct state
+    // names, so a truncated file is an error instead of a smaller machine
+    std::size_t declared_rows = 0, declared_states = 0;
+    std::size_t rows_line = 0, states_line = 0;
     std::string line;
     std::size_t line_no = 0;
-    const auto fail = [&](const std::string& message) {
-        throw std::runtime_error("kiss:" + std::to_string(line_no) + ": " +
+    const auto fail_at = [](std::size_t at, const std::string& message) {
+        throw std::runtime_error("kiss:" + std::to_string(at) + ": " +
                                  message);
+    };
+    const auto fail = [&](const std::string& message) {
+        fail_at(line_no, message);
     };
     while (std::getline(in, line)) {
         ++line_no;
@@ -102,7 +110,15 @@ automaton read_kiss(std::istream& in, bdd_manager& mgr,
             if (n != output_vars.size()) { fail(".o mismatch"); }
             have_o = true;
         } else if (tok == ".s" || tok == ".p") {
-            // advisory counts
+            std::size_t n = 0;
+            if (!(ss >> n)) { fail("bad " + tok + " count"); }
+            if (tok == ".s") {
+                declared_states = n;
+                states_line = line_no;
+            } else {
+                declared_rows = n;
+                rows_line = line_no;
+            }
         } else if (tok == ".r") {
             ss >> reset_name;
         } else if (tok == ".e") {
@@ -134,10 +150,21 @@ automaton read_kiss(std::istream& in, bdd_manager& mgr,
             apply(tok, input_vars);
             apply(ocube, output_vars);
             aut.add_transition(intern(st), intern(nx), label);
-            have_rows = true;
+            ++rows;
         }
     }
-    if (!have_rows) { throw std::runtime_error("kiss: no transitions"); }
+    if (rows == 0) { throw std::runtime_error("kiss: no transitions"); }
+    if (rows_line != 0 && rows != declared_rows) {
+        fail_at(rows_line, ".p declares " + std::to_string(declared_rows) +
+                               " rows but the body has " +
+                               std::to_string(rows));
+    }
+    if (states_line != 0 && ids.size() > declared_states) {
+        fail_at(states_line, ".s declares " +
+                                 std::to_string(declared_states) +
+                                 " states but the body names " +
+                                 std::to_string(ids.size()));
+    }
     aut.set_initial(ids.at(reset_name));
     return aut;
 }

@@ -19,11 +19,12 @@
 /// (subset states, CSF states, reachability depth) — identical on every
 /// host.  Wall-clock seconds are recorded for humans but never gated.
 ///
-/// The `cachefix/*` rows pin the before/after story of the PR that
-/// introduced this file: the same workloads run under the historical memory
-/// discipline (fixed-size direct-mapped computed cache, fixed-doubling GC
-/// trigger — reconstructed via `bdd_manager_options`) and under the current
-/// one, so the win stays measurable in every future baseline.  The
+/// The `cachefix/*/before` rows pin the before/after story of the change
+/// that introduced this file: they rerun `reach/mix26` and
+/// `solve/counter_x256` under the historical memory discipline (fixed-size
+/// direct-mapped computed cache, fixed-doubling GC trigger — reconstructed
+/// via `bdd_manager_options`), and those two plain rows are the "after"
+/// side, so the win stays measurable in every future baseline.  The
 /// `cacheways/*` rows do the same for the set-associative cache: identical
 /// sizing, associativity 1 (the historical single-slot geometry) versus the
 /// default 4-way aged bucket.

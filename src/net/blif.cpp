@@ -93,15 +93,17 @@ network read_blif(std::istream& in) {
             } else if (head == ".latch") {
                 flush_names();
                 if (tokens.size() < 3) { fail(".latch needs input and output"); }
+                if (tokens.size() > 6) { fail(".latch has too many fields"); }
                 // forms: .latch in out [init] | .latch in out type clock [init]
                 bool init = false;
-                const std::string& last = tokens.back();
-                if (tokens.size() > 3) {
-                    if (last == "1") {
-                        init = true;
-                    } else if (last == "2" || last == "3") {
-                        init = false; // don't care / unknown: choose 0
+                if (tokens.size() == 4 || tokens.size() == 6) {
+                    const std::string& last = tokens.back();
+                    if (last != "0" && last != "1" && last != "2" &&
+                        last != "3") {
+                        fail("bad latch init value '" + last + "'");
                     }
+                    // 2 (don't care) and 3 (unknown) choose 0
+                    init = last == "1";
                 }
                 net.add_latch(tokens[1], tokens[2], init);
             } else if (head == ".end") {

@@ -4,6 +4,7 @@
 /// valid corner inputs must round-trip.
 
 #include "automata/kiss.hpp"
+#include "cli/bench.hpp"
 #include "gen/scenario.hpp"
 #include "gen/shrink.hpp"
 #include "net/blif.hpp"
@@ -70,6 +71,32 @@ TEST(blif_errors, bad_latch_line) {
 .end
 )";
     EXPECT_THROW((void)read_blif_string(text), std::runtime_error);
+}
+
+TEST(blif_errors, latch_init_value_must_be_0_to_3) {
+    const auto latch = [](const std::string& decl) {
+        return ".model m\n.inputs a\n.outputs b\n" + decl +
+               "\n.names b b2\n1 1\n.end\n";
+    };
+    // line 4 holds the .latch declaration
+    try {
+        (void)read_blif_string(latch(".latch a b 7"));
+        FAIL() << "init value 7 accepted";
+    } catch (const std::runtime_error& e) {
+        EXPECT_STREQ(e.what(), "blif:4: bad latch init value '7'");
+    }
+    EXPECT_THROW((void)read_blif_string(latch(".latch a b re clk x")),
+                 std::runtime_error);
+    EXPECT_THROW((void)read_blif_string(latch(".latch a b re clk 0 1")),
+                 std::runtime_error);
+    for (const char* ok : {".latch a b", ".latch a b 0", ".latch a b 1",
+                           ".latch a b 2", ".latch a b 3",
+                           ".latch a b re clk", ".latch a b re clk 1"}) {
+        EXPECT_NO_THROW((void)read_blif_string(latch(ok))) << ok;
+    }
+    EXPECT_TRUE(read_blif_string(latch(".latch a b re clk 1"))
+                    .initial_state()
+                    .at(0));
 }
 
 TEST(blif_errors, garbage_cube_characters) {
@@ -155,6 +182,54 @@ TEST(kiss_errors, header_var_count_mismatch) {
 TEST(kiss_errors, truncated_transition_line) {
     const char* text = ".i 1\n.o 1\n.r a\n0 a a\n";
     EXPECT_THROW((void)parse(text, 1, 1), std::runtime_error);
+}
+
+/// The `kiss:LINE:` message `parse` throws on `text`, or "" if it parses.
+std::string kiss_error(const std::string& text, std::size_t ni = 1,
+                       std::size_t no = 1) {
+    try {
+        (void)parse(text, ni, no);
+    } catch (const std::runtime_error& e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(kiss_errors, row_count_is_exact) {
+    const std::string body = ".r a\n0 a b 1\n1 b a 0\n";
+    EXPECT_EQ(kiss_error(".i 1\n.o 1\n.p 2\n" + body), "");
+    EXPECT_EQ(kiss_error(".i 1\n.o 1\n.p 3\n" + body),
+              "kiss:3: .p declares 3 rows but the body has 2");
+    EXPECT_EQ(kiss_error(".i 1\n.o 1\n.p 1\n" + body),
+              "kiss:3: .p declares 1 rows but the body has 2");
+    EXPECT_NE(kiss_error(".i 1\n.o 1\n.p many\n" + body), "");
+}
+
+TEST(kiss_errors, state_count_is_an_upper_bound) {
+    const std::string body = ".r a\n0 a b 1\n1 b a 0\n";
+    // unreachable or row-less states may be declared but never named
+    EXPECT_EQ(kiss_error(".i 1\n.o 1\n.s 2\n" + body), "");
+    EXPECT_EQ(kiss_error(".i 1\n.o 1\n.s 5\n" + body), "");
+    EXPECT_EQ(kiss_error("# header\n.i 1\n.o 1\n.s 1\n" + body),
+              "kiss:4: .s declares 1 states but the body names 2");
+}
+
+TEST(kiss_errors, truncated_corpus_machine_throws) {
+    // the bench corpus F machine declares .s 256 / .p 1283; cut after 13
+    // rows it used to solve as a 13-row machine with "status":"ok"
+    std::string full;
+    for (const bench_corpus_file& file : bench_corpus_files()) {
+        if (file.name == "counter9_f.kiss") { full = file.text; }
+    }
+    ASSERT_FALSE(full.empty());
+    const kiss_header h = read_kiss_header(full);
+    EXPECT_EQ(kiss_error(full, h.num_inputs, h.num_outputs), "");
+    std::size_t cut = 0;
+    for (int line = 0; line < 5 + 13; ++line) {
+        cut = full.find('\n', cut) + 1;
+    }
+    EXPECT_EQ(kiss_error(full.substr(0, cut), h.num_inputs, h.num_outputs),
+              "kiss:4: .p declares 1283 rows but the body has 13");
 }
 
 TEST(kiss_roundtrip, mealy_machine_survives) {
