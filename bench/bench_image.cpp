@@ -112,59 +112,6 @@ void bm_reachability(benchmark::State& state) {
 }
 BENCHMARK(bm_reachability)->Arg(8)->Arg(16)->Arg(24)->Unit(benchmark::kMillisecond);
 
-/// Per-strategy reachability comparison (one row per (workload, size,
-/// strategy); the label column names the strategy).  range(1) indexes
-/// all_reach_strategies.
-void run_reach_strategy(benchmark::State& state, const network& net) {
-    const auto strategy = static_cast<reach_strategy>(state.range(1));
-    state.SetLabel(to_string(strategy));
-    image_options options;
-    options.strategy = strategy;
-    for (auto _ : state) {
-        setup s(net);
-        benchmark::DoNotOptimize(reachable_states(
-            s.mgr, s.fns.next_state, s.cs, s.ns, s.in, s.init, options));
-    }
-}
-
-/// Deep-sequential workload: an n-bit counter — 2^n sequential depth, tiny
-/// frontiers, the regime where frontier/chaining shine over full-set bfs.
-void bm_reach_strategy_deep(benchmark::State& state) {
-    run_reach_strategy(state,
-                       make_counter(static_cast<std::size_t>(state.range(0))));
-}
-BENCHMARK(bm_reach_strategy_deep)
-    ->ArgsProduct({{6, 8, 10}, {0, 1, 2, 3}})
-    ->Unit(benchmark::kMillisecond);
-
-/// Deep-irregular workload: an n-bit LFSR — one fresh state per step like
-/// the counter, but the reached-set BDD grows irregularly instead of
-/// staying a compact {0..k} prefix, so full-set bfs re-imaging cannot hide
-/// behind the computed cache.  This is the saturation strategy's regime.
-void bm_reach_strategy_lfsr(benchmark::State& state) {
-    run_reach_strategy(
-        state, make_lfsr(static_cast<std::size_t>(state.range(0)), {2, 0}));
-}
-BENCHMARK(bm_reach_strategy_lfsr)
-    ->ArgsProduct({{10, 12}, {0, 1, 2, 3}})
-    ->Unit(benchmark::kMillisecond);
-
-/// Wide-parallel workload: a structured mix of weakly coupled blocks —
-/// shallow depth, wide frontiers, many latches updating in parallel, the
-/// regime that stresses the within-step schedule (greedy vs chaining).
-/// Above ~24 latches reachability takes minutes; keep the sweep below that.
-void bm_reach_strategy_wide(benchmark::State& state) {
-    structured_spec spec;
-    spec.num_inputs = 4;
-    spec.num_outputs = 4;
-    spec.num_latches = static_cast<std::size_t>(state.range(0));
-    spec.seed = test_seed(0) + 23;
-    run_reach_strategy(state, make_structured_mix(spec));
-}
-BENCHMARK(bm_reach_strategy_wide)
-    ->ArgsProduct({{12, 16, 24}, {0, 1, 2, 3}})
-    ->Unit(benchmark::kMillisecond);
-
 void bm_cluster_limit(benchmark::State& state) {
     setup s(bench_circuit(20));
     image_options options;

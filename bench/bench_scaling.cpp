@@ -75,9 +75,9 @@ void sweep(const network& original, std::size_t x_from, std::size_t x_to,
     }
 }
 
-/// Compiled reachability workload shared by the series C and D sweeps: one
-/// manager, inputs then interleaved cs/ns variables, the partitioned
-/// next-state functions and the initial-state cube.
+/// Compiled reachability workload for the series C sweep: one manager,
+/// inputs then interleaved cs/ns variables, the partitioned next-state
+/// functions and the initial-state cube.
 struct reach_setup {
     bdd_manager mgr{0, 20};
     std::vector<std::uint32_t> in, cs, ns;
@@ -97,36 +97,7 @@ struct reach_setup {
     }
 };
 
-/// Per-strategy reachability comparison table (series C): the same fixpoint
-/// under the three exploration strategies, on a deep-sequential workload
-/// (n-bit counters: 2^n depth, tiny frontiers) and a wide-parallel one
-/// (structured mixes: shallow depth, wide frontiers).  Every row reaches the
-/// identical state set; only the BDD operation schedule differs.
-/// Runs the three strategies on one workload; returns the total seconds spent
-/// so the caller can stop a series that outgrew the time limit.
-double strategy_sweep(const char* label, const network& net) {
-    reach_setup s(net);
-    double total = 0;
-    for (const reach_strategy strategy : all_reach_strategies) {
-        image_options options;
-        options.strategy = strategy;
-        const auto t0 = std::chrono::steady_clock::now();
-        const reach_info info = reachable_states_layered(
-            s.mgr, s.fns.next_state, s.cs, s.ns, s.in, s.init, options);
-        const double seconds =
-            std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                          t0)
-                .count();
-        std::printf("%-18s %-10s %8zu %12.0f %10.3f\n", label,
-                    to_string(strategy), info.depth, info.total_states,
-                    seconds);
-        std::fflush(stdout);
-        total += seconds;
-    }
-    return total;
-}
-
-/// Cluster-policy comparison (series D): greedy adjacent merge vs affinity
+/// Cluster-policy comparison (series C): greedy adjacent merge vs affinity
 /// pairing by shared support, on the same reachability fixpoints.  Every row
 /// reaches the identical state set; only the partition clustering — and
 /// therefore the quantification schedule — differs.  Returns total seconds.
@@ -194,32 +165,7 @@ int main(int argc, char** argv) {
         sweep(original, 16, 20, 1, limit);
     }
     {
-        std::printf("\nSeries C: reachability strategy comparison "
-                    "(identical fixpoints, different schedules)\n");
-        std::printf("%-18s %-10s %8s %12s %10s\n", "workload", "strategy",
-                    "depth", "states", "time,s");
-        // each family grows until one workload's three strategies together
-        // exceed the per-solve time limit, mirroring the CNC cutoff above
-        for (const std::size_t bits : {10, 12, 14}) {
-            if (strategy_sweep(("counter-" + std::to_string(bits)).c_str(),
-                               make_counter(bits)) > limit) {
-                break;
-            }
-        }
-        for (const std::size_t latches : {16, 20, 24}) {
-            structured_spec spec;
-            spec.num_inputs = 4;
-            spec.num_outputs = 4;
-            spec.num_latches = latches;
-            spec.seed = base + 23;
-            if (strategy_sweep(("mix-" + std::to_string(latches)).c_str(),
-                               make_structured_mix(spec)) > limit) {
-                break;
-            }
-        }
-    }
-    {
-        std::printf("\nSeries D: cluster-policy comparison "
+        std::printf("\nSeries C: cluster-policy comparison "
                     "(identical fixpoints, different partition clustering)\n");
         std::printf("%-18s %-10s %8s %12s %10s\n", "workload", "policy",
                     "clusters", "states", "time,s");

@@ -76,6 +76,7 @@ automaton read_kiss(std::istream& in, bdd_manager& mgr,
     };
 
     std::string reset_name;
+    std::size_t reset_line = 0; ///< the `.r` line (0 = first row's state)
     std::size_t rows = 0;
     bool have_i = false, have_o = false;
     // declared counts and the lines declaring them (0 = not declared):
@@ -121,6 +122,7 @@ automaton read_kiss(std::istream& in, bdd_manager& mgr,
             }
         } else if (tok == ".r") {
             ss >> reset_name;
+            reset_line = line_no;
         } else if (tok == ".e") {
             break;
         } else if (tok[0] == '.') {
@@ -165,7 +167,12 @@ automaton read_kiss(std::istream& in, bdd_manager& mgr,
                                  " states but the body names " +
                                  std::to_string(ids.size()));
     }
-    aut.set_initial(ids.at(reset_name));
+    const auto reset = ids.find(reset_name);
+    if (reset == ids.end()) {
+        fail_at(reset_line,
+                "reset state '" + reset_name + "' names no row");
+    }
+    aut.set_initial(reset->second);
     return aut;
 }
 

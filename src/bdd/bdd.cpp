@@ -356,23 +356,15 @@ void bdd_manager::dec_ext_ref(std::uint32_t ref) {
 void bdd_manager::maybe_gc_or_grow() {
     if (nodes_.size() - free_list_.size() < gc_threshold_) { return; }
     collect_garbage();
-    if (opts_.adaptive_gc) {
-        // scale-aware trigger: let the live set double before the next
-        // collection, but never collect before the dead fraction is worth
-        // the sweep — each GC walks the whole arena and ages the computed
-        // cache, so firing every `floor` allocations on a 100k+
-        // node arena churns the memo for nothing.  An unproductive GC
-        // (everything survived) raises the bar exactly as far as the
-        // survivors demand; a productive one drops it back toward
-        // max(floor, arena/2) — the historical fixed doubling ratcheted
-        // up and never came down
-        gc_threshold_ = std::max({opts_.gc_threshold,
-                                  stats_.live_nodes * 2,
-                                  nodes_.size() / 2});
-    } else if (nodes_.size() - free_list_.size() > gc_threshold_ / 4 * 3) {
-        // historical policy: if GC freed less than a quarter, double
-        gc_threshold_ *= 2;
-    }
+    // scale-aware trigger: let the live set double before the next
+    // collection, but never collect before the dead fraction is worth the
+    // sweep — each GC walks the whole arena and ages the computed cache, so
+    // firing every `floor` allocations on a 100k+ node arena churns the
+    // memo for nothing.  An unproductive GC (everything survived) raises
+    // the bar exactly as far as the survivors demand; a productive one
+    // drops it back toward max(floor, arena/2)
+    gc_threshold_ = std::max({opts_.gc_threshold, stats_.live_nodes * 2,
+                              nodes_.size() / 2});
     stats_.gc_threshold = gc_threshold_;
 }
 
@@ -419,11 +411,7 @@ void bdd_manager::collect_garbage() {
     }
     stats_.live_nodes = live;
     stats_.allocated_nodes = nodes_.size();
-    if (opts_.cache_age_on_gc) {
-        cache_age_and_purge();
-    } else {
-        cache_clear();
-    }
+    cache_age_and_purge();
 }
 
 std::size_t bdd_manager::live_node_count() {

@@ -197,26 +197,17 @@ struct bdd_manager_options {
     /// historical direct-mapped cache.  Replacement is deterministic
     /// move-to-front LRU (same-key overwrite, else first empty slot, else
     /// the least recently touched entry), with GC-epoch age stamps deciding
-    /// staleness across collections.
+    /// staleness across collections: a collection purges only the entries
+    /// whose key or result references a swept node, and everything else
+    /// survives with an older age stamp.
     unsigned cache_ways = 4;
-    /// Age the computed cache across garbage collections (purge only the
-    /// entries whose key or result references a swept node; everything else
-    /// survives with an older age stamp).  When false every collection
-    /// clears the whole cache — the historical discipline, kept
-    /// reconstructible so the bench's before/after rows can measure what
-    /// aging buys.
-    bool cache_age_on_gc = true;
     /// Allocated-node count that triggers the first garbage collection;
-    /// also the floor the adaptive trigger never drops below.
+    /// also the floor the adaptive trigger never drops below.  After each
+    /// collection the next trigger is max(gc_threshold, 2 * live nodes,
+    /// arena / 2): a collection that finds everything live raises the bar
+    /// exactly as far as the survivors demand, and a productive one lowers
+    /// it back toward the floor.
     std::size_t gc_threshold = std::size_t{1} << 14;
-    /// Drive the GC trigger by the live-node ratio each collection measures
-    /// (next trigger = max(gc_threshold, 2 * live nodes)): a collection that
-    /// finds everything live raises the bar exactly as far as the survivors
-    /// demand, and a productive one lowers it back toward the floor.  When
-    /// false the historical fixed-doubling policy applies: the trigger
-    /// doubles whenever a collection frees less than a quarter of the arena
-    /// and can never come back down.
-    bool adaptive_gc = true;
 };
 
 /// The BDD manager: node arena, unique table, computed cache and the

@@ -18,16 +18,6 @@
 /// (cache lookups, hit rate, GC runs, allocated nodes) or the solver
 /// (subset states, CSF states, reachability depth) — identical on every
 /// host.  Wall-clock seconds are recorded for humans but never gated.
-///
-/// The `cachefix/*/before` rows pin the before/after story of the change
-/// that introduced this file: they rerun `reach/mix26` and
-/// `solve/counter_x256` under the historical memory discipline (fixed-size
-/// direct-mapped computed cache, fixed-doubling GC trigger — reconstructed
-/// via `bdd_manager_options`), and those two plain rows are the "after"
-/// side, so the win stays measurable in every future baseline.  The
-/// `cacheways/*` rows do the same for the set-associative cache: identical
-/// sizing, associativity 1 (the historical single-slot geometry) versus the
-/// default 4-way aged bucket.
 #pragma once
 
 #include "bdd/bdd.hpp"

@@ -36,8 +36,6 @@ int usage(std::ostream& err) {
         << "                   (explicit is the exponential Algorithm-1\n"
         << "                   oracle for small instances; it ignores\n"
         << "                   --time-limit/--max-states and solver knobs)\n"
-        << "  --strategy S     frontier (default) | bfs | chaining |\n"
-        << "                   saturation\n"
         << "  --policy P       greedy (default) | affinity | none\n"
         << "  --cluster-limit N   merged-cluster node bound (default 2500)\n"
         << "  --no-early-quant    quantify at the end (ablation baseline)\n"
@@ -132,25 +130,6 @@ int parse_flags(const std::vector<std::string>& args, parsed_args& parsed,
                 return 2;
             }
             parsed.config.flow = *v;
-        } else if (arg == "--strategy") {
-            const std::string* v = value();
-            image_options& img = parsed.config.solve.img;
-            if (v == nullptr) {
-                err << "leq: --strategy needs "
-                       "bfs|frontier|chaining|saturation\n";
-                return 2;
-            } else if (*v == "bfs") {
-                img.strategy = reach_strategy::bfs;
-            } else if (*v == "frontier") {
-                img.strategy = reach_strategy::frontier;
-            } else if (*v == "chaining") {
-                img.strategy = reach_strategy::chaining;
-            } else if (*v == "saturation") {
-                img.strategy = reach_strategy::saturation;
-            } else {
-                err << "leq: unknown strategy '" << *v << "'\n";
-                return 2;
-            }
         } else if (arg == "--policy") {
             const std::string* v = value();
             image_options& img = parsed.config.solve.img;

@@ -127,8 +127,8 @@ solve_result solve_monolithic(const equation_problem& problem,
 
         // per-subset-state image of the (single, monolithic) hidden relation
         // — through the same layer, so the img options (naive vs
-        // last-occurrence quantification, reach strategy) apply to this flow
-        // too; with one part the relation degenerates to and_exists
+        // last-occurrence quantification) apply to this flow too; with one
+        // part the relation degenerates to and_exists
         const transition_relation step_rel(mgr, {hidden}, cs_vars, local.img);
 
         // initial product state: F and S initial, dc = 0

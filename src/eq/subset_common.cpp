@@ -38,7 +38,6 @@ void accumulate_stats(solve_stats& stats, const transition_relation& rel) {
     stats.preimages += r.preimages;
     stats.peak_intermediate =
         std::max(stats.peak_intermediate, r.peak_intermediate);
-    stats.saturation_fires += r.saturation_fires;
 }
 
 void read_manager_stats(solve_stats& stats, bdd_manager& mgr) {
@@ -118,15 +117,8 @@ subset_driver::run(const bdd& initial_state,
     std::unordered_map<std::uint32_t, std::uint32_t> ids;
     std::vector<bdd> subsets;
     // The subset construction is itself a reachability exploration over
-    // subset states; the reach strategy picks the worklist discipline.  The
-    // explored set (and therefore the CSF) is order-independent, but the
-    // peak worklist and BDD cache locality are not: bfs/frontier expand in
-    // layer (FIFO) order, chaining and saturation follow each newly
-    // discovered subset immediately (LIFO), chasing successor chains first
-    // — the subset-level analogue of saturation's immediate feedback.
+    // subset states, expanded in layer (FIFO) order.
     std::deque<std::uint32_t> work;
-    const bool lifo = options.img.strategy == reach_strategy::chaining ||
-                      options.img.strategy == reach_strategy::saturation;
     const auto intern = [&](const bdd& state) {
         const auto it = ids.find(state.index());
         if (it != ids.end()) { return it->second; }
@@ -158,12 +150,8 @@ subset_driver::run(const bdd& initial_state,
             result.seconds = elapsed();
             return result;
         }
-        const std::uint32_t id = lifo ? work.back() : work.front();
-        if (lifo) {
-            work.pop_back();
-        } else {
-            work.pop_front();
-        }
+        const std::uint32_t id = work.front();
+        work.pop_front();
         expansion exp;
         try {
             exp = expand(subsets[id]);

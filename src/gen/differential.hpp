@@ -5,7 +5,7 @@
 /// The paper's correctness story (Corollary 1 plus Algorithm 1) says all
 /// flows compute the same largest solution; this module turns that into an
 /// executable oracle.  For a scenario it runs `solve_partitioned` across an
-/// option matrix (strategy x early-quantification x cluster policy),
+/// option matrix (early-quantification x cluster policy x cluster limit),
 /// `solve_monolithic`, and — when the instance is small enough for the
 /// exponential oracle — `solve_explicit`, then checks:
 ///
@@ -55,12 +55,11 @@ struct differential_options {
 };
 
 /// The sweep the differential runs by default: reference options, an
-/// unclustered naive-quantification BFS, a chaining/affinity configuration,
-/// a tightly clustered affinity frontier, default saturation, and a tightly
-/// clustered affinity saturation.
+/// unclustered naive-quantification configuration, affinity clustering, and
+/// a tightly clustered affinity configuration.
 [[nodiscard]] std::vector<image_options> default_option_matrix();
 
-/// Compact rendering of an option matrix ("[frontier/greedy/limit2500/early,
+/// Compact rendering of an option matrix ("[greedy/limit2500/early,
 /// ...]") for failure messages and reproducer headers.
 [[nodiscard]] std::string
 describe_option_matrix(const std::vector<image_options>& matrix);

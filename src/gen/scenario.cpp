@@ -201,13 +201,10 @@ scenario make_nondet_scenario(std::uint32_t seed, std::size_t extra) {
     return s;
 }
 
-} // namespace
-
 /// Ripple counter with `gate` injected into the carry chain every
 /// `gate_every` cells: a long combinational dependency chain where low bits
 /// flip every enabled step and high bits move only when every lower carry
-/// and every gate line up — the deep-sequential, high-event-locality shape
-/// the saturation strategy targets.
+/// and every gate line up — a deep-sequential, high-event-locality shape.
 network make_chain_counter(std::size_t cells, std::size_t gate_every) {
     network net("chaincounter" + std::to_string(cells));
     net.add_input("en");
@@ -241,8 +238,6 @@ network make_chain_counter(std::size_t cells, std::size_t gate_every) {
     net.validate();
     return net;
 }
-
-namespace {
 
 scenario make_chaincounter_scenario(std::uint32_t seed, std::size_t extra) {
     scenario s;

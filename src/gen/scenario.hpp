@@ -37,9 +37,8 @@ enum class scenario_family : std::uint8_t {
     mutant,   ///< near-miss: solvable pair with one flipped spec bit
     /// Gated ripple counter with a long carry dependency chain: low bits
     /// churn every step while high bits move rarely — maximal event
-    /// locality, the deep-sequential stress case the saturation strategy
-    /// targets.  Appended after mutant so historical (family, seed)
-    /// reproducers keep their meaning.
+    /// locality, a deep-sequential stress case.  Appended after mutant so
+    /// historical (family, seed) reproducers keep their meaning.
     chaincounter,
 };
 
@@ -93,14 +92,6 @@ struct scenario {
 [[nodiscard]] scenario make_scenario(scenario_family family,
                                      std::uint32_t seed,
                                      std::uint32_t scale = 1);
-
-/// The raw chaincounter network behind `gen:chaincounter` scenarios: a
-/// ripple counter with `gate` injected into the carry chain every
-/// `gate_every` cells.  Exposed so the bench harness can run reachability
-/// on a deterministic deep-sequential machine (the `saturation/reach_chain`
-/// rows) with exactly the shape the chaincounter family generates.
-[[nodiscard]] network make_chain_counter(std::size_t cells,
-                                         std::size_t gate_every);
 
 // ---------------------------------------------------------------------------
 // shared helpers for the randomized test suites

@@ -15,11 +15,10 @@
 /// folding the conjunctions one cluster at a time and quantifying each
 /// variable as soon as the remaining clusters no longer mention it.  A naive
 /// mode (conjoin everything, then quantify) is kept for the ablation
-/// benchmark.  `image_options` / `reach_strategy` are defined by the
-/// relation layer and re-exported here; see rel/relation.hpp for the full
-/// option semantics (deadline behavior included) and the
-/// one-manager-per-thread confinement rule, which applies to the engine
-/// and the fixpoints below unchanged.
+/// benchmark.  `image_options` is defined by the relation layer and
+/// re-exported here; see rel/relation.hpp for the full option semantics
+/// (deadline behavior included) and the one-manager-per-thread confinement
+/// rule, which applies to the engine and the fixpoints below unchanged.
 #pragma once
 
 #include "rel/relation.hpp"
@@ -81,10 +80,6 @@ private:
 
 /// Layered forward reachability: the same fixpoint, additionally reporting
 /// the BFS structure (sequential depth and states first reached per layer).
-/// Under `reach_strategy::saturation` no BFS structure exists, so the fields
-/// report the saturation trace instead: `depth` counts fires (image
-/// applications that discovered new states) and `layer_states` the per-fire
-/// discoveries — `reached`/`total_states` are strategy-independent.
 struct reach_info {
     bdd reached;        ///< all reachable states over cs_vars
     std::size_t depth = 0; ///< number of images until the fixpoint
@@ -103,7 +98,7 @@ reachable_states_layered(bdd_manager& mgr, const std::vector<bdd>& next_state,
 /// call.  `relation` must come from `transition_relation::next_state` with
 /// `rename_image_to_current()` applied (images over cs variables) — throws
 /// std::invalid_argument otherwise; `state_bits` sizes the sat-counts.
-/// Strategy and deadline are read off the relation's options.
+/// The deadline is read off the relation's options.
 [[nodiscard]] reach_info
 reachable_states_layered(const transition_relation& relation, const bdd& init,
                          std::uint32_t state_bits);

@@ -8,16 +8,6 @@
 
 namespace leq {
 
-const char* to_string(reach_strategy strategy) {
-    switch (strategy) {
-    case reach_strategy::bfs: return "bfs";
-    case reach_strategy::frontier: return "frontier";
-    case reach_strategy::chaining: return "chaining";
-    case reach_strategy::saturation: return "saturation";
-    }
-    return "?";
-}
-
 transition_relation::transition_relation(bdd_manager& mgr,
                                          std::vector<bdd> parts,
                                          std::vector<std::uint32_t> quantify,
@@ -88,9 +78,7 @@ void transition_relation::build(const std::vector<std::uint32_t>& quantify) {
         clusters_ = cluster_parts(*mgr_, parts_, options_.policy,
                                   options_.cluster_limit, options_.deadline);
     }
-    image_schedule_ =
-        quant_schedule(*mgr_, clusters_, quantify,
-                       options_.strategy == reach_strategy::chaining);
+    image_schedule_ = quant_schedule(*mgr_, clusters_, quantify);
     image_schedule_.describe(*mgr_, stats_);
 }
 
@@ -128,9 +116,7 @@ const quant_schedule& transition_relation::preimage_schedule() const {
             "(build it with transition_relation::next_state)");
     }
     if (!preimage_schedule_) {
-        preimage_schedule_.emplace(
-            *mgr_, clusters_, pre_quantify_,
-            options_.strategy == reach_strategy::chaining);
+        preimage_schedule_.emplace(*mgr_, clusters_, pre_quantify_);
     }
     return *preimage_schedule_;
 }

@@ -232,10 +232,9 @@ TEST(bdd_manager_options_test, legacy_ctor_pins_initial_cache_size) {
     EXPECT_EQ(mgr.stats().cache_entries, std::size_t{1} << 12);
 }
 
-TEST(bdd_manager_options_test, adaptive_gc_trigger_tracks_live_nodes) {
+TEST(bdd_manager_options_test, gc_trigger_tracks_live_nodes) {
     leq::bdd_manager_options opts;
     opts.gc_threshold = std::size_t{1} << 10;
-    opts.adaptive_gc = true;
     bdd_manager mgr(big_nvars, opts);
     // churn: build and drop garbage until collections happen
     for (std::uint32_t round = 0; round < 12; ++round) {
@@ -251,19 +250,6 @@ TEST(bdd_manager_options_test, adaptive_gc_trigger_tracks_live_nodes) {
               std::max({std::size_t{1} << 10, 2 * stats.live_nodes,
                         stats.allocated_nodes / 2}) +
                   (std::size_t{1} << 10));
-}
-
-TEST(bdd_manager_options_test, legacy_gc_trigger_only_ratchets_up) {
-    leq::bdd_manager_options opts;
-    opts.gc_threshold = std::size_t{1} << 10;
-    opts.adaptive_gc = false;
-    bdd_manager mgr(big_nvars, opts);
-    std::size_t last = mgr.stats().gc_threshold;
-    for (std::uint32_t round = 0; round < 12; ++round) {
-        (void)big_function(mgr, 100 + round);
-        EXPECT_GE(mgr.stats().gc_threshold, last);
-        last = mgr.stats().gc_threshold;
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -339,22 +325,6 @@ TEST(bdd_cache_geometry, entries_age_across_gc_instead_of_dying) {
     EXPECT_EQ(mgr.stats().cache_hits, hits + 1)
         << "garbage collection dropped a cache entry whose key and result "
            "are all live";
-}
-
-TEST(bdd_cache_geometry, clear_on_gc_option_restores_the_old_discipline) {
-    leq::bdd_manager_options opts;
-    opts.cache_age_on_gc = false;
-    bdd_manager mgr(8, opts);
-    const bdd f = mgr.var(0);
-    const bdd g = mgr.var(1);
-    const bdd h1 = f & g;
-    mgr.collect_garbage();
-    const std::size_t hits = mgr.stats().cache_hits;
-    const bdd h2 = f & g;
-    EXPECT_EQ(h1, h2);
-    EXPECT_EQ(mgr.stats().cache_hits, hits)
-        << "cache_age_on_gc=false must clear the whole cache at every "
-           "collection";
 }
 
 TEST(bdd_cache_geometry, growth_migrates_surviving_entries) {

@@ -207,38 +207,17 @@ TEST(cli_solve, blif_pair_and_every_flow) {
 TEST(cli_solve, knob_flags_reach_the_relation_layer) {
     const cli_run r =
         run({"solve", example("passthrough_f.kiss"),
-             example("passthrough_s.kiss"), "--strategy", "chaining",
-             "--policy", "affinity", "--cluster-limit", "100",
+             example("passthrough_s.kiss"), "--policy", "affinity",
+             "--cluster-limit", "100",
              "--no-early-quant", "--collect-stats", "--no-timing"});
     EXPECT_EQ(r.exit_code, 0) << r.err;
     const std::string line = first_line(r.out);
     EXPECT_TRUE(valid_json_object(line)) << line;
-    EXPECT_EQ(raw_field(line, "strategy"), "\"chaining\"");
     EXPECT_EQ(raw_field(line, "policy"), "\"affinity\"");
     EXPECT_EQ(raw_field(line, "cluster_limit"), "100");
     EXPECT_EQ(raw_field(line, "early_quantification"), "false");
     EXPECT_NE(raw_field(line, "peak_intermediate"), "");
     EXPECT_EQ(raw_field(line, "seconds"), ""); // --no-timing
-}
-
-TEST(cli_solve, saturation_strategy_is_accepted_and_echoed) {
-    // the fourth strategy parses, shows up in the options echo, and
-    // surfaces its fires counter in the stats block (saturation runs only)
-    const cli_run r =
-        run({"solve", "gen:chaincounter:2", "--strategy", "saturation",
-             "--no-timing"});
-    EXPECT_EQ(r.exit_code, 0) << r.err;
-    const std::string line = first_line(r.out);
-    EXPECT_TRUE(valid_json_object(line)) << line;
-    EXPECT_EQ(raw_field(line, "strategy"), "\"saturation\"");
-    EXPECT_EQ(raw_field(line, "status"), "\"ok\"");
-    EXPECT_NE(raw_field(line, "saturation_fires"), "") << line;
-
-    // under any other strategy the counter stays out of the stats block
-    const cli_run frontier =
-        run({"solve", "gen:chaincounter:2", "--no-timing"});
-    EXPECT_EQ(frontier.exit_code, 0) << frontier.err;
-    EXPECT_EQ(raw_field(first_line(frontier.out), "saturation_fires"), "");
 }
 
 TEST(cli_solve, gen_spec_generates_and_solves) {
@@ -441,14 +420,17 @@ TEST(cli_errors, missing_input_file) {
 }
 
 TEST(cli_errors, missing_flag_value) {
-    EXPECT_EQ(run({"solve", "--strategy"}).exit_code, 2);
+    EXPECT_EQ(run({"solve", "--policy"}).exit_code, 2);
     EXPECT_EQ(run({"solve", "--cluster-limit", "lots"}).exit_code, 2);
 }
 
-TEST(cli_errors, unknown_strategy_still_rejected) {
-    const cli_run r = run({"solve", "--strategy", "saturati0n"});
+TEST(cli_errors, strategy_flag_is_gone) {
+    const cli_run r = run({"solve", example("passthrough_f.kiss"),
+                           example("passthrough_s.kiss"), "--strategy",
+                           "frontier"});
     EXPECT_EQ(r.exit_code, 2);
-    EXPECT_NE(r.err.find("unknown strategy"), std::string::npos);
+    EXPECT_NE(r.err.find("unknown option '--strategy'"), std::string::npos)
+        << r.err;
 }
 
 TEST(cli_errors, numeric_flags_reject_trailing_garbage) {
@@ -523,6 +505,28 @@ TEST(cli_errors, truncated_kiss_is_never_ok) {
     EXPECT_EQ(r.out.find("\"status\":\"ok\""), std::string::npos) << r.out;
     EXPECT_NE(r.out.find("kiss:4:"), std::string::npos) << r.out;
     std::remove(cut.c_str());
+}
+
+TEST(cli_errors, unknown_reset_state_is_a_kiss_error) {
+    // `.r` naming a state no row mentions is a parse error at the `.r`
+    // line, not an escaped lookup failure
+    std::ifstream in(example("passthrough_f.kiss"));
+    ASSERT_TRUE(in.good());
+    const std::string bad = temp_path("passthrough_f_reset.kiss");
+    {
+        std::ofstream out(bad);
+        std::string line;
+        while (std::getline(in, line)) {
+            out << (line == ".r s0" ? ".r nowhere" : line) << "\n";
+        }
+    }
+    const cli_run r = run({"solve", bad, example("passthrough_s.kiss")});
+    EXPECT_NE(r.exit_code, 0);
+    const std::string line = first_line(r.out);
+    EXPECT_TRUE(valid_json_object(line)) << line;
+    EXPECT_EQ(r.out.find("\"status\":\"ok\""), std::string::npos) << r.out;
+    EXPECT_EQ(raw_field(line, "error").rfind("\"kiss:", 0), 0u) << line;
+    std::remove(bad.c_str());
 }
 
 TEST(cli_errors, missing_manifest) {

@@ -70,19 +70,18 @@ TEST(differential_oracle, mutants_exercise_the_diagnosis_replay) {
 TEST(differential_options_, matrix_is_a_real_sweep) {
     const std::vector<image_options> matrix = default_option_matrix();
     ASSERT_GE(matrix.size(), 3u);
-    // at least three strategies (saturation included) and both cluster
-    // policies appear
-    bool bfs = false, frontier = false, saturation = false, affinity = false;
+    // naive unclustered quantification, affinity clustering and a tight
+    // affinity cluster limit all appear beside the defaults
+    bool naive = false, affinity = false, tight_affinity = false;
     for (const image_options& o : matrix) {
-        bfs |= o.strategy == reach_strategy::bfs;
-        frontier |= o.strategy == reach_strategy::frontier;
-        saturation |= o.strategy == reach_strategy::saturation;
+        naive |= !o.early_quantification && o.cluster_limit == 0;
         affinity |= o.policy == cluster_policy::affinity;
+        tight_affinity |=
+            o.policy == cluster_policy::affinity && o.cluster_limit == 600;
     }
-    EXPECT_TRUE(bfs);
-    EXPECT_TRUE(frontier);
-    EXPECT_TRUE(saturation);
+    EXPECT_TRUE(naive);
     EXPECT_TRUE(affinity);
+    EXPECT_TRUE(tight_affinity);
     EXPECT_FALSE(describe_option_matrix(matrix).empty());
 }
 

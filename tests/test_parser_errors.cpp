@@ -214,6 +214,13 @@ TEST(kiss_errors, state_count_is_an_upper_bound) {
               "kiss:4: .s declares 1 states but the body names 2");
 }
 
+TEST(kiss_errors, reset_state_must_name_a_row) {
+    const std::string body = "0 a b 1\n1 b a 0\n";
+    EXPECT_EQ(kiss_error(".i 1\n.o 1\n.r b\n" + body), "");
+    EXPECT_EQ(kiss_error(".i 1\n.o 1\n.r nowhere\n" + body),
+              "kiss:3: reset state 'nowhere' names no row");
+}
+
 TEST(kiss_errors, truncated_corpus_machine_throws) {
     // the bench corpus F machine declares .s 256 / .p 1283; cut after 13
     // rows it used to solve as a 13-row machine with "status":"ok"
