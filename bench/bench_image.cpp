@@ -10,7 +10,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <string>
 
 namespace {
 
@@ -56,12 +55,12 @@ struct setup {
         return p;
     }
     /// `init` advanced a few image steps (a non-trivial frontier).
-    [[nodiscard]] bdd advanced_frontier(const image_engine& engine,
+    [[nodiscard]] bdd advanced_frontier(const transition_relation& rel,
                                         int steps = 3) {
         const std::vector<std::uint32_t> perm = cs_ns_swap();
         bdd from = init;
         for (int k = 0; k < steps; ++k) {
-            from |= mgr.permute(engine.image(from), perm);
+            from |= mgr.permute(rel.image(from), perm);
         }
         return from;
     }
@@ -80,11 +79,11 @@ network bench_circuit(int size) {
 void bm_image_scheduled(benchmark::State& state) {
     setup s(bench_circuit(static_cast<int>(state.range(0))));
     image_options options;
-    const image_engine engine(s.mgr, s.parts(), s.quantify(), options);
+    const transition_relation rel(s.mgr, s.parts(), s.quantify(), options);
     // image from a frontier after a few steps (more interesting than init)
-    const bdd from = s.advanced_frontier(engine);
+    const bdd from = s.advanced_frontier(rel);
     for (auto _ : state) {
-        benchmark::DoNotOptimize(engine.image(from));
+        benchmark::DoNotOptimize(rel.image(from));
     }
 }
 BENCHMARK(bm_image_scheduled)->Arg(8)->Arg(16)->Arg(24)->Arg(32);
@@ -93,10 +92,10 @@ void bm_image_naive(benchmark::State& state) {
     setup s(bench_circuit(static_cast<int>(state.range(0))));
     image_options options;
     options.early_quantification = false;
-    const image_engine engine(s.mgr, s.parts(), s.quantify(), options);
+    const transition_relation rel(s.mgr, s.parts(), s.quantify(), options);
     bdd from = s.init;
     for (auto _ : state) {
-        benchmark::DoNotOptimize(engine.image(from));
+        benchmark::DoNotOptimize(rel.image(from));
     }
 }
 BENCHMARK(bm_image_naive)->Arg(8)->Arg(16)->Arg(24)->Arg(32);
@@ -116,58 +115,13 @@ void bm_cluster_limit(benchmark::State& state) {
     setup s(bench_circuit(20));
     image_options options;
     options.cluster_limit = static_cast<std::size_t>(state.range(0));
-    const image_engine engine(s.mgr, s.parts(), s.quantify(), options);
+    const transition_relation rel(s.mgr, s.parts(), s.quantify(), options);
     bdd from = s.init;
     for (auto _ : state) {
-        benchmark::DoNotOptimize(engine.image(from));
+        benchmark::DoNotOptimize(rel.image(from));
     }
 }
 BENCHMARK(bm_cluster_limit)->Arg(0)->Arg(500)->Arg(2500)->Arg(10000);
-
-/// Greedy-vs-affinity cluster comparison table (one row per (size, policy);
-/// the label column names the policy and the resulting cluster count).
-/// range(1) indexes all_cluster_policies.  The from-set is advanced a few
-/// steps so the image sees a non-trivial frontier.
-void bm_cluster_policy(benchmark::State& state) {
-    setup s(bench_circuit(static_cast<int>(state.range(0))));
-    image_options options;
-    options.policy = static_cast<cluster_policy>(state.range(1));
-    // a limit where the policies actually produce different clusterings on
-    // these sizes (the default 2500 merges everything into one cluster,
-    // which would compare identical schedules)
-    options.cluster_limit = 600;
-    const image_engine engine(s.mgr, s.parts(), s.quantify(), options);
-    state.SetLabel(std::string(to_string(options.policy)) + "/" +
-                   std::to_string(engine.num_clusters()) + "cl");
-    const bdd from = s.advanced_frontier(engine);
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(engine.image(from));
-    }
-}
-BENCHMARK(bm_cluster_policy)->ArgsProduct({{16, 24, 32}, {0, 1, 2}});
-
-/// The same policy comparison on a full reachability fixpoint over a
-/// structured mix of weakly coupled blocks: adjacent greedy merging is at
-/// the mercy of declaration order, affinity regroups parts by support.
-void bm_cluster_policy_reach(benchmark::State& state) {
-    structured_spec spec;
-    spec.num_inputs = 4;
-    spec.num_outputs = 4;
-    spec.num_latches = static_cast<std::size_t>(state.range(0));
-    spec.seed = test_seed(0) + 29;
-    const network net = make_structured_mix(spec);
-    image_options options;
-    options.policy = static_cast<cluster_policy>(state.range(1));
-    state.SetLabel(to_string(options.policy));
-    for (auto _ : state) {
-        setup s(net);
-        benchmark::DoNotOptimize(reachable_states(
-            s.mgr, s.fns.next_state, s.cs, s.ns, s.in, s.init, options));
-    }
-}
-BENCHMARK(bm_cluster_policy_reach)
-    ->ArgsProduct({{12, 16}, {0, 1, 2}})
-    ->Unit(benchmark::kMillisecond);
 
 } // namespace
 

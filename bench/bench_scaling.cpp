@@ -18,13 +18,9 @@
 
 #include "eq/solver.hpp"
 #include "gen/scenario.hpp"
-#include "img/image.hpp"
-#include "rel/relation.hpp"
 #include "net/generator.hpp"
 #include "net/latch_split.hpp"
-#include "net/netbdd.hpp"
 
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -75,59 +71,6 @@ void sweep(const network& original, std::size_t x_from, std::size_t x_to,
     }
 }
 
-/// Compiled reachability workload for the series C sweep: one manager,
-/// inputs then interleaved cs/ns variables, the partitioned next-state
-/// functions and the initial-state cube.
-struct reach_setup {
-    bdd_manager mgr{0, 20};
-    std::vector<std::uint32_t> in, cs, ns;
-    net_bdds fns;
-    bdd init;
-
-    explicit reach_setup(const network& net) {
-        for (std::size_t k = 0; k < net.num_inputs(); ++k) {
-            in.push_back(mgr.new_var());
-        }
-        for (std::size_t k = 0; k < net.num_latches(); ++k) {
-            cs.push_back(mgr.new_var());
-            ns.push_back(mgr.new_var());
-        }
-        fns = build_net_bdds(mgr, net, in, cs);
-        init = state_cube(mgr, cs, net.initial_state());
-    }
-};
-
-/// Cluster-policy comparison (series C): greedy adjacent merge vs affinity
-/// pairing by shared support, on the same reachability fixpoints.  Every row
-/// reaches the identical state set; only the partition clustering — and
-/// therefore the quantification schedule — differs.  Returns total seconds.
-double policy_sweep(const char* label, const network& net) {
-    reach_setup s(net);
-    double total = 0;
-    for (const cluster_policy policy : all_cluster_policies) {
-        image_options options;
-        options.policy = policy;
-        // the timer covers relation construction too: clustering cost is
-        // part of what distinguishes the policies
-        const auto t0 = std::chrono::steady_clock::now();
-        transition_relation rel = transition_relation::next_state(
-            s.mgr, s.fns.next_state, s.cs, s.ns, s.in, options);
-        rel.rename_image_to_current();
-        const reach_info info = reachable_states_layered(
-            rel, s.init, static_cast<std::uint32_t>(s.cs.size()));
-        const double seconds =
-            std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                          t0)
-                .count();
-        std::printf("%-18s %-10s %8zu %12.0f %10.3f\n", label,
-                    to_string(policy), rel.num_clusters(), info.total_states,
-                    seconds);
-        std::fflush(stdout);
-        total += seconds;
-    }
-    return total;
-}
-
 } // namespace
 
 int main(int argc, char** argv) {
@@ -163,23 +106,6 @@ int main(int argc, char** argv) {
                     original.num_inputs(), original.num_outputs(),
                     original.num_latches());
         sweep(original, 16, 20, 1, limit);
-    }
-    {
-        std::printf("\nSeries C: cluster-policy comparison "
-                    "(identical fixpoints, different partition clustering)\n");
-        std::printf("%-18s %-10s %8s %12s %10s\n", "workload", "policy",
-                    "clusters", "states", "time,s");
-        for (const std::size_t latches : {12, 16, 20}) {
-            structured_spec spec;
-            spec.num_inputs = 4;
-            spec.num_outputs = 4;
-            spec.num_latches = latches;
-            spec.seed = base + 29;
-            if (policy_sweep(("mix-" + std::to_string(latches)).c_str(),
-                             make_structured_mix(spec)) > limit) {
-                break;
-            }
-        }
     }
     return 0;
 }

@@ -5,7 +5,10 @@
 #      quickstart:end markers) and execute it verbatim with bash -e — a
 #      renamed flag, moved example, or broken subcommand fails here;
 #   2. check every relative markdown link in README.md and docs/*.md
-#      resolves to an existing file.
+#      resolves to an existing file;
+#   3. check the README's sample JSON record carries exactly the `options`
+#      keys, in order, that a real `leq solve` record carries — a removed
+#      or added flag echo fails here.
 #
 # Usage: scripts/check_docs.sh   (expects ./build/leq to exist)
 set -euo pipefail
@@ -43,3 +46,20 @@ for doc in README.md docs/*.md; do
 done
 [ "$status" -eq 0 ] || fail "broken markdown links"
 echo "== links ok =="
+
+# ---- 3. README sample record vs a real record -------------------------------
+sample=$(awk '/^```json$/{on=1; next} on && /^```$/{exit} on' README.md)
+[ -n "$sample" ] || fail "no sample JSON record found in README.md"
+real=$(./build/leq solve examples/eqn/passthrough_f.kiss \
+           examples/eqn/passthrough_s.kiss)
+SAMPLE="$sample" REAL="$real" python3 - <<'PY' ||
+import json, os, sys
+sample = list(json.loads(os.environ["SAMPLE"])["options"])
+real = list(json.loads(os.environ["REAL"])["options"])
+if sample != real:
+    print(f"check_docs: README sample options keys {sample}\n"
+          f"            real record options keys  {real}", file=sys.stderr)
+    sys.exit(1)
+PY
+    fail "README sample record drifted from the real leq record"
+echo "== sample record ok =="

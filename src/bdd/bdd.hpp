@@ -4,7 +4,7 @@
 ///
 /// The package implements reduced ordered binary decision diagrams with
 /// complement edges, a unique table, a set-associative computed cache that
-/// grows geometrically with the unique table (see bdd_manager_options),
+/// grows geometrically with the unique table (see bdd_manager::cache_ways),
 /// mark-and-sweep garbage collection driven by externally held handles,
 /// quantification, relational-product (and-exists), variable permutation,
 /// composition and in-place dynamic reordering.
@@ -170,44 +170,10 @@ struct bdd_stats {
     std::size_t cache_entries = 0;  ///< current computed-cache slots
     std::size_t cache_resizes = 0;  ///< computed-cache growth events
     std::size_t gc_threshold = 0;   ///< current allocated-node GC trigger
-    std::size_t cache_ways = 0;     ///< computed-cache associativity
     /// Per-operation split of cache_lookups/cache_hits (indexed by the
     /// bdd_op_name order): which recursion is thrashing the cache.
     std::array<std::size_t, bdd_num_ops> op_lookups{};
     std::array<std::size_t, bdd_num_ops> op_hits{};
-};
-
-/// Construction-time tuning of a manager's memory discipline: computed-cache
-/// sizing and the garbage-collection trigger.  The defaults fit unit-test
-/// workloads; the equation solver overrides them (problem_manager_defaults()
-/// in eq/problem.hpp) and the `leq` CLI exposes all three knobs as
-/// --cache-bits / --max-cache-bits / --gc-threshold.
-struct bdd_manager_options {
-    /// log2 of the initial computed-cache size.
-    unsigned cache_bits = 18;
-    /// log2 ceiling for computed-cache growth.  The cache tracks the unique
-    /// table geometrically — at least two slots per table bucket, doubling
-    /// whenever the table outgrows it (surviving entries are rehash-migrated
-    /// into the larger geometry, not discarded) — until it reaches
-    /// 2^max_cache_bits.  max_cache_bits == cache_bits pins the historical
-    /// fixed-size cache that never resized after construction.
-    unsigned max_cache_bits = 24;
-    /// Computed-cache associativity: slots per set-associative bucket.
-    /// Clamped to a power of two in 1..16 (rounded down); 1 reproduces the
-    /// historical direct-mapped cache.  Replacement is deterministic
-    /// move-to-front LRU (same-key overwrite, else first empty slot, else
-    /// the least recently touched entry), with GC-epoch age stamps deciding
-    /// staleness across collections: a collection purges only the entries
-    /// whose key or result references a swept node, and everything else
-    /// survives with an older age stamp.
-    unsigned cache_ways = 4;
-    /// Allocated-node count that triggers the first garbage collection;
-    /// also the floor the adaptive trigger never drops below.  After each
-    /// collection the next trigger is max(gc_threshold, 2 * live nodes,
-    /// arena / 2): a collection that finds everything live raises the bar
-    /// exactly as far as the survivors demand, and a productive one lowers
-    /// it back toward the floor.
-    std::size_t gc_threshold = std::size_t{1} << 14;
 };
 
 /// The BDD manager: node arena, unique table, computed cache and the
@@ -216,13 +182,34 @@ struct bdd_manager_options {
 /// rewrites node contents in place).
 class bdd_manager {
 public:
+    /// The memory geometry is fixed; these constants are all of it.
+    ///
+    /// Computed-cache associativity: slots per set-associative bucket.
+    /// Replacement is deterministic move-to-front LRU (same-key overwrite,
+    /// else first empty slot, else the least recently touched entry), with
+    /// GC-epoch age stamps deciding staleness across collections: a
+    /// collection purges only the entries whose key or result references a
+    /// swept node, and everything else survives with an older age stamp.
+    static constexpr std::uint32_t cache_ways = 4;
+    /// log2 ceiling for computed-cache growth.  The cache tracks the unique
+    /// table geometrically — at least two slots per table bucket, doubling
+    /// whenever the table outgrows it (surviving entries are rehash-migrated
+    /// into the larger geometry, not discarded) — until it reaches
+    /// 2^max_cache_bits.
+    static constexpr unsigned max_cache_bits = 24;
+    /// Allocated-node count that triggers the first garbage collection;
+    /// also the floor the adaptive trigger never drops below.  After each
+    /// collection the next trigger is max(gc_floor, 2 * live nodes,
+    /// arena / 2): a collection that finds everything live raises the bar
+    /// exactly as far as the survivors demand, and a productive one lowers
+    /// it back toward the floor.
+    static constexpr std::size_t gc_floor = std::size_t{1} << 14;
+
     /// \param num_vars   initial number of variables (ids 0..num_vars-1)
-    /// \param cache_bits log2 of the *initial* computed-cache size; the
-    ///        cache grows with the unique table up to the default ceiling
-    ///        (bdd_manager_options::max_cache_bits)
+    /// \param cache_bits log2 of the *initial* computed-cache size, clamped
+    ///        to 8..30; the cache grows with the unique table up to
+    ///        2^max_cache_bits
     explicit bdd_manager(std::uint32_t num_vars = 0, unsigned cache_bits = 18);
-    /// Full memory tuning (cache sizing, GC trigger policy).
-    bdd_manager(std::uint32_t num_vars, const bdd_manager_options& options);
     ~bdd_manager();
 
     bdd_manager(const bdd_manager&) = delete;
@@ -451,7 +438,7 @@ private:
     static_assert(static_cast<std::size_t>(op::restrict_op) + 1 == bdd_num_ops,
                   "bdd_num_ops must match the cached-op enum");
 
-    /// One computed-cache slot.  Slots are grouped into `cache_ways_`-entry
+    /// One computed-cache slot.  Slots are grouped into `cache_ways`-entry
     /// set-associative buckets stored contiguously, so a 4-way bucket spans
     /// at most two cache lines.  `o == 0xff` marks an empty slot; `age` is
     /// the GC epoch the entry was stored (or last hit) in — replacement
@@ -630,12 +617,10 @@ private:
     std::vector<std::uint32_t> buckets_;   ///< unique table (power of two)
     std::vector<cache_entry> cache_;       ///< ways-entry buckets, contiguous
     std::uint64_t cache_bucket_mask_ = 0;  ///< bucket count - 1
-    std::uint32_t cache_ways_ = 4;         ///< clamped associativity
     std::uint8_t cache_epoch_ = 0;         ///< age epoch; advances per GC
     std::vector<std::uint32_t> var2level_;
     std::vector<std::uint32_t> level2var_;
-    bdd_manager_options opts_;
-    std::size_t gc_threshold_ = std::size_t{1} << 14;
+    std::size_t gc_threshold_ = gc_floor;
     /// Cache probes between op-deadline clock reads: rare enough that the
     /// hot path only pays a decrement, frequent enough that one and_exists
     /// cannot overshoot its budget by more than a few thousand probes.

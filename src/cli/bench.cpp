@@ -53,7 +53,6 @@ void add_manager_metrics(bench_row& row, bdd_manager& mgr) {
     add(row, "live_nodes", static_cast<double>(stats.live_nodes));
     add(row, "cache_entries", static_cast<double>(stats.cache_entries));
     add(row, "cache_resizes", static_cast<double>(stats.cache_resizes));
-    add(row, "cache_ways", static_cast<double>(stats.cache_ways));
 }
 
 // ---------------------------------------------------------------------------

@@ -5,11 +5,12 @@
 
 #include "cli/batch.hpp"
 
-#include <algorithm>
 #include <cctype>
+#include <cmath>
 #include <fstream>
 #include <ostream>
 #include <stdexcept>
+#include <utility>
 
 namespace leq {
 
@@ -36,23 +37,12 @@ int usage(std::ostream& err) {
         << "                   (explicit is the exponential Algorithm-1\n"
         << "                   oracle for small instances; it ignores\n"
         << "                   --time-limit/--max-states and solver knobs)\n"
-        << "  --policy P       greedy (default) | affinity | none\n"
         << "  --cluster-limit N   merged-cluster node bound (default 2500)\n"
         << "  --no-early-quant    quantify at the end (ablation baseline)\n"
         << "  --no-trim           explore non-conforming subsets (mono flow)\n"
         << "  --collect-stats     track peak intermediate product sizes\n"
         << "  --time-limit SEC    wall-clock deadline per solve (default 0)\n"
         << "  --max-states N      subset-state cap per solve (default 0)\n"
-        << "  --cache-bits B      initial computed-cache size 2^B, 8..30\n"
-        << "                   (default 18; the cache grows with the node\n"
-        << "                   arena up to --max-cache-bits)\n"
-        << "  --max-cache-bits B  computed-cache growth ceiling 2^B, 8..30\n"
-        << "                   (default 24; B == --cache-bits pins a fixed\n"
-        << "                   cache)\n"
-        << "  --gc-threshold N    allocated-node GC trigger floor\n"
-        << "                   (default 16384)\n"
-        << "  --cache-ways W      computed-cache associativity, power of two\n"
-        << "                   in 1..16 (default 4; 1 = direct-mapped)\n"
         << "  --choice-inputs N   trailing F inputs are choice inputs w\n"
         << "  --name NAME         job label in the JSON record\n"
         << "  --timing | --no-timing   include wall-clock fields (default:\n"
@@ -65,9 +55,13 @@ int usage(std::ostream& err) {
         << "                            cores), one BDD manager per worker\n"
         << "            --command C     per-job command (default solve)\n"
         << "\n"
-        << "exit codes: 0 solved (JSON carries \"solution\":\"empty\" for\n"
-        << "unsolvable equations), 1 gave up or check failed, 2 usage,\n"
-        << "3 unreadable inputs\n";
+        << "exit codes:\n"
+        << "  0  solved (the JSON carries \"solution\":\"empty\" for\n"
+        << "     unsolvable equations)\n"
+        << "  1  gave up, or a verify/diagnose check failed; in batch, any\n"
+        << "     job that did not succeed\n"
+        << "  2  usage error\n"
+        << "  3  input unreadable or malformed\n";
     return 2;
 }
 
@@ -130,22 +124,6 @@ int parse_flags(const std::vector<std::string>& args, parsed_args& parsed,
                 return 2;
             }
             parsed.config.flow = *v;
-        } else if (arg == "--policy") {
-            const std::string* v = value();
-            image_options& img = parsed.config.solve.img;
-            if (v == nullptr) {
-                err << "leq: --policy needs none|greedy|affinity\n";
-                return 2;
-            } else if (*v == "none") {
-                img.policy = cluster_policy::none;
-            } else if (*v == "greedy") {
-                img.policy = cluster_policy::greedy;
-            } else if (*v == "affinity") {
-                img.policy = cluster_policy::affinity;
-            } else {
-                err << "leq: unknown cluster policy '" << *v << "'\n";
-                return 2;
-            }
         } else if (arg == "--cluster-limit") {
             if (!numeric("--cluster-limit",
                          parsed.config.solve.img.cluster_limit)) {
@@ -167,6 +145,7 @@ int parse_flags(const std::vector<std::string>& args, parsed_args& parsed,
                 std::size_t used = 0;
                 parsed.config.solve.time_limit_seconds = std::stod(*v, &used);
                 if (used != v->size() ||
+                    !std::isfinite(parsed.config.solve.time_limit_seconds) ||
                     parsed.config.solve.time_limit_seconds < 0) {
                     throw std::invalid_argument(*v);
                 }
@@ -179,37 +158,6 @@ int parse_flags(const std::vector<std::string>& args, parsed_args& parsed,
                          parsed.config.solve.max_subset_states)) {
                 return 2;
             }
-        } else if (arg == "--cache-bits" || arg == "--max-cache-bits") {
-            std::size_t bits = 0;
-            if (!numeric(arg.c_str(), bits)) { return 2; }
-            if (bits < 8 || bits > 30) {
-                err << "leq: " << arg << " must be in 8..30\n";
-                return 2;
-            }
-            if (arg == "--cache-bits") {
-                parsed.config.solve.mem.cache_bits =
-                    static_cast<unsigned>(bits);
-                // keep the pair consistent when only the floor is raised
-                parsed.config.solve.mem.max_cache_bits =
-                    std::max(parsed.config.solve.mem.max_cache_bits,
-                             static_cast<unsigned>(bits));
-            } else {
-                parsed.config.solve.mem.max_cache_bits =
-                    static_cast<unsigned>(bits);
-            }
-        } else if (arg == "--gc-threshold") {
-            if (!numeric("--gc-threshold",
-                         parsed.config.solve.mem.gc_threshold)) {
-                return 2;
-            }
-        } else if (arg == "--cache-ways") {
-            std::size_t ways = 0;
-            if (!numeric("--cache-ways", ways)) { return 2; }
-            if (ways < 1 || ways > 16 || (ways & (ways - 1)) != 0) {
-                err << "leq: --cache-ways must be a power of two in 1..16\n";
-                return 2;
-            }
-            parsed.config.solve.mem.cache_ways = static_cast<unsigned>(ways);
         } else if (arg == "--choice-inputs") {
             if (!numeric("--choice-inputs", parsed.config.choice_inputs)) {
                 return 2;

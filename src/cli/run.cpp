@@ -57,6 +57,7 @@ void run_checks(const std::string& command, const equation_problem& problem,
             // diagnose a user-supplied candidate X (KISS over u/v) instead
             // of the computed CSF; containment in the CSF is the stronger
             // check, the composition diagnosis yields the trace
+            record.input_error = true; // the candidate is an input too
             std::ifstream in(config.impl_path);
             if (!in) {
                 throw std::runtime_error("cannot open '" + config.impl_path +
@@ -64,6 +65,7 @@ void run_checks(const std::string& command, const equation_problem& problem,
             }
             const automaton x = read_kiss(in, problem.mgr(), problem.u_vars,
                                           problem.v_vars);
+            record.input_error = false;
             d = diagnose_composition_contained(problem, x);
             if (d.ok && !language_contained(x, csf)) {
                 d.ok = false;
@@ -112,7 +114,7 @@ void run_checks(const std::string& command, const equation_problem& problem,
 } // namespace
 
 int solve_record::exit_code() const {
-    if (!completed) { return 1; }
+    if (!completed) { return input_error ? 3 : 1; }
     if (result.status != solve_status::ok) { return 1; }
     if (has_verify && !verify_ok) { return 1; }
     if (has_diagnose && !diagnose_ok) { return 1; }
@@ -130,12 +132,15 @@ solve_record run_command(const std::string& command, const std::string& name,
     record.command = command;
     record.flow = config.flow;
     record.choice_inputs = config.choice_inputs;
+    // until both sides are parsed, encoded and their interfaces matched, a
+    // failure is the input's fault, not the solver's
+    record.input_error = true;
     try {
         const loaded_equation eq =
             load_equation(fixed, spec, config.choice_inputs);
         const equation_problem problem(eq.fixed, eq.spec,
-                                       eq.num_choice_inputs,
-                                       config.solve.mem);
+                                       eq.num_choice_inputs);
+        record.input_error = false;
         // the CSF's handles live in `problem`'s manager: drop them before
         // `problem` leaves scope, on the success and the unwind path alike
         try {
@@ -175,19 +180,11 @@ std::string record_to_json(const solve_record& record,
     {
         const image_options& img = config.solve.img;
         json_object opts;
-        opts.field("policy", to_string(img.policy));
         opts.field("cluster_limit", img.cluster_limit);
         opts.field("early_quantification", img.early_quantification);
         opts.field("choice_inputs", record.choice_inputs);
         opts.field("time_limit", config.solve.time_limit_seconds);
         opts.field("max_subset_states", config.solve.max_subset_states);
-        opts.field("cache_bits",
-                   static_cast<std::size_t>(config.solve.mem.cache_bits));
-        opts.field("max_cache_bits",
-                   static_cast<std::size_t>(config.solve.mem.max_cache_bits));
-        opts.field("gc_threshold", config.solve.mem.gc_threshold);
-        opts.field("cache_ways",
-                   static_cast<std::size_t>(config.solve.mem.cache_ways));
         obj.field_raw("options", opts.str());
     }
     if (record.completed) {

@@ -23,8 +23,8 @@ struct cli_config {
     /// "partitioned" (default), "monolithic", or "explicit".
     std::string flow = "partitioned";
     /// Solver options; `solve.img` carries the relation-layer knobs
-    /// (cluster policy and limit, early quantification, collect-stats)
-    /// exposed as flags.
+    /// (cluster limit, early quantification, collect-stats) exposed as
+    /// flags.
     solve_options solve;
     /// Trailing F inputs that are footnote-2 choice inputs w.
     std::size_t choice_inputs = 0;
@@ -49,6 +49,9 @@ struct solve_record {
 
     bool completed = false; ///< false: `error` explains the failure
     std::string error;
+    /// The failure happened while loading an input (reading, parsing or
+    /// encoding the pair, or the F/S interface check), not in the solve.
+    bool input_error = false;
 
     solve_result result; ///< CSF dropped; counters and stats kept
 
@@ -66,7 +69,8 @@ struct solve_record {
     std::string wrote_path;    ///< reduce output file, when written
 
     /// Process exit code this record maps to: 0 solved (even when the
-    /// solution is empty), 1 gave up / check failed / errored.
+    /// solution is empty), 1 gave up / check failed / errored in the
+    /// solver, 3 an input was unreadable or malformed (`input_error`).
     [[nodiscard]] int exit_code() const;
 };
 

@@ -69,8 +69,7 @@ network encode_kiss_spec(const std::string& s_kiss, std::size_t num_inputs,
 }
 
 kiss_instance build_kiss_instance(const std::string& f_kiss,
-                                  const std::string& s_kiss,
-                                  const bdd_manager_options& mem) {
+                                  const std::string& s_kiss) {
     const kiss_header fh = read_kiss_header(f_kiss);
     const kiss_header sh = read_kiss_header(s_kiss);
     if (fh.num_inputs < sh.num_inputs || fh.num_outputs < sh.num_outputs) {
@@ -84,14 +83,13 @@ kiss_instance build_kiss_instance(const std::string& f_kiss,
     inst.fixed = encode_kiss_fixed(f_kiss, sh.num_inputs, sh.num_outputs,
                                    num_v, num_u);
     inst.spec = encode_kiss_spec(s_kiss, sh.num_inputs, sh.num_outputs);
-    inst.problem = std::make_unique<equation_problem>(
-        inst.fixed, inst.spec, /*num_choice_inputs=*/0, mem);
+    inst.problem = std::make_unique<equation_problem>(inst.fixed, inst.spec);
     return inst;
 }
 
 kiss_solution solve_kiss(const std::string& f_kiss, const std::string& s_kiss,
                          const solve_options& options) {
-    kiss_solution sol{build_kiss_instance(f_kiss, s_kiss, options.mem), {}};
+    kiss_solution sol{build_kiss_instance(f_kiss, s_kiss), {}};
     sol.result = solve_partitioned(*sol.instance.problem, options);
     return sol;
 }

@@ -74,14 +74,10 @@ encode_kiss_network(const std::string& text,
                     const std::string& model_name);
 
 /// Encode F and S from KISS2 text and build the equation instance.
-/// `mem` tunes the instance's BDD manager (solve_kiss forwards
-/// `solve_options::mem` here).  Throws std::runtime_error on malformed
-/// KISS and std::invalid_argument when F's interface cannot embed S's
-/// (fewer inputs/outputs).
+/// Throws std::runtime_error on malformed KISS and std::invalid_argument
+/// when F's interface cannot embed S's (fewer inputs/outputs).
 [[nodiscard]] kiss_instance
-build_kiss_instance(const std::string& f_kiss, const std::string& s_kiss,
-                    const bdd_manager_options& mem
-                    = problem_manager_defaults());
+build_kiss_instance(const std::string& f_kiss, const std::string& s_kiss);
 
 /// Convenience: build + solve with the partitioned flow.
 struct kiss_solution {

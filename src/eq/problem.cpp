@@ -10,16 +10,8 @@
 
 namespace leq {
 
-bdd_manager_options problem_manager_defaults() {
-    bdd_manager_options mem;
-    mem.cache_bits = 18;
-    mem.max_cache_bits = 24;
-    return mem;
-}
-
 equation_problem::equation_problem(const network& fixed, const network& spec,
-                                   std::size_t num_choice_inputs,
-                                   const bdd_manager_options& mem) {
+                                   std::size_t num_choice_inputs) {
     if (fixed.num_inputs() < spec.num_inputs() + num_choice_inputs ||
         fixed.num_outputs() < spec.num_outputs()) {
         throw std::invalid_argument(
@@ -46,7 +38,7 @@ equation_problem::equation_problem(const network& fixed, const network& spec,
         }
     }
 
-    mgr_ = std::make_unique<bdd_manager>(0, mem);
+    mgr_ = std::make_unique<bdd_manager>();
     // creation order == level order (see header): the (u,v) block on top —
     // u/v pairs interleaved, since u_m == U_m(i,v,cs) couples each u tightly
     // to nearby v's and a u-block-above-v-block order makes those

@@ -27,14 +27,6 @@
 
 namespace leq {
 
-/// Manager tuning for equation instances: like the package default the
-/// cache starts small and grows with the arena (so a batch of small solves
-/// no longer pays the historical fixed 2^22-entry allocation per worker),
-/// but the ceiling is raised — the subset construction re-runs the same
-/// image engines against thousands of subset states, and a million-node
-/// solve earns a multi-million-entry cache.
-[[nodiscard]] bdd_manager_options problem_manager_defaults();
-
 class equation_problem {
 public:
     /// Build the instance.  `fixed` is F with inputs (i..., v..., w...) and
@@ -49,14 +41,8 @@ public:
     /// T_k(i,v,w,cs)] — the paper's footnote-2 generalization.  (Relations
     /// represented this way are total: a network always produces some next
     /// state.  Partial behaviour is the completion machinery's job.)
-    ///
-    /// `mem` tunes the instance's BDD manager (cache sizing, GC trigger);
-    /// the CLI surfaces it as --cache-bits / --max-cache-bits /
-    /// --gc-threshold via solve_options::mem.
     equation_problem(const network& fixed, const network& spec,
-                     std::size_t num_choice_inputs = 0,
-                     const bdd_manager_options& mem
-                     = problem_manager_defaults());
+                     std::size_t num_choice_inputs = 0);
 
     equation_problem(const equation_problem&) = delete;
     equation_problem& operator=(const equation_problem&) = delete;

@@ -56,12 +56,6 @@ struct solve_options {
     /// the monolithic flow, where such subsets are representable; switching
     /// it off is the Ablation-A baseline.
     bool trim_nonconforming = true;
-    /// Memory tuning for the instance's BDD manager (computed-cache sizing,
-    /// GC trigger).  Consumed at `equation_problem` construction — the
-    /// manager exists before the solve starts — so callers building the
-    /// problem themselves must pass it there; the CLI and the KISS flow
-    /// forward this field for you.
-    bdd_manager_options mem = problem_manager_defaults();
 };
 
 /// Aggregate statistics of one solve, read off the transition relations the

@@ -10,12 +10,20 @@
 namespace leq::detail {
 
 solve_options with_deadline(const solve_options& options) {
+    using clock = std::chrono::steady_clock;
     solve_options armed = options;
     if (armed.time_limit_seconds > 0 && !armed.img.deadline) {
-        armed.img.deadline =
-            std::chrono::steady_clock::now() +
-            std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                std::chrono::duration<double>(armed.time_limit_seconds));
+        const clock::time_point now = clock::now();
+        const std::chrono::duration<double> limit(armed.time_limit_seconds);
+        // saturate: a limit near or past the clock's range (about 146
+        // years here) is no deadline at all — duration_cast would overflow
+        // into a deadline in the past.  Halving the room keeps the double
+        // rounding of the cast clear of the edge.
+        if (limit < std::chrono::duration<double>(
+                        clock::time_point::max() - now) / 2) {
+            armed.img.deadline =
+                now + std::chrono::duration_cast<clock::duration>(limit);
+        }
     }
     return armed;
 }

@@ -17,7 +17,7 @@ namespace {
 
 std::string describe(const image_options& o) {
     std::ostringstream text;
-    text << to_string(o.policy) << "/limit" << o.cluster_limit
+    text << "limit" << o.cluster_limit
          << (o.early_quantification ? "/early" : "/naive");
     if (o.fault_suppress_var != image_options::no_fault) {
         text << "/FAULT@" << o.fault_suppress_var;
@@ -205,11 +205,10 @@ describe_option_matrix(const std::vector<image_options>& matrix) {
 
 std::vector<image_options> default_option_matrix() {
     std::vector<image_options> matrix(4);
-    // matrix[0]: the defaults (early quantification, greedy)
+    // matrix[0]: the defaults (early quantification, limit 2500)
     matrix[1].early_quantification = false;
     matrix[1].cluster_limit = 0;
-    matrix[2].policy = cluster_policy::affinity;
-    matrix[3].policy = cluster_policy::affinity;
+    matrix[2].cluster_limit = 0; // early quantification over the raw parts
     matrix[3].cluster_limit = 600;
     return matrix;
 }

@@ -5,7 +5,7 @@
 /// The paper's correctness story (Corollary 1 plus Algorithm 1) says all
 /// flows compute the same largest solution; this module turns that into an
 /// executable oracle.  For a scenario it runs `solve_partitioned` across an
-/// option matrix (early-quantification x cluster policy x cluster limit),
+/// option matrix (early quantification x cluster limit),
 /// `solve_monolithic`, and — when the instance is small enough for the
 /// exponential oracle — `solve_explicit`, then checks:
 ///
@@ -55,11 +55,11 @@ struct differential_options {
 };
 
 /// The sweep the differential runs by default: reference options, an
-/// unclustered naive-quantification configuration, affinity clustering, and
-/// a tightly clustered affinity configuration.
+/// unclustered naive-quantification configuration, early quantification
+/// over the unclustered parts, and a tight cluster limit (600).
 [[nodiscard]] std::vector<image_options> default_option_matrix();
 
-/// Compact rendering of an option matrix ("[greedy/limit2500/early,
+/// Compact rendering of an option matrix ("[limit2500/early,
 /// ...]") for failure messages and reproducer headers.
 [[nodiscard]] std::string
 describe_option_matrix(const std::vector<image_options>& matrix);

@@ -75,8 +75,8 @@ void transition_relation::build(const std::vector<std::uint32_t>& quantify) {
         }
         clusters_ = {product};
     } else {
-        clusters_ = cluster_parts(*mgr_, parts_, options_.policy,
-                                  options_.cluster_limit, options_.deadline);
+        clusters_ = cluster_parts(*mgr_, parts_, options_.cluster_limit,
+                                  options_.deadline);
     }
     image_schedule_ = quant_schedule(*mgr_, clusters_, quantify);
     image_schedule_.describe(*mgr_, stats_);

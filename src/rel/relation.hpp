@@ -4,12 +4,13 @@
 /// The paper's central move is running every language-equation step over
 /// *partitioned* relations with early quantification.  `transition_relation`
 /// makes that representation a first-class object: it owns the partition
-/// parts, their variable-support metadata, the merged clusters (greedy or
-/// affinity policy, see rel/cluster.hpp) and a per-cluster quantification
+/// parts, their variable-support metadata, the merged clusters (greedy
+/// adjacent merge, see rel/cluster.hpp) and a per-cluster quantification
 /// schedule (rel/schedule.hpp), and serves `image(from)` / `preimage(to)`
-/// with per-call statistics.  Every relation consumer — the image engine,
-/// both solver flows, verification and diagnosis — routes its conjunction
-/// chains through this layer instead of hand-rolling and_exists loops.
+/// with per-call statistics.  Every relation consumer — the reachability
+/// fixpoints, both solver flows, verification and diagnosis — routes its
+/// conjunction chains through this layer instead of hand-rolling and_exists
+/// loops.
 ///
 /// Ownership and thread-safety: a `transition_relation` borrows the
 /// manager passed at construction and holds BDD handles into it — the
@@ -32,17 +33,13 @@
 
 namespace leq {
 
-/// Options for the relation layer (and, unchanged in name, for the image
-/// engine wrapping it — `solve_options::img` plumbs this through both solver
-/// flows).
+/// Options for the relation layer (`solve_options::img` plumbs this through
+/// both solver flows).
 struct image_options {
     /// Quantify variables at their last occurrence instead of at the end.
     bool early_quantification = true;
     /// Merged-cluster node bound (see rel/cluster.hpp); 0 disables merging.
     std::size_t cluster_limit = 2500;
-    /// How parts merge into clusters: greedy adjacent (the historical
-    /// behavior) or affinity pairing by shared support variables.
-    cluster_policy policy = cluster_policy::greedy;
     /// Optional absolute deadline.  Image/preimage chains, cluster merging
     /// at construction, and reachability fixpoints throw
     /// `relation_deadline_exceeded` once it passes; the solvers set it from

@@ -163,9 +163,8 @@ TEST_P(bdd_props, compose_inverts_expansion) {
 INSTANTIATE_TEST_SUITE_P(seeds, bdd_props, ::testing::Range(1u, 16u));
 
 // ---------------------------------------------------------------------------
-// memory-discipline knobs (bdd_manager_options): cache growth and the GC
-// trigger must follow their documented policies, and identical workloads
-// must produce identical functions whatever the tuning
+// the fixed memory geometry: cache growth and the GC trigger must follow
+// their documented policies, and replacement must be deterministic
 // ---------------------------------------------------------------------------
 
 constexpr std::uint32_t big_nvars = 16;
@@ -187,11 +186,8 @@ bdd big_function(bdd_manager& mgr, std::uint32_t seed) {
     return f;
 }
 
-TEST(bdd_manager_options_test, cache_grows_geometrically_with_unique_table) {
-    leq::bdd_manager_options small;
-    small.cache_bits = 8;
-    small.max_cache_bits = 16;
-    bdd_manager mgr(big_nvars, small);
+TEST(bdd_memory_geometry, cache_grows_geometrically_with_unique_table) {
+    bdd_manager mgr(big_nvars, 8u);
     EXPECT_EQ(mgr.stats().cache_entries, std::size_t{1} << 8);
     const bdd f = big_function(mgr, 7);
     // the node counters are refreshed by mark-and-sweep, so force one
@@ -200,88 +196,50 @@ TEST(bdd_manager_options_test, cache_grows_geometrically_with_unique_table) {
         << "workload too small to exercise cache growth";
     EXPECT_GT(mgr.stats().cache_resizes, 0u);
     EXPECT_GT(mgr.stats().cache_entries, std::size_t{1} << 8);
-    EXPECT_LE(mgr.stats().cache_entries, std::size_t{1} << 16);
-    // tuning must not change the function computed
+    EXPECT_LE(mgr.stats().cache_entries,
+              std::size_t{1} << bdd_manager::max_cache_bits);
+    // the initial cache size must not change the function computed
     bdd_manager reference(big_nvars);
     EXPECT_EQ(mgr.sat_count(f, big_nvars),
               reference.sat_count(big_function(reference, 7), big_nvars));
 }
 
-TEST(bdd_manager_options_test, max_cache_bits_pins_a_fixed_cache) {
-    leq::bdd_manager_options pinned;
-    pinned.cache_bits = 10;
-    pinned.max_cache_bits = 10; // the historical never-resizing cache
-    bdd_manager mgr(big_nvars, pinned);
-    (void)big_function(mgr, 7);
-    EXPECT_EQ(mgr.stats().cache_entries, std::size_t{1} << 10);
-    EXPECT_EQ(mgr.stats().cache_resizes, 0u);
-}
-
-TEST(bdd_manager_options_test, out_of_range_options_are_clamped) {
-    leq::bdd_manager_options wild;
-    wild.cache_bits = 2;      // below the 8-bit floor
-    wild.max_cache_bits = 4;  // below cache_bits after clamping
-    wild.gc_threshold = 1;    // below the 2^10 floor
-    bdd_manager mgr(4, wild);
-    EXPECT_EQ(mgr.stats().cache_entries, std::size_t{1} << 8);
-    EXPECT_EQ(mgr.stats().gc_threshold, std::size_t{1} << 10);
-}
-
-TEST(bdd_manager_options_test, legacy_ctor_pins_initial_cache_size) {
+TEST(bdd_memory_geometry, cache_bits_ctor_pins_initial_cache_size) {
     bdd_manager mgr(4, 12u);
     EXPECT_EQ(mgr.stats().cache_entries, std::size_t{1} << 12);
+    EXPECT_EQ(mgr.stats().gc_threshold, bdd_manager::gc_floor);
 }
 
-TEST(bdd_manager_options_test, gc_trigger_tracks_live_nodes) {
-    leq::bdd_manager_options opts;
-    opts.gc_threshold = std::size_t{1} << 10;
-    bdd_manager mgr(big_nvars, opts);
+TEST(bdd_memory_geometry, gc_trigger_tracks_live_nodes) {
+    bdd_manager mgr(big_nvars);
     // churn: build and drop garbage until collections happen
-    for (std::uint32_t round = 0; round < 12; ++round) {
-        (void)big_function(mgr, 100 + round);
+    std::size_t rounds = 0;
+    while (mgr.stats().gc_runs < 3) {
+        ASSERT_LT(rounds, 400u) << "churn never reached the GC floor";
+        (void)big_function(mgr, 100 + static_cast<std::uint32_t>(rounds++));
     }
     const auto& stats = mgr.stats();
-    ASSERT_GT(stats.gc_runs, 0u);
-    // the trigger never drops below the configured floor, and after a
-    // productive collection (all garbage above) it stays proportional to
-    // the live set / arena instead of ratcheting monotonically
-    EXPECT_GE(stats.gc_threshold, std::size_t{1} << 10);
+    // the trigger never drops below the floor, and after a productive
+    // collection (all garbage above) it stays proportional to the live set
+    // / arena instead of ratcheting monotonically
+    EXPECT_GE(stats.gc_threshold, bdd_manager::gc_floor);
     EXPECT_LE(stats.gc_threshold,
-              std::max({std::size_t{1} << 10, 2 * stats.live_nodes,
+              std::max({bdd_manager::gc_floor, 2 * stats.live_nodes,
                         stats.allocated_nodes / 2}) +
-                  (std::size_t{1} << 10));
+                  bdd_manager::gc_floor);
 }
 
 // ---------------------------------------------------------------------------
-// computed-cache geometry: associativity, replacement, aging across GC
+// computed-cache geometry: replacement, aging across GC, growth migration
 // ---------------------------------------------------------------------------
-
-TEST(bdd_cache_geometry, ways_are_clamped_to_a_power_of_two_in_range) {
-    const auto ways_of = [](unsigned requested) {
-        leq::bdd_manager_options opts;
-        opts.cache_ways = requested;
-        return bdd_manager(4, opts).stats().cache_ways;
-    };
-    EXPECT_EQ(ways_of(0), 1u);
-    EXPECT_EQ(ways_of(1), 1u);
-    EXPECT_EQ(ways_of(3), 2u);  // rounded down, not up
-    EXPECT_EQ(ways_of(5), 4u);
-    EXPECT_EQ(ways_of(16), 16u);
-    EXPECT_EQ(ways_of(100), 16u);
-    EXPECT_EQ(bdd_manager(4).stats().cache_ways, 4u); // the default
-}
 
 TEST(bdd_cache_geometry, replacement_is_deterministic) {
     // identical op sequences against identical geometry must produce
     // identical hit/miss/GC behavior — the move-to-front LRU policy has no
-    // hidden state (no randomness, no clocks)
-    leq::bdd_manager_options opts;
-    opts.cache_bits = 8;
-    opts.max_cache_bits = 10; // pinned small: replacement under pressure
-    opts.cache_ways = 4;
-    opts.gc_threshold = std::size_t{1} << 10;
-    bdd_manager a(big_nvars, opts);
-    bdd_manager b(big_nvars, opts);
+    // hidden state (no randomness, no clocks).  A 2^8-entry start keeps the
+    // early buckets under replacement pressure.
+    bdd_manager a(big_nvars, 8u);
+    bdd_manager b(big_nvars, 8u);
     const bdd fa = big_function(a, 11);
     const bdd fb = big_function(b, 11);
     EXPECT_EQ(fa.index(), fb.index());
@@ -289,27 +247,9 @@ TEST(bdd_cache_geometry, replacement_is_deterministic) {
     EXPECT_EQ(a.stats().cache_hits, b.stats().cache_hits);
     EXPECT_EQ(a.stats().gc_runs, b.stats().gc_runs);
     EXPECT_EQ(a.stats().allocated_nodes, b.stats().allocated_nodes);
+    EXPECT_EQ(a.stats().cache_resizes, b.stats().cache_resizes);
     ASSERT_GT(a.stats().cache_lookups, a.stats().cache_hits)
         << "workload too small to exercise replacement";
-}
-
-TEST(bdd_cache_geometry, results_are_identical_across_ways) {
-    // associativity only changes what is memoized, never what is computed
-    std::uint32_t reference = 0;
-    for (unsigned ways : {1u, 2u, 4u, 8u, 16u}) {
-        leq::bdd_manager_options opts;
-        opts.cache_bits = 8;
-        opts.max_cache_bits = 10;
-        opts.cache_ways = ways;
-        opts.gc_threshold = std::size_t{1} << 10;
-        bdd_manager mgr(big_nvars, opts);
-        const bdd f = big_function(mgr, 23);
-        if (ways == 1) {
-            reference = f.index();
-        } else {
-            EXPECT_EQ(f.index(), reference) << "ways=" << ways;
-        }
-    }
 }
 
 TEST(bdd_cache_geometry, entries_age_across_gc_instead_of_dying) {
@@ -328,10 +268,7 @@ TEST(bdd_cache_geometry, entries_age_across_gc_instead_of_dying) {
 }
 
 TEST(bdd_cache_geometry, growth_migrates_surviving_entries) {
-    leq::bdd_manager_options opts;
-    opts.cache_bits = 8;
-    opts.max_cache_bits = 16;
-    bdd_manager mgr(6000, opts);
+    bdd_manager mgr(6000, 8u);
     const bdd f = mgr.var(0);
     const bdd g = mgr.var(1);
     const bdd h1 = f & g; // the sentinel entry that must survive growth

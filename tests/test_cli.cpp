@@ -15,6 +15,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace {
@@ -207,13 +208,11 @@ TEST(cli_solve, blif_pair_and_every_flow) {
 TEST(cli_solve, knob_flags_reach_the_relation_layer) {
     const cli_run r =
         run({"solve", example("passthrough_f.kiss"),
-             example("passthrough_s.kiss"), "--policy", "affinity",
-             "--cluster-limit", "100",
+             example("passthrough_s.kiss"), "--cluster-limit", "100",
              "--no-early-quant", "--collect-stats", "--no-timing"});
     EXPECT_EQ(r.exit_code, 0) << r.err;
     const std::string line = first_line(r.out);
     EXPECT_TRUE(valid_json_object(line)) << line;
-    EXPECT_EQ(raw_field(line, "policy"), "\"affinity\"");
     EXPECT_EQ(raw_field(line, "cluster_limit"), "100");
     EXPECT_EQ(raw_field(line, "early_quantification"), "false");
     EXPECT_NE(raw_field(line, "peak_intermediate"), "");
@@ -244,64 +243,6 @@ TEST(cli_solve, gen_spec_scale_suffix_grows_the_instance) {
               raw_field(line, "subset_states"));
 }
 
-TEST(cli_solve, memory_flags_reach_the_bdd_manager) {
-    const cli_run r =
-        run({"solve", example("passthrough_f.kiss"),
-             example("passthrough_s.kiss"), "--cache-bits", "12",
-             "--max-cache-bits", "14", "--gc-threshold", "20000",
-             "--no-timing"});
-    EXPECT_EQ(r.exit_code, 0) << r.err;
-    const std::string line = first_line(r.out);
-    EXPECT_TRUE(valid_json_object(line)) << line;
-    EXPECT_EQ(raw_field(line, "cache_bits"), "12");
-    EXPECT_EQ(raw_field(line, "max_cache_bits"), "14");
-    EXPECT_EQ(raw_field(line, "gc_threshold"), "20000");
-}
-
-TEST(cli_solve, cache_bits_flag_raises_the_cap_when_needed) {
-    // --cache-bits above the default cap must lift max_cache_bits with it
-    const cli_run r = run({"solve", example("passthrough_f.kiss"),
-                           example("passthrough_s.kiss"), "--cache-bits",
-                           "26", "--no-timing"});
-    EXPECT_EQ(r.exit_code, 0) << r.err;
-    const std::string line = first_line(r.out);
-    EXPECT_EQ(raw_field(line, "cache_bits"), "26");
-    EXPECT_EQ(raw_field(line, "max_cache_bits"), "26");
-}
-
-TEST(cli_solve, cache_ways_flag_is_echoed_and_solver_output_is_unchanged) {
-    // the cache only decides what gets memoized, never what gets computed:
-    // every solver-visible field must be byte-identical across geometries
-    std::string reference_solution;
-    std::string reference_subset;
-    std::string reference_csf;
-    std::string reference_live;
-    for (const char* ways : {"1", "2", "4", "8"}) {
-        const cli_run r = run({"solve", example("passthrough_f.kiss"),
-                               example("passthrough_s.kiss"), "--cache-ways",
-                               ways, "--collect-stats", "--no-timing"});
-        EXPECT_EQ(r.exit_code, 0) << r.err;
-        const std::string line = first_line(r.out);
-        EXPECT_TRUE(valid_json_object(line)) << line;
-        EXPECT_EQ(raw_field(line, "cache_ways"), ways);
-        const std::string solution = raw_field(line, "status");
-        const std::string subset = raw_field(line, "subset_states");
-        const std::string csf = raw_field(line, "csf_states");
-        const std::string live = raw_field(line, "live_nodes");
-        if (std::string(ways) == "1") {
-            reference_solution = solution;
-            reference_subset = subset;
-            reference_csf = csf;
-            reference_live = live;
-        } else {
-            EXPECT_EQ(solution, reference_solution) << "ways=" << ways;
-            EXPECT_EQ(subset, reference_subset) << "ways=" << ways;
-            EXPECT_EQ(csf, reference_csf) << "ways=" << ways;
-            EXPECT_EQ(live, reference_live) << "ways=" << ways;
-        }
-    }
-}
-
 TEST(cli_solve, stats_line_carries_the_per_op_cache_breakdown) {
     const cli_run r =
         run({"solve", example("passthrough_f.kiss"),
@@ -315,20 +256,6 @@ TEST(cli_solve, stats_line_carries_the_per_op_cache_breakdown) {
     // the breakdown object names only ops that were actually looked up
     EXPECT_NE(line.find("\"op_cache\""), std::string::npos) << line;
     EXPECT_NE(line.find("\"lookups\""), std::string::npos) << line;
-}
-
-TEST(cli_errors, memory_flags_reject_bad_values) {
-    EXPECT_EQ(run({"solve", "--cache-bits", "31"}).exit_code, 2);
-    EXPECT_EQ(run({"solve", "--cache-bits", "7"}).exit_code, 2);
-    EXPECT_EQ(run({"solve", "--cache-bits", "abc"}).exit_code, 2);
-    EXPECT_EQ(run({"solve", "--max-cache-bits", "31"}).exit_code, 2);
-    EXPECT_EQ(run({"solve", "--gc-threshold", "2k"}).exit_code, 2);
-    EXPECT_EQ(run({"solve", "--cache-bits"}).exit_code, 2);
-    EXPECT_EQ(run({"solve", "--cache-ways", "3"}).exit_code, 2);
-    EXPECT_EQ(run({"solve", "--cache-ways", "0"}).exit_code, 2);
-    EXPECT_EQ(run({"solve", "--cache-ways", "32"}).exit_code, 2);
-    EXPECT_EQ(run({"solve", "--cache-ways", "abc"}).exit_code, 2);
-    EXPECT_EQ(run({"solve", "--cache-ways"}).exit_code, 2);
 }
 
 TEST(cli_errors, gen_spec_rejects_bad_scale) {
@@ -420,8 +347,50 @@ TEST(cli_errors, missing_input_file) {
 }
 
 TEST(cli_errors, missing_flag_value) {
-    EXPECT_EQ(run({"solve", "--policy"}).exit_code, 2);
+    EXPECT_EQ(run({"solve", "--cluster-limit"}).exit_code, 2);
+    EXPECT_EQ(run({"solve", "--time-limit"}).exit_code, 2);
     EXPECT_EQ(run({"solve", "--cluster-limit", "lots"}).exit_code, 2);
+}
+
+TEST(cli_errors, removed_solver_knobs_are_unknown_options) {
+    // the cluster policy and the BDD memory geometry are fixed; their old
+    // flags (named without the dashes here) are usage errors, not silently
+    // ignored
+    const std::vector<std::pair<std::string, std::string>> gone = {
+        {"policy", "affinity"}, {"cache-bits", "12"},
+        {"max-cache-bits", "20"}, {"gc-threshold", "20000"},
+        {"cache-ways", "2"}};
+    for (const auto& [name, value] : gone) {
+        const std::string flag = "--" + name;
+        const cli_run r = run({"solve", example("passthrough_f.kiss"),
+                               example("passthrough_s.kiss"), flag, value});
+        EXPECT_EQ(r.exit_code, 2) << flag;
+        EXPECT_NE(r.err.find("unknown option '" + flag + "'"),
+                  std::string::npos)
+            << r.err;
+    }
+    // and the record no longer echoes them
+    const std::string line =
+        first_line(run({"solve", example("passthrough_f.kiss"),
+                        example("passthrough_s.kiss")})
+                       .out);
+    for (const char* key : {"policy", "cache_bits", "max_cache_bits",
+                            "gc_threshold", "cache_ways"}) {
+        EXPECT_EQ(raw_field(line, key), "") << key;
+    }
+}
+
+TEST(cli_errors, non_finite_time_limit_is_a_usage_error) {
+    // inf used to overflow the deadline into the past (an instant timeout)
+    // and nan silently meant "unlimited"
+    for (const char* limit : {"inf", "nan"}) {
+        const cli_run r = run({"solve", example("passthrough_f.kiss"),
+                               example("passthrough_s.kiss"), "--time-limit",
+                               limit});
+        EXPECT_EQ(r.exit_code, 2) << limit;
+        EXPECT_NE(r.err.find("bad value for --time-limit"), std::string::npos)
+            << r.err;
+    }
 }
 
 TEST(cli_errors, strategy_flag_is_gone) {
@@ -479,7 +448,7 @@ TEST(cli_errors, malformed_input_is_a_job_error) {
         out << ".i 1\n.o 1\n"; // no transitions
     }
     const cli_run r = run({"solve", bad, bad});
-    EXPECT_EQ(r.exit_code, 1);
+    EXPECT_EQ(r.exit_code, 3);
     const std::string line = first_line(r.out);
     EXPECT_TRUE(valid_json_object(line)) << line;
     EXPECT_EQ(raw_field(line, "status"), "\"error\"");
@@ -501,7 +470,7 @@ TEST(cli_errors, truncated_kiss_is_never_ok) {
         }
     }
     const cli_run r = run({"solve", cut, corpus("counter9_s.kiss")});
-    EXPECT_NE(r.exit_code, 0);
+    EXPECT_EQ(r.exit_code, 3);
     EXPECT_EQ(r.out.find("\"status\":\"ok\""), std::string::npos) << r.out;
     EXPECT_NE(r.out.find("kiss:4:"), std::string::npos) << r.out;
     std::remove(cut.c_str());
@@ -521,12 +490,68 @@ TEST(cli_errors, unknown_reset_state_is_a_kiss_error) {
         }
     }
     const cli_run r = run({"solve", bad, example("passthrough_s.kiss")});
-    EXPECT_NE(r.exit_code, 0);
+    EXPECT_EQ(r.exit_code, 3);
     const std::string line = first_line(r.out);
     EXPECT_TRUE(valid_json_object(line)) << line;
     EXPECT_EQ(r.out.find("\"status\":\"ok\""), std::string::npos) << r.out;
     EXPECT_EQ(raw_field(line, "error").rfind("\"kiss:", 0), 0u) << line;
     std::remove(bad.c_str());
+}
+
+TEST(cli_exit_codes, every_row_of_the_documented_table) {
+    const std::string f = example("passthrough_f.kiss");
+    const std::string s = example("passthrough_s.kiss");
+    // the table itself is part of --help
+    const cli_run help = run({"--help"});
+    for (const char* row :
+         {"  0  solved", "  1  gave up", "  2  usage error",
+          "  3  input unreadable or malformed"}) {
+        EXPECT_NE(help.err.find(row), std::string::npos) << row;
+    }
+    // 0: solved
+    EXPECT_EQ(run({"solve", f, s}).exit_code, 0);
+    // 1: gave up (a resource limit); a failed check is
+    // cli_diagnose.bad_candidate_yields_counterexample_trace
+    const cli_run gave_up = run({"solve", f, s, "--max-states", "1"});
+    EXPECT_EQ(gave_up.exit_code, 1);
+    EXPECT_EQ(raw_field(first_line(gave_up.out), "status"),
+              "\"state_limit\"");
+    // 2: usage
+    EXPECT_EQ(run({"solve", f}).exit_code, 2);
+    // 3: an input is unreadable (cli_errors.missing_input_file) or
+    // malformed: a parse error (`.p` count) for every pair command, an
+    // interface mismatch, a malformed --impl candidate
+    const std::string bad = temp_path("exit_table_bad.kiss");
+    {
+        std::ofstream out(bad);
+        out << ".i 1\n.o 1\n.s 1\n.p 2\n.r s0\n0 s0 s0 0\n.e\n";
+    }
+    for (const char* command : {"solve", "verify", "diagnose", "reduce"}) {
+        const cli_run r = run({command, bad, s});
+        EXPECT_EQ(r.exit_code, 3) << command << ": " << r.err;
+        EXPECT_EQ(raw_field(first_line(r.out), "status"), "\"error\"")
+            << command;
+        EXPECT_NE(r.err.find("kiss:4:"), std::string::npos) << r.err;
+    }
+    EXPECT_EQ(run({"solve", s, example("inverter_s.kiss"),
+                   "--choice-inputs", "9"})
+                  .exit_code,
+              3);
+    EXPECT_EQ(run({"diagnose", f, s, "--impl", bad}).exit_code, 3);
+    // batch: the malformed job is an error record and the campaign exits 1
+    const std::string manifest = temp_path("exit_table_manifest.txt");
+    {
+        std::ofstream out(manifest);
+        out << f << " " << s << " good\n" << bad << " " << s << " bad\n";
+    }
+    const cli_run batch = run({"batch", manifest});
+    EXPECT_EQ(batch.exit_code, 1);
+    const std::string bad_record = batch.out.substr(batch.out.find('\n') + 1);
+    EXPECT_EQ(raw_field(bad_record, "name"), "\"bad\"") << batch.out;
+    EXPECT_EQ(raw_field(bad_record, "status"), "\"error\"") << batch.out;
+    EXPECT_NE(batch.err.find("1 error(s)"), std::string::npos) << batch.err;
+    std::remove(bad.c_str());
+    std::remove(manifest.c_str());
 }
 
 TEST(cli_errors, missing_manifest) {

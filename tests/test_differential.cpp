@@ -69,20 +69,20 @@ TEST(differential_oracle, mutants_exercise_the_diagnosis_replay) {
 
 TEST(differential_options_, matrix_is_a_real_sweep) {
     const std::vector<image_options> matrix = default_option_matrix();
-    ASSERT_GE(matrix.size(), 3u);
-    // naive unclustered quantification, affinity clustering and a tight
-    // affinity cluster limit all appear beside the defaults
-    bool naive = false, affinity = false, tight_affinity = false;
-    for (const image_options& o : matrix) {
-        naive |= !o.early_quantification && o.cluster_limit == 0;
-        affinity |= o.policy == cluster_policy::affinity;
-        tight_affinity |=
-            o.policy == cluster_policy::affinity && o.cluster_limit == 600;
-    }
-    EXPECT_TRUE(naive);
-    EXPECT_TRUE(affinity);
-    EXPECT_TRUE(tight_affinity);
-    EXPECT_FALSE(describe_option_matrix(matrix).empty());
+    ASSERT_EQ(matrix.size(), 4u);
+    // the defaults first, then naive unclustered quantification, early
+    // quantification over the unclustered parts and a tight cluster limit
+    const image_options defaults;
+    EXPECT_TRUE(matrix[0].early_quantification);
+    EXPECT_EQ(matrix[0].cluster_limit, defaults.cluster_limit);
+    EXPECT_FALSE(matrix[1].early_quantification);
+    EXPECT_EQ(matrix[1].cluster_limit, 0u);
+    EXPECT_TRUE(matrix[2].early_quantification);
+    EXPECT_EQ(matrix[2].cluster_limit, 0u);
+    EXPECT_TRUE(matrix[3].early_quantification);
+    EXPECT_EQ(matrix[3].cluster_limit, 600u);
+    EXPECT_EQ(describe_option_matrix(matrix),
+              "[limit2500/early, limit0/naive, limit0/early, limit600/early]");
 }
 
 TEST(differential_fuzz, short_campaign_is_clean) {

@@ -1,10 +1,10 @@
 /// \file test_relation.cpp
 /// \brief Oracle suite for the shared transition-relation subsystem
 /// (src/rel/): image/preimage over random partitions must equal the naive
-/// monolithic conjunction across the full {clustering policy x cluster_limit
-/// x early-quantification} option matrix, affinity clustering
-/// must respect its node bound, and relation-layer deadlines must interrupt
-/// image chains, reachability fixpoints and both solver flows.
+/// monolithic conjunction across the full {cluster_limit x
+/// early-quantification} option matrix, clustering must respect its node
+/// bound, and relation-layer deadlines must interrupt image chains,
+/// reachability fixpoints and both solver flows.
 
 #include "eq/solver.hpp"
 #include "gen/scenario.hpp"
@@ -55,16 +55,13 @@ std::vector<bdd> next_state_parts(bdd_manager& mgr, const net_bdds& fns,
 /// The full option matrix of the relation layer.
 std::vector<image_options> option_matrix() {
     std::vector<image_options> matrix;
-    for (const cluster_policy policy : all_cluster_policies) {
-        for (const std::size_t limit :
-             {std::size_t{0}, std::size_t{60}, std::size_t{2500}}) {
-            for (const bool early : {true, false}) {
-                image_options o;
-                o.policy = policy;
-                o.cluster_limit = limit;
-                o.early_quantification = early;
-                matrix.push_back(o);
-            }
+    for (const std::size_t limit :
+         {std::size_t{0}, std::size_t{60}, std::size_t{2500}}) {
+        for (const bool early : {true, false}) {
+            image_options o;
+            o.cluster_limit = limit;
+            o.early_quantification = early;
+            matrix.push_back(o);
         }
     }
     return matrix;
@@ -118,8 +115,7 @@ TEST_P(relation_oracle, image_matches_naive_monolithic_conjunction) {
         for (const bdd& from : from_sets) {
             const bdd reference = mgr.exists(product & from, qcube);
             EXPECT_EQ(rel.image(from), reference)
-                << "machine " << GetParam() << " policy "
-                << to_string(options.policy) << " limit "
+                << "machine " << GetParam() << " limit "
                 << options.cluster_limit << " early "
                 << options.early_quantification;
         }
@@ -154,8 +150,7 @@ TEST_P(relation_oracle, preimage_matches_naive_monolithic_conjunction) {
             const bdd reference =
                 mgr.exists(product & mgr.permute(to, swap), pre_cube);
             EXPECT_EQ(rel.preimage(to), reference)
-                << "machine " << GetParam() << " policy "
-                << to_string(options.policy) << " limit "
+                << "machine " << GetParam() << " limit "
                 << options.cluster_limit << " early "
                 << options.early_quantification;
         }
@@ -176,14 +171,13 @@ TEST_P(relation_oracle, constrained_image_fuses_the_extra_conjunct) {
         sample_state_sets(mgr, net, vars, 3000u + GetParam());
     const bdd& from = sets[1];
     for (const bdd& constraint : sets) {
-        for (const cluster_policy policy : all_cluster_policies) {
+        for (const std::size_t limit : {std::size_t{0}, std::size_t{2500}}) {
             image_options options;
-            options.policy = policy;
+            options.cluster_limit = limit;
             const transition_relation rel(mgr, parts, quantify, options);
             EXPECT_EQ(rel.image(from, constraint),
                       rel.image(from & constraint))
-                << "machine " << GetParam() << " policy "
-                << to_string(policy);
+                << "machine " << GetParam() << " limit " << limit;
         }
         // also through a no-part relation (the X_P walker shape), where the
         // constraint rides the leading quantification
@@ -212,9 +206,9 @@ TEST_P(relation_oracle, preimage_closes_over_reachable_states) {
 
 INSTANTIATE_TEST_SUITE_P(machines, relation_oracle, ::testing::Range(0, 10));
 
-TEST(relation_clustering, affinity_never_exceeds_cluster_limit) {
-    // pinned regression for the affinity policy's node bound: every cluster
-    // it returns either respects the limit or is a single unmerged part
+TEST(relation_clustering, merged_clusters_never_exceed_cluster_limit) {
+    // the clustering's node bound: every cluster it returns either respects
+    // the limit or is a single unmerged part
     for (int id = 0; id < 10; ++id) {
         const network net = machine_for(id);
         bdd_manager mgr;
@@ -222,8 +216,7 @@ TEST(relation_clustering, affinity_never_exceeds_cluster_limit) {
         const std::vector<bdd> parts = next_state_parts(mgr, fns, vars);
         for (const std::size_t limit :
              {std::size_t{30}, std::size_t{120}, std::size_t{2500}}) {
-            const std::vector<bdd> clusters =
-                cluster_parts(mgr, parts, cluster_policy::affinity, limit);
+            const std::vector<bdd> clusters = cluster_parts(mgr, parts, limit);
             ASSERT_LE(clusters.size(), parts.size());
             for (const bdd& c : clusters) {
                 if (mgr.dag_size(c) <= limit) { continue; }
@@ -233,49 +226,6 @@ TEST(relation_clustering, affinity_never_exceeds_cluster_limit) {
                     << "machine " << id << " limit " << limit;
             }
         }
-    }
-}
-
-TEST(relation_clustering, affinity_merges_coupled_parts_first) {
-    // two decoupled 3-bit counters interleaved in declaration order: greedy
-    // adjacent merging mixes the blocks, affinity groups each counter
-    bdd_manager mgr;
-    std::vector<std::uint32_t> a_cs, a_ns, b_cs, b_ns;
-    for (int k = 0; k < 3; ++k) {
-        a_cs.push_back(mgr.new_var());
-        a_ns.push_back(mgr.new_var());
-        b_cs.push_back(mgr.new_var());
-        b_ns.push_back(mgr.new_var());
-    }
-    const auto counter_part = [&](const std::vector<std::uint32_t>& cs,
-                                  const std::vector<std::uint32_t>& ns,
-                                  int k) {
-        bdd carry = mgr.one();
-        for (int j = 0; j < k; ++j) { carry &= mgr.var(cs[j]); }
-        return mgr.var(ns[k]).iff(mgr.var(cs[k]) ^ carry);
-    };
-    // interleave the two counters' parts: a0 b0 a1 b1 a2 b2
-    std::vector<bdd> parts;
-    for (int k = 0; k < 3; ++k) {
-        parts.push_back(counter_part(a_cs, a_ns, k));
-        parts.push_back(counter_part(b_cs, b_ns, k));
-    }
-    const std::vector<bdd> clusters =
-        cluster_parts(mgr, parts, cluster_policy::affinity, 4000);
-    ASSERT_EQ(clusters.size(), 2u);
-    // each cluster's support stays inside one counter's variables
-    for (const bdd& c : clusters) {
-        const std::vector<std::uint32_t> support = mgr.support(c);
-        bool in_a = false, in_b = false;
-        for (const std::uint32_t v : support) {
-            if (std::find(a_cs.begin(), a_cs.end(), v) != a_cs.end() ||
-                std::find(a_ns.begin(), a_ns.end(), v) != a_ns.end()) {
-                in_a = true;
-            } else {
-                in_b = true;
-            }
-        }
-        EXPECT_NE(in_a, in_b) << "cluster mixes the decoupled counters";
     }
 }
 
@@ -443,24 +393,6 @@ TEST(relation_layer, prebuilt_fixpoint_requires_renamed_structured_relation) {
         mgr, fns.next_state, vars.cs, vars.ns, vars.in, init);
     EXPECT_EQ(info.reached, reference.reached);
     EXPECT_EQ(info.depth, reference.depth);
-}
-
-TEST(relation_layer, image_engine_is_a_thin_wrapper) {
-    // the historical image_engine API serves the same results as the
-    // relation it wraps
-    const network net = make_lfsr(5, {2});
-    bdd_manager mgr;
-    auto [fns, vars] = setup(mgr, net);
-    const std::vector<bdd> parts = next_state_parts(mgr, fns, vars);
-    std::vector<std::uint32_t> quantify = vars.in;
-    quantify.insert(quantify.end(), vars.cs.begin(), vars.cs.end());
-
-    const image_engine engine(mgr, parts, quantify);
-    const transition_relation rel(mgr, parts, quantify);
-    const bdd from = state_cube(mgr, vars.cs, net.initial_state());
-    EXPECT_EQ(engine.image(from), rel.image(from));
-    EXPECT_EQ(engine.num_clusters(), rel.num_clusters());
-    EXPECT_EQ(engine.relation().num_parts(), parts.size());
 }
 
 } // namespace

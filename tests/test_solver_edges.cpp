@@ -46,6 +46,20 @@ TEST(solver_edges, tiny_time_limit_reports_timeout) {
               solve_status::timeout);
 }
 
+TEST(solver_edges, huge_time_limit_is_no_deadline) {
+    // a limit past the steady clock's range used to overflow the deadline
+    // into the past and time out instantly; it must saturate instead
+    const network original = make_counter(4);
+    const split_result split = split_latches(original, {3});
+    const equation_problem problem(split.fixed, original);
+    solve_options options;
+    options.time_limit_seconds = 1e300;
+    const solve_result part = solve_partitioned(problem, options);
+    EXPECT_EQ(part.status, solve_status::ok);
+    EXPECT_EQ(solve_monolithic(problem, options).status, solve_status::ok);
+    EXPECT_EQ(part.csf_states, solve_partitioned(problem).csf_states);
+}
+
 // ---------------------------------------------------------------------------
 // option combinations must not change the answer
 // ---------------------------------------------------------------------------
