@@ -68,6 +68,20 @@ void bdd_manager::checked_handle_guard(const char* operation,
     checked_abort(os.str());
 }
 
+void bdd_manager::checked_subst_memo_guard(const char* operation) const {
+    const auto stale = std::find_if(
+        subst_memo_.begin(), subst_memo_.end(),
+        [](std::uint32_t r) { return r != idx_nil; });
+    if (stale == subst_memo_.end()) { return; }
+    std::ostringstream os;
+    os << "leq checked build: stale substitution memo: operation '"
+       << operation << "' on manager #" << checked_serial_
+       << " found node " << (stale - subst_memo_.begin())
+       << " still memoized from an earlier call; every call must reset the "
+          "entries it set, or a later rename returns another call's result";
+    checked_abort(os.str());
+}
+
 #endif // LEQ_CHECKED
 
 // ---------------------------------------------------------------------------

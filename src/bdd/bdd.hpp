@@ -268,13 +268,17 @@ public:
 
     /// Rename variables: result(x) = f(x with var v replaced by perm[v]).
     /// `perm` must be defined for every variable in the support of f.
+    /// Throws std::invalid_argument if an entry of `perm` is not a variable
+    /// or the support of f reaches past the end of `perm`.
     [[nodiscard]] bdd permute(const bdd& f,
                               const std::vector<std::uint32_t>& perm);
-    /// Functional composition: substitute g for variable v in f.
+    /// Functional composition: substitute g for variable v in f.  Throws
+    /// std::invalid_argument if v is not a variable.
     [[nodiscard]] bdd compose(const bdd& f, std::uint32_t v, const bdd& g);
     /// Simultaneous composition: substitute every listed (variable,
     /// function) pair at once.  Unlike chained compose() calls the
-    /// substituted functions never see each other's variables.
+    /// substituted functions never see each other's variables.  Throws
+    /// std::invalid_argument if a listed variable is not a variable.
     [[nodiscard]] bdd compose_vector(
         const bdd& f,
         const std::vector<std::pair<std::uint32_t, bdd>>& substitutions);
@@ -401,9 +405,12 @@ private:
 #ifdef LEQ_CHECKED
     void checked_thread_guard(const char* operation) const;
     void checked_handle_guard(const char* operation, const bdd& handle) const;
+    /// The substitution memo must be all idx_nil when a call starts.
+    void checked_subst_memo_guard(const char* operation) const;
 #else
     void checked_thread_guard(const char*) const {}
     void checked_handle_guard(const char*, const bdd&) const {}
+    void checked_subst_memo_guard(const char*) const {}
 #endif
     template <typename... Handles>
     void checked_guard(const char* operation,
@@ -596,16 +603,24 @@ private:
     std::uint32_t support_rec(std::uint32_t f);
     std::uint32_t constrain_rec(std::uint32_t f, std::uint32_t c);
     std::uint32_t restrict_rec(std::uint32_t f, std::uint32_t c);
+    // substitution cores (bdd_subst.cpp); they memoize per call in
+    // subst_memo_, which a subst_scope sizes and resets around each call
+    class subst_scope;
     std::uint32_t permute_rec(std::uint32_t f,
-                              const std::vector<std::uint32_t>& perm,
-                              std::vector<std::uint32_t>& memo);
+                              const std::vector<std::uint32_t>& perm);
     std::uint32_t compose_rec(std::uint32_t f, std::uint32_t v,
-                              std::uint32_t g,
-                              std::vector<std::uint32_t>& memo);
+                              std::uint32_t g);
     std::uint32_t compose_vec_rec(std::uint32_t f,
                                   const std::vector<std::uint32_t>& sub,
-                                  std::uint32_t deepest_level,
-                                  std::vector<std::uint32_t>& memo);
+                                  std::uint32_t deepest_level);
+    /// Record the rebuilt result of regular node n for the current call.
+    void subst_memo_store(std::uint32_t n, std::uint32_t result) {
+        subst_memo_[n] = result;
+        subst_touched_.push_back(n);
+    }
+    /// The node (var ? r1 : r0) for a rebuilt node whose variable is var.
+    std::uint32_t subst_rebuild(std::uint32_t var, std::uint32_t r0,
+                                std::uint32_t r1);
 
     [[nodiscard]] bdd make(std::uint32_t idx) { return bdd(this, idx); }
 
@@ -631,6 +646,12 @@ private:
     bdd_stats stats_;
     std::vector<char> mark_; ///< scratch for GC / traversals
     std::vector<std::uint32_t> gc_worklist_; ///< reused GC mark worklist
+    /// Substitution memo, indexed by node: the rebuilt result of each node
+    /// the current permute/compose call has visited, idx_nil elsewhere.  It
+    /// grows with the arena and is all idx_nil between calls, so a call
+    /// costs its own visits instead of an arena-sized fill.
+    std::vector<std::uint32_t> subst_memo_;
+    std::vector<std::uint32_t> subst_touched_; ///< memo entries set this call
 
     // live only during a reordering call
     std::vector<std::uint32_t> rc_;                    ///< internal ref counts

@@ -10,63 +10,109 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
 
 namespace leq {
+
+/// One substitution call's use of the shared memo: sizes it to the arena on
+/// entry (growing it only when the arena has grown) and, on exit — also
+/// when a deadline or a bad argument unwinds the call — resets exactly the
+/// entries the call set, so the next call again finds it all idx_nil.
+class bdd_manager::subst_scope {
+public:
+    subst_scope(bdd_manager& mgr, const char* operation) : mgr_(mgr) {
+        if (mgr_.subst_memo_.size() < mgr_.nodes_.size()) {
+            mgr_.subst_memo_.resize(mgr_.nodes_.size(), idx_nil);
+        }
+        mgr_.checked_subst_memo_guard(operation);
+    }
+    ~subst_scope() {
+        for (const std::uint32_t n : mgr_.subst_touched_) {
+            mgr_.subst_memo_[n] = idx_nil;
+        }
+        mgr_.subst_touched_.clear();
+    }
+    subst_scope(const subst_scope&) = delete;
+    subst_scope& operator=(const subst_scope&) = delete;
+
+private:
+    bdd_manager& mgr_;
+};
+
+std::uint32_t bdd_manager::subst_rebuild(std::uint32_t var, std::uint32_t r0,
+                                         std::uint32_t r1) {
+    // var lies strictly above both children's top levels (terminals sit
+    // below every level): the node is already in canonical position, so
+    // the unique table builds it directly.  Otherwise var lands inside a
+    // child and a full ITE merges it in.
+    const std::uint32_t lv = var2level_[var];
+    if (lv < level(r0) && lv < level(r1)) { return mk(var, r0, r1); }
+    return ite_rec(mk(var, 0, 1), r1, r0);
+}
 
 bdd bdd_manager::permute(const bdd& f, const std::vector<std::uint32_t>& perm) {
     checked_guard("permute", f);
     assert(f.manager() == this);
+    for (const std::uint32_t v : perm) {
+        if (v >= num_vars()) {
+            throw std::invalid_argument("permute: entry " + std::to_string(v) +
+                                        " is not a variable");
+        }
+    }
     maybe_gc_or_grow();
-    std::vector<std::uint32_t> memo(nodes_.size(), idx_nil);
-    return make(permute_rec(f.index(), perm, memo));
+    const subst_scope scope(*this, "permute");
+    return make(permute_rec(f.index(), perm));
 }
 
 std::uint32_t bdd_manager::permute_rec(std::uint32_t f,
-                                       const std::vector<std::uint32_t>& perm,
-                                       std::vector<std::uint32_t>& memo) {
+                                       const std::vector<std::uint32_t>& perm) {
     if (is_terminal(f)) { return f; }
     const std::uint32_t out = comp_of(f);
     const std::uint32_t n = node_of(f);
-    if (n < memo.size() && memo[n] != idx_nil) { return memo[n] ^ out; }
+    if (subst_memo_[n] != idx_nil) { return subst_memo_[n] ^ out; }
     const node nf = nodes_[n];
-    const std::uint32_t r0 = permute_rec(nf.lo, perm, memo);
-    const std::uint32_t r1 = permute_rec(nf.hi, perm, memo);
-    assert(nf.var < perm.size());
-    const std::uint32_t new_var = perm[nf.var];
-    // the renamed variable may land anywhere in the order, so rebuild with a
-    // full ITE rather than a bottom-up mk
-    const std::uint32_t result = ite_rec(mk(new_var, 0, 1), r1, r0);
-    if (n < memo.size()) { memo[n] = result; }
+    if (nf.var >= perm.size()) {
+        throw std::invalid_argument("permute: variable " +
+                                    std::to_string(nf.var) +
+                                    " in the support has no entry");
+    }
+    const std::uint32_t r0 = permute_rec(nf.lo, perm);
+    const std::uint32_t r1 = permute_rec(nf.hi, perm);
+    const std::uint32_t result = subst_rebuild(perm[nf.var], r0, r1);
+    subst_memo_store(n, result);
     return result ^ out;
 }
 
 bdd bdd_manager::compose(const bdd& f, std::uint32_t v, const bdd& g) {
     checked_guard("compose", f, g);
     assert(f.manager() == this && g.manager() == this);
+    if (v >= num_vars()) {
+        throw std::invalid_argument("compose: " + std::to_string(v) +
+                                    " is not a variable");
+    }
     maybe_gc_or_grow();
-    std::vector<std::uint32_t> memo(nodes_.size(), idx_nil);
-    return make(compose_rec(f.index(), v, g.index(), memo));
+    const subst_scope scope(*this, "compose");
+    return make(compose_rec(f.index(), v, g.index()));
 }
 
 std::uint32_t bdd_manager::compose_rec(std::uint32_t f, std::uint32_t v,
-                                       std::uint32_t g,
-                                       std::vector<std::uint32_t>& memo) {
+                                       std::uint32_t g) {
     if (is_terminal(f)) { return f; }
     const node nf = nodes_[node_of(f)];
     // below the level of v the variable cannot occur
     if (var2level_[nf.var] > var2level_[v]) { return f; }
     const std::uint32_t out = comp_of(f);
     const std::uint32_t n = node_of(f);
-    if (n < memo.size() && memo[n] != idx_nil) { return memo[n] ^ out; }
+    if (subst_memo_[n] != idx_nil) { return subst_memo_[n] ^ out; }
     std::uint32_t result = 0;
     if (nf.var == v) {
         result = ite_rec(g, nf.hi, nf.lo);
     } else {
-        const std::uint32_t r0 = compose_rec(nf.lo, v, g, memo);
-        const std::uint32_t r1 = compose_rec(nf.hi, v, g, memo);
-        result = ite_rec(mk(nf.var, 0, 1), r1, r0);
+        const std::uint32_t r0 = compose_rec(nf.lo, v, g);
+        const std::uint32_t r1 = compose_rec(nf.hi, v, g);
+        result = subst_rebuild(nf.var, r0, r1);
     }
-    if (n < memo.size()) { memo[n] = result; }
+    subst_memo_store(n, result);
     return result ^ out;
 }
 
@@ -75,36 +121,40 @@ bdd bdd_manager::compose_vector(
     const std::vector<std::pair<std::uint32_t, bdd>>& substitutions) {
     checked_guard("compose_vector", f);
     assert(f.manager() == this);
-    maybe_gc_or_grow();
     std::vector<std::uint32_t> sub(num_vars(), idx_nil);
     std::uint32_t deepest = 0;
     for (const auto& [v, g] : substitutions) {
         checked_handle_guard("compose_vector", g);
         assert(g.manager() == this);
-        assert(v < num_vars());
+        if (v >= num_vars()) {
+            throw std::invalid_argument("compose_vector: " +
+                                        std::to_string(v) +
+                                        " is not a variable");
+        }
         sub[v] = g.index();
         deepest = std::max(deepest, var2level_[v]);
     }
-    std::vector<std::uint32_t> memo(nodes_.size(), idx_nil);
-    return make(compose_vec_rec(f.index(), sub, deepest, memo));
+    maybe_gc_or_grow();
+    const subst_scope scope(*this, "compose_vector");
+    return make(compose_vec_rec(f.index(), sub, deepest));
 }
 
 std::uint32_t bdd_manager::compose_vec_rec(
     std::uint32_t f, const std::vector<std::uint32_t>& sub,
-    std::uint32_t deepest_level, std::vector<std::uint32_t>& memo) {
+    std::uint32_t deepest_level) {
     if (is_terminal(f)) { return f; }
     const node nf = nodes_[node_of(f)];
     // no substituted variable can occur below the deepest one
     if (var2level_[nf.var] > deepest_level) { return f; }
     const std::uint32_t out = comp_of(f);
     const std::uint32_t n = node_of(f);
-    if (n < memo.size() && memo[n] != idx_nil) { return memo[n] ^ out; }
-    const std::uint32_t r0 = compose_vec_rec(nf.lo, sub, deepest_level, memo);
-    const std::uint32_t r1 = compose_vec_rec(nf.hi, sub, deepest_level, memo);
-    const std::uint32_t g =
-        sub[nf.var] != idx_nil ? sub[nf.var] : mk(nf.var, 0, 1);
-    const std::uint32_t result = ite_rec(g, r1, r0);
-    if (n < memo.size()) { memo[n] = result; }
+    if (subst_memo_[n] != idx_nil) { return subst_memo_[n] ^ out; }
+    const std::uint32_t r0 = compose_vec_rec(nf.lo, sub, deepest_level);
+    const std::uint32_t r1 = compose_vec_rec(nf.hi, sub, deepest_level);
+    const std::uint32_t result =
+        sub[nf.var] != idx_nil ? ite_rec(sub[nf.var], r1, r0)
+                               : subst_rebuild(nf.var, r0, r1);
+    subst_memo_store(n, result);
     return result ^ out;
 }
 

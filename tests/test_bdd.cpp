@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <random>
+#include <stdexcept>
 #include <vector>
 
 namespace {
@@ -117,6 +118,35 @@ TEST(bdd_subst, compose_substitutes_function) {
     EXPECT_EQ(m.compose(f, 1, g), m.var(0) & (m.var(2) | m.var(3)));
     // compose with the variable itself is identity
     EXPECT_EQ(m.compose(f, 1, m.var(1)), f);
+}
+
+TEST(bdd_subst, permute_rejects_bad_permutations) {
+    bdd_manager m(4);
+    const bdd f = m.var(0) & m.var(3);
+    // an entry that names no variable
+    EXPECT_THROW((void)m.permute(f, {0, 1, 2, 4}), std::invalid_argument);
+    // a permutation that stops short of f's support (variable 3)
+    EXPECT_THROW((void)m.permute(f, {1, 0, 2}), std::invalid_argument);
+    // a short permutation that covers the support is fine, and the manager
+    // is usable after the rejected calls
+    EXPECT_EQ(m.permute(m.var(0) & m.var(1), {1, 0}), m.var(0) & m.var(1));
+    EXPECT_EQ(m.permute(f, {3, 1, 2, 0}), f);
+    m.check_consistency();
+}
+
+TEST(bdd_subst, compose_rejects_a_variable_out_of_range) {
+    bdd_manager m(3);
+    const bdd f = m.var(0) & m.var(1);
+    EXPECT_THROW((void)m.compose(f, 3, m.var(2)), std::invalid_argument);
+    EXPECT_EQ(m.compose(f, 1, m.var(2)), m.var(0) & m.var(2));
+}
+
+TEST(bdd_subst, compose_vector_rejects_a_variable_out_of_range) {
+    bdd_manager m(3);
+    const bdd f = m.var(0) & m.var(1);
+    EXPECT_THROW((void)m.compose_vector(f, {{0, m.var(2)}, {7, m.var(0)}}),
+                 std::invalid_argument);
+    EXPECT_EQ(m.compose_vector(f, {{0, m.var(2)}}), m.var(2) & m.var(1));
 }
 
 TEST(bdd_subst, cofactor_by_cube) {

@@ -293,20 +293,44 @@ void run_expression_dag(const oracle_params& p) {
             t = tt_compose(at, v, bt, nvars);
             break;
         }
-        default: { // permute: swap two variables
+        default: { // permute
             const auto& [af, at] = pick();
             std::vector<std::uint32_t> perm(nvars);
             std::iota(perm.begin(), perm.end(), 0u);
-            const std::uint32_t a = rng() % nvars;
-            const std::uint32_t b = rng() % nvars;
-            std::swap(perm[a], perm[b]);
-            f = mgr.permute(af, perm);
-            t = tt_permute(at, perm, nvars);
+            bdd from = af;
+            words from_t = at;
+            switch (rng() % 3) {
+            case 0: { // swap two variables
+                const std::uint32_t a = rng() % nvars;
+                const std::uint32_t b = rng() % nvars;
+                std::swap(perm[a], perm[b]);
+                break;
+            }
+            case 1: { // the solver's ns->cs rename: read the variables as
+                      // interleaved (cs, ns) pairs, quantify cs away and
+                      // swap each pair — order-preserving, so every node
+                      // rebuilds through mk
+                std::vector<std::uint32_t> cs;
+                for (std::uint32_t v = 0; v < nvars; v += 2) { cs.push_back(v); }
+                from = mgr.exists(af, mgr.cube(cs));
+                from_t = tt_quant(at, nvars, cs, false);
+                for (std::uint32_t v = 0; v + 1 < nvars; v += 2) {
+                    std::swap(perm[v], perm[v + 1]);
+                }
+                break;
+            }
+            default: // a random full permutation: mostly the ITE rebuild
+                std::shuffle(perm.begin(), perm.end(), rng);
+                break;
+            }
+            f = mgr.permute(from, perm);
+            t = tt_permute(from_t, perm, nvars);
             break;
         }
         }
         ASSERT_NO_FATAL_FAILURE(
             expect_matches(mgr, f, t, nvars, "dag step"));
+        if (op == 9) { mgr.check_consistency(); }
         // sat_count against popcount on every step
         ASSERT_DOUBLE_EQ(mgr.sat_count(f, nvars),
                          static_cast<double>(tt_count(t)));

@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
+#include <vector>
 
 namespace leq {
 namespace {
@@ -161,6 +163,118 @@ TEST_P(bdd_props, compose_inverts_expansion) {
 }
 
 INSTANTIATE_TEST_SUITE_P(seeds, bdd_props, ::testing::Range(1u, 16u));
+
+// ---------------------------------------------------------------------------
+// substitution: the order-preserving mk fast path and the reused memo
+// ---------------------------------------------------------------------------
+
+/// A function over one side of `pairs` interleaved (cs, ns) variable pairs
+/// — cs_k = 2k, ns_k = 2k + 1 — as the problem builder lays them out.
+/// `side` 0 builds over cs, 1 over ns; both sides get the same function:
+/// the XOR of x_k & x_{k+pairs/2}, whose BDD doubles with every pair under
+/// this order.  Every intermediate result is appended to `keep` when given.
+bdd pair_function(bdd_manager& mgr, std::uint32_t pairs, std::uint32_t side,
+                  std::vector<bdd>* keep = nullptr) {
+    const std::uint32_t half = pairs / 2;
+    bdd f = mgr.zero();
+    for (std::uint32_t k = 0; k < half; ++k) {
+        f = f ^ (mgr.var(2 * k + side) & mgr.var(2 * (k + half) + side));
+        if (keep != nullptr) { keep->push_back(f); }
+    }
+    return f;
+}
+
+/// The solver's ns->cs rename: swap every (cs, ns) pair.
+std::vector<std::uint32_t> pair_swap(std::uint32_t pairs) {
+    std::vector<std::uint32_t> perm(2 * pairs);
+    for (std::uint32_t k = 0; k < pairs; ++k) {
+        perm[2 * k] = 2 * k + 1;
+        perm[2 * k + 1] = 2 * k;
+    }
+    return perm;
+}
+
+/// Oracle: permute(f, perm)(x) == f(x[perm[0]], x[perm[1]], ...) on every
+/// assignment of the first `n` variables.
+void expect_permuted(bdd_manager& mgr, const bdd& result, const bdd& f,
+                     const std::vector<std::uint32_t>& perm, std::uint32_t n) {
+    std::vector<bool> x(n), y(n);
+    for (std::uint32_t row = 0; row < (1u << n); ++row) {
+        for (std::uint32_t v = 0; v < n; ++v) { x[v] = ((row >> v) & 1u) != 0; }
+        for (std::uint32_t v = 0; v < n; ++v) { y[v] = x[perm[v]]; }
+        ASSERT_EQ(mgr.eval(result, x), mgr.eval(f, y)) << "row " << row;
+    }
+}
+
+constexpr std::size_t ite_op = 2; // bdd_op_name order
+
+TEST(bdd_subst_fast_path, order_preserving_rename_makes_no_ite_lookups) {
+    constexpr std::uint32_t pairs = 8;
+    bdd_manager mgr(2 * pairs);
+    const bdd over_ns = pair_function(mgr, pairs, 1);
+    const bdd over_cs = pair_function(mgr, pairs, 0);
+    ASSERT_GT(mgr.dag_size(over_ns), 20u) << "function too small to matter";
+    const std::size_t ite_before = mgr.stats().op_lookups[ite_op];
+    EXPECT_EQ(mgr.permute(over_ns, pair_swap(pairs)), over_cs);
+    // every node rebuilds through mk: the ITE cache is never consulted
+    EXPECT_EQ(mgr.stats().op_lookups[ite_op], ite_before)
+        << "the order-preserving ns->cs rename fell back to ITE rebuilds";
+    // the counter does see the ITE path: a function over both sides of a
+    // pair moves each cs variable below its ns partner's renamed node
+    const bdd mixed = over_ns & over_cs;
+    const bdd renamed = mgr.permute(mixed, pair_swap(pairs));
+    EXPECT_GT(mgr.stats().op_lookups[ite_op], ite_before);
+    EXPECT_EQ(renamed, mixed); // the swap maps over_ns & over_cs to itself
+    mgr.check_consistency();
+}
+
+TEST(bdd_subst_fast_path, memo_is_reset_for_recycled_node_indices) {
+    constexpr std::uint32_t pairs = 4;
+    constexpr std::uint32_t n = 2 * pairs;
+    bdd_manager mgr(n);
+    std::mt19937 rng(29);
+    std::vector<std::uint32_t> shuffled(n);
+    for (std::uint32_t v = 0; v < n; ++v) { shuffled[v] = v; }
+    std::shuffle(shuffled.begin(), shuffled.end(), rng);
+    for (const auto& perm : {pair_swap(pairs), shuffled}) {
+        for (std::uint32_t round = 0; round < 4; ++round) {
+            {
+                // memoize a function's nodes, then let them die
+                const bdd f = random_function(mgr, 40 + round);
+                (void)mgr.permute(f, perm);
+            }
+            mgr.collect_garbage();
+            ASSERT_LT(mgr.stats().live_nodes, mgr.stats().allocated_nodes)
+                << "nothing to recycle";
+            // a new function whose nodes reuse the freed indices
+            const bdd g = random_function(mgr, 80 + round);
+            const bdd result = mgr.permute(g, perm);
+            ASSERT_NO_FATAL_FAILURE(expect_permuted(mgr, result, g, perm, n));
+            mgr.check_consistency();
+        }
+    }
+}
+
+TEST(bdd_subst_fast_path, rename_that_grows_the_arena_mid_call) {
+    constexpr std::uint32_t pairs = 16;
+    bdd_manager mgr(2 * pairs);
+    // holding every intermediate keeps the free list empty, so the
+    // rename's new nodes must extend the arena
+    std::vector<bdd> keep;
+    const bdd over_ns = pair_function(mgr, pairs, 1, &keep);
+    (void)mgr.live_node_count();
+    const std::size_t arena_before = mgr.stats().allocated_nodes;
+    const bdd renamed = mgr.permute(over_ns, pair_swap(pairs));
+    (void)mgr.live_node_count();
+    ASSERT_GT(mgr.stats().allocated_nodes, arena_before)
+        << "workload too small: the rename fit in the free list";
+    // built independently after the rename: canonicity makes handle
+    // equality an exact oracle
+    EXPECT_EQ(renamed, pair_function(mgr, pairs, 0));
+    // renaming back goes through the memo grown to the larger arena
+    EXPECT_EQ(mgr.permute(renamed, pair_swap(pairs)), over_ns);
+    mgr.check_consistency();
+}
 
 // ---------------------------------------------------------------------------
 // the fixed memory geometry: cache growth and the GC trigger must follow
