@@ -1,5 +1,5 @@
 /// \file bench_ablation.cpp
-/// \brief Ablations of the design choices DESIGN.md calls out.
+/// \brief Ablations of three design choices the paper motivates.
 ///
 ///  A. DCN trimming (paper, Section 3.2): in the monolithic flow, replacing
 ///     subsets that contain an (a,DC1) product state by DCN on the fly

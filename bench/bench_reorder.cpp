@@ -1,9 +1,10 @@
 /// \file bench_reorder.cpp
 /// \brief Ablation D: dynamic variable reordering in the BDD substrate.
 ///
-/// The solver pins its (u,v)-block order and never reorders (DESIGN.md,
-/// Section 2), so reordering is evaluated where it is safe: on standalone
-/// function builds and on symbolic reachability of the generator circuits.
+/// The solver pins its (u,v)-block order and never reorders
+/// (docs/ARCHITECTURE.md, `eq/` section), so reordering is evaluated where
+/// it is safe: on standalone function builds and on symbolic reachability
+/// of the generator circuits.
 /// Three orders are compared per workload:
 ///
 ///   natural   the order the variables were created in
@@ -164,6 +165,6 @@ int main(int argc, char** argv) {
     }
     std::printf("\nclaim: sifting recovers most of the blowup a bad order "
                 "causes;\nthe solver itself keeps its pinned (u,v) order "
-                "(see DESIGN.md).\n");
+                "(see docs/ARCHITECTURE.md).\n");
     return 0;
 }

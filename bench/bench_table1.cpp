@@ -7,7 +7,7 @@
 /// time limit (the paper's monolithic flow reports CNC on s444/s526).
 ///
 /// The circuits are synthetic stand-ins with the paper's interface
-/// dimensions (see DESIGN.md, substitution note); absolute numbers differ
+/// dimensions (see net/generator.hpp); absolute numbers differ
 /// from the paper's testbed, the claim under test is the shape: the
 /// partitioned flow wins, the gap grows with size, and the monolithic flow
 /// stops completing first.

@@ -6,7 +6,13 @@
 #      renamed flag, moved example, or broken subcommand fails here;
 #   2. check every relative markdown link in README.md and docs/*.md
 #      resolves to an existing file;
-#   3. check the README's sample JSON record carries exactly the `options`
+#   3. check every markdown file a source file under src/ bench/ tests/ tools/
+#      examples/ scripts/ names (comments and strings alike) resolves: as a
+#      path from the repository root or from the naming file's directory,
+#      or, for a bare file name, as the name of a markdown file somewhere
+#      in the repository — a comment citing a document that was never
+#      written or has moved fails here;
+#   4. check the README's sample JSON record carries exactly the `options`
 #      keys, in order, that a real `leq solve` record carries — a removed
 #      or added flag echo fails here.
 #
@@ -47,7 +53,24 @@ done
 [ "$status" -eq 0 ] || fail "broken markdown links"
 echo "== links ok =="
 
-# ---- 3. README sample record vs a real record -------------------------------
+# ---- 3. markdown files named in source files ------------------------------
+md_names=$(find . -name '*.md' -not -path './.git/*' -not -path './build*' \
+               -not -path './.bench_build/*' -exec basename {} \; | sort -u)
+status=0
+while IFS=: read -r src line ref; do
+    [ -n "$ref" ] || continue
+    if [ -e "$ref" ] || [ -e "$(dirname "$src")/$ref" ]; then continue; fi
+    if [ "${ref#*/}" = "$ref" ] && grep -qxF "$ref" <<<"$md_names"; then
+        continue
+    fi
+    echo "check_docs: $src:$line names missing file '$ref'" >&2
+    status=1
+done < <(grep -rnoE '[A-Za-z0-9_./-]*[A-Za-z0-9_-][.]md\b' \
+             src bench tests tools examples scripts || true)
+[ "$status" -eq 0 ] || fail "source files name missing markdown files"
+echo "== source doc references ok =="
+
+# ---- 4. README sample record vs a real record -------------------------------
 sample=$(awk '/^```json$/{on=1; next} on && /^```$/{exit} on' README.md)
 [ -n "$sample" ] || fail "no sample JSON record found in README.md"
 real=$(./build/leq solve examples/eqn/passthrough_f.kiss \

@@ -77,8 +77,9 @@ void bdd_manager::checked_subst_memo_guard(const char* operation) const {
     os << "leq checked build: stale substitution memo: operation '"
        << operation << "' on manager #" << checked_serial_
        << " found node " << (stale - subst_memo_.begin())
-       << " still memoized from an earlier call; every call must reset the "
-          "entries it set, or a later rename returns another call's result";
+       << " still memoized after a drop; a drop must reset every entry set "
+          "since the last one, or a later substitution returns a result "
+          "computed for another permutation or for a freed node";
     checked_abort(os.str());
 }
 
@@ -364,6 +365,8 @@ void bdd_manager::maybe_gc_or_grow() {
 void bdd_manager::collect_garbage() {
     checked_guard("collect_garbage");
     ++stats_.gc_runs;
+    // the sweep frees node indices the memo may name as keys or values
+    subst_memo_drop("collect_garbage");
     // mark: one explicit worklist over all roots at once.  The ext-ref roots
     // are seeded in arena order in a single linear sweep before any marking,
     // so the root scan streams through ext_ref_ instead of alternating

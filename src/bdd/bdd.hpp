@@ -170,6 +170,10 @@ struct bdd_stats {
     std::size_t cache_entries = 0;  ///< current computed-cache slots
     std::size_t cache_resizes = 0;  ///< computed-cache growth events
     std::size_t gc_threshold = 0;   ///< current allocated-node GC trigger
+    /// Nodes rebuilt by permute/compose/compose_vector: substitution memo
+    /// misses.  A node permute already rebuilt under the same permutation
+    /// since the last collection is not counted again.
+    std::size_t subst_nodes = 0;
     /// Per-operation split of cache_lookups/cache_hits (indexed by the
     /// bdd_op_name order): which recursion is thrashing the cache.
     std::array<std::size_t, bdd_num_ops> op_lookups{};
@@ -269,7 +273,11 @@ public:
     /// Rename variables: result(x) = f(x with var v replaced by perm[v]).
     /// `perm` must be defined for every variable in the support of f.
     /// Throws std::invalid_argument if an entry of `perm` is not a variable
-    /// or the support of f reaches past the end of `perm`.
+    /// or the support of f reaches past the end of `perm`.  Rebuilt nodes
+    /// stay memoized until the next garbage collection, a call with a
+    /// different permutation, or a compose/compose_vector call, so renaming
+    /// a function that shares sub-DAGs with an earlier rename under the
+    /// same permutation costs a lookup per shared node.
     [[nodiscard]] bdd permute(const bdd& f,
                               const std::vector<std::uint32_t>& perm);
     /// Functional composition: substitute g for variable v in f.  Throws
@@ -405,7 +413,7 @@ private:
 #ifdef LEQ_CHECKED
     void checked_thread_guard(const char* operation) const;
     void checked_handle_guard(const char* operation, const bdd& handle) const;
-    /// The substitution memo must be all idx_nil when a call starts.
+    /// The substitution memo must be all idx_nil after every drop.
     void checked_subst_memo_guard(const char* operation) const;
 #else
     void checked_thread_guard(const char*) const {}
@@ -603,8 +611,9 @@ private:
     std::uint32_t support_rec(std::uint32_t f);
     std::uint32_t constrain_rec(std::uint32_t f, std::uint32_t c);
     std::uint32_t restrict_rec(std::uint32_t f, std::uint32_t c);
-    // substitution cores (bdd_subst.cpp); they memoize per call in
-    // subst_memo_, which a subst_scope sizes and resets around each call
+    // substitution cores (bdd_subst.cpp); they memoize in subst_memo_.
+    // permute keeps its entries across calls (see subst_memo_);
+    // compose/compose_vector scope theirs to one call with a subst_scope.
     class subst_scope;
     std::uint32_t permute_rec(std::uint32_t f,
                               const std::vector<std::uint32_t>& perm);
@@ -613,11 +622,21 @@ private:
     std::uint32_t compose_vec_rec(std::uint32_t f,
                                   const std::vector<std::uint32_t>& sub,
                                   std::uint32_t deepest_level);
-    /// Record the rebuilt result of regular node n for the current call.
+    /// Record the rebuilt result of regular node n.
     void subst_memo_store(std::uint32_t n, std::uint32_t result) {
         subst_memo_[n] = result;
         subst_touched_.push_back(n);
+        ++stats_.subst_nodes;
     }
+    /// Size the memo to the arena before a walk; it only ever grows.
+    void subst_memo_fit() {
+        if (subst_memo_.size() < nodes_.size()) {
+            subst_memo_.resize(nodes_.size(), idx_nil);
+        }
+    }
+    /// Reset every entry set since the last drop, leaving the memo all
+    /// idx_nil.
+    void subst_memo_drop(const char* operation);
     /// The node (var ? r1 : r0) for a rebuilt node whose variable is var.
     std::uint32_t subst_rebuild(std::uint32_t var, std::uint32_t r0,
                                 std::uint32_t r1);
@@ -647,11 +666,16 @@ private:
     std::vector<char> mark_; ///< scratch for GC / traversals
     std::vector<std::uint32_t> gc_worklist_; ///< reused GC mark worklist
     /// Substitution memo, indexed by node: the rebuilt result of each node
-    /// the current permute/compose call has visited, idx_nil elsewhere.  It
-    /// grows with the arena and is all idx_nil between calls, so a call
-    /// costs its own visits instead of an arena-sized fill.
+    /// visited since the last drop, idx_nil elsewhere.  permute's entries
+    /// outlive the call while the permutation stays subst_perm_: nodes are
+    /// freed only by collect_garbage, which drops the memo, so between
+    /// collections every key and value names the same node.  A permutation
+    /// change, compose/compose_vector (on entry and exit) and an unwinding
+    /// permute drop it too.  A drop resets only the touched entries, so it
+    /// costs the visits since the last drop, never an arena-sized fill.
     std::vector<std::uint32_t> subst_memo_;
-    std::vector<std::uint32_t> subst_touched_; ///< memo entries set this call
+    std::vector<std::uint32_t> subst_touched_; ///< entries set since the last drop
+    std::vector<std::uint32_t> subst_perm_;    ///< permutation of the memo's entries
 
     // live only during a reordering call
     std::vector<std::uint32_t> rc_;                    ///< internal ref counts

@@ -14,29 +14,30 @@
 
 namespace leq {
 
-/// One substitution call's use of the shared memo: sizes it to the arena on
-/// entry (growing it only when the arena has grown) and, on exit — also
-/// when a deadline or a bad argument unwinds the call — resets exactly the
-/// entries the call set, so the next call again finds it all idx_nil.
+void bdd_manager::subst_memo_drop(const char* operation) {
+    for (const std::uint32_t n : subst_touched_) { subst_memo_[n] = idx_nil; }
+    subst_touched_.clear();
+    checked_subst_memo_guard(operation);
+}
+
+/// One compose/compose_vector call's use of the shared memo: drops
+/// whatever an earlier permute left there and sizes the memo to the arena
+/// on entry, and drops the call's own entries on exit — also when a
+/// deadline or a bad argument unwinds the call.
 class bdd_manager::subst_scope {
 public:
-    subst_scope(bdd_manager& mgr, const char* operation) : mgr_(mgr) {
-        if (mgr_.subst_memo_.size() < mgr_.nodes_.size()) {
-            mgr_.subst_memo_.resize(mgr_.nodes_.size(), idx_nil);
-        }
-        mgr_.checked_subst_memo_guard(operation);
+    subst_scope(bdd_manager& mgr, const char* operation)
+        : mgr_(mgr), operation_(operation) {
+        mgr_.subst_memo_drop(operation_);
+        mgr_.subst_memo_fit();
     }
-    ~subst_scope() {
-        for (const std::uint32_t n : mgr_.subst_touched_) {
-            mgr_.subst_memo_[n] = idx_nil;
-        }
-        mgr_.subst_touched_.clear();
-    }
+    ~subst_scope() { mgr_.subst_memo_drop(operation_); }
     subst_scope(const subst_scope&) = delete;
     subst_scope& operator=(const subst_scope&) = delete;
 
 private:
     bdd_manager& mgr_;
+    const char* operation_;
 };
 
 std::uint32_t bdd_manager::subst_rebuild(std::uint32_t var, std::uint32_t r0,
@@ -60,8 +61,18 @@ bdd bdd_manager::permute(const bdd& f, const std::vector<std::uint32_t>& perm) {
         }
     }
     maybe_gc_or_grow();
-    const subst_scope scope(*this, "permute");
-    return make(permute_rec(f.index(), perm));
+    // the memo's entries hold for the permutation they were computed under
+    if (perm != subst_perm_) {
+        subst_memo_drop("permute");
+        subst_perm_ = perm;
+    }
+    subst_memo_fit();
+    try {
+        return make(permute_rec(f.index(), perm));
+    } catch (...) {
+        subst_memo_drop("permute");
+        throw;
+    }
 }
 
 std::uint32_t bdd_manager::permute_rec(std::uint32_t f,

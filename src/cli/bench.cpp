@@ -53,6 +53,7 @@ void add_manager_metrics(bench_row& row, bdd_manager& mgr) {
     add(row, "gc_runs", static_cast<double>(stats.gc_runs));
     add(row, "allocated_nodes", static_cast<double>(stats.allocated_nodes));
     add(row, "live_nodes", static_cast<double>(stats.live_nodes));
+    add(row, "subst_nodes", static_cast<double>(stats.subst_nodes));
     add(row, "cache_entries", static_cast<double>(stats.cache_entries));
     add(row, "cache_resizes", static_cast<double>(stats.cache_resizes));
 }
@@ -233,8 +234,10 @@ metric_policy bench_metric_policy(const std::string& name) {
     }
     // deterministic work counters: 10% + slack budget.  Misses are gated
     // beside lookups because the hit rate alone can fall when a change
-    // removes lookups that were almost all hits.
-    if (name == "cache_lookups" || name == "cache_misses") {
+    // removes lookups that were almost all hits; subst_nodes counts the
+    // substitution memo's misses (nodes rebuilt by permute/compose).
+    if (name == "cache_lookups" || name == "cache_misses" ||
+        name == "subst_nodes") {
         return {metric_direction::up_bad, 0.10, 1000.0};
     }
     if (name == "images") { return {metric_direction::up_bad, 0.10, 2.0}; }

@@ -8,7 +8,7 @@
 /// (scaled gen/ scenarios, a structured-mix reachability sweep, a KISS
 /// pair with hundreds of explicit states, a mixed batch campaign) and runs
 /// them under `tools/leq_bench_run`, emitting one schema-stable JSON report
-/// (`leq-bench-v1`).  A checked-in baseline (BENCH_PR16.json at the repo
+/// (`leq-bench-v1`).  A checked-in baseline (BENCH_PR17.json at the repo
 /// root) plus `leq_bench_run --compare BASE NEW` turn the report into a CI
 /// gate: any gated metric that moves the wrong way by more than 10% (plus a
 /// small absolute slack) fails the build.

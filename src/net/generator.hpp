@@ -6,8 +6,8 @@
 /// with the same interface dimensions (PI/PO/latch counts, Table 1) from
 /// structured families — counters, LFSRs, shift registers with feedback,
 /// Moore controllers and seeded random logic — so the benchmark harness
-/// exercises the identical code paths.  See DESIGN.md for the substitution
-/// note.
+/// exercises the identical code paths.  Absolute numbers therefore differ
+/// from the paper's testbed; only the shape of each comparison carries over.
 #pragma once
 
 #include "net/network.hpp"

@@ -194,6 +194,15 @@ std::vector<std::uint32_t> pair_swap(std::uint32_t pairs) {
     return perm;
 }
 
+/// A seeded random permutation of the first `n` variables.
+std::vector<std::uint32_t> shuffled_order(std::uint32_t n, std::uint32_t seed) {
+    std::vector<std::uint32_t> perm(n);
+    for (std::uint32_t v = 0; v < n; ++v) { perm[v] = v; }
+    std::mt19937 rng(seed);
+    std::shuffle(perm.begin(), perm.end(), rng);
+    return perm;
+}
+
 /// Oracle: permute(f, perm)(x) == f(x[perm[0]], x[perm[1]], ...) on every
 /// assignment of the first `n` variables.
 void expect_permuted(bdd_manager& mgr, const bdd& result, const bdd& f,
@@ -232,11 +241,7 @@ TEST(bdd_subst_fast_path, memo_is_reset_for_recycled_node_indices) {
     constexpr std::uint32_t pairs = 4;
     constexpr std::uint32_t n = 2 * pairs;
     bdd_manager mgr(n);
-    std::mt19937 rng(29);
-    std::vector<std::uint32_t> shuffled(n);
-    for (std::uint32_t v = 0; v < n; ++v) { shuffled[v] = v; }
-    std::shuffle(shuffled.begin(), shuffled.end(), rng);
-    for (const auto& perm : {pair_swap(pairs), shuffled}) {
+    for (const auto& perm : {pair_swap(pairs), shuffled_order(n, 29)}) {
         for (std::uint32_t round = 0; round < 4; ++round) {
             {
                 // memoize a function's nodes, then let them die
@@ -274,6 +279,153 @@ TEST(bdd_subst_fast_path, rename_that_grows_the_arena_mid_call) {
     // renaming back goes through the memo grown to the larger arena
     EXPECT_EQ(mgr.permute(renamed, pair_swap(pairs)), over_ns);
     mgr.check_consistency();
+}
+
+// ---------------------------------------------------------------------------
+// the rename memo outlives a permute call: it must be dropped at every
+// collection, permutation change, compose/compose_vector and unwinding
+// permute, and nowhere else
+// ---------------------------------------------------------------------------
+
+/// Oracle: compose_vector(f, subs)(x) == f(x with every listed v replaced
+/// by g(x)) on every assignment of the first `n` variables (compose is the
+/// one-pair case).
+void expect_composed(bdd_manager& mgr, const bdd& result, const bdd& f,
+                     const std::vector<std::pair<std::uint32_t, bdd>>& subs,
+                     std::uint32_t n) {
+    std::vector<bool> x(n), y(n);
+    for (std::uint32_t row = 0; row < (1u << n); ++row) {
+        for (std::uint32_t v = 0; v < n; ++v) { x[v] = ((row >> v) & 1u) != 0; }
+        y = x;
+        for (const auto& [v, g] : subs) { y[v] = mgr.eval(g, x); }
+        ASSERT_EQ(mgr.eval(result, x), mgr.eval(f, y)) << "row " << row;
+    }
+}
+
+/// Non-terminal nodes of f: what a rename with an empty memo rebuilds.
+std::size_t internal_nodes(bdd_manager& mgr, const bdd& f) {
+    return mgr.dag_size(f) - 1;
+}
+
+TEST(bdd_subst_fast_path, rename_counter_counts_memo_misses) {
+    bdd_manager mgr(nvars);
+    const bdd f = random_function(mgr, 11);
+    const std::vector<std::uint32_t> perm = pair_swap(nvars / 2);
+    const std::size_t full = internal_nodes(mgr, f);
+    ASSERT_GT(full, 5u) << "function too small to matter";
+    std::size_t before = mgr.stats().subst_nodes;
+    const bdd renamed = mgr.permute(f, perm);
+    EXPECT_EQ(mgr.stats().subst_nodes - before, full);
+    // the same rename again, and its complement, are pure memo hits
+    before = mgr.stats().subst_nodes;
+    EXPECT_EQ(mgr.permute(f, perm), renamed);
+    EXPECT_EQ(mgr.permute(!f, perm), !renamed);
+    EXPECT_EQ(mgr.stats().subst_nodes - before, 0u);
+    // a function sharing f's nodes rebuilds only its own
+    const bdd wider = f & mgr.var(0);
+    before = mgr.stats().subst_nodes;
+    (void)mgr.permute(wider, perm);
+    EXPECT_LT(mgr.stats().subst_nodes - before, internal_nodes(mgr, wider));
+    // a collection drops the memo: the full count again
+    mgr.collect_garbage();
+    before = mgr.stats().subst_nodes;
+    EXPECT_EQ(mgr.permute(f, perm), renamed);
+    EXPECT_EQ(mgr.stats().subst_nodes - before, full);
+}
+
+TEST(bdd_subst_fast_path, memo_is_dropped_when_the_permutation_changes) {
+    bdd_manager mgr(nvars);
+    const std::vector<std::uint32_t> p = pair_swap(nvars / 2);
+    const std::vector<std::uint32_t> q = shuffled_order(nvars, 5);
+    ASSERT_NE(p, q);
+    for (std::uint32_t seed = 1; seed <= 8; ++seed) {
+        const bdd f = random_function(mgr, seed);
+        // g shares f's sub-DAGs below its new top
+        const bdd g = mgr.ite(mgr.var(0), f, (!f) & mgr.var(7));
+        const bdd under_p = mgr.permute(f, p);
+        ASSERT_NO_FATAL_FAILURE(expect_permuted(mgr, under_p, f, p, nvars));
+        for (const bdd& h : {f, g}) {
+            const bdd under_q = mgr.permute(h, q);
+            ASSERT_NO_FATAL_FAILURE(expect_permuted(mgr, under_q, h, q, nvars));
+        }
+        // back to p: the memo now holds q's results, which must not leak
+        const bdd again = mgr.permute(g, p);
+        ASSERT_NO_FATAL_FAILURE(expect_permuted(mgr, again, g, p, nvars));
+    }
+    mgr.check_consistency();
+}
+
+TEST(bdd_subst_fast_path, memo_is_dropped_around_compose) {
+    bdd_manager mgr(nvars);
+    const std::vector<std::uint32_t> perm = pair_swap(nvars / 2);
+    for (std::uint32_t seed = 1; seed <= 8; ++seed) {
+        const bdd f = random_function(mgr, seed + 300);
+        const bdd g = random_function(mgr, seed + 400);
+        const bdd h = random_function(mgr, seed + 500);
+        ASSERT_NO_FATAL_FAILURE(
+            expect_permuted(mgr, mgr.permute(f, perm), f, perm, nvars));
+        // compose must not read permute's entries for f's nodes ...
+        const std::vector<std::uint32_t> support = mgr.support(f);
+        const std::uint32_t v = support.at(support.size() / 2);
+        const bdd composed = mgr.compose(f, v, g);
+        ASSERT_NO_FATAL_FAILURE(
+            expect_composed(mgr, composed, f, {{v, g}}, nvars));
+        // ... and permute must not read compose's
+        ASSERT_NO_FATAL_FAILURE(
+            expect_permuted(mgr, mgr.permute(f, perm), f, perm, nvars));
+        const std::vector<std::pair<std::uint32_t, bdd>> subs = {
+            {v, g}, {(v + 3) % nvars, h}};
+        const bdd vector_composed = mgr.compose_vector(f, subs);
+        ASSERT_NO_FATAL_FAILURE(
+            expect_composed(mgr, vector_composed, f, subs, nvars));
+        ASSERT_NO_FATAL_FAILURE(
+            expect_permuted(mgr, mgr.permute(f, perm), f, perm, nvars));
+    }
+}
+
+TEST(bdd_subst_fast_path, a_permute_that_throws_leaves_nothing_memoized) {
+    bdd_manager mgr(nvars);
+    // g avoids x0 and x7; f = x0 ? x7 : g walks g (the else branch) before
+    // it reaches x7, which the short permutation does not cover
+    const bdd g = (mgr.var(1) ^ mgr.var(4)) ^ (mgr.var(2) & mgr.var(5)) ^
+                  (mgr.var(3) | mgr.var(6));
+    ASSERT_GT(internal_nodes(mgr, g), 3u) << "function too small to matter";
+    const bdd f = mgr.ite(mgr.var(0), mgr.var(7), g);
+    std::vector<std::uint32_t> perm = shuffled_order(nvars - 1, 9);
+    EXPECT_THROW((void)mgr.permute(f, perm), std::invalid_argument);
+    // the same permutation on g: nothing from the failed walk is reused
+    const std::size_t before = mgr.stats().subst_nodes;
+    const bdd result = mgr.permute(g, perm);
+    EXPECT_EQ(mgr.stats().subst_nodes - before, internal_nodes(mgr, g));
+    perm.push_back(nvars - 1);
+    ASSERT_NO_FATAL_FAILURE(expect_permuted(mgr, result, g, perm, nvars));
+    mgr.check_consistency();
+}
+
+TEST(bdd_subst_fast_path, memo_stays_correct_across_reordering) {
+    const std::vector<std::uint32_t> perm = shuffled_order(nvars, 21);
+    for (std::uint32_t seed = 1; seed <= 4; ++seed) {
+        bdd_manager mgr(nvars);
+        {
+            const bdd f = random_function(mgr, seed + 600);
+            (void)mgr.permute(f, perm);
+        }
+        // a new order needs an empty arena of handles
+        std::vector<std::uint32_t> order(nvars);
+        for (std::uint32_t k = 0; k < nvars; ++k) { order[k] = nvars - 1 - k; }
+        mgr.set_var_order(order);
+        const bdd g = random_function(mgr, seed + 700);
+        const bdd g_renamed = mgr.permute(g, perm);
+        ASSERT_NO_FATAL_FAILURE(expect_permuted(mgr, g_renamed, g, perm, nvars));
+        // sifting rewrites nodes in place while g is alive
+        (void)mgr.reorder_sift();
+        const bdd h = random_function(mgr, seed + 800) | g;
+        for (const bdd& k : {g, h}) {
+            const bdd result = mgr.permute(k, perm);
+            ASSERT_NO_FATAL_FAILURE(expect_permuted(mgr, result, k, perm, nvars));
+        }
+        mgr.check_consistency();
+    }
 }
 
 // ---------------------------------------------------------------------------

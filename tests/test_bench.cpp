@@ -3,10 +3,10 @@
 /// deterministic, the JSON schema round-trips, the compare gate fails on
 /// genuine regressions (and only those), the checked-in corpus is
 /// byte-identical to what the generators produce, and the checked-in
-/// BENCH_PR16.json baseline still parses with its before/after rows.
+/// BENCH_PR17.json baseline still parses with its before/after rows.
 ///
 /// Compiled with LEQ_SOURCE_DIR pointing at the repo root so the suite can
-/// read bench/corpus/ and BENCH_PR16.json.
+/// read bench/corpus/ and BENCH_PR17.json.
 
 #include "cli/bench.hpp"
 #include "gen/scenario.hpp"
@@ -64,6 +64,8 @@ TEST(bench_policy, directions_match_the_documented_gate) {
               bench_metric_policy("cache_lookups").rel_tol);
     EXPECT_EQ(bench_metric_policy("cache_misses").abs_slack,
               bench_metric_policy("cache_lookups").abs_slack);
+    EXPECT_EQ(bench_metric_policy("subst_nodes").direction,
+              metric_direction::up_bad);
     EXPECT_EQ(bench_metric_policy("gc_runs").direction,
               metric_direction::up_bad);
     EXPECT_EQ(bench_metric_policy("allocated_nodes").direction,
@@ -273,8 +275,8 @@ TEST(bench_artifacts, corpus_files_match_the_generators_byte_for_byte) {
 }
 
 TEST(bench_artifacts, checked_in_baseline_parses_and_covers_every_workload) {
-    const std::string json = repo_file("BENCH_PR16.json");
-    ASSERT_FALSE(json.empty()) << "BENCH_PR16.json missing at the repo root";
+    const std::string json = repo_file("BENCH_PR17.json");
+    ASSERT_FALSE(json.empty()) << "BENCH_PR17.json missing at the repo root";
     const bench_report baseline = parse_bench_report(json);
     EXPECT_EQ(baseline.schema, "leq-bench-v1");
 

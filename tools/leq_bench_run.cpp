@@ -35,7 +35,7 @@
 ///       byte-identical to this output; tests/test_bench.cpp pins that.
 ///
 /// The intended trajectory: every PR that touches performance-relevant
-/// code refreshes BENCH_PR16.json deliberately (run the tool, commit the
+/// code refreshes BENCH_PR17.json deliberately (run the tool, commit the
 /// report, explain the movement in the PR); CI runs the compare on every
 /// push and refuses accidental movement.
 
