@@ -14,7 +14,11 @@
 #      written or has moved fails here;
 #   4. check the README's sample JSON record carries exactly the `options`
 #      keys, in order, that a real `leq solve` record carries — a removed
-#      or added flag echo fails here.
+#      or added flag echo fails here;
+#   5. check every `tests/FILE.cpp (NAME)` citation in the "Where things are
+#      checked" table of docs/ARCHITECTURE.md: FILE must exist and define a
+#      gtest suite or test called NAME (a trailing `...` matches a prefix) —
+#      a renamed or deleted test fails here.
 #
 # Usage: scripts/check_docs.sh   (expects ./build/leq to exist)
 set -euo pipefail
@@ -86,3 +90,48 @@ if sample != real:
 PY
     fail "README sample record drifted from the real leq record"
 echo "== sample record ok =="
+
+# ---- 5. tests cited in ARCHITECTURE's "Where things are checked" table -------
+python3 - <<'PY' ||
+import re, sys
+doc = "docs/ARCHITECTURE.md"
+text = open(doc, encoding="utf-8").read()
+start = text.find("\n## Where things are checked")
+if start < 0:
+    sys.exit(f"check_docs: {doc} has no 'Where things are checked' section")
+end = text.find("\n## ", start + 1)
+section = text[start:] if end < 0 else text[start:end]
+test_decl = re.compile(r"\bTEST(?:_F|_P)?\s*\(\s*(\w+)\s*,\s*(\w+)")
+cite = re.compile(r"(tests/[\w.-]+\.cpp)(?:\s*\(([^)]*)\))?")
+status = 0
+for line in section.splitlines():
+    cells = line.split("|")
+    if len(cells) < 4 or set(cells[1].strip()) <= set("- "):
+        continue
+    for path, name in cite.findall(cells[2]):
+        try:
+            source = open(path, encoding="utf-8").read()
+        except OSError:
+            print(f"check_docs: {doc} cites missing file '{path}'",
+                  file=sys.stderr)
+            status = 1
+            continue
+        if not name:
+            continue
+        if not re.fullmatch(r"\w+(\.\.\.)?", name):
+            print(f"check_docs: {doc} cites '{path} ({name})', which is "
+                  "not a test name", file=sys.stderr)
+            status = 1
+            continue
+        names = {n for decl in test_decl.findall(source) for n in decl}
+        prefix = name.endswith("...")
+        stem = name[:-3] if prefix else name
+        if not any(n.startswith(stem) if prefix else n == stem
+                   for n in names):
+            print(f"check_docs: {doc} cites '{path} ({name})', but {path} "
+                  "defines no such TEST suite or test", file=sys.stderr)
+            status = 1
+sys.exit(status)
+PY
+    fail "ARCHITECTURE's check table cites missing tests"
+echo "== cited tests ok =="

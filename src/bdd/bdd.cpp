@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cassert>
 #include <stdexcept>
+#include <string>
 
 #ifdef LEQ_CHECKED
 #include <atomic>
@@ -184,9 +185,7 @@ bdd_manager::bdd_manager(std::uint32_t num_vars, unsigned cache_bits) {
     chain_.assign(1, idx_nil);
     ext_ref_.assign(1, 1); // the terminal is permanently live
     buckets_.assign(1u << 12, idx_nil);
-    cache_.assign(std::size_t{1} << cache_bits, cache_entry{});
-    cache_bucket_mask_ = cache_.size() / cache_ways - 1;
-    stats_.cache_entries = cache_.size();
+    cache_allocate(std::size_t{1} << cache_bits);
     stats_.gc_threshold = gc_threshold_;
     for (std::uint32_t v = 0; v < num_vars; ++v) { new_var(); }
 }
@@ -250,11 +249,10 @@ std::uint32_t bdd_manager::alloc_node() {
         return idx;
     }
     const auto idx = static_cast<std::uint32_t>(nodes_.size());
-    if (idx >= (1u << 31) - 1) {
-        // node indices must leave room for the complement bit, and index
-        // 2^31-1 is excluded outright: its complemented reference would be
-        // 0xffffffff, aliasing the idx_nil sentinel the memo tables use
-        throw std::length_error("bdd_manager: node arena full");
+    if (idx >= max_nodes) {
+        // a reference must fit the computed cache's 28 reference bits
+        throw std::length_error("bdd_manager: node arena full (max_nodes = " +
+                                std::to_string(max_nodes) + ")");
     }
     // grow the table before pushing the fresh node: rehash() reinserts every
     // arena node, and the caller has not filled this one in yet — inserting
@@ -289,32 +287,33 @@ void bdd_manager::rehash(std::size_t new_size) {
 
 void bdd_manager::maybe_grow_cache() {
     const std::size_t limit = std::size_t{1} << max_cache_bits;
-    std::size_t target = cache_.size();
+    const std::size_t current = cache_slots();
+    std::size_t target = current;
     // keep at least two cache slots per table bucket, up to the ceiling
     while (target < 2 * buckets_.size() && target < limit) { target *= 2; }
-    if (target == cache_.size()) { return; }
+    if (target == current) { return; }
     // rehash-migrate: a bucket index depends on the mask, so every surviving
     // entry is re-slotted under the new geometry.  Growth happens right when
     // the workload is deepest — discarding the memo there (the historical
     // clear-on-grow) forced exactly the recomputation the bigger cache was
-    // bought to avoid.  Entries keep their age stamps; only same-bucket
+    // bought to avoid.  Entries keep their ages; only same-bucket
     // collisions beyond the ways can drop entries, deterministically.
     std::vector<cache_entry> old;
     old.swap(cache_);
-    cache_.assign(target, cache_entry{});
-    cache_bucket_mask_ = static_cast<std::uint64_t>(target / cache_ways) - 1;
-    // walk each old bucket's ways in reverse so move-to-front insertion
-    // reconstructs the same recency order in the new geometry
-    for (std::size_t b = 0; b < old.size(); b += cache_ways) {
+    const cache_entry* const old_sets = cache_sets_;
+    cache_allocate(target);
+    // walk each old bucket's ways in reverse so front insertion reconstructs
+    // the same way order in the new geometry
+    for (std::size_t b = 0; b < current; b += cache_ways) {
         for (std::uint32_t w = cache_ways; w > 0; --w) {
-            const cache_entry& e = old[b + w - 1];
-            if (e.o == 0xff) { continue; }
-            cache_insert(cache_bucket(static_cast<op>(e.o), e.f, e.g, e.h),
+            const cache_entry& e = old_sets[b + w - 1];
+            if (e.fo == cache_empty) { continue; }
+            cache_insert(cache_bucket(static_cast<op>(e.fo >> ref_bits),
+                                      e.fo & ref_mask, e.g, e.h),
                          e);
         }
     }
     ++stats_.cache_resizes;
-    stats_.cache_entries = target;
 }
 
 // ---------------------------------------------------------------------------
@@ -420,48 +419,51 @@ std::size_t bdd_manager::live_node_count() {
 // computed cache
 // ---------------------------------------------------------------------------
 
+void bdd_manager::cache_allocate(std::size_t slots) {
+    // std::vector aligns its storage to 16 bytes only; an over-aligned
+    // entry type would route it through the aligned operator new, which
+    // measured at several times the peak RSS.  Instead the slack slots let
+    // the sets start at the first line boundary inside the allocation.
+    cache_.assign(slots + cache_ways - 1, cache_entry{});
+    const auto addr = reinterpret_cast<std::uintptr_t>(cache_.data());
+    cache_sets_ = cache_.data() +
+                  ((cache_line - addr % cache_line) % cache_line) /
+                      sizeof(cache_entry);
+    cache_bucket_mask_ = static_cast<std::uint64_t>(slots / cache_ways) - 1;
+    stats_.cache_entries = slots;
+}
+
 bdd_manager::cache_entry* bdd_manager::cache_bucket(op o, std::uint32_t f,
                                                     std::uint32_t g,
                                                     std::uint32_t h) {
     const std::uint64_t bucket =
-        node_hash((static_cast<std::uint64_t>(o) << 32) | f, g, h) &
-        cache_bucket_mask_;
-    cache_entry* e = &cache_[bucket * cache_ways];
-    // a bucket spans two cache lines: start the second line's fetch while
-    // the first ways are compared
-    static_assert(cache_ways * sizeof(cache_entry) > 64);
-    prefetch(reinterpret_cast<const char*>(e) + 64);
-    return e;
+        node_hash(cache_key(o, f), g, h) & cache_bucket_mask_;
+    return cache_sets_ + bucket * cache_ways;
 }
 
 void bdd_manager::cache_insert(cache_entry* bucket,
                                const cache_entry& entry) {
     // pick the slot: same key first (keeps a bucket duplicate-free), else
-    // the first empty way, else evict by age.  Between collections every
-    // live entry carries the current epoch, so the age distance alone
-    // cannot rank them — move-to-front keeps way order as recency order,
-    // making "highest way among the oldest" exactly the LRU victim.  All
-    // choices are functions of bucket state only: fully deterministic.
+    // the first empty way, else evict by age.  Entries stored or hit since
+    // the last collection all have age 0, and among equals the highest way
+    // is the earliest stored.  All choices are functions of bucket state
+    // only: fully deterministic.
     std::uint32_t target = cache_ways - 1;
-    std::uint8_t oldest_distance = 0;
+    std::uint32_t oldest = 0;
     for (std::uint32_t w = 0; w < cache_ways; ++w) {
-        cache_entry& e = bucket[w];
-        if (e.o == entry.o && e.f == entry.f && e.g == entry.g &&
-            e.h == entry.h) {
+        const cache_entry& e = bucket[w];
+        if ((e.fo == entry.fo && e.g == entry.g && e.h == entry.h) ||
+            e.fo == cache_empty) {
             target = w;
             break;
         }
-        if (e.o == 0xff) {
-            target = w;
-            break;
-        }
-        const auto distance = static_cast<std::uint8_t>(cache_epoch_ - e.age);
-        if (distance >= oldest_distance) {
-            oldest_distance = distance;
+        const std::uint32_t age = e.ra >> ref_bits;
+        if (age >= oldest) {
+            oldest = age;
             target = w;
         }
     }
-    // rotate the prefix down one way and put the new entry in front
+    // shift the prefix down one way and put the new entry in front
     for (std::uint32_t w = target; w > 0; --w) { bucket[w] = bucket[w - 1]; }
     bucket[0] = entry;
 }
@@ -484,18 +486,14 @@ bool bdd_manager::cache_lookup(op o, std::uint32_t f, std::uint32_t g,
     ++stats_.cache_lookups;
     ++stats_.op_lookups[static_cast<std::size_t>(o)];
     cache_entry* bucket = cache_bucket(o, f, g, h);
+    const std::uint32_t fo = cache_key(o, f);
     for (std::uint32_t w = 0; w < cache_ways; ++w) {
-        if (bucket[w].f == f && bucket[w].g == g && bucket[w].h == h &&
-            bucket[w].o == static_cast<std::uint8_t>(o)) {
-            // a hit entry is earning its slot: refresh the age stamp and
-            // rotate it to the front so way order tracks recency
-            cache_entry hit = bucket[w];
-            hit.age = cache_epoch_;
-            for (std::uint32_t v = w; v > 0; --v) {
-                bucket[v] = bucket[v - 1];
-            }
-            bucket[0] = hit;
-            result = hit.result;
+        cache_entry& e = bucket[w];
+        if (e.fo == fo && e.g == g && e.h == h) {
+            // a hit entry is earning its slot: reset its age, which writes
+            // the line at most once per entry per collection
+            if (e.ra > ref_mask) { e.ra &= ref_mask; }
+            result = e.ra;
             ++stats_.cache_hits;
             ++stats_.op_hits[static_cast<std::size_t>(o)];
             return true;
@@ -506,42 +504,39 @@ bool bdd_manager::cache_lookup(op o, std::uint32_t f, std::uint32_t g,
 
 void bdd_manager::cache_store(op o, std::uint32_t f, std::uint32_t g,
                               std::uint32_t h, std::uint32_t result) {
-    cache_insert(cache_bucket(o, f, g, h),
-                 {f, g, h, result, static_cast<std::uint8_t>(o),
-                  cache_epoch_});
+    cache_insert(cache_bucket(o, f, g, h), {cache_key(o, f), g, h, result});
 }
 
 void bdd_manager::cache_age_and_purge() {
-    // advance the epoch so pre-GC entries age relative to post-GC stores,
-    // then purge exactly the entries that reference a swept node: those
-    // indices return through free_list_, and a surviving entry would alias
-    // whatever unrelated node is allocated there next.  Everything keyed on
-    // live nodes stays — results are canonical references, so the memo is
-    // still correct after the sweep.
-    ++cache_epoch_;
-    for (std::size_t b = 0; b < cache_.size(); b += cache_ways) {
+    // purge exactly the entries that reference a swept node: those indices
+    // return through free_list_, and a surviving entry would alias whatever
+    // unrelated node is allocated there next.  Everything keyed on live
+    // nodes stays — results are canonical references, so the memo is still
+    // correct after the sweep — and ages by one collection.
+    for (cache_entry* set = cache_sets_; set != cache_sets_ + cache_slots();
+         set += cache_ways) {
         // compact each bucket's survivors toward way 0 (preserving their
-        // order) so the move-to-front invariant — way order is recency
-        // order, empties at the tail — holds across the purge
+        // order) so way order stays store order, empties at the tail
         std::uint32_t keep = 0;
         for (std::uint32_t w = 0; w < cache_ways; ++w) {
-            const cache_entry e = cache_[b + w];
-            if (e.o == 0xff) { continue; }
-            if (!mark_[node_of(e.f)] || !mark_[node_of(e.g)] ||
-                !mark_[node_of(e.h)] || !mark_[node_of(e.result)]) {
+            cache_entry e = set[w];
+            if (e.fo == cache_empty) { continue; }
+            const std::uint32_t result = e.ra & ref_mask;
+            if (!mark_[node_of(e.fo & ref_mask)] || !mark_[node_of(e.g)] ||
+                !mark_[node_of(e.h)] || !mark_[node_of(result)]) {
                 continue;
             }
-            cache_[b + keep] = e;
+            const std::uint32_t age = e.ra >> ref_bits;
+            e.ra = std::min(age + 1, max_cache_age) << ref_bits | result;
+            set[keep] = e;
             ++keep;
         }
-        for (; keep < cache_ways; ++keep) {
-            cache_[b + keep] = cache_entry{};
-        }
+        for (; keep < cache_ways; ++keep) { set[keep] = cache_entry{}; }
     }
 }
 
 void bdd_manager::cache_clear() {
-    for (auto& e : cache_) { e = cache_entry{}; }
+    std::fill(cache_.begin(), cache_.end(), cache_entry{});
 }
 
 } // namespace leq

@@ -12,7 +12,9 @@
 /// Design notes:
 ///  * **Handles are tagged edges.**  A reference is a 32-bit word
 ///    `(node_index << 1) | complement`: the low bit is the complement
-///    ("NOT") mark, the upper 31 bits address a node in the arena.  Node 0
+///    ("NOT") mark, and the node index above it is below
+///    bdd_manager::max_nodes, so a reference fits 28 bits (the computed
+///    cache packs its op and age nibbles into the top 4).  Node 0
 ///    is the single terminal and denotes FALSE as a regular (untagged)
 ///    reference, so reference 0 is the constant FALSE and reference 1
 ///    (terminal + complement bit) is TRUE — the same two handle values the
@@ -188,12 +190,15 @@ class bdd_manager {
 public:
     /// The memory geometry is fixed; these constants are all of it.
     ///
-    /// Computed-cache associativity: slots per set-associative bucket.
-    /// Replacement is deterministic move-to-front LRU (same-key overwrite,
-    /// else first empty slot, else the least recently touched entry), with
-    /// GC-epoch age stamps deciding staleness across collections: a
-    /// collection purges only the entries whose key or result references a
-    /// swept node, and everything else survives with an older age stamp.
+    /// Computed-cache associativity: slots per set-associative bucket.  Four
+    /// 16-byte entries make a set exactly one 64-byte line, and the sets
+    /// start on a line boundary, so a probe reads one line.  A hit does not
+    /// reorder the set.  A store goes to way 0 and shifts the set down
+    /// (same-key overwrite, else the first empty slot, else the entry with
+    /// the largest age, highest way on ties), so way order is store order
+    /// within a GC epoch.  The age counts collections since the entry was
+    /// last stored or hit: a collection purges only the entries whose key or
+    /// result references a swept node and ages everything else.
     static constexpr std::uint32_t cache_ways = 4;
     /// log2 ceiling for computed-cache growth.  The cache tracks the unique
     /// table geometrically — at least two slots per table bucket, doubling
@@ -208,6 +213,10 @@ public:
     /// exactly as far as the survivors demand, and a productive one lowers
     /// it back toward the floor.
     static constexpr std::size_t gc_floor = std::size_t{1} << 14;
+    /// Arena capacity in nodes.  Indices stay below 2^27 - 1, so every
+    /// reference fits the 28 bits a computed-cache word leaves beside its
+    /// op or age nibble; alloc_node throws std::length_error past it.
+    static constexpr std::uint32_t max_nodes = (1u << 27) - 1;
 
     /// \param num_vars   initial number of variables (ids 0..num_vars-1)
     /// \param cache_bits log2 of the *initial* computed-cache size, clamped
@@ -453,19 +462,33 @@ private:
     static_assert(static_cast<std::size_t>(op::restrict_op) + 1 == bdd_num_ops,
                   "bdd_num_ops must match the cached-op enum");
 
-    /// One computed-cache slot.  Slots are grouped into `cache_ways`-entry
-    /// set-associative buckets stored contiguously, so a 4-way bucket spans
-    /// at most two cache lines.  `o == 0xff` marks an empty slot; `age` is
-    /// the GC epoch the entry was stored (or last hit) in — replacement
-    /// evicts the slot with the largest epoch distance.
-    struct cache_entry {
-        std::uint32_t f = idx_nil;
-        std::uint32_t g = idx_nil;
-        std::uint32_t h = idx_nil;
-        std::uint32_t result = idx_nil;
-        std::uint8_t o = 0xff;
-        std::uint8_t age = 0;
+    /// One computed-cache slot: four words, 16 bytes, so a `cache_ways` set
+    /// fills one 64-byte line.  References fit ref_bits (see max_nodes);
+    /// the top nibble of `fo` holds the op and the top nibble of `ra` the
+    /// entry's age in collections (saturating at max_cache_age).  An empty
+    /// slot is all ones: op nibble 0xf is never a real op.
+    struct alignas(16) cache_entry {
+        std::uint32_t fo = cache_empty; ///< op << ref_bits | f
+        std::uint32_t g = cache_empty;
+        std::uint32_t h = cache_empty;
+        std::uint32_t ra = cache_empty; ///< age << ref_bits | result
     };
+    static constexpr std::uint32_t ref_bits = 28;
+    static constexpr std::uint32_t ref_mask = (1u << ref_bits) - 1;
+    static constexpr std::uint32_t cache_empty = 0xffffffffu;
+    static constexpr std::uint32_t max_cache_age = 15;
+    static constexpr std::size_t cache_line = 64;
+    static_assert(sizeof(cache_entry) * cache_ways == cache_line,
+                  "a computed-cache set must fill exactly one line");
+    static_assert((max_nodes << 1 | 1) <= ref_mask,
+                  "every reference must fit a cache word's reference bits");
+    static_assert(bdd_num_ops < 15,
+                  "op nibble 0xf is reserved for the empty slot");
+    /// The `fo` word of an (o, f) key.
+    [[nodiscard]] static constexpr std::uint32_t cache_key(op o,
+                                                           std::uint32_t f) {
+        return static_cast<std::uint32_t>(o) << ref_bits | f;
+    }
 
     /// Hint the hardware prefetcher at a probe target (no-op off GCC/Clang).
     static inline void prefetch(const void* p) {
@@ -555,25 +578,31 @@ private:
     /// `op_deadline_stride` probes while a deadline is armed.
     void op_deadline_check();
 
-    // computed cache (set-associative, age-stamped)
+    // computed cache (set-associative, one line per set, aged per GC)
     bool cache_lookup(op o, std::uint32_t f, std::uint32_t g, std::uint32_t h,
                       std::uint32_t& result);
     void cache_store(op o, std::uint32_t f, std::uint32_t g, std::uint32_t h,
                      std::uint32_t result);
     void cache_clear();
+    /// Allocate an empty cache of `slots` entries (a power of two) with its
+    /// sets on line boundaries.
+    void cache_allocate(std::size_t slots);
+    /// Current cache size in slots, excluding the alignment slack.
+    [[nodiscard]] std::size_t cache_slots() const {
+        return static_cast<std::size_t>(cache_bucket_mask_ + 1) * cache_ways;
+    }
     /// First slot of the bucket the (o,f,g,h) key hashes to.
     [[nodiscard]] cache_entry* cache_bucket(op o, std::uint32_t f,
                                             std::uint32_t g, std::uint32_t h);
-    /// Deterministic replacement with move-to-front recency: overwrite a
-    /// same-key slot, else fill the first empty slot, else evict the entry
-    /// touched the most GC epochs ago (highest way on ties — under
-    /// move-to-front, way order *is* recency order within an epoch), then
-    /// rotate the written entry to way 0.
+    /// Deterministic replacement: overwrite a same-key slot, else fill the
+    /// first empty slot, else evict the entry with the largest age (highest
+    /// way on ties — way order is store order within an epoch), then shift
+    /// the set down and write the entry to way 0.
     void cache_insert(cache_entry* bucket, const cache_entry& entry);
-    /// GC epilogue: advance the age epoch and purge only the entries that
-    /// reference swept nodes (their indices are about to be recycled via
-    /// free_list_, so a stale entry would alias a future unrelated node).
-    /// Entries over live nodes survive — that is what buys cross-GC hits.
+    /// GC epilogue: purge only the entries that reference swept nodes (their
+    /// indices are about to be recycled via free_list_, so a stale entry
+    /// would alias a future unrelated node) and age the rest.  Entries over
+    /// live nodes survive — that is what buys cross-GC hits.
     void cache_age_and_purge();
 
     // recursive cores (tagged references; protected from GC because GC only
@@ -649,9 +678,12 @@ private:
     std::vector<std::uint32_t> ext_ref_;   ///< external refs per node
     std::vector<std::uint32_t> free_list_;
     std::vector<std::uint32_t> buckets_;   ///< unique table (power of two)
-    std::vector<cache_entry> cache_;       ///< ways-entry buckets, contiguous
+    /// Cache storage: the sets plus cache_ways - 1 slack slots, so the
+    /// first line-aligned slot leaves room for every set wherever the
+    /// vector's 16-byte-aligned allocation lands.
+    std::vector<cache_entry> cache_;
+    cache_entry* cache_sets_ = nullptr;    ///< first set, 64-byte aligned
     std::uint64_t cache_bucket_mask_ = 0;  ///< bucket count - 1
-    std::uint8_t cache_epoch_ = 0;         ///< age epoch; advances per GC
     std::vector<std::uint32_t> var2level_;
     std::vector<std::uint32_t> level2var_;
     std::size_t gc_threshold_ = gc_floor;

@@ -24,6 +24,7 @@
 #include <algorithm>
 #include <array>
 #include <cassert>
+#include <cstdint>
 #include <numeric>
 #include <set>
 #include <stdexcept>
@@ -518,6 +519,45 @@ void bdd_manager::check_consistency() const {
     for (std::uint32_t i = 1; i < nodes_.size(); ++i) {
         if (reach[i] && !in_table[i]) {
             throw std::logic_error("bdd: live node missing from unique table");
+        }
+    }
+    // computed cache: one aligned line per set, well-formed packed entries,
+    // duplicate-free sets with their empties at the tail
+    if (reinterpret_cast<std::uintptr_t>(cache_sets_) % cache_line != 0 ||
+        cache_sets_ < cache_.data() ||
+        cache_sets_ + cache_slots() > cache_.data() + cache_.size()) {
+        throw std::logic_error("bdd: cache sets not line-aligned in storage");
+    }
+    for (const cache_entry* set = cache_sets_;
+         set != cache_sets_ + cache_slots(); set += cache_ways) {
+        for (std::uint32_t w = 0; w < cache_ways; ++w) {
+            const cache_entry& e = set[w];
+            if (e.fo == cache_empty) {
+                for (std::uint32_t v = w + 1; v < cache_ways; ++v) {
+                    if (set[v].fo != cache_empty) {
+                        throw std::logic_error(
+                            "bdd: cache entry behind an empty slot");
+                    }
+                }
+                break;
+            }
+            if ((e.fo >> ref_bits) >= bdd_num_ops) {
+                throw std::logic_error("bdd: cache entry with a bad op");
+            }
+            if ((e.ra >> ref_bits) > max_cache_age) {
+                throw std::logic_error("bdd: cache entry age out of range");
+            }
+            for (const std::uint32_t r :
+                 {e.fo & ref_mask, e.g, e.h, e.ra & ref_mask}) {
+                if (node_of(r) >= nodes_.size()) {
+                    throw std::logic_error("bdd: cache reference out of range");
+                }
+            }
+            for (std::uint32_t v = 0; v < w; ++v) {
+                if (set[v].fo == e.fo && set[v].g == e.g && set[v].h == e.h) {
+                    throw std::logic_error("bdd: cache set holds a key twice");
+                }
+            }
         }
     }
 }

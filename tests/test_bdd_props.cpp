@@ -496,13 +496,14 @@ TEST(bdd_memory_geometry, gc_trigger_tracks_live_nodes) {
 }
 
 // ---------------------------------------------------------------------------
-// computed-cache geometry: replacement, aging across GC, growth migration
+// computed-cache geometry: replacement, aging across GC, op packing, growth
+// migration, and check_consistency's cache invariants after each
 // ---------------------------------------------------------------------------
 
 TEST(bdd_cache_geometry, replacement_is_deterministic) {
     // identical op sequences against identical geometry must produce
-    // identical hit/miss/GC behavior — the move-to-front LRU policy has no
-    // hidden state (no randomness, no clocks).  A 2^8-entry start keeps the
+    // identical hit/miss/GC behavior — the age-based replacement policy has
+    // no hidden state (no randomness, no clocks).  A 2^8-entry start keeps the
     // early buckets under replacement pressure.
     bdd_manager a(big_nvars, 8u);
     bdd_manager b(big_nvars, 8u);
@@ -516,6 +517,10 @@ TEST(bdd_cache_geometry, replacement_is_deterministic) {
     EXPECT_EQ(a.stats().cache_resizes, b.stats().cache_resizes);
     ASSERT_GT(a.stats().cache_lookups, a.stats().cache_hits)
         << "workload too small to exercise replacement";
+    ASSERT_GT(a.stats().cache_resizes, 0u);
+    EXPECT_NO_THROW(a.check_consistency());
+    a.collect_garbage();
+    EXPECT_NO_THROW(a.check_consistency());
 }
 
 TEST(bdd_cache_geometry, entries_age_across_gc_instead_of_dying) {
@@ -523,14 +528,92 @@ TEST(bdd_cache_geometry, entries_age_across_gc_instead_of_dying) {
     const bdd f = mgr.var(0);
     const bdd g = mgr.var(1);
     const bdd h1 = f & g; // seeds the and-op cache entry
-    mgr.collect_garbage();
+    // more collections than the 4-bit age can count: the age saturates
+    // and must never leak into the packed result bits
+    for (int k = 0; k < 20; ++k) { mgr.collect_garbage(); }
+    EXPECT_NO_THROW(mgr.check_consistency());
     const std::size_t hits = mgr.stats().cache_hits;
     const bdd h2 = f & g; // every operand is externally held, so the entry
-                          // must have survived the sweep with an older age
+                          // must have survived the sweeps with an older age
     EXPECT_EQ(h1, h2);
     EXPECT_EQ(mgr.stats().cache_hits, hits + 1)
         << "garbage collection dropped a cache entry whose key and result "
            "are all live";
+    EXPECT_NO_THROW(mgr.check_consistency());
+}
+
+/// Truth table of f over the first nvars variables.
+std::vector<bool> truth_table(bdd_manager& mgr, const bdd& f) {
+    std::vector<bool> table;
+    std::vector<bool> assignment(nvars);
+    for (std::uint32_t m = 0; m < (1u << nvars); ++m) {
+        for (std::uint32_t v = 0; v < nvars; ++v) {
+            assignment[v] = ((m >> v) & 1u) != 0;
+        }
+        table.push_back(mgr.eval(f, assignment));
+    }
+    return table;
+}
+
+/// One operand pair for every cached op.  The operands are regular,
+/// ordered and topped by variable 0, so no core renormalizes them: and,
+/// xor, constrain and restrict all probe key (f,g,0), and exists and
+/// cofactor both probe (f,cube,0) — keys that differ only in the op nibble.
+struct op_operands {
+    bdd f, g, h, cube;
+};
+
+op_operands make_operands(bdd_manager& mgr) {
+    bdd f = random_function(mgr, 41) ^ mgr.var(0);
+    bdd g = random_function(mgr, 42) ^ mgr.var(0);
+    if ((f.index() & 1u) != 0) { f = !f; }
+    if ((g.index() & 1u) != 0) { g = !g; }
+    if (f.index() > g.index()) { std::swap(f, g); }
+    return {f, g, random_function(mgr, 43), mgr.cube({1, 3, 5})};
+}
+
+/// Cached op k (bdd_op_name order) on the operands.
+bdd run_cached_op(bdd_manager& mgr, const op_operands& o, std::size_t k) {
+    switch (k) {
+        case 0: return mgr.apply_and(o.f, o.g);
+        case 1: return mgr.apply_xor(o.f, o.g);
+        case 2: return mgr.ite(o.f, o.g, o.h);
+        case 3: return mgr.exists(o.f, o.cube);
+        case 4: return mgr.and_exists(o.f, o.g, o.cube);
+        case 5: return mgr.support_cube(o.f);
+        case 6: return mgr.cofactor(o.f, o.cube);
+        case 7: return mgr.constrain(o.f, o.g);
+        default: return mgr.restrict_dc(o.f, o.g);
+    }
+}
+
+TEST(bdd_cache_geometry, packed_op_nibble_keeps_ops_apart) {
+    bdd_manager mgr(nvars);
+    const op_operands operands = make_operands(mgr);
+    ASSERT_NE(operands.f.index(), operands.g.index());
+    std::vector<bdd> first;
+    for (std::size_t k = 0; k < bdd_num_ops; ++k) {
+        first.push_back(run_cached_op(mgr, operands, k));
+    }
+    const bdd_stats before = mgr.stats();
+    for (std::size_t k = 0; k < bdd_num_ops; ++k) {
+        EXPECT_EQ(run_cached_op(mgr, operands, k), first[k]) << bdd_op_name(k);
+    }
+    const bdd_stats& after = mgr.stats();
+    // the second round repeats every top-level call, so every probe hits
+    EXPECT_EQ(after.cache_lookups - before.cache_lookups,
+              after.cache_hits - before.cache_hits);
+    for (std::size_t k = 0; k < bdd_num_ops; ++k) {
+        EXPECT_EQ(after.op_hits[k] - before.op_hits[k], 1u)
+            << bdd_op_name(k) << " did not hit exactly once";
+        // a fresh manager running only op k has no other op's entries to
+        // alias with
+        bdd_manager fresh(nvars);
+        const bdd expected = run_cached_op(fresh, make_operands(fresh), k);
+        EXPECT_EQ(truth_table(mgr, first[k]), truth_table(fresh, expected))
+            << bdd_op_name(k);
+    }
+    EXPECT_NO_THROW(mgr.check_consistency());
 }
 
 TEST(bdd_cache_geometry, growth_migrates_surviving_entries) {
@@ -544,6 +627,7 @@ TEST(bdd_cache_geometry, growth_migrates_surviving_entries) {
     for (std::uint32_t v = 2; v < 6000; ++v) { (void)mgr.var(v); }
     ASSERT_GT(mgr.stats().cache_resizes, 0u)
         << "workload too small to trigger cache growth";
+    EXPECT_NO_THROW(mgr.check_consistency());
     const std::size_t hits = mgr.stats().cache_hits;
     const bdd h2 = f & g;
     EXPECT_EQ(h1, h2);
