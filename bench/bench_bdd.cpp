@@ -191,27 +191,6 @@ void bm_gc_pressure(benchmark::State& state) {
 }
 BENCHMARK(bm_gc_pressure);
 
-void bm_sift_chain(benchmark::State& state) {
-    const auto pairs = static_cast<std::uint32_t>(state.range(0));
-    for (auto _ : state) {
-        state.PauseTiming();
-        bdd_manager mgr(2 * pairs);
-        // build in the worst order: evens above odds
-        std::vector<std::uint32_t> order;
-        for (std::uint32_t v = 0; v < 2 * pairs; v += 2) { order.push_back(v); }
-        for (std::uint32_t v = 1; v < 2 * pairs; v += 2) { order.push_back(v); }
-        mgr.set_var_order(order);
-        bdd f = mgr.zero();
-        for (std::uint32_t v = 0; v < pairs; ++v) {
-            f |= mgr.var(2 * v) & mgr.var(2 * v + 1);
-        }
-        state.ResumeTiming();
-        benchmark::DoNotOptimize(mgr.reorder_sift());
-        state.counters["nodes"] = static_cast<double>(mgr.dag_size(f));
-    }
-}
-BENCHMARK(bm_sift_chain)->Arg(6)->Arg(8)->Arg(10);
-
 void bm_compose_vector_vs_chain(benchmark::State& state) {
     const auto bits = static_cast<std::uint32_t>(state.range(0));
     bdd_manager mgr(3 * bits);

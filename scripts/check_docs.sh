@@ -18,7 +18,12 @@
 #   5. check every `tests/FILE.cpp (NAME)` citation in the "Where things are
 #      checked" table of docs/ARCHITECTURE.md: FILE must exist and define a
 #      gtest suite or test called NAME (a trailing `...` matches a prefix) —
-#      a renamed or deleted test fails here.
+#      a renamed or deleted test fails here;
+#   6. check every `leq_bench_<x>` named in README.md, docs/*.md or the verify
+#      skill note has a bench/bench_<x>.cpp (or, for a tool such as
+#      leq_bench_run, a tools/leq_bench_<x>.cpp), and every
+#      `leq_example_<x>` an examples/<x>.cpp — a doc naming a binary the
+#      build no longer makes fails here.
 #
 # Usage: scripts/check_docs.sh   (expects ./build/leq to exist)
 set -euo pipefail
@@ -135,3 +140,25 @@ sys.exit(status)
 PY
     fail "ARCHITECTURE's check table cites missing tests"
 echo "== cited tests ok =="
+
+# ---- 6. bench and example binaries named in the docs ------------------------
+status=0
+docs=(README.md docs/*.md)
+[ -e .claude/skills/verify/SKILL.md ] && docs+=(.claude/skills/verify/SKILL.md)
+while IFS=: read -r doc name; do
+    case $name in
+        leq_bench_*)
+            x=${name#leq_bench_}
+            [ -e "bench/bench_$x.cpp" ] || [ -e "tools/$name.cpp" ] && continue
+            want="bench/bench_$x.cpp" ;;
+        leq_example_*)
+            x=${name#leq_example_}
+            [ -e "examples/$x.cpp" ] && continue
+            want="examples/$x.cpp" ;;
+    esac
+    echo "check_docs: $doc names '$name', but $want does not exist" >&2
+    status=1
+done < <(grep -HoE '\bleq_(bench|example)_[A-Za-z0-9_]+' "${docs[@]}" |
+         sort -u || true)
+[ "$status" -eq 0 ] || fail "docs name bench or example binaries that do not exist"
+echo "== named binaries ok =="

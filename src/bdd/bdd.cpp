@@ -1,10 +1,13 @@
 /// \file bdd.cpp
-/// \brief Manager core: node arena, unique table, handles, garbage collection.
+/// \brief Manager core: node arena, unique table, handles, garbage collection,
+/// computed cache and the structural consistency check.
 
 #include "bdd/bdd.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
+#include <set>
 #include <stdexcept>
 #include <string>
 
@@ -537,6 +540,153 @@ void bdd_manager::cache_age_and_purge() {
 
 void bdd_manager::cache_clear() {
     std::fill(cache_.begin(), cache_.end(), cache_entry{});
+}
+
+// ---------------------------------------------------------------------------
+// structural consistency check (tests)
+// ---------------------------------------------------------------------------
+
+void bdd_manager::check_consistency() const {
+    checked_guard("check_consistency");
+    // the level maps must be inverse permutations: a variable at two levels
+    // (or a level naming two variables) makes level() order the graph wrong
+    // while every structural check below still passes
+    if (level2var_.size() != var2level_.size()) {
+        throw std::logic_error("bdd: level maps differ in size");
+    }
+    for (std::uint32_t v = 0; v < var2level_.size(); ++v) {
+        if (var2level_[v] >= level2var_.size() ||
+            level2var_[var2level_[v]] != v) {
+            throw std::logic_error("bdd: var2level and level2var are not "
+                                   "inverse permutations");
+        }
+    }
+    std::set<std::array<std::uint32_t, 3>> keys;
+    std::vector<char> in_table(nodes_.size(), 0);
+    // unique-table health: bucket-chain length histogram.  The table never
+    // exceeds load factor 1 (the arena rehashes before outgrowing the
+    // buckets), so with a healthy hash the longest chain stays logarithmic;
+    // a pathological chain means the hash or the split chain_ array
+    // regressed — catch it here before it shows up as bench noise.
+    std::vector<std::size_t> chain_histogram;
+    std::size_t max_chain = 0;
+    for (const std::uint32_t head : buckets_) {
+        std::size_t chain_len = 0;
+        for (std::uint32_t i = head; i != idx_nil; i = chain_[i]) {
+            ++chain_len;
+            const node& n = nodes_[i];
+            if (in_table[i]) {
+                throw std::logic_error("bdd: node linked twice in table");
+            }
+            in_table[i] = 1;
+            if (n.var == var_nil) {
+                throw std::logic_error("bdd: terminal in unique table");
+            }
+            if (n.lo == n.hi) {
+                throw std::logic_error("bdd: unreduced node (lo == hi)");
+            }
+            if (is_comp(n.hi)) {
+                // this is also what forbids a node and its complement from
+                // both sitting in the table: the complemented twin of a
+                // canonical node necessarily has a complemented then-edge
+                throw std::logic_error("bdd: complemented then-edge in table");
+            }
+            for (const std::uint32_t c : {n.lo, n.hi}) {
+                if (node_of(c) >= nodes_.size()) {
+                    throw std::logic_error("bdd: child out of range");
+                }
+                if (!is_terminal(c) &&
+                    var2level_[nodes_[node_of(c)].var] <= var2level_[n.var]) {
+                    throw std::logic_error("bdd: child level not below parent");
+                }
+            }
+            if (!keys.insert({n.var, n.lo, n.hi}).second) {
+                throw std::logic_error("bdd: duplicate (var,lo,hi) in table");
+            }
+        }
+        if (chain_len >= chain_histogram.size()) {
+            chain_histogram.resize(chain_len + 1, 0);
+        }
+        ++chain_histogram[chain_len];
+        max_chain = std::max(max_chain, chain_len);
+    }
+    // at load factor <= 1 a uniform hash keeps the expected longest chain
+    // around ln(n)/ln(ln(n)); 32 is far above that for any table this
+    // manager can hold, so tripping it means node_hash degraded
+    constexpr std::size_t max_healthy_chain = 32;
+    if (max_chain > max_healthy_chain) {
+        throw std::logic_error("bdd: unique-table chain exceeds health bound (" +
+                               std::to_string(max_chain) + " > " +
+                               std::to_string(max_healthy_chain) +
+                               "), hash quality regressed");
+    }
+    // every node reachable from an externally referenced root must be
+    // findable through the table — this is what catches bucket-chain
+    // corruption (an orphaned node would let mk() mint a duplicate and
+    // silently break reference canonicity)
+    std::vector<char> reach(nodes_.size(), 0);
+    std::vector<std::uint32_t> stack;
+    for (std::uint32_t i = 1; i < nodes_.size(); ++i) {
+        if (ext_ref_[i] > 0 && !reach[i]) {
+            reach[i] = 1;
+            stack.push_back(i);
+        }
+    }
+    while (!stack.empty()) {
+        const std::uint32_t n = stack.back();
+        stack.pop_back();
+        for (const std::uint32_t edge : {nodes_[n].lo, nodes_[n].hi}) {
+            const std::uint32_t c = node_of(edge);
+            if (c != 0 && !reach[c]) {
+                reach[c] = 1;
+                stack.push_back(c);
+            }
+        }
+    }
+    for (std::uint32_t i = 1; i < nodes_.size(); ++i) {
+        if (reach[i] && !in_table[i]) {
+            throw std::logic_error("bdd: live node missing from unique table");
+        }
+    }
+    // computed cache: one aligned line per set, well-formed packed entries,
+    // duplicate-free sets with their empties at the tail
+    if (reinterpret_cast<std::uintptr_t>(cache_sets_) % cache_line != 0 ||
+        cache_sets_ < cache_.data() ||
+        cache_sets_ + cache_slots() > cache_.data() + cache_.size()) {
+        throw std::logic_error("bdd: cache sets not line-aligned in storage");
+    }
+    for (const cache_entry* set = cache_sets_;
+         set != cache_sets_ + cache_slots(); set += cache_ways) {
+        for (std::uint32_t w = 0; w < cache_ways; ++w) {
+            const cache_entry& e = set[w];
+            if (e.fo == cache_empty) {
+                for (std::uint32_t v = w + 1; v < cache_ways; ++v) {
+                    if (set[v].fo != cache_empty) {
+                        throw std::logic_error(
+                            "bdd: cache entry behind an empty slot");
+                    }
+                }
+                break;
+            }
+            if ((e.fo >> ref_bits) >= bdd_num_ops) {
+                throw std::logic_error("bdd: cache entry with a bad op");
+            }
+            if ((e.ra >> ref_bits) > max_cache_age) {
+                throw std::logic_error("bdd: cache entry age out of range");
+            }
+            for (const std::uint32_t r :
+                 {e.fo & ref_mask, e.g, e.h, e.ra & ref_mask}) {
+                if (node_of(r) >= nodes_.size()) {
+                    throw std::logic_error("bdd: cache reference out of range");
+                }
+            }
+            for (std::uint32_t v = 0; v < w; ++v) {
+                if (set[v].fo == e.fo && set[v].g == e.g && set[v].h == e.h) {
+                    throw std::logic_error("bdd: cache set holds a key twice");
+                }
+            }
+        }
+    }
 }
 
 } // namespace leq

@@ -6,8 +6,8 @@
 /// complement edges, a unique table, a set-associative computed cache that
 /// grows geometrically with the unique table (see bdd_manager::cache_ways),
 /// mark-and-sweep garbage collection driven by externally held handles,
-/// quantification, relational-product (and-exists), variable permutation,
-/// composition and in-place dynamic reordering.
+/// quantification, relational-product (and-exists), variable permutation
+/// and composition.
 ///
 /// Design notes:
 ///  * **Handles are tagged edges.**  A reference is a 32-bit word
@@ -40,14 +40,14 @@
 ///    external reference count per node (the complement bit does not matter
 ///    for liveness).  Mark-and-sweep runs between public operations only,
 ///    so raw references inside recursive cores never escape a GC.
-///  * Variables are identified by a stable id; the manager maps ids to
-///    levels so the order can differ from creation order.  The
-///    language-equation solver pins the (u,v) block at the top of the order
-///    and chooses it up front with set_var_order(); sifting-based dynamic
-///    reordering (reorder_sift and friends) is offered for the substrate
-///    benchmarks and standalone use.  Reordering rewrites node *contents*
-///    in place, preserving the regular-then-edge invariant, so indices — and
-///    therefore all outstanding handles — stay valid.
+///  * **The order is static.**  Variables are identified by a stable id;
+///    the manager maps ids to levels so the order can differ from creation
+///    order.  The order is chosen before any BDD is built (creation order,
+///    or set_var_order()); the language-equation solver pins the (u,v) block
+///    at the top and interleaves each cs/ns pair.  There is no dynamic
+///    reordering, so a node's contents never change between collections:
+///    an index-keyed memo stays valid until the next garbage collection
+///    frees (and may recycle) its indices.
 ///  * **Checked builds (-DLEQ_CHECKED=ON).**  The manager is single-threaded
 ///    by design, and handles must never cross managers — a foreign reference
 ///    indexes the wrong arena and silently corrupts the unique table.  In a
@@ -127,7 +127,7 @@ public:
 
     [[nodiscard]] bdd_manager* manager() const { return mgr_; }
     /// Raw tagged reference: (node index << 1) | complement bit.  Stable
-    /// across GC and reordering; canonical, so usable as a hash/map key.
+    /// across GC; canonical, so usable as a hash/map key.
     [[nodiscard]] std::uint32_t index() const { return idx_; }
 
 private:
@@ -168,7 +168,6 @@ struct bdd_stats {
     std::size_t gc_runs = 0;
     std::size_t cache_lookups = 0;
     std::size_t cache_hits = 0;
-    std::size_t reorderings = 0;
     std::size_t cache_entries = 0;  ///< current computed-cache slots
     std::size_t cache_resizes = 0;  ///< computed-cache growth events
     std::size_t gc_threshold = 0;   ///< current allocated-node GC trigger
@@ -184,8 +183,8 @@ struct bdd_stats {
 
 /// The BDD manager: node arena, unique table, computed cache and the
 /// recursive algorithms.  All `bdd` handles stay valid across garbage
-/// collection and dynamic reordering (references are stable; reordering
-/// rewrites node contents in place).
+/// collection (references are stable, and a live node's contents never
+/// change).
 class bdd_manager {
 public:
     /// The memory geometry is fixed; these constants are all of it.
@@ -243,7 +242,10 @@ public:
     /// Install a new order given as a permutation: order[k] = variable id at
     /// level k.  Must be called before any BDDs are built (only constant
     /// handles may be live); the typical pattern is to create all variables,
-    /// choose an interleaved order, then build.
+    /// choose an interleaved order, then build.  Throws
+    /// std::invalid_argument if `order` is not a permutation of the
+    /// variables and std::logic_error if a handle is live; either way the
+    /// order is left unchanged.
     void set_var_order(const std::vector<std::uint32_t>& order);
 
     // ---- constants and literals -----------------------------------------
@@ -333,47 +335,14 @@ public:
     /// Build the positive cube of a set of variables.
     [[nodiscard]] bdd cube(const std::vector<std::uint32_t>& vars);
 
-    // ---- dynamic reordering ------------------------------------------------
-    // Reordering rewrites nodes in place (references keep denoting the same
-    // function), so every live `bdd` handle stays valid.  The solver pins the
-    // (u,v) block at the top of its orders and therefore never calls these;
-    // they are offered for the substrate benchmarks and for standalone use of
-    // the package.  The computed cache survives: references keep their
-    // denotation, and dead nodes are only reclaimed by the final collection,
-    // which purges exactly the entries that referenced them.
-
-    /// One full sifting pass (Rudell): each variable, in decreasing order of
-    /// node count, is moved through all levels by adjacent swaps and left at
-    /// the position minimizing the live node count.  A direction is abandoned
-    /// when the graph grows past `max_growth` times the best size seen.
-    /// Returns the live node count after the pass.
-    std::size_t reorder_sift(double max_growth = 1.2);
-
-    /// Sift a single variable to its locally optimal level.
-    /// Returns the live node count after.
-    std::size_t sift_one(std::uint32_t var, double max_growth = 1.2);
-
-    /// Reorder the live graph to the exact given order (order[k] = variable
-    /// id at level k) by adjacent swaps.  Unlike set_var_order this may be
-    /// called with live BDDs.
-    void reorder_to(const std::vector<std::uint32_t>& order);
-
-    /// Sifting over variable *groups*: each group's variables are first
-    /// gathered into an adjacent block (preserving the listed intra-group
-    /// order) and then whole blocks are sifted as units.  The natural use
-    /// here is keeping cs/ns latch pairs interleaved while searching for a
-    /// good latch order.  `groups` must partition all variables (use
-    /// singleton groups for ungrouped variables).  Returns the live node
-    /// count after the pass.
-    std::size_t reorder_sift_groups(
-        const std::vector<std::vector<std::uint32_t>>& groups,
-        double max_growth = 1.2);
-
-    /// Exhaustive structural check of the unique table and the canonicity
-    /// invariants (children below parents, no lo==hi nodes, no duplicate
-    /// (var,lo,hi) keys, every stored then-edge regular — which is what
-    /// guarantees a node and its complement can never both sit in the
-    /// table).  Throws std::logic_error on violation; for tests.
+    // ---- diagnostics -----------------------------------------------------
+    /// Exhaustive structural check of the level maps (inverse
+    /// permutations), the unique table and the canonicity invariants
+    /// (children below parents, no lo==hi nodes, no duplicate (var,lo,hi)
+    /// keys, every stored then-edge regular — which is what guarantees a
+    /// node and its complement can never both sit in the table) and the
+    /// computed cache's layout.  Throws std::logic_error on violation; for
+    /// tests.
     void check_consistency() const;
 
     // ---- cooperative op deadline ----------------------------------------
@@ -551,22 +520,9 @@ private:
     std::uint32_t mk(std::uint32_t var, std::uint32_t lo, std::uint32_t hi);
     std::uint32_t alloc_node();
     void unique_insert(std::uint32_t idx);
-    void unique_remove(std::uint32_t idx);
     void rehash(std::size_t new_size);
     void maybe_gc_or_grow();
     void maybe_grow_cache();
-
-    // reordering internals (bdd_reorder.cpp); rc_ / var_nodes_ are only
-    // populated between reorder_begin and reorder_end
-    void reorder_begin();
-    void reorder_end();
-    void rc_incref(std::uint32_t ref);
-    void rc_deref(std::uint32_t ref);
-    std::uint32_t reorder_mk(std::uint32_t var, std::uint32_t lo,
-                             std::uint32_t hi);
-    std::size_t swap_levels(std::uint32_t level);
-    void sift_core(std::uint32_t var, double max_growth);
-    [[nodiscard]] std::size_t var_node_count(std::uint32_t var) const;
 
     // external reference counting used as GC roots (per node; the complement
     // bit of the held reference is irrelevant for liveness)
@@ -708,11 +664,6 @@ private:
     std::vector<std::uint32_t> subst_memo_;
     std::vector<std::uint32_t> subst_touched_; ///< entries set since the last drop
     std::vector<std::uint32_t> subst_perm_;    ///< permutation of the memo's entries
-
-    // live only during a reordering call
-    std::vector<std::uint32_t> rc_;                    ///< internal ref counts
-    std::vector<std::vector<std::uint32_t>> var_nodes_;///< nodes per variable
-    std::size_t alive_ = 0;                            ///< rc_-tracked live count
 
 #ifdef LEQ_CHECKED
     std::uint64_t checked_serial_ = 0;  ///< process-wide construction serial

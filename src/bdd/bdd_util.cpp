@@ -22,6 +22,15 @@ void bdd_manager::set_var_order(const std::vector<std::uint32_t>& order) {
     if (order.size() != var2level_.size()) {
         throw std::invalid_argument("set_var_order: wrong permutation size");
     }
+    // validate the whole permutation before touching any state, so a
+    // rejected order leaves the level maps as they were
+    std::vector<char> seen(order.size(), 0);
+    for (const std::uint32_t v : order) {
+        if (v >= order.size() || seen[v]) {
+            throw std::invalid_argument("set_var_order: not a permutation");
+        }
+        seen[v] = 1;
+    }
     // the order may only change while no user BDDs exist: check that nothing
     // beyond the terminal is externally referenced
     for (std::uint32_t i = 1; i < ext_ref_.size(); ++i) {
@@ -32,15 +41,9 @@ void bdd_manager::set_var_order(const std::vector<std::uint32_t>& order) {
         }
     }
     collect_garbage();
-    std::vector<char> seen(order.size(), 0);
-    for (std::size_t lvl = 0; lvl < order.size(); ++lvl) {
-        const std::uint32_t v = order[lvl];
-        if (v >= order.size() || seen[v]) {
-            throw std::invalid_argument("set_var_order: not a permutation");
-        }
-        seen[v] = 1;
-        level2var_[lvl] = v;
-        var2level_[v] = static_cast<std::uint32_t>(lvl);
+    level2var_ = order;
+    for (std::uint32_t lvl = 0; lvl < order.size(); ++lvl) {
+        var2level_[order[lvl]] = lvl;
     }
     cache_clear();
 }

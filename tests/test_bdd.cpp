@@ -225,11 +225,34 @@ TEST(bdd_order, custom_order_changes_levels_not_semantics) {
 }
 
 TEST(bdd_order, set_order_rejects_bad_input) {
-    bdd_manager m(3);
-    EXPECT_THROW(m.set_var_order({0, 1}), std::invalid_argument);
-    EXPECT_THROW(m.set_var_order({0, 0, 1}), std::invalid_argument);
-    const bdd held = m.var(0);
-    EXPECT_THROW(m.set_var_order({2, 1, 0}), std::logic_error);
+    const std::vector<std::vector<std::uint32_t>> bad_orders = {
+        {0, 1}, {0, 0, 1}, {1, 1, 0}, {0, 1, 3}, {2, 2, 2}};
+    // from the creation order and from a custom one
+    for (const std::vector<std::uint32_t>& start :
+         {std::vector<std::uint32_t>{0, 1, 2}, {2, 0, 1}}) {
+        bdd_manager m(3);
+        m.set_var_order(start);
+        for (const std::vector<std::uint32_t>& order : bad_orders) {
+            EXPECT_THROW(m.set_var_order(order), std::invalid_argument);
+            // a rejected order leaves both level maps as they were ...
+            for (std::uint32_t k = 0; k < 3; ++k) {
+                EXPECT_EQ(m.var_at_level(k), start[k]) << "level " << k;
+                EXPECT_EQ(m.level_of(start[k]), k) << "var " << start[k];
+            }
+            m.check_consistency();
+            // ... so a function built afterwards matches its truth table
+            const bdd f = (m.var(0) ^ m.var(2)) & (m.var(1) | !m.var(0));
+            for (std::uint32_t row = 0; row < 8; ++row) {
+                const std::vector<bool> a = {(row & 1u) != 0, (row & 2u) != 0,
+                                             (row & 4u) != 0};
+                EXPECT_EQ(m.eval(f, a), (a[0] != a[2]) && (a[1] || !a[0]))
+                    << "row " << row;
+            }
+        }
+        const bdd held = m.var(0);
+        EXPECT_THROW(m.set_var_order({2, 1, 0}), std::logic_error);
+        EXPECT_EQ(m.var_at_level(0), start[0]);
+    }
 }
 
 TEST(bdd_gc, collect_preserves_live_handles) {

@@ -208,6 +208,16 @@ void run_expression_dag(const oracle_params& p) {
                                                             p.max_vars);
     const std::uint32_t nvars = pick_nvars(rng);
     bdd_manager mgr(nvars);
+    // odd seeds run the same expression stream under a shuffled variable
+    // order, so every operation (including permute's mk fast path) is also
+    // checked away from the creation order
+    if (p.seed % 2 == 1) {
+        std::vector<std::uint32_t> order(nvars);
+        std::iota(order.begin(), order.end(), 0u);
+        std::mt19937 order_rng(p.seed);
+        std::shuffle(order.begin(), order.end(), order_rng);
+        mgr.set_var_order(order);
+    }
 
     // seed pool: literals of both phases and the constants
     std::vector<std::pair<bdd, words>> pool;
@@ -308,8 +318,8 @@ void run_expression_dag(const oracle_params& p) {
             }
             case 1: { // the solver's ns->cs rename: read the variables as
                       // interleaved (cs, ns) pairs, quantify cs away and
-                      // swap each pair — order-preserving, so every node
-                      // rebuilds through mk
+                      // swap each pair — order-preserving under the
+                      // creation order, so every node rebuilds through mk
                 std::vector<std::uint32_t> cs;
                 for (std::uint32_t v = 0; v < nvars; v += 2) { cs.push_back(v); }
                 from = mgr.exists(af, mgr.cube(cs));
