@@ -23,7 +23,10 @@
 #      skill note has a bench/bench_<x>.cpp (or, for a tool such as
 #      leq_bench_run, a tools/leq_bench_<x>.cpp), and every
 #      `leq_example_<x>` an examples/<x>.cpp — a doc naming a binary the
-#      build no longer makes fails here.
+#      build no longer makes fails here;
+#   7. the reverse of 6: every bench/bench_<x>.cpp must be named as
+#      `leq_bench_<x>` in README.md — a bench binary nobody documents (and
+#      so nobody runs) fails here.
 #
 # Usage: scripts/check_docs.sh   (expects ./build/leq to exist)
 set -euo pipefail
@@ -162,3 +165,16 @@ done < <(grep -HoE '\bleq_(bench|example)_[A-Za-z0-9_]+' "${docs[@]}" |
          sort -u || true)
 [ "$status" -eq 0 ] || fail "docs name bench or example binaries that do not exist"
 echo "== named binaries ok =="
+
+# ---- 7. every bench binary is documented in README.md -----------------------
+status=0
+for src in bench/bench_*.cpp; do
+    [ -e "$src" ] || continue
+    name=leq_$(basename "$src" .cpp)
+    if ! grep -qE "\b$name\b" README.md; then
+        echo "check_docs: $src builds $name, but README.md does not name it" >&2
+        status=1
+    fi
+done
+[ "$status" -eq 0 ] || fail "bench binaries missing from README.md"
+echo "== bench binaries documented =="

@@ -87,11 +87,4 @@ kiss_instance build_kiss_instance(const std::string& f_kiss,
     return inst;
 }
 
-kiss_solution solve_kiss(const std::string& f_kiss, const std::string& s_kiss,
-                         const solve_options& options) {
-    kiss_solution sol{build_kiss_instance(f_kiss, s_kiss), {}};
-    sol.result = solve_partitioned(*sol.instance.problem, options);
-    return sol;
-}
-
 } // namespace leq

@@ -15,7 +15,6 @@
 #pragma once
 
 #include "eq/problem.hpp"
-#include "eq/solver.hpp"
 #include "net/network.hpp"
 
 #include <memory>
@@ -78,14 +77,5 @@ encode_kiss_network(const std::string& text,
 /// when F's interface cannot embed S's (fewer inputs/outputs).
 [[nodiscard]] kiss_instance
 build_kiss_instance(const std::string& f_kiss, const std::string& s_kiss);
-
-/// Convenience: build + solve with the partitioned flow.
-struct kiss_solution {
-    kiss_instance instance;
-    solve_result result;
-};
-[[nodiscard]] kiss_solution solve_kiss(const std::string& f_kiss,
-                                       const std::string& s_kiss,
-                                       const solve_options& options = {});
 
 } // namespace leq

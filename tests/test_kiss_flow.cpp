@@ -4,6 +4,7 @@
 #include "automata/kiss.hpp"
 #include "eq/extract.hpp"
 #include "eq/kiss_flow.hpp"
+#include "eq/solver.hpp"
 #include "eq/topology.hpp"
 #include "eq/verify.hpp"
 
@@ -81,15 +82,17 @@ TEST(kiss_flow, encoded_f_simulates_the_mealy_machine) {
 }
 
 TEST(kiss_flow, solves_the_delay_decomposition) {
-    const kiss_solution sol = solve_kiss(f_delay_kiss, s_delay2_kiss);
-    ASSERT_EQ(sol.result.status, solve_status::ok);
-    ASSERT_FALSE(sol.result.empty_solution);
-    const equation_problem& problem = *sol.instance.problem;
+    const kiss_instance inst =
+        build_kiss_instance(f_delay_kiss, s_delay2_kiss);
+    const equation_problem& problem = *inst.problem;
+    const solve_result result = solve_partitioned(problem);
+    ASSERT_EQ(result.status, solve_status::ok);
+    ASSERT_FALSE(result.empty_solution);
     // the unknown must be able to behave as a 1-bit delay
     bdd_manager& mgr = problem.mgr();
     const std::uint32_t u0 = problem.u_vars[0];
     const std::uint32_t v0 = problem.v_vars[0];
-    automaton xdelay(mgr, sol.result.csf->label_vars());
+    automaton xdelay(mgr, result.csf->label_vars());
     xdelay.add_state(true);
     xdelay.add_state(true);
     xdelay.set_initial(0);
@@ -100,10 +103,10 @@ TEST(kiss_flow, solves_the_delay_decomposition) {
                                       mgr.literal(u0, u != 0));
         }
     }
-    EXPECT_TRUE(language_contained(xdelay, *sol.result.csf));
+    EXPECT_TRUE(language_contained(xdelay, *result.csf));
     // any extracted implementation satisfies check (2)
     const automaton fsm =
-        extract_fsm(*sol.result.csf, problem.u_vars, problem.v_vars);
+        extract_fsm(*result.csf, problem.u_vars, problem.v_vars);
     EXPECT_TRUE(verify_composition_contained(problem, fsm));
 }
 
@@ -111,8 +114,10 @@ TEST(kiss_flow, agrees_with_the_network_level_topology_flow) {
     // the same decomposition posed at the netlist level (cascade tail with
     // a delay front) must produce a CSF of the same size that also accepts
     // the delay machine
-    const kiss_solution kiss = solve_kiss(f_delay_kiss, s_delay2_kiss);
-    ASSERT_EQ(kiss.result.status, solve_status::ok);
+    const kiss_instance inst =
+        build_kiss_instance(f_delay_kiss, s_delay2_kiss);
+    const solve_result kiss = solve_partitioned(*inst.problem);
+    ASSERT_EQ(kiss.status, solve_status::ok);
 
     network front("delay1");
     front.add_input("a");
@@ -128,8 +133,8 @@ TEST(kiss_flow, agrees_with_the_network_level_topology_flow) {
     auto net = solve_cascade_tail(front, spec);
     ASSERT_EQ(net.result.status, solve_status::ok);
 
-    EXPECT_EQ(kiss.result.csf_states, net.result.csf_states);
-    EXPECT_EQ(kiss.result.empty_solution, net.result.empty_solution);
+    EXPECT_EQ(kiss.csf_states, net.result.csf_states);
+    EXPECT_EQ(kiss.empty_solution, net.result.empty_solution);
 }
 
 TEST(kiss_flow, rejects_interface_mismatch) {
