@@ -11,9 +11,10 @@ B won and B's median relative to A's.
 
 Before timing, each binary solves the pair once with --no-timing and the two
 JSON records are compared.  They may differ only in the computed-cache
-traffic counters (stats.cache_lookups, stats.cache_hits, stats.op_cache);
-any other difference is a changed answer, and the script exits 1.  Exit 2
-is a usage error or a failed solve.
+traffic counters (stats.cache_lookups, stats.cache_hits, stats.op_cache)
+and the collection count (stats.gc_runs); any other difference is a
+changed answer, and the script exits 1.  Exit 2 is a usage error or a
+failed solve.
 """
 
 import json
@@ -23,9 +24,9 @@ import subprocess
 import sys
 import time
 
-# record fields a pure speed change may move: cache traffic only
-CACHE_FIELDS = {("stats", "cache_lookups"), ("stats", "cache_hits"),
-                ("stats", "op_cache")}
+# record fields a pure speed change may move: cache traffic and GC runs
+COUNTER_FIELDS = {("stats", "cache_lookups"), ("stats", "cache_hits"),
+                  ("stats", "op_cache"), ("stats", "gc_runs")}
 
 
 def fail(message):
@@ -43,8 +44,8 @@ def record(binary, f, s):
 
 
 def differences(a, b, path=()):
-    """Paths (as tuples) where two JSON values differ, skipping cache traffic."""
-    if path in CACHE_FIELDS:
+    """Paths (as tuples) where two JSON values differ, skipping COUNTER_FIELDS."""
+    if path in COUNTER_FIELDS:
         return []
     if isinstance(a, dict) and isinstance(b, dict):
         found = []
@@ -104,7 +105,7 @@ def main(argv):
         wins += pair[1][0] < pair[0][0]
 
     print(f"ab_solve: {f} {s}, {pairs} interleaved pairs; records agree "
-          "apart from cache traffic")
+          "apart from cache traffic and GC runs")
     median_a = summary("A " + bin_a, runs[0])
     median_b = summary("B " + bin_b, runs[1])
     print(f"B faster in {wins}/{pairs} pairs; B median / A median = "

@@ -179,8 +179,8 @@ bdd_manager::bdd_manager(std::uint32_t num_vars, unsigned cache_bits) {
     checked_owner_ = std::this_thread::get_id();
 #endif
     // the cache must stay an addressable power of two with at least
-    // 2^8 / cache_ways buckets
-    cache_bits = std::min(std::max(cache_bits, 8u), 30u);
+    // 2^8 / cache_ways buckets, and never start above the growth ceiling
+    cache_bits = std::min(std::max(cache_bits, 8u), max_cache_bits);
     nodes_.reserve(1u << 12);
     // node 0: the single terminal, denoting FALSE as a regular reference
     // (reference 0 = FALSE, reference 1 = TRUE)
@@ -364,23 +364,21 @@ void bdd_manager::maybe_gc_or_grow() {
     stats_.gc_threshold = gc_threshold_;
 }
 
-void bdd_manager::collect_garbage() {
-    checked_guard("collect_garbage");
-    ++stats_.gc_runs;
-    // the sweep frees node indices the memo may name as keys or values
-    subst_memo_drop("collect_garbage");
-    // mark: one explicit worklist over all roots at once.  The ext-ref roots
-    // are seeded in arena order in a single linear sweep before any marking,
-    // so the root scan streams through ext_ref_ instead of alternating
-    // between the root array and pointer-chasing DFS per root; the worklist
-    // (a member, so its capacity is reused across collections) bounds the
-    // traversal depth by the arena, never by the C++ stack.
+std::size_t bdd_manager::mark_live() {
+    // one explicit worklist over all roots at once.  The ext-ref roots are
+    // seeded in arena order in a single linear sweep before any marking, so
+    // the root scan streams through ext_ref_ instead of alternating between
+    // the root array and pointer-chasing DFS per root; the worklist (a
+    // member, so its capacity is reused across calls) bounds the traversal
+    // depth by the arena, never by the C++ stack.
     mark_.assign(nodes_.size(), 0);
     mark_[0] = 1;
+    std::size_t live = 1;
     gc_worklist_.clear();
     for (std::uint32_t i = 1; i < nodes_.size(); ++i) {
         if (ext_ref_[i] > 0) {
             mark_[i] = 1;
+            ++live;
             gc_worklist_.push_back(i);
         }
     }
@@ -391,31 +389,41 @@ void bdd_manager::collect_garbage() {
             const std::uint32_t c = node_of(edge);
             if (!mark_[c]) {
                 mark_[c] = 1;
+                ++live;
                 gc_worklist_.push_back(c);
             }
         }
     }
+    stats_.live_nodes = live;
+    stats_.allocated_nodes = nodes_.size();
+    return live;
+}
+
+void bdd_manager::collect_garbage() {
+    checked_guard("collect_garbage");
+    ++stats_.gc_runs;
+    // the sweep frees node indices the memo may name as keys or values
+    subst_memo_drop("collect_garbage");
+    mark_live();
     // sweep: rebuild unique table with only live nodes
     free_list_.clear();
     for (auto& b : buckets_) { b = idx_nil; }
-    std::size_t live = 1;
     for (std::uint32_t i = 1; i < nodes_.size(); ++i) {
         if (mark_[i]) {
             unique_insert(i);
-            ++live;
         } else {
             free_list_.push_back(i);
         }
     }
-    stats_.live_nodes = live;
-    stats_.allocated_nodes = nodes_.size();
     cache_age_and_purge();
 }
 
 std::size_t bdd_manager::live_node_count() {
     checked_guard("live_node_count");
-    collect_garbage();
-    return stats_.live_nodes;
+    // mark only: without a sweep no index is freed, so the unique table,
+    // the free list, the cache entries and the substitution memo all stay
+    // valid as they are
+    return mark_live();
 }
 
 // ---------------------------------------------------------------------------

@@ -219,8 +219,8 @@ public:
 
     /// \param num_vars   initial number of variables (ids 0..num_vars-1)
     /// \param cache_bits log2 of the *initial* computed-cache size, clamped
-    ///        to 8..30; the cache grows with the unique table up to
-    ///        2^max_cache_bits
+    ///        to 8..max_cache_bits; the cache grows with the unique table up
+    ///        to 2^max_cache_bits
     explicit bdd_manager(std::uint32_t num_vars = 0, unsigned cache_bits = 18);
     ~bdd_manager();
 
@@ -363,6 +363,11 @@ public:
     /// Run mark-and-sweep garbage collection now.
     void collect_garbage();
     [[nodiscard]] const bdd_stats& stats() const { return stats_; }
+    /// Nodes reachable from external handles, the terminal included.  A pure
+    /// read: it marks but never sweeps, so the unique table, the free list,
+    /// the computed cache (no ageing, no purge), the substitution memo,
+    /// gc_runs and the GC trigger are left as they were.  It refreshes
+    /// stats().live_nodes and stats().allocated_nodes.
     [[nodiscard]] std::size_t live_node_count();
 
 #ifdef LEQ_CHECKED
@@ -523,6 +528,11 @@ private:
     void rehash(std::size_t new_size);
     void maybe_gc_or_grow();
     void maybe_grow_cache();
+    /// The mark phase of collect_garbage, shared with live_node_count: set
+    /// mark_ on every node reachable from an external handle (the terminal
+    /// included), refresh stats_.live_nodes and stats_.allocated_nodes, and
+    /// return the live count.
+    std::size_t mark_live();
 
     // external reference counting used as GC roots (per node; the complement
     // bit of the held reference is irrelevant for liveness)

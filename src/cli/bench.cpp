@@ -38,9 +38,8 @@ void add(bench_row& row, const std::string& name, double value) {
 }
 
 /// The manager counters every workload reports.  `live_node_count()`
-/// forces a final mark-and-sweep so the node counters reflect the end
-/// state even when the workload never hit the GC trigger (the extra
-/// deterministic gc_run is part of the pinned numbers).
+/// refreshes the node counters to the end state with a mark pass; it never
+/// collects, so gc_runs counts only the collections the workload ran.
 void add_manager_metrics(bench_row& row, bdd_manager& mgr) {
     (void)mgr.live_node_count();
     const bdd_stats& stats = mgr.stats();
@@ -141,8 +140,9 @@ bench_row run_reach(const std::string& id, const network& net) {
 
 /// The mixed batch campaign: every family, three seeds, two workers (the
 /// shared-nothing pool makes the summed per-job counters deterministic
-/// regardless of worker count).  Per-job cache traffic — every worker has
-/// its own manager — is summed from the per-record solve stats.
+/// regardless of worker count).  Per-job cache traffic and GC runs — every
+/// worker has its own manager — are summed from the per-record solve stats,
+/// so a collection added to every equation moves gc_runs by the job count.
 bench_row run_batch_workload(const std::string& id) {
     bench_row row;
     row.workload = id;
@@ -172,12 +172,14 @@ bench_row run_batch_workload(const std::string& id) {
     double csf_states = 0.0;
     double cache_lookups = 0.0;
     double cache_hits = 0.0;
+    double gc_runs = 0.0;
     for (const solve_record& record : report.records) {
         subset_states +=
             static_cast<double>(record.result.subset_states_explored);
         csf_states += static_cast<double>(record.result.csf_states);
         cache_lookups += static_cast<double>(record.result.stats.cache_lookups);
         cache_hits += static_cast<double>(record.result.stats.cache_hits);
+        gc_runs += static_cast<double>(record.result.stats.gc_runs);
     }
     add(row, "batch_solved", static_cast<double>(report.solved));
     add(row, "batch_empty", static_cast<double>(report.empty));
@@ -187,6 +189,7 @@ bench_row run_batch_workload(const std::string& id) {
     add(row, "cache_misses", cache_lookups - cache_hits);
     add(row, "cache_hit_rate",
         cache_lookups > 0 ? cache_hits / cache_lookups : 0.0);
+    add(row, "gc_runs", gc_runs);
     return row;
 }
 

@@ -199,6 +199,7 @@ std::string record_to_json(const solve_record& record,
             stats.field("peak_intermediate", s.peak_intermediate);
         }
         stats.field("live_nodes", s.live_nodes_after);
+        stats.field("gc_runs", s.gc_runs);
         stats.field("cache_lookups", s.cache_lookups);
         stats.field("cache_hits", s.cache_hits);
         // per-op breakdown of the same traffic: only ops that were actually

@@ -61,10 +61,11 @@ struct solve_options {
 /// Aggregate statistics of one solve, read off the transition relations the
 /// flow built and the BDD manager it ran in.  Filled by the symbolic flows
 /// (`solve_partitioned` / `solve_monolithic`); the explicit oracle reports
-/// zeros except `live_nodes_after`.  On a driver-detected timeout the
-/// counters cover the work done up to the deadline; a deadline tripped
-/// inside relation construction reports zero relation counters (the
-/// relations unwound), with only `live_nodes_after` still measured.
+/// only the manager counters (`live_nodes_after` onward).  On a
+/// driver-detected timeout the counters cover the work done up to the
+/// deadline; a deadline tripped inside relation construction reports zero
+/// relation counters (the relations unwound), with only the manager
+/// counters still measured.
 struct solve_stats {
     std::size_t relations = 0;      ///< transition relations constructed
     std::size_t relation_parts = 0; ///< partition parts across all relations
@@ -77,6 +78,10 @@ struct solve_stats {
     std::size_t peak_intermediate = 0;
     /// Live BDD nodes in the problem's manager when the solve returned.
     std::size_t live_nodes_after = 0;
+    /// Garbage collections the problem's manager has run, the adaptive
+    /// trigger's and explicit ones alike.  Reading these statistics never
+    /// collects, so a solve that stays under the trigger reports 0.
+    std::size_t gc_runs = 0;
     /// Computed-cache traffic of the problem's manager over the whole solve
     /// (the manager outlives individual relations, so these are totals, not
     /// per-phase).  `op_lookups`/`op_hits` split the same traffic by cached

@@ -51,6 +51,7 @@ void accumulate_stats(solve_stats& stats, const transition_relation& rel) {
 void read_manager_stats(solve_stats& stats, bdd_manager& mgr) {
     stats.live_nodes_after = mgr.live_node_count();
     const bdd_stats& b = mgr.stats();
+    stats.gc_runs = b.gc_runs;
     stats.cache_lookups = b.cache_lookups;
     stats.cache_hits = b.cache_hits;
     stats.op_lookups = b.op_lookups;

@@ -454,7 +454,7 @@ TEST(bdd_memory_geometry, cache_grows_geometrically_with_unique_table) {
     bdd_manager mgr(big_nvars, 8u);
     EXPECT_EQ(mgr.stats().cache_entries, std::size_t{1} << 8);
     const bdd f = big_function(mgr, 7);
-    // the node counters are refreshed by mark-and-sweep, so force one
+    // the node counters are refreshed by a mark pass, so run one
     ASSERT_GT(mgr.live_node_count(), 0u);
     ASSERT_GT(mgr.stats().allocated_nodes, std::size_t{1} << 9)
         << "workload too small to exercise cache growth";
@@ -472,6 +472,55 @@ TEST(bdd_memory_geometry, cache_bits_ctor_pins_initial_cache_size) {
     bdd_manager mgr(4, 12u);
     EXPECT_EQ(mgr.stats().cache_entries, std::size_t{1} << 12);
     EXPECT_EQ(mgr.stats().gc_threshold, bdd_manager::gc_floor);
+}
+
+TEST(bdd_memory_geometry, cache_bits_ctor_is_capped_at_the_growth_ceiling) {
+    // one past the ceiling would be a 512 MiB cache; the cap keeps the
+    // constructor inside the 2^max_cache_bits bound growth enforces
+    bdd_manager mgr(4, bdd_manager::max_cache_bits + 1);
+    EXPECT_EQ(mgr.stats().cache_entries,
+              std::size_t{1} << bdd_manager::max_cache_bits);
+}
+
+TEST(bdd_memory_geometry, live_node_count_is_a_pure_read) {
+    bdd_manager mgr(nvars);
+    const std::vector<std::uint32_t> perm = pair_swap(nvars / 2);
+    const bdd f = random_function(mgr, 11);
+    const bdd renamed = mgr.permute(f, perm);
+    const bdd a = random_function(mgr, 12);
+    const bdd b = random_function(mgr, 13);
+    { const bdd dropped = a & b; } // garbage, but its cache entry stays
+    const bdd_stats before = mgr.stats();
+
+    const std::size_t live = mgr.live_node_count();
+    EXPECT_EQ(mgr.live_node_count(), live);
+    ASSERT_LT(live, mgr.stats().allocated_nodes) << "no garbage to sweep";
+    EXPECT_EQ(mgr.stats().live_nodes, live);
+    EXPECT_EQ(mgr.stats().gc_runs, before.gc_runs);
+    EXPECT_EQ(mgr.stats().cache_entries, before.cache_entries);
+    EXPECT_EQ(mgr.stats().gc_threshold, before.gc_threshold);
+    EXPECT_NO_THROW(mgr.check_consistency());
+
+    // the dropped result's entry was neither purged nor aged away: the
+    // recomputation is one lookup, and it hits
+    std::size_t lookups = mgr.stats().cache_lookups;
+    std::size_t hits = mgr.stats().cache_hits;
+    { const bdd again = a & b; }
+    EXPECT_EQ(mgr.stats().cache_lookups, lookups + 1);
+    EXPECT_EQ(mgr.stats().cache_hits, hits + 1);
+    // the substitution memo survived: the repeated rename rebuilds nothing
+    const std::size_t subst = mgr.stats().subst_nodes;
+    EXPECT_EQ(mgr.permute(f, perm), renamed);
+    EXPECT_EQ(mgr.stats().subst_nodes, subst);
+
+    // a real collection agrees on the count, and it does purge the entry
+    mgr.collect_garbage();
+    EXPECT_EQ(mgr.stats().live_nodes, live);
+    EXPECT_EQ(mgr.stats().gc_runs, before.gc_runs + 1);
+    lookups = mgr.stats().cache_lookups;
+    { const bdd after_sweep = a & b; }
+    EXPECT_GT(mgr.stats().cache_lookups, lookups + 1)
+        << "the sweep kept the entry: the read above proved nothing";
 }
 
 TEST(bdd_memory_geometry, gc_trigger_tracks_live_nodes) {

@@ -3,10 +3,10 @@
 /// deterministic, the JSON schema round-trips, the compare gate fails on
 /// genuine regressions (and only those), the checked-in corpus is
 /// byte-identical to what the generators produce, and the checked-in
-/// BENCH_PR17.json baseline still parses with its before/after rows.
+/// BENCH_PR21.json baseline still parses and gates every workload.
 ///
 /// Compiled with LEQ_SOURCE_DIR pointing at the repo root so the suite can
-/// read bench/corpus/ and BENCH_PR17.json.
+/// read bench/corpus/ and BENCH_PR21.json.
 
 #include "cli/bench.hpp"
 #include "gen/scenario.hpp"
@@ -275,8 +275,8 @@ TEST(bench_artifacts, corpus_files_match_the_generators_byte_for_byte) {
 }
 
 TEST(bench_artifacts, checked_in_baseline_parses_and_covers_every_workload) {
-    const std::string json = repo_file("BENCH_PR17.json");
-    ASSERT_FALSE(json.empty()) << "BENCH_PR17.json missing at the repo root";
+    const std::string json = repo_file("BENCH_PR21.json");
+    ASSERT_FALSE(json.empty()) << "BENCH_PR21.json missing at the repo root";
     const bench_report baseline = parse_bench_report(json);
     EXPECT_EQ(baseline.schema, "leq-bench-v1");
 
@@ -289,6 +289,32 @@ TEST(bench_artifacts, checked_in_baseline_parses_and_covers_every_workload) {
     }
     // ...and no retired workload lingers in it
     EXPECT_EQ(baseline.rows.size(), bench_workload_names().size());
+}
+
+TEST(bench_artifacts, baseline_gates_a_collection_per_batch_equation) {
+    const bench_report baseline =
+        parse_bench_report(repo_file("BENCH_PR21.json"));
+    bench_report current = baseline;
+    const auto batch = std::find_if(
+        current.rows.begin(), current.rows.end(),
+        [](const bench_row& row) { return row.workload == "batch/families"; });
+    ASSERT_NE(batch, current.rows.end());
+    const bench_metric* solved = batch->find("batch_solved");
+    const bench_metric* empty = batch->find("batch_empty");
+    ASSERT_NE(solved, nullptr);
+    ASSERT_NE(empty, nullptr);
+    const double jobs = solved->value + empty->value;
+    const auto gc = std::find_if(
+        batch->metrics.begin(), batch->metrics.end(),
+        [](const bench_metric& m) { return m.name == "gc_runs"; });
+    ASSERT_NE(gc, batch->metrics.end()) << "batch/families lost gc_runs";
+    // one extra collection per equation, as a stats read that collects
+    // would add, must fail the gate
+    gc->value += jobs;
+    const bench_compare_result result =
+        compare_bench_reports(baseline, current);
+    ASSERT_EQ(result.regressions.size(), 1u) << to_string(result);
+    EXPECT_EQ(result.regressions[0].metric, "gc_runs");
 }
 
 // ---------------------------------------------------------------------------

@@ -258,6 +258,24 @@ TEST(cli_solve, stats_line_carries_the_per_op_cache_breakdown) {
     EXPECT_NE(line.find("\"lookups\""), std::string::npos) << line;
 }
 
+TEST(cli_solve, reading_the_stats_runs_no_collection) {
+    // the small examples never reach the GC trigger, and the statistics
+    // read at the end of every flow counts live nodes without collecting
+    for (const char* flow : {"partitioned", "monolithic", "explicit"}) {
+        for (const auto& [f, s] :
+             {std::pair{"passthrough_f.kiss", "passthrough_s.kiss"},
+              std::pair{"delay_f.blif", "delay_s.blif"}}) {
+            const cli_run r = run({"solve", example(f), example(s), "--flow",
+                                   flow, "--no-timing"});
+            EXPECT_EQ(r.exit_code, 0) << flow << " " << f << ": " << r.err;
+            const std::string line = first_line(r.out);
+            EXPECT_EQ(raw_field(line, "gc_runs"), "0")
+                << flow << " " << f << ": " << line;
+            EXPECT_NE(raw_field(line, "live_nodes"), "0") << line;
+        }
+    }
+}
+
 TEST(cli_errors, gen_spec_rejects_bad_scale) {
     EXPECT_NE(run({"solve", "gen:counter:2:x"}).exit_code, 0);
     EXPECT_NE(run({"solve", "gen:counter:2:0"}).exit_code, 0);
