@@ -3,9 +3,10 @@
 
 #include "automata/kiss.hpp"
 
+#include "net/parse_error.hpp"
+
 #include <map>
 #include <sstream>
-#include <stdexcept>
 
 namespace leq {
 
@@ -87,8 +88,7 @@ automaton read_kiss(std::istream& in, bdd_manager& mgr,
     std::string line;
     std::size_t line_no = 0;
     const auto fail_at = [](std::size_t at, const std::string& message) {
-        throw std::runtime_error("kiss:" + std::to_string(at) + ": " +
-                                 message);
+        throw parse_error("kiss", at, message);
     };
     const auto fail = [&](const std::string& message) {
         fail_at(line_no, message);
@@ -155,7 +155,7 @@ automaton read_kiss(std::istream& in, bdd_manager& mgr,
             ++rows;
         }
     }
-    if (rows == 0) { throw std::runtime_error("kiss: no transitions"); }
+    if (rows == 0) { throw parse_error("kiss", 0, "no transitions"); }
     if (rows_line != 0 && rows != declared_rows) {
         fail_at(rows_line, ".p declares " + std::to_string(declared_rows) +
                                " rows but the body has " +
@@ -201,7 +201,7 @@ kiss_header read_kiss_header(const std::string& text) {
         }
     }
     if (!have_i || !have_o) {
-        throw std::runtime_error("kiss: missing .i/.o header");
+        throw parse_error("kiss", 0, "missing .i/.o header");
     }
     return h;
 }

@@ -31,7 +31,7 @@ void write_kiss(std::ostream& out, const automaton& aut,
     const std::vector<std::uint32_t>& output_vars);
 
 /// Parse KISS2 into an automaton over the given label variables.
-/// Throws std::runtime_error on malformed input.
+/// Throws parse_error (net/parse_error.hpp) on malformed input.
 [[nodiscard]] automaton read_kiss(std::istream& in, bdd_manager& mgr,
                                   const std::vector<std::uint32_t>& input_vars,
                                   const std::vector<std::uint32_t>& output_vars);
@@ -42,8 +42,8 @@ read_kiss_string(const std::string& text, bdd_manager& mgr,
                  const std::vector<std::uint32_t>& output_vars);
 
 /// Interface dimensions scanned from a KISS2 header (.i / .o lines), used
-/// to allocate label variables before the full parse.  Throws
-/// std::runtime_error when either line is missing.
+/// to allocate label variables before the full parse.  Throws parse_error
+/// when either line is missing.
 struct kiss_header {
     std::size_t num_inputs = 0;
     std::size_t num_outputs = 0;

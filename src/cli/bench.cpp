@@ -12,11 +12,9 @@
 #include "eq/problem.hpp"
 #include "eq/solver.hpp"
 #include "gen/scenario.hpp"
-#include "img/image.hpp"
 #include "net/blif.hpp"
 #include "net/generator.hpp"
 #include "net/latch_split.hpp"
-#include "net/netbdd.hpp"
 
 #include <cctype>
 #include <chrono>
@@ -95,46 +93,6 @@ bench_row run_solve_kiss(const std::string& id, const std::string& f_kiss,
     add(row, "csf_states", static_cast<double>(result.csf_states));
     add(row, "images", static_cast<double>(result.stats.images));
     add_manager_metrics(row, inst.problem->mgr());
-    return row;
-}
-
-network reach_circuit() {
-    structured_spec spec;
-    spec.num_inputs = 4;
-    spec.num_outputs = 6;
-    spec.num_latches = 26;
-    spec.seed = 29;
-    spec.full_observation = true;
-    spec.chained_enables = false;
-    return make_structured_mix(spec);
-}
-
-/// Layered reachability sweep over the given circuit.  The relation is
-/// built explicitly (the same construction the vector entry point
-/// performs) so the row can harvest the relation-layer work counters.
-bench_row run_reach(const std::string& id, const network& net) {
-    bench_row row;
-    row.workload = id;
-    bdd_manager mgr;
-    std::vector<std::uint32_t> in, cs, ns;
-    for (std::size_t k = 0; k < net.num_inputs(); ++k) {
-        in.push_back(mgr.new_var());
-    }
-    for (std::size_t k = 0; k < net.num_latches(); ++k) {
-        cs.push_back(mgr.new_var());
-        ns.push_back(mgr.new_var());
-    }
-    const net_bdds fns = build_net_bdds(mgr, net, in, cs);
-    const bdd init = state_cube(mgr, cs, net.initial_state());
-    transition_relation relation = transition_relation::next_state(
-        mgr, fns.next_state, cs, ns, in);
-    relation.rename_image_to_current();
-    const reach_info info = reachable_states_layered(
-        relation, init, static_cast<std::uint32_t>(cs.size()));
-    add(row, "reach_depth", static_cast<double>(info.depth));
-    add(row, "reach_states", info.total_states);
-    add(row, "images", static_cast<double>(relation.stats().images));
-    add_manager_metrics(row, mgr);
     return row;
 }
 
@@ -231,7 +189,6 @@ const bench_metric* bench_row::find(const std::string& name) const {
 metric_policy bench_metric_policy(const std::string& name) {
     // deterministic solver outputs: any drift is a behaviour change
     if (name == "subset_states" || name == "csf_states" ||
-        name == "reach_depth" || name == "reach_states" ||
         name == "batch_solved" || name == "batch_empty") {
         return {metric_direction::exact, 0.0, 0.0};
     }
@@ -263,7 +220,6 @@ std::vector<std::string> bench_workload_names() {
         "solve/counter_x256",
         "solve/arbiter_x16",
         "solve/kiss_counter9",
-        "reach/mix26",
         "batch/families",
     };
 }
@@ -278,9 +234,6 @@ bench_row run_bench_workload(const std::string& workload) {
     if (workload == "solve/kiss_counter9") {
         const auto [f_kiss, s_kiss] = make_counter_kiss(9);
         return run_solve_kiss(workload, f_kiss, s_kiss);
-    }
-    if (workload == "reach/mix26") {
-        return run_reach(workload, reach_circuit());
     }
     if (workload == "batch/families") {
         return run_batch_workload(workload);
@@ -679,7 +632,6 @@ std::vector<bench_corpus_file> bench_corpus_files() {
         files.push_back({"arbiter_x16_f.blif", write_blif_string(s.fixed)});
         files.push_back({"arbiter_x16_s.blif", write_blif_string(s.spec)});
     }
-    files.push_back({"mix26.blif", write_blif_string(reach_circuit())});
     {
         const auto [f_kiss, s_kiss] = make_counter_kiss(9);
         files.push_back({"counter9_f.kiss", f_kiss});

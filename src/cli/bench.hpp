@@ -5,19 +5,18 @@
 /// The perf story of this codebase is only as good as its ability to notice
 /// when a "harmless" change doubles the GC count or halves the cache hit
 /// rate.  This module pins a small corpus of large-but-tractable workloads
-/// (scaled gen/ scenarios, a structured-mix reachability sweep, a KISS
-/// pair with hundreds of explicit states, a mixed batch campaign) and runs
-/// them under `tools/leq_bench_run`, emitting one schema-stable JSON report
-/// (`leq-bench-v1`).  A checked-in baseline (BENCH_PR21.json at the repo
-/// root) plus `leq_bench_run --compare BASE NEW` turn the report into a CI
-/// gate: any gated metric that moves the wrong way by more than 10% (plus a
-/// small absolute slack) fails the build.
+/// (scaled gen/ scenarios, a KISS pair with hundreds of explicit states, a
+/// mixed batch campaign) and runs them under `tools/leq_bench_run`, emitting
+/// one schema-stable JSON report (`leq-bench-v1`).  A checked-in baseline
+/// (BENCH_PR21.json at the repo root) plus `leq_bench_run --compare BASE
+/// NEW` turn the report into a CI gate: any gated metric that moves the
+/// wrong way by more than 10% (plus a small absolute slack) fails the build.
 ///
 /// What makes this workable across machines and compilers is that every
 /// *gated* metric is a deterministic work counter read off the BDD manager
 /// (cache lookups, hit rate, GC runs, allocated nodes) or the solver
-/// (subset states, CSF states, reachability depth) — identical on every
-/// host.  Wall-clock seconds are recorded for humans but never gated.
+/// (subset states, CSF states) — identical on every host.  Wall-clock
+/// seconds are recorded for humans but never gated.
 #pragma once
 
 #include "bdd/bdd.hpp"

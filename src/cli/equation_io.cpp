@@ -86,8 +86,10 @@ equation_source read_equation_source(const std::string& path) {
 loaded_equation load_equation(const equation_source& fixed,
                               const equation_source& spec,
                               std::size_t num_choice_inputs) {
-    parsed_side s_side = parse_side(spec);
-    parsed_side f_side = parse_side(fixed);
+    parsed_side s_side =
+        parse_from(spec.path, [&spec] { return parse_side(spec); });
+    parsed_side f_side =
+        parse_from(fixed.path, [&fixed] { return parse_side(fixed); });
     if (f_side.num_inputs < s_side.num_inputs + num_choice_inputs ||
         f_side.num_outputs < s_side.num_outputs) {
         throw std::invalid_argument(
@@ -100,15 +102,19 @@ loaded_equation load_equation(const equation_source& fixed,
 
     loaded_equation eq;
     eq.num_choice_inputs = num_choice_inputs;
-    eq.spec = s_side.net
-                  ? std::move(*s_side.net)
-                  : encode_kiss_spec(spec.text, s_side.num_inputs,
-                                     s_side.num_outputs, "eq_s");
-    eq.fixed = f_side.net
-                   ? std::move(*f_side.net)
-                   : encode_kiss_fixed(fixed.text, s_side.num_inputs,
-                                       s_side.num_outputs, num_v, num_u,
-                                       num_choice_inputs, "eq_f");
+    eq.spec = s_side.net ? std::move(*s_side.net)
+                         : parse_from(spec.path, [&] {
+                               return encode_kiss_spec(
+                                   spec.text, s_side.num_inputs,
+                                   s_side.num_outputs, "eq_s");
+                           });
+    eq.fixed = f_side.net ? std::move(*f_side.net)
+                          : parse_from(fixed.path, [&] {
+                                return encode_kiss_fixed(
+                                    fixed.text, s_side.num_inputs,
+                                    s_side.num_outputs, num_v, num_u,
+                                    num_choice_inputs, "eq_f");
+                            });
     return eq;
 }
 

@@ -14,8 +14,10 @@
 #pragma once
 
 #include "net/network.hpp"
+#include "net/parse_error.hpp"
 
 #include <cstddef>
+#include <stdexcept>
 #include <string>
 
 namespace leq {
@@ -38,6 +40,23 @@ struct equation_source {
 /// the file cannot be opened).
 [[nodiscard]] equation_source read_equation_source(const std::string& path);
 
+/// Run `parse` over text read from `path`, attributing an input error to
+/// that file: the rethrown parse_error reads "<path>:<line>: <message>", or
+/// "<path>: <message>" when the error has no line.  Used for every input
+/// file of a command, so an error names the side (F, S, --impl) it is in.
+template <class Parse>
+auto parse_from(const std::string& path, Parse&& parse) -> decltype(parse()) {
+    try {
+        return parse();
+    } catch (const parse_error& e) {
+        throw e.in(path);
+    } catch (const std::runtime_error& e) {
+        throw parse_error(path, 0, e.what());
+    } catch (const std::invalid_argument& e) {
+        throw parse_error(path, 0, e.what());
+    }
+}
+
 /// Default record/job label for an F path: the basename without extension
 /// and without a trailing `_f` ("examples/eqn/delay_f.blif" → "delay").
 /// Shared by the single-run commands and the batch manifest reader so the
@@ -56,8 +75,9 @@ struct loaded_equation {
 
 /// Build the instance from the two sources.  `num_choice_inputs` declares
 /// how many trailing F inputs are footnote-2 choice inputs w.  Throws
-/// std::runtime_error / std::invalid_argument on malformed input or an
-/// interface mismatch (F must carry S's inputs/outputs plus v/u/w).
+/// parse_error naming the source's path on malformed input, and
+/// std::invalid_argument on an interface mismatch (F must carry S's
+/// inputs/outputs plus v/u/w).
 [[nodiscard]] loaded_equation load_equation(const equation_source& fixed,
                                             const equation_source& spec,
                                             std::size_t num_choice_inputs = 0);

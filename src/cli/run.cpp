@@ -63,8 +63,10 @@ void run_checks(const std::string& command, const equation_problem& problem,
                 throw std::runtime_error("cannot open '" + config.impl_path +
                                          "'");
             }
-            const automaton x = read_kiss(in, problem.mgr(), problem.u_vars,
-                                          problem.v_vars);
+            const automaton x = parse_from(config.impl_path, [&] {
+                return read_kiss(in, problem.mgr(), problem.u_vars,
+                                 problem.v_vars);
+            });
             record.input_error = false;
             d = diagnose_composition_contained(problem, x);
             if (d.ok && !language_contained(x, csf)) {
@@ -194,7 +196,6 @@ std::string record_to_json(const solve_record& record,
         stats.field("relation_parts", s.relation_parts);
         stats.field("clusters", s.clusters);
         stats.field("images", s.images);
-        stats.field("preimages", s.preimages);
         if (config.solve.img.collect_stats) {
             stats.field("peak_intermediate", s.peak_intermediate);
         }

@@ -28,7 +28,7 @@
 
 #include "automata/automaton.hpp"
 #include "eq/problem.hpp"
-#include "img/image.hpp"
+#include "rel/relation.hpp"
 
 #include <array>
 #include <optional>
@@ -71,7 +71,6 @@ struct solve_stats {
     std::size_t relation_parts = 0; ///< partition parts across all relations
     std::size_t clusters = 0;       ///< scheduled clusters across relations
     std::size_t images = 0;         ///< image() calls served
-    std::size_t preimages = 0;      ///< preimage() calls served
     /// Largest partial product seen in any chain (DAG nodes).  Only tracked
     /// when `image_options::collect_stats` is set — it costs one DAG
     /// traversal per chain step.

@@ -43,7 +43,6 @@ void accumulate_stats(solve_stats& stats, const transition_relation& rel) {
     stats.relation_parts += rel.num_parts();
     stats.clusters += rel.num_clusters();
     stats.images += r.images;
-    stats.preimages += r.preimages;
     stats.peak_intermediate =
         std::max(stats.peak_intermediate, r.peak_intermediate);
 }

@@ -133,75 +133,4 @@ subsolution_result select_small_subsolution(
     return {std::move(*best), best_policy, std::move(candidates)};
 }
 
-std::optional<automaton>
-extract_moore_fsm(const automaton& csf,
-                  const std::vector<std::uint32_t>& u_vars,
-                  const std::vector<std::uint32_t>& v_vars) {
-    bdd_manager& mgr = csf.manager();
-    if (u_vars.size() > 20) {
-        throw std::invalid_argument("extract_moore_fsm: too many inputs");
-    }
-    if (!csf.accepting(csf.initial())) {
-        throw std::invalid_argument("extract_moore_fsm: empty CSF");
-    }
-    const bdd u_cube = mgr.cube(u_vars);
-    const bdd v_cube = mgr.cube(v_vars);
-
-    // Largest set of Moore-safe CSF states (greatest fixpoint, the safety-
-    // game view): q is safe iff some single v assignment covers every u
-    // while moving only to safe states.  choices[q] holds those v's.
-    std::vector<bool> safe(csf.num_states(), true);
-    std::vector<bdd> choices(csf.num_states(), mgr.zero());
-    bool changed = true;
-    while (changed) {
-        changed = false;
-        for (std::uint32_t q = 0; q < csf.num_states(); ++q) {
-            if (!safe[q]) { continue; }
-            bdd safe_domain = mgr.zero();
-            for (const transition& t : csf.transitions(q)) {
-                if (safe[t.dest]) { safe_domain |= t.label; }
-            }
-            choices[q] = mgr.forall(safe_domain, u_cube);
-            if (choices[q].is_zero()) {
-                safe[q] = false;
-                changed = true;
-            }
-        }
-    }
-    if (!safe[csf.initial()]) { return std::nullopt; }
-
-    automaton fsm(mgr, csf.label_vars());
-    std::map<std::uint32_t, std::uint32_t> ids;
-    std::queue<std::uint32_t> work;
-    const auto intern = [&](std::uint32_t q) {
-        const auto it = ids.find(q);
-        if (it != ids.end()) { return it->second; }
-        const std::uint32_t id = fsm.add_state(true);
-        ids.emplace(q, id);
-        work.push(q);
-        return id;
-    };
-    fsm.set_initial(intern(csf.initial()));
-    while (!work.empty()) {
-        const std::uint32_t q = work.front();
-        work.pop();
-        const std::uint32_t src = ids.at(q);
-        bdd choice = mgr.pick_cube(choices[q]);
-        for (const std::uint32_t v : v_vars) {
-            const bdd pinned = choice & mgr.nvar(v);
-            if (!pinned.is_zero()) { choice = pinned; }
-        }
-        // commit: every u keeps its (safe) CSF successor under the chosen v
-        for (const transition& t : csf.transitions(q)) {
-            if (!safe[t.dest]) { continue; }
-            const bdd enabled = t.label & choice;
-            if (enabled.is_zero()) { continue; }
-            // label: the enabling u set under the committed v
-            fsm.add_transition(src, intern(t.dest),
-                               mgr.exists(enabled, v_cube) & choice);
-        }
-    }
-    return fsm;
-}
-
 } // namespace leq

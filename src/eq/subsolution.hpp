@@ -64,17 +64,4 @@ select_small_subsolution(const automaton& csf,
                          const std::vector<std::uint32_t>& u_vars,
                          const std::vector<std::uint32_t>& v_vars);
 
-/// Greedy *Moore* sub-solution: every state commits to one v assignment
-/// valid for ALL u inputs, so the encoded network has no combinational
-/// u -> v path and composes with F without creating the combinational
-/// cycles the paper's footnote 5 warns about.  Returns std::nullopt when
-/// the greedy choice runs into a state with no u-independent v (a Moore
-/// solution through that state may still exist elsewhere; this is a
-/// heuristic, like the rest of this module).  Throws std::invalid_argument
-/// on an empty CSF.
-[[nodiscard]] std::optional<automaton>
-extract_moore_fsm(const automaton& csf,
-                  const std::vector<std::uint32_t>& u_vars,
-                  const std::vector<std::uint32_t>& v_vars);
-
 } // namespace leq

@@ -24,7 +24,7 @@
 #pragma once
 
 #include "gen/scenario.hpp"
-#include "img/image.hpp"
+#include "rel/relation.hpp"
 
 #include <functional>
 #include <string>

@@ -8,9 +8,8 @@
 ///   3. equation_problem(F, S) -> variable layout + partitioned functions
 ///   4. solve_partitioned (or solve_monolithic / solve_explicit) -> CSF
 ///   5. verify_particular_contained / verify_composition_contained
-///   6. extract_fsm / select_small_subsolution / extract_moore_fsm ->
-///      automaton_to_network -> compose_networks -> sweep_network ->
-///      write_blif   (or just call resynthesize() for the whole loop)
+///   6. extract_fsm / select_small_subsolution -> automaton_to_network ->
+///      compose_networks -> write_blif
 #pragma once
 
 #include "bdd/bdd.hpp"
@@ -21,13 +20,11 @@
 #include "net/latch_split.hpp"
 #include "net/netbdd.hpp"
 #include "net/network.hpp"
-#include "net/sweep.hpp"
+#include "net/parse_error.hpp"
 
 #include "rel/cluster.hpp"
 #include "rel/relation.hpp"
 #include "rel/schedule.hpp"
-
-#include "img/image.hpp"
 
 #include "automata/automaton.hpp"
 #include "automata/automaton_io.hpp"
@@ -39,8 +36,6 @@
 #include "eq/kiss_flow.hpp"
 #include "eq/problem.hpp"
 #include "eq/reduce.hpp"
-#include "eq/resynth.hpp"
 #include "eq/solver.hpp"
 #include "eq/subsolution.hpp"
-#include "eq/topology.hpp"
 #include "eq/verify.hpp"

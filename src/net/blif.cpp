@@ -3,6 +3,8 @@
 
 #include "net/blif.hpp"
 
+#include "net/parse_error.hpp"
+
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -37,8 +39,9 @@ network read_blif(std::istream& in) {
         std::vector<std::string> fanins(names_args.begin(),
                                         names_args.end() - 1);
         if (!on_cubes.empty() && !off_cubes.empty()) {
-            throw std::runtime_error("blif: node '" + output +
-                                     "' mixes on-set and off-set rows");
+            throw parse_error("blif", 0,
+                              "node '" + output +
+                                  "' mixes on-set and off-set rows");
         }
         const bool complemented = !off_cubes.empty();
         net.add_node(output, fanins, complemented ? off_cubes : on_cubes,
@@ -50,11 +53,11 @@ network read_blif(std::istream& in) {
     };
 
     const auto fail = [&](const std::string& message) {
-        throw std::runtime_error("blif:" + std::to_string(line_no) + ": " +
-                                 message);
+        throw parse_error("blif", line_no, message);
     };
 
     bool saw_directive = false;
+    bool saw_end = false;
     std::string pending; // accumulates '\' continuations
     while (std::getline(in, raw)) {
         ++line_no;
@@ -108,6 +111,7 @@ network read_blif(std::istream& in) {
                 net.add_latch(tokens[1], tokens[2], init);
             } else if (head == ".end") {
                 flush_names();
+                saw_end = true;
                 break;
             } else if (head == ".exdc" || head == ".wire_load_slope" ||
                        head == ".default_input_arrival") {
@@ -146,10 +150,12 @@ network read_blif(std::istream& in) {
             }
         }
     }
-    flush_names();
     if (!saw_directive) {
-        throw std::runtime_error("blif: no directives found (empty input?)");
+        throw parse_error("blif", 0, "no directives found (empty input?)");
     }
+    // without the terminator a file cut at a line boundary would parse as
+    // a smaller network
+    if (!saw_end) { fail("missing .end"); }
     net.validate();
     return net;
 }

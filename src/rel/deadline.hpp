@@ -1,6 +1,6 @@
 /// \file deadline.hpp
 /// \brief Relation-layer deadlines: an optional absolute time point checked
-/// between chain steps, cluster merges and fixpoint iterations.
+/// between chain steps and cluster merges.
 #pragma once
 
 #include <chrono>
@@ -9,9 +9,8 @@
 
 namespace leq {
 
-/// Thrown by relation-layer operations (construction, image/preimage chains,
-/// reachability fixpoints) when an `image_options::deadline` passes
-/// mid-computation.  The solvers translate it into `solve_status::timeout`.
+/// Thrown by relation-layer operations (construction, image chains) when an
+/// `image_options::deadline` passes mid-computation.  The solvers translate it into `solve_status::timeout`.
 struct relation_deadline_exceeded : std::runtime_error {
     relation_deadline_exceeded()
         : std::runtime_error("relation layer: deadline exceeded") {}

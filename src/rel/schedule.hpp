@@ -26,7 +26,7 @@ namespace leq {
 
 /// Per-relation statistics.  The static fields (cluster sizes, quantified
 /// variable counts) are filled at schedule construction; the counters and
-/// `peak_intermediate` accumulate across image/preimage calls
+/// `peak_intermediate` accumulate across image calls
 /// (`peak_intermediate` only when the relation was built with
 /// `collect_stats`, because measuring it costs a DAG traversal per step).
 struct relation_stats {
@@ -34,7 +34,6 @@ struct relation_stats {
     std::vector<std::size_t> quantified_per_cluster; ///< vars dying per cluster
     std::size_t leading_quantified = 0; ///< vars in no cluster (from-only)
     std::size_t images = 0;             ///< image() calls served
-    std::size_t preimages = 0;          ///< preimage() calls served
     std::size_t peak_intermediate = 0;  ///< max partial-product DAG size
 };
 

@@ -15,7 +15,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 
@@ -74,7 +76,7 @@ TEST(bench_policy, directions_match_the_documented_gate) {
               metric_direction::down_bad);
     EXPECT_EQ(bench_metric_policy("csf_states").direction,
               metric_direction::exact);
-    EXPECT_EQ(bench_metric_policy("reach_states").direction,
+    EXPECT_EQ(bench_metric_policy("subset_states").direction,
               metric_direction::exact);
     EXPECT_EQ(bench_metric_policy("batch_solved").direction,
               metric_direction::exact);
@@ -206,7 +208,7 @@ TEST(bench_workloads, ids_are_stable_and_unknown_ids_throw) {
     ASSERT_FALSE(names.empty());
     for (const char* expected :
          {"solve/counter_x256", "solve/arbiter_x16", "solve/kiss_counter9",
-          "reach/mix26", "batch/families"}) {
+          "batch/families"}) {
         EXPECT_NE(std::find(names.begin(), names.end(), expected),
                   names.end())
             << expected;
@@ -215,14 +217,18 @@ TEST(bench_workloads, ids_are_stable_and_unknown_ids_throw) {
                  std::invalid_argument);
 }
 
-TEST(bench_workloads, reach_workload_is_deterministic_across_runs) {
-    const bench_row first = run_bench_workload("reach/mix26");
-    const bench_row second = run_bench_workload("reach/mix26");
-    ASSERT_EQ(first.metrics.size(), second.metrics.size());
-    for (std::size_t k = 0; k < first.metrics.size(); ++k) {
-        EXPECT_EQ(first.metrics[k].name, second.metrics[k].name);
-        EXPECT_DOUBLE_EQ(first.metrics[k].value, second.metrics[k].value)
-            << first.metrics[k].name;
+TEST(bench_workloads, cheap_workloads_are_deterministic_across_runs) {
+    // the batch row sums counters over a two-worker pool, so this also pins
+    // that the claim order of jobs never leaks into the counters
+    for (const char* id : {"solve/counter_x256", "batch/families"}) {
+        const bench_row first = run_bench_workload(id);
+        const bench_row second = run_bench_workload(id);
+        ASSERT_EQ(first.metrics.size(), second.metrics.size()) << id;
+        for (std::size_t k = 0; k < first.metrics.size(); ++k) {
+            EXPECT_EQ(first.metrics[k].name, second.metrics[k].name) << id;
+            EXPECT_DOUBLE_EQ(first.metrics[k].value, second.metrics[k].value)
+                << id << " " << first.metrics[k].name;
+        }
     }
 }
 
@@ -272,6 +278,20 @@ TEST(bench_artifacts, corpus_files_match_the_generators_byte_for_byte) {
             << "bench/corpus/" << file.name
             << " drifted — regenerate with leq_bench_run --write-corpus";
     }
+}
+
+TEST(bench_artifacts, corpus_directory_holds_exactly_the_generated_files) {
+    // a retired corpus file must not linger beside the live ones
+    std::set<std::string> generated;
+    for (const bench_corpus_file& file : bench_corpus_files()) {
+        generated.insert(file.name);
+    }
+    std::set<std::string> checked_in;
+    for (const auto& entry : std::filesystem::directory_iterator(
+             std::string(LEQ_SOURCE_DIR) + "/bench/corpus")) {
+        checked_in.insert(entry.path().filename().string());
+    }
+    EXPECT_EQ(checked_in, generated);
 }
 
 TEST(bench_artifacts, checked_in_baseline_parses_and_covers_every_workload) {

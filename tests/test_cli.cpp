@@ -490,7 +490,12 @@ TEST(cli_errors, truncated_kiss_is_never_ok) {
     const cli_run r = run({"solve", cut, corpus("counter9_s.kiss")});
     EXPECT_EQ(r.exit_code, 3);
     EXPECT_EQ(r.out.find("\"status\":\"ok\""), std::string::npos) << r.out;
-    EXPECT_NE(r.out.find("kiss:4:"), std::string::npos) << r.out;
+    // the error names the file it is in, so F can be told from S
+    EXPECT_NE(r.out.find("\"error\":\"" + cut + ":4: .p declares"),
+              std::string::npos)
+        << r.out;
+    EXPECT_EQ(r.err, "leq: " + cut +
+                         ":4: .p declares 1283 rows but the body has 13\n");
     std::remove(cut.c_str());
 }
 
@@ -512,8 +517,42 @@ TEST(cli_errors, unknown_reset_state_is_a_kiss_error) {
     const std::string line = first_line(r.out);
     EXPECT_TRUE(valid_json_object(line)) << line;
     EXPECT_EQ(r.out.find("\"status\":\"ok\""), std::string::npos) << r.out;
-    EXPECT_EQ(raw_field(line, "error").rfind("\"kiss:", 0), 0u) << line;
+    EXPECT_EQ(raw_field(line, "error"),
+              "\"" + bad + ":9: reset state 'nowhere' names no row\"")
+        << line;
     std::remove(bad.c_str());
+}
+
+TEST(cli_errors, parse_errors_name_the_file_they_are_in) {
+    // a malformed S is reported against S's path, not against a format tag
+    // that fits F just as well
+    const std::string bad = temp_path("bad_spec.kiss");
+    {
+        std::ofstream out(bad);
+        out << ".i 1\n.o 1\n.r s0\n0 s0\n";
+    }
+    const cli_run r = run({"solve", example("passthrough_f.kiss"), bad});
+    EXPECT_EQ(r.exit_code, 3);
+    EXPECT_EQ(r.err.rfind("leq: " + bad + ":4: ", 0), 0u) << r.err;
+    std::remove(bad.c_str());
+
+    // a BLIF cut at a line boundary lacks its .end: an error at the last
+    // line, not a smaller network that happens to solve
+    std::ifstream in(example("delay_f.blif"));
+    ASSERT_TRUE(in.good());
+    const std::string cut = temp_path("delay_f_cut.blif");
+    {
+        std::ofstream out(cut);
+        std::string line;
+        for (int k = 0; k < 10 && std::getline(in, line); ++k) {
+            out << line << "\n";
+        }
+    }
+    const cli_run t = run({"solve", cut, example("delay_s.blif")});
+    EXPECT_EQ(t.exit_code, 3);
+    EXPECT_EQ(t.out.find("\"solution\""), std::string::npos) << t.out;
+    EXPECT_EQ(t.err, "leq: " + cut + ":10: missing .end\n");
+    std::remove(cut.c_str());
 }
 
 TEST(cli_exit_codes, every_row_of_the_documented_table) {
@@ -549,7 +588,7 @@ TEST(cli_exit_codes, every_row_of_the_documented_table) {
         EXPECT_EQ(r.exit_code, 3) << command << ": " << r.err;
         EXPECT_EQ(raw_field(first_line(r.out), "status"), "\"error\"")
             << command;
-        EXPECT_NE(r.err.find("kiss:4:"), std::string::npos) << r.err;
+        EXPECT_EQ(r.err.rfind("leq: " + bad + ":4: ", 0), 0u) << r.err;
     }
     EXPECT_EQ(run({"solve", s, example("inverter_s.kiss"),
                    "--choice-inputs", "9"})

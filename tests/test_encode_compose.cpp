@@ -44,6 +44,42 @@ TEST(encode_test, rejects_nondeterministic) {
                  std::invalid_argument);
 }
 
+TEST(moore_encode, moore_outputs_do_not_read_u) {
+    // a Moore machine (u = var0, v = var1): v is u delayed one cycle, so
+    // each state commits to one v for every u
+    bdd_manager mgr(2);
+    const bdd u = mgr.var(0);
+    const bdd v = mgr.var(1);
+    automaton fsm(mgr, {0, 1});
+    fsm.set_initial(fsm.add_state(true));
+    fsm.add_state(true);
+    for (std::uint32_t q = 0; q < 2; ++q) {
+        const bdd out = q == 0 ? !v : v;
+        fsm.add_transition(q, 0, out & !u);
+        fsm.add_transition(q, 1, out & u);
+    }
+    const network net =
+        automaton_to_network(fsm, {0}, {1}, {"u"}, {"v"}, "x_moore");
+    // behavioural check: with the state fixed, changing u must not change v
+    ASSERT_LT(net.num_latches(), 8u);
+    for (std::uint32_t code = 0; code < (1u << net.num_latches()); ++code) {
+        std::vector<bool> state(net.num_latches());
+        for (std::size_t b = 0; b < state.size(); ++b) {
+            state[b] = ((code >> b) & 1u) != 0;
+        }
+        EXPECT_EQ(net.simulate(state, {false}).outputs,
+                  net.simulate(state, {true}).outputs)
+            << "state code " << code;
+    }
+    // and it is still the delay: v follows u one cycle late
+    std::vector<bool> state = net.initial_state();
+    for (const bool in : {true, true, false, true, false, false}) {
+        const auto step = net.simulate(state, {in});
+        state = step.next_state;
+        EXPECT_EQ(net.simulate(state, {!in}).outputs[0], in);
+    }
+}
+
 /// Walk the FSM automaton and the encoded network side by side on random
 /// inputs; outputs must agree cycle by cycle.
 void check_encoding_simulates(const automaton& fsm,

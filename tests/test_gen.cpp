@@ -7,13 +7,14 @@
 #include "automata/kiss.hpp"
 #include "automata/stg.hpp"
 #include "eq/problem.hpp"
-#include "eq/resynth.hpp"
 #include "gen/differential.hpp"
 #include "gen/fuzz.hpp"
 #include "gen/mutate.hpp"
 #include "gen/scenario.hpp"
 #include "gen/shrink.hpp"
 #include "net/blif.hpp"
+#include "net/generator.hpp"
+#include "sim_equivalence.hpp"
 
 #include <gtest/gtest.h>
 
@@ -349,6 +350,27 @@ TEST(gen_reproducer, kiss_output_reparses_to_equivalent_machine) {
             EXPECT_TRUE(language_equivalent(direct, reparsed));
         }
     }
+}
+
+TEST(gen_reproducer, simulation_check_detects_differences) {
+    // the round-trip checks below are only as strong as this helper:
+    // identical interfaces, different behaviour (a delay vs an inverted
+    // delay) must be told apart
+    const auto make = [](bool invert) {
+        network net(invert ? "ndelay" : "delay");
+        net.add_input("a");
+        net.add_latch("a", "s", false);
+        net.add_node("z", {"s"}, {invert ? "0" : "1"});
+        net.add_output("z");
+        net.validate();
+        return net;
+    };
+    const network a = make(false);
+    const network b = make(true);
+    EXPECT_FALSE(simulation_equivalent(a, b, 4, 64, 3));
+    EXPECT_TRUE(simulation_equivalent(a, a, 4, 64, 3));
+    // interface mismatch is a difference
+    EXPECT_FALSE(simulation_equivalent(a, make_counter(3), 4, 64, 3));
 }
 
 TEST(gen_reproducer, blif_output_reparses_to_equivalent_network) {

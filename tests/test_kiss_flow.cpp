@@ -5,7 +5,6 @@
 #include "eq/extract.hpp"
 #include "eq/kiss_flow.hpp"
 #include "eq/solver.hpp"
-#include "eq/topology.hpp"
 #include "eq/verify.hpp"
 
 #include <gtest/gtest.h>
@@ -108,33 +107,6 @@ TEST(kiss_flow, solves_the_delay_decomposition) {
     const automaton fsm =
         extract_fsm(*result.csf, problem.u_vars, problem.v_vars);
     EXPECT_TRUE(verify_composition_contained(problem, fsm));
-}
-
-TEST(kiss_flow, agrees_with_the_network_level_topology_flow) {
-    // the same decomposition posed at the netlist level (cascade tail with
-    // a delay front) must produce a CSF of the same size that also accepts
-    // the delay machine
-    const kiss_instance inst =
-        build_kiss_instance(f_delay_kiss, s_delay2_kiss);
-    const solve_result kiss = solve_partitioned(*inst.problem);
-    ASSERT_EQ(kiss.status, solve_status::ok);
-
-    network front("delay1");
-    front.add_input("a");
-    front.add_latch("a", "s0", false);
-    front.add_node("d", {"s0"}, {"1"});
-    front.add_output("d");
-    network spec("delay2");
-    spec.add_input("a");
-    spec.add_latch("a", "t0", false);
-    spec.add_latch("t0", "t1", false);
-    spec.add_node("z", {"t1"}, {"1"});
-    spec.add_output("z");
-    auto net = solve_cascade_tail(front, spec);
-    ASSERT_EQ(net.result.status, solve_status::ok);
-
-    EXPECT_EQ(kiss.csf_states, net.result.csf_states);
-    EXPECT_EQ(kiss.empty_solution, net.result.empty_solution);
 }
 
 TEST(kiss_flow, rejects_interface_mismatch) {

@@ -2,6 +2,9 @@
 /// \brief Failure injection for the text front ends: malformed BLIF and
 /// KISS2 must produce clean errors, never crashes or silent misparses; and
 /// valid corner inputs must round-trip.
+///
+/// Compiled with LEQ_SOURCE_DIR pointing at the repo root so the truncation
+/// checks can read the checked-in BLIF files.
 
 #include "automata/kiss.hpp"
 #include "cli/bench.hpp"
@@ -9,8 +12,14 @@
 #include "gen/shrink.hpp"
 #include "net/blif.hpp"
 #include "net/generator.hpp"
+#include "net/parse_error.hpp"
 
 #include <gtest/gtest.h>
+
+#include <filesystem>
+#include <fstream>
+#include <string>
+#include <vector>
 
 namespace {
 
@@ -138,6 +147,48 @@ TEST(blif_roundtrip, families_survive_write_read) {
             sb = rb.next_state;
         }
     }
+}
+
+TEST(blif_errors, missing_end_is_an_error_at_the_last_line) {
+    const std::string body = ".model m\n.inputs a\n.outputs z\n"
+                             ".names a z\n1 1\n";
+    EXPECT_NO_THROW((void)read_blif_string(body + ".end\n"));
+    try {
+        (void)read_blif_string(body);
+        FAIL() << "a BLIF without .end parsed";
+    } catch (const parse_error& e) {
+        EXPECT_STREQ(e.what(), "blif:5: missing .end");
+        EXPECT_EQ(e.line(), 5u);
+        EXPECT_EQ(e.in("f.blif").what(),
+                  std::string("f.blif:5: missing .end"));
+    }
+}
+
+TEST(blif_errors, truncated_checked_in_files_throw) {
+    // a cut at any line boundary used to parse as a smaller network (and
+    // could flip the answer); every proper line-prefix must now throw
+    std::size_t files = 0;
+    for (const char* dir : {"bench/corpus", "examples/eqn"}) {
+        for (const auto& entry : std::filesystem::directory_iterator(
+                 std::string(LEQ_SOURCE_DIR) + "/" + dir)) {
+            if (entry.path().extension() != ".blif") { continue; }
+            ++files;
+            std::ifstream in(entry.path());
+            std::vector<std::string> lines;
+            for (std::string line; std::getline(in, line);) {
+                lines.push_back(line);
+            }
+            SCOPED_TRACE(entry.path().string());
+            std::string prefix;
+            for (const std::string& line : lines) {
+                EXPECT_THROW((void)read_blif_string(prefix), parse_error)
+                    << "prefix of " << prefix.size() << " bytes";
+                prefix += line + "\n";
+            }
+            EXPECT_NO_THROW((void)read_blif_string(prefix));
+        }
+    }
+    EXPECT_GE(files, 6u);
 }
 
 // ---------------------------------------------------------------------------

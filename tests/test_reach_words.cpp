@@ -1,12 +1,10 @@
 /// \file test_reach_words.cpp
-/// \brief Layered reachability statistics and word counting.
+/// \brief Word counting over CSFs and extracted FSMs.
 
 #include "eq/extract.hpp"
 #include "eq/solver.hpp"
-#include "img/image.hpp"
 #include "net/generator.hpp"
 #include "net/latch_split.hpp"
-#include "net/netbdd.hpp"
 
 #include <gtest/gtest.h>
 
@@ -15,82 +13,6 @@
 namespace {
 
 using namespace leq;
-
-struct swept_net {
-    bdd_manager mgr;
-    std::vector<std::uint32_t> in, cs, ns;
-    net_bdds fns;
-    bdd init;
-
-    explicit swept_net(const network& net) {
-        for (std::size_t k = 0; k < net.num_inputs(); ++k) {
-            in.push_back(mgr.new_var());
-        }
-        for (std::size_t k = 0; k < net.num_latches(); ++k) {
-            cs.push_back(mgr.new_var());
-            ns.push_back(mgr.new_var());
-        }
-        fns = build_net_bdds(mgr, net, in, cs);
-        init = state_cube(mgr, cs, net.initial_state());
-    }
-};
-
-// ---------------------------------------------------------------------------
-// layered reachability
-// ---------------------------------------------------------------------------
-
-TEST(reach_layers, counter_has_full_depth) {
-    swept_net s(make_counter(4));
-    const reach_info info = reachable_states_layered(
-        s.mgr, s.fns.next_state, s.cs, s.ns, s.in, s.init);
-    // a 4-bit counter with enable walks all 16 states one per layer
-    EXPECT_EQ(info.total_states, 16.0);
-    EXPECT_EQ(info.depth, 15u);
-    ASSERT_EQ(info.layer_states.size(), 16u);
-    for (const double states : info.layer_states) {
-        EXPECT_EQ(states, 1.0);
-    }
-}
-
-TEST(reach_layers, agrees_with_plain_reachability) {
-    for (int id = 0; id < 3; ++id) {
-        const network net = id == 0   ? make_lfsr(5, {1})
-                            : id == 1 ? make_shift_xor(4)
-                                      : make_traffic_controller();
-        swept_net s(net);
-        const bdd plain = reachable_states(s.mgr, s.fns.next_state, s.cs,
-                                           s.ns, s.in, s.init);
-        const reach_info info = reachable_states_layered(
-            s.mgr, s.fns.next_state, s.cs, s.ns, s.in, s.init);
-        EXPECT_EQ(info.reached, plain) << net.name();
-        EXPECT_EQ(info.total_states,
-                  s.mgr.sat_count(plain,
-                                  static_cast<std::uint32_t>(s.cs.size())))
-            << net.name();
-        // layer counts sum to the total
-        double sum = 0;
-        for (const double states : info.layer_states) { sum += states; }
-        EXPECT_EQ(sum, info.total_states) << net.name();
-    }
-}
-
-TEST(reach_layers, depth_zero_when_init_is_closed) {
-    // shift register with constant-0 input feed: state stays all-zero only
-    // if the input is tied; with a free input this is not closed, so use a
-    // 1-latch self-loop instead: next = current
-    network net("hold");
-    net.add_input("a");
-    net.add_latch("h", "h0", false);
-    net.add_node("h", {"h0"}, {"1"});
-    net.add_node("z", {"h0"}, {"1"});
-    net.add_output("z");
-    net.validate();
-    swept_net s(net);
-    const reach_info info = reachable_states_layered(
-        s.mgr, s.fns.next_state, s.cs, s.ns, s.in, s.init);
-    EXPECT_EQ(info.depth, 0u);
-    EXPECT_EQ(info.total_states, 1.0);
-}
 
 // ---------------------------------------------------------------------------
 // word counting

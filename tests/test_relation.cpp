@@ -1,14 +1,13 @@
 /// \file test_relation.cpp
 /// \brief Oracle suite for the shared transition-relation subsystem
-/// (src/rel/): image/preimage over random partitions must equal the naive
+/// (src/rel/): images over random partitions must equal the naive
 /// monolithic conjunction across the full {cluster_limit x
 /// early-quantification} option matrix, clustering must respect its node
-/// bound, and relation-layer deadlines must interrupt image chains,
-/// reachability fixpoints and both solver flows.
+/// bound, and relation-layer deadlines must interrupt construction, image
+/// chains and both solver flows.
 
 #include "eq/solver.hpp"
 #include "gen/scenario.hpp"
-#include "img/image.hpp"
 #include "net/generator.hpp"
 #include "net/latch_split.hpp"
 #include "net/netbdd.hpp"
@@ -52,6 +51,17 @@ std::vector<bdd> next_state_parts(bdd_manager& mgr, const net_bdds& fns,
     return parts;
 }
 
+/// The next-state relation of a compiled network: parts ns_k == T_k, with
+/// the inputs and current-state variables quantified (images over ns).
+transition_relation next_state_relation(bdd_manager& mgr, const net_bdds& fns,
+                                        const circuit_vars& vars,
+                                        const image_options& options = {}) {
+    std::vector<std::uint32_t> quantify = vars.in;
+    quantify.insert(quantify.end(), vars.cs.begin(), vars.cs.end());
+    return transition_relation(mgr, next_state_parts(mgr, fns, vars),
+                               std::move(quantify), options);
+}
+
 /// The full option matrix of the relation layer.
 std::vector<image_options> option_matrix() {
     std::vector<image_options> matrix;
@@ -69,7 +79,7 @@ std::vector<image_options> option_matrix() {
 
 network machine_for(int id) { return make_menu_circuit(id, /*salt=*/4); }
 
-/// A few interesting from/to sets over the cs variables: the initial state,
+/// A few interesting state sets over the cs variables: the initial state,
 /// a random union of states, and a random function of the cs variables.
 std::vector<bdd> sample_state_sets(bdd_manager& mgr, const network& net,
                                    const circuit_vars& vars,
@@ -122,41 +132,6 @@ TEST_P(relation_oracle, image_matches_naive_monolithic_conjunction) {
     }
 }
 
-TEST_P(relation_oracle, preimage_matches_naive_monolithic_conjunction) {
-    const network net = machine_for(GetParam());
-    bdd_manager mgr;
-    auto [fns, vars] = setup(mgr, net);
-    const std::vector<bdd> parts = next_state_parts(mgr, fns, vars);
-
-    bdd product = mgr.one();
-    for (const bdd& p : parts) { product &= p; }
-    std::vector<std::uint32_t> pre_quantify = vars.in;
-    pre_quantify.insert(pre_quantify.end(), vars.ns.begin(), vars.ns.end());
-    const bdd pre_cube = mgr.cube(pre_quantify);
-    std::vector<std::uint32_t> swap(mgr.num_vars());
-    for (std::uint32_t v = 0; v < swap.size(); ++v) { swap[v] = v; }
-    for (std::size_t k = 0; k < vars.cs.size(); ++k) {
-        swap[vars.ns[k]] = vars.cs[k];
-        swap[vars.cs[k]] = vars.ns[k];
-    }
-
-    const std::vector<bdd> to_sets =
-        sample_state_sets(mgr, net, vars, 2000u + GetParam());
-    for (const image_options& options : option_matrix()) {
-        const transition_relation rel = transition_relation::next_state(
-            mgr, fns.next_state, vars.cs, vars.ns, vars.in, options);
-        ASSERT_TRUE(rel.has_preimage());
-        for (const bdd& to : to_sets) {
-            const bdd reference =
-                mgr.exists(product & mgr.permute(to, swap), pre_cube);
-            EXPECT_EQ(rel.preimage(to), reference)
-                << "machine " << GetParam() << " limit "
-                << options.cluster_limit << " early "
-                << options.early_quantification;
-        }
-    }
-}
-
 TEST_P(relation_oracle, constrained_image_fuses_the_extra_conjunct) {
     // image(from, c) fuses c into the quantification chain; the result must
     // equal the materialized image(from & c) for any extra conjunct
@@ -185,23 +160,6 @@ TEST_P(relation_oracle, constrained_image_fuses_the_extra_conjunct) {
         EXPECT_EQ(empty.image(from, constraint),
                   empty.image(from & constraint));
     }
-}
-
-TEST_P(relation_oracle, preimage_closes_over_reachable_states) {
-    // sanity beyond the algebraic oracle: network relations are total and
-    // the reachable set is successor-closed, so every reachable state has a
-    // successor inside the reachable set — reached <= preimage(reached)
-    const network net = machine_for(GetParam());
-    bdd_manager mgr;
-    auto [fns, vars] = setup(mgr, net);
-    const bdd init = state_cube(mgr, vars.cs, net.initial_state());
-    const bdd reached = reachable_states(mgr, fns.next_state, vars.cs,
-                                         vars.ns, vars.in, init);
-    const transition_relation rel = transition_relation::next_state(
-        mgr, fns.next_state, vars.cs, vars.ns, vars.in);
-    EXPECT_TRUE(reached.leq(rel.preimage(reached)));
-    // and the preimage of the empty set is empty
-    EXPECT_TRUE(rel.preimage(mgr.zero()).is_zero());
 }
 
 INSTANTIATE_TEST_SUITE_P(machines, relation_oracle, ::testing::Range(0, 10));
@@ -236,8 +194,8 @@ TEST(relation_stats, schedule_shape_and_per_call_counters) {
     image_options options;
     options.collect_stats = true;
     options.cluster_limit = 0; // keep every part its own cluster
-    const transition_relation rel = transition_relation::next_state(
-        mgr, fns.next_state, vars.cs, vars.ns, vars.in, options);
+    const transition_relation rel =
+        next_state_relation(mgr, fns, vars, options);
 
     const relation_stats& stats = rel.stats();
     ASSERT_EQ(stats.cluster_sizes.size(), rel.num_clusters());
@@ -255,9 +213,7 @@ TEST(relation_stats, schedule_shape_and_per_call_counters) {
     const bdd init = state_cube(mgr, vars.cs, net.initial_state());
     (void)rel.image(init);
     (void)rel.image(init);
-    (void)rel.preimage(init);
     EXPECT_EQ(rel.stats().images, 2u);
-    EXPECT_EQ(rel.stats().preimages, 1u);
     EXPECT_GT(rel.stats().peak_intermediate, 0u);
 }
 
@@ -270,12 +226,10 @@ TEST(relation_deadline, construction_throws_past_deadline) {
     image_options options;
     options.deadline = std::chrono::steady_clock::now() -
                        std::chrono::seconds(1);
-    EXPECT_THROW((void)transition_relation::next_state(
-                     mgr, fns.next_state, vars.cs, vars.ns, vars.in, options),
+    EXPECT_THROW((void)next_state_relation(mgr, fns, vars, options),
                  relation_deadline_exceeded);
     options.early_quantification = false; // the naive-mode product fold too
-    EXPECT_THROW((void)transition_relation::next_state(
-                     mgr, fns.next_state, vars.cs, vars.ns, vars.in, options),
+    EXPECT_THROW((void)next_state_relation(mgr, fns, vars, options),
                  relation_deadline_exceeded);
 }
 
@@ -287,35 +241,10 @@ TEST(relation_deadline, image_chain_throws_past_deadline) {
     options.cluster_limit = 0; // construction merges nothing, so it survives
     options.deadline = std::chrono::steady_clock::now() -
                        std::chrono::seconds(1);
-    const transition_relation rel = transition_relation::next_state(
-        mgr, fns.next_state, vars.cs, vars.ns, vars.in, options);
+    const transition_relation rel =
+        next_state_relation(mgr, fns, vars, options);
     const bdd init = state_cube(mgr, vars.cs, net.initial_state());
     EXPECT_THROW((void)rel.image(init), relation_deadline_exceeded);
-}
-
-TEST(relation_deadline, reachability_fixpoint_throws_past_deadline) {
-    const network net = make_counter(8);
-    bdd_manager mgr;
-    auto [fns, vars] = setup(mgr, net);
-    const bdd init = state_cube(mgr, vars.cs, net.initial_state());
-    image_options options;
-    options.deadline = std::chrono::steady_clock::now() -
-                       std::chrono::seconds(1);
-    EXPECT_THROW((void)reachable_states(mgr, fns.next_state, vars.cs, vars.ns,
-                                        vars.in, init, options),
-                 relation_deadline_exceeded);
-    EXPECT_THROW((void)reachable_states_layered(mgr, fns.next_state, vars.cs,
-                                                vars.ns, vars.in, init,
-                                                options),
-                 relation_deadline_exceeded);
-    // a generous deadline changes nothing
-    options.deadline = std::chrono::steady_clock::now() +
-                       std::chrono::hours(1);
-    const bdd limited = reachable_states(mgr, fns.next_state, vars.cs,
-                                         vars.ns, vars.in, init, options);
-    const bdd reference = reachable_states(mgr, fns.next_state, vars.cs,
-                                           vars.ns, vars.in, init);
-    EXPECT_EQ(limited, reference);
 }
 
 TEST(relation_deadline, op_deadline_interrupts_inside_a_chain_step) {
@@ -335,8 +264,7 @@ TEST(relation_deadline, op_deadline_interrupts_inside_a_chain_step) {
     const network net = make_structured_mix(spec);
     bdd_manager mgr;
     auto [fns, vars] = setup(mgr, net);
-    const transition_relation rel = transition_relation::next_state(
-        mgr, fns.next_state, vars.cs, vars.ns, vars.in, {});
+    const transition_relation rel = next_state_relation(mgr, fns, vars);
     // an awkward xor-of-products state set drives the cold chain through
     // several thousand cache probes — a one() or cube operand collapses
     // too fast to cross even one ~1024-lookup stride
@@ -353,8 +281,7 @@ TEST(relation_deadline, op_deadline_interrupts_inside_a_chain_step) {
     // disarmed, the identical call runs to completion and agrees with an
     // independently built relation (the aborted chain left no bad state)
     const bdd result = rel.image(from);
-    const transition_relation again = transition_relation::next_state(
-        mgr, fns.next_state, vars.cs, vars.ns, vars.in, {});
+    const transition_relation again = next_state_relation(mgr, fns, vars);
     EXPECT_EQ(again.image(from), result);
     EXPECT_FALSE(result.is_zero());
 }
@@ -377,22 +304,48 @@ TEST(relation_deadline, solvers_translate_deadline_into_timeout_status) {
     EXPECT_EQ(ok.status, solve_status::ok);
 }
 
-TEST(relation_layer, prebuilt_fixpoint_requires_renamed_structured_relation) {
-    const network net = make_counter(4);
+TEST(partitioned_image, early_and_naive_modes_agree) {
+    const network net = make_lfsr(6, {1, 3});
     bdd_manager mgr;
     auto [fns, vars] = setup(mgr, net);
-    const bdd init = state_cube(mgr, vars.cs, net.initial_state());
-    transition_relation rel = transition_relation::next_state(
-        mgr, fns.next_state, vars.cs, vars.ns, vars.in);
-    // forgetting rename_image_to_current() must fail fast, not diverge
-    EXPECT_THROW((void)reachable_states_layered(rel, init, 4),
-                 std::invalid_argument);
-    rel.rename_image_to_current();
-    const reach_info info = reachable_states_layered(rel, init, 4);
-    const reach_info reference = reachable_states_layered(
-        mgr, fns.next_state, vars.cs, vars.ns, vars.in, init);
-    EXPECT_EQ(info.reached, reference.reached);
-    EXPECT_EQ(info.depth, reference.depth);
+    image_options naive;
+    naive.early_quantification = false;
+    const transition_relation early = next_state_relation(mgr, fns, vars);
+    const transition_relation flat = next_state_relation(mgr, fns, vars, naive);
+
+    const bdd from = state_cube(mgr, vars.cs, net.initial_state());
+    EXPECT_EQ(early.image(from), flat.image(from));
+    // also from a non-singleton set
+    const bdd set = from | state_cube(mgr, vars.cs,
+                                      {true, false, true, false, true, false});
+    EXPECT_EQ(early.image(set), flat.image(set));
+}
+
+TEST(partitioned_image, clustering_reduces_part_count) {
+    const network net = make_counter(8);
+    bdd_manager mgr;
+    auto [fns, vars] = setup(mgr, net);
+    image_options big_clusters;
+    big_clusters.cluster_limit = 100000;
+    image_options no_clusters;
+    no_clusters.cluster_limit = 0;
+    const transition_relation clustered =
+        next_state_relation(mgr, fns, vars, big_clusters);
+    const transition_relation flat =
+        next_state_relation(mgr, fns, vars, no_clusters);
+    EXPECT_LT(clustered.num_clusters(), flat.num_clusters());
+    EXPECT_EQ(flat.num_clusters(), flat.num_parts());
+    // same results either way
+    const bdd from = state_cube(mgr, vars.cs, net.initial_state());
+    EXPECT_EQ(clustered.image(from), flat.image(from));
+}
+
+TEST(partitioned_image, image_of_empty_set_is_empty) {
+    const network net = make_counter(3);
+    bdd_manager mgr;
+    auto [fns, vars] = setup(mgr, net);
+    const transition_relation rel = next_state_relation(mgr, fns, vars);
+    EXPECT_TRUE(rel.image(mgr.zero()).is_zero());
 }
 
 } // namespace
