@@ -13,8 +13,8 @@
 /// meets the spec; a concrete implementation is then extracted greedily.
 
 #include "automata/automaton_io.hpp"
-#include "eq/extract.hpp"
 #include "eq/solver.hpp"
+#include "eq/subsolution.hpp"
 #include "eq/verify.hpp"
 #include "net/blif.hpp"
 
@@ -62,8 +62,9 @@ int main() {
     print_automaton(std::cout, *result.csf, names.get());
 
     std::cout << "\n=== one concrete controller (greedy extraction) ===\n";
-    const automaton fsm =
-        extract_fsm(*result.csf, problem.u_vars, problem.v_vars);
+    const automaton fsm = extract_fsm(*result.csf, problem.u_vars,
+                                      problem.v_vars,
+                                      extraction_policy::first_edge);
     print_automaton(std::cout, fsm, names.get());
     std::cout << "extracted FSM contained in CSF: "
               << (language_contained(fsm, *result.csf) ? "yes" : "NO") << "\n";

@@ -16,7 +16,6 @@
 #include "bdd/bdd.hpp"
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 namespace leq {
@@ -145,26 +144,10 @@ private:
 /// by variable id (the representation bdd_manager::eval consumes).
 using word = std::vector<std::vector<bool>>;
 
-/// L(a) union L(b).  Both arguments must share the label variable list; the
-/// result is non-deterministic in general.
-[[nodiscard]] automaton union_automata(const automaton& a, const automaton& b);
-
-/// L(a) \ L(b): the product of a with the complemented determinization of b.
-[[nodiscard]] automaton difference(const automaton& a, const automaton& b);
-
 /// Is L(a) prefix-closed?  (Every prefix of an accepted word is accepted.
 /// Networks always induce prefix-closed automata — paper, Section 2; the
 /// solver's CSF is prefix-closed by construction.)
 [[nodiscard]] bool is_prefix_closed(const automaton& a);
-
-/// A shortest accepted word, or std::nullopt when the language is empty.
-/// Don't-care label bits in the chosen transitions default to false.
-[[nodiscard]] std::optional<word> shortest_accepted_word(const automaton& a);
-
-/// A shortest word in L(a) \ L(b) — the witness that containment fails —
-/// or std::nullopt when L(a) is contained in L(b).
-[[nodiscard]] std::optional<word>
-containment_counterexample(const automaton& a, const automaton& b);
 
 /// Sample up to `count` accepted words of length <= max_len by seeded random
 /// walks (duplicates removed).  Cheap probabilistic cross-checks: every
@@ -173,12 +156,5 @@ containment_counterexample(const automaton& a, const automaton& b);
                                                       std::size_t count,
                                                       std::size_t max_len,
                                                       std::uint32_t seed);
-
-/// Number of accepted words of exactly the given length (as a double — the
-/// count is exponential in the length).  Determinizes internally so runs
-/// and words coincide.  A quantitative view of flexibility: the CSF's word
-/// count versus an implementation's measures how much freedom a commitment
-/// gives up.
-[[nodiscard]] double count_words(const automaton& a, std::size_t length);
 
 } // namespace leq

@@ -1,12 +1,6 @@
 /// \file language_ops.cpp
-/// \brief Derived language operations: union, difference, prefix-closure
-/// test, shortest/witness word extraction and random word sampling.
-///
-/// These are conveniences layered on the elementary operations of
-/// automaton.cpp.  The witness extraction is what the verification layer
-/// (eq/verify) surfaces when one of the paper's containment checks fails:
-/// instead of a bare `false`, callers get a concrete input/output sequence
-/// distinguishing the two languages.
+/// \brief Derived language operations: the prefix-closure test and random
+/// word sampling, layered on the elementary operations of automaton.cpp.
 
 #include "automata/automaton.hpp"
 
@@ -14,7 +8,6 @@
 #include <queue>
 #include <random>
 #include <set>
-#include <stdexcept>
 
 namespace leq {
 
@@ -46,54 +39,6 @@ std::vector<bool> pick_letter(bdd_manager& mgr, const bdd& label,
 }
 
 } // namespace
-
-automaton union_automata(const automaton& a, const automaton& b) {
-    if (a.label_vars() != b.label_vars()) {
-        throw std::logic_error("union_automata: support mismatch");
-    }
-    if (&a.manager() != &b.manager()) {
-        throw std::logic_error("union_automata: manager mismatch");
-    }
-    automaton out(a.manager(), a.label_vars());
-    // a fresh initial state branching into both copies handles the case of
-    // differing acceptance of the empty word
-    const std::uint32_t init = out.add_state(
-        a.accepting(a.initial()) || b.accepting(b.initial()));
-    out.set_initial(init);
-    const std::uint32_t base_a = static_cast<std::uint32_t>(out.num_states());
-    for (std::uint32_t s = 0; s < a.num_states(); ++s) {
-        out.add_state(a.accepting(s));
-    }
-    const std::uint32_t base_b = static_cast<std::uint32_t>(out.num_states());
-    for (std::uint32_t s = 0; s < b.num_states(); ++s) {
-        out.add_state(b.accepting(s));
-    }
-    for (std::uint32_t s = 0; s < a.num_states(); ++s) {
-        for (const transition& t : a.transitions(s)) {
-            out.add_transition(base_a + s, base_a + t.dest, t.label);
-        }
-    }
-    for (std::uint32_t s = 0; s < b.num_states(); ++s) {
-        for (const transition& t : b.transitions(s)) {
-            out.add_transition(base_b + s, base_b + t.dest, t.label);
-        }
-    }
-    for (const transition& t : a.transitions(a.initial())) {
-        out.add_transition(init, base_a + t.dest, t.label);
-    }
-    for (const transition& t : b.transitions(b.initial())) {
-        out.add_transition(init, base_b + t.dest, t.label);
-    }
-    return out;
-}
-
-automaton difference(const automaton& a, const automaton& b) {
-    if (a.label_vars() != b.label_vars()) {
-        throw std::logic_error("difference: support mismatch");
-    }
-    const automaton bc = complement(complete(determinize(b)));
-    return product(a, bc);
-}
 
 bool is_prefix_closed(const automaton& a) {
     // Over the trimmed automaton: the language is prefix-closed iff every
@@ -132,73 +77,6 @@ bool is_prefix_closed(const automaton& a) {
         if (can_reach[s] && !d.accepting(s)) { return false; }
     }
     return true;
-}
-
-std::optional<word> shortest_accepted_word(const automaton& a) {
-    bdd_manager& mgr = a.manager();
-    // BFS over states: a shortest accepting run spells a shortest accepted
-    // word (any accepting path yields an accepted word and vice versa)
-    std::vector<std::int64_t> parent(a.num_states(), -1);
-    std::vector<bdd> via(a.num_states());
-    std::vector<bool> seen(a.num_states(), false);
-    std::queue<std::uint32_t> queue;
-    seen[a.initial()] = true;
-    queue.push(a.initial());
-    std::int64_t goal = a.accepting(a.initial())
-                            ? static_cast<std::int64_t>(a.initial())
-                            : -1;
-    while (goal < 0 && !queue.empty()) {
-        const std::uint32_t s = queue.front();
-        queue.pop();
-        for (const transition& t : a.transitions(s)) {
-            if (seen[t.dest] || t.label.is_zero()) { continue; }
-            seen[t.dest] = true;
-            parent[t.dest] = s;
-            via[t.dest] = t.label;
-            if (a.accepting(t.dest)) {
-                goal = t.dest;
-                break;
-            }
-            queue.push(t.dest);
-        }
-    }
-    if (goal < 0) { return std::nullopt; }
-    word w;
-    for (std::uint32_t s = static_cast<std::uint32_t>(goal);
-         parent[s] >= 0; s = static_cast<std::uint32_t>(parent[s])) {
-        w.push_back(pick_letter(mgr, via[s], a.label_vars()));
-    }
-    std::reverse(w.begin(), w.end());
-    return w;
-}
-
-std::optional<word> containment_counterexample(const automaton& a,
-                                               const automaton& b) {
-    return shortest_accepted_word(difference(a, b));
-}
-
-double count_words(const automaton& a, std::size_t length) {
-    bdd_manager& mgr = a.manager();
-    const automaton d = is_deterministic(a) ? trim_unreachable(a)
-                                            : trim_unreachable(determinize(a));
-    const auto nbits = static_cast<std::uint32_t>(d.label_vars().size());
-    // backward dynamic program: words[s] = accepted words of the remaining
-    // length from s; one letter costs sat_count(label) ways per transition
-    std::vector<double> words(d.num_states());
-    for (std::uint32_t s = 0; s < d.num_states(); ++s) {
-        words[s] = d.accepting(s) ? 1.0 : 0.0;
-    }
-    for (std::size_t step = 0; step < length; ++step) {
-        std::vector<double> next(d.num_states(), 0.0);
-        for (std::uint32_t s = 0; s < d.num_states(); ++s) {
-            for (const transition& t : d.transitions(s)) {
-                if (words[t.dest] == 0.0) { continue; }
-                next[s] += mgr.sat_count(t.label, nbits) * words[t.dest];
-            }
-        }
-        words = std::move(next);
-    }
-    return words[d.initial()];
 }
 
 std::vector<word> sample_accepted_words(const automaton& a, std::size_t count,

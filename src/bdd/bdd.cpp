@@ -22,8 +22,7 @@ namespace leq {
 
 const char* bdd_op_name(std::size_t k) {
     static const char* const names[bdd_num_ops] = {
-        "and",     "xor",      "ite",       "exists", "and_exists",
-        "support", "cofactor", "constrain", "restrict"};
+        "and", "xor", "ite", "exists", "and_exists", "support"};
     return k < bdd_num_ops ? names[k] : "?";
 }
 
@@ -145,7 +144,6 @@ bdd bdd::operator!() const { return mgr_->apply_not(*this); }
 
 bdd& bdd::operator&=(const bdd& other) { return *this = *this & other; }
 bdd& bdd::operator|=(const bdd& other) { return *this = *this | other; }
-bdd& bdd::operator^=(const bdd& other) { return *this = *this ^ other; }
 
 bdd bdd::implies(const bdd& other) const { return (!*this) | other; }
 bdd bdd::iff(const bdd& other) const { return !(*this ^ other); }

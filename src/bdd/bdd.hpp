@@ -6,8 +6,8 @@
 /// complement edges, a unique table, a set-associative computed cache that
 /// grows geometrically with the unique table (see bdd_manager::cache_ways),
 /// mark-and-sweep garbage collection driven by externally held handles,
-/// quantification, relational-product (and-exists), variable permutation
-/// and composition.
+/// quantification, relational-product (and-exists) and variable
+/// permutation.
 ///
 /// Design notes:
 ///  * **Handles are tagged edges.**  A reference is a 32-bit word
@@ -108,7 +108,6 @@ public:
     bdd operator!() const;
     bdd& operator&=(const bdd& other);
     bdd& operator|=(const bdd& other);
-    bdd& operator^=(const bdd& other);
 
     /// Boolean implication (f -> g), i.e. !f | g.
     [[nodiscard]] bdd implies(const bdd& other) const;
@@ -152,12 +151,11 @@ struct bdd_deadline_exceeded : std::runtime_error {
 
 /// Number of distinct cached operation kinds; indexes the per-op counters
 /// in bdd_stats (and_op, xor_op, ite_op, exists_op, and_exists_op,
-/// support_op, cofactor_op, constrain_op, restrict_op — in that order).
-inline constexpr std::size_t bdd_num_ops = 9;
+/// support_op — in that order).
+inline constexpr std::size_t bdd_num_ops = 6;
 
 /// Stable short name of cached operation kind k ("and", "xor", "ite",
-/// "exists", "and_exists", "support", "cofactor", "constrain", "restrict");
-/// "?" for out-of-range k.
+/// "exists", "and_exists", "support"); "?" for out-of-range k.
 [[nodiscard]] const char* bdd_op_name(std::size_t k);
 
 /// Statistics snapshot for diagnostics and benchmarking.
@@ -171,9 +169,9 @@ struct bdd_stats {
     std::size_t cache_entries = 0;  ///< current computed-cache slots
     std::size_t cache_resizes = 0;  ///< computed-cache growth events
     std::size_t gc_threshold = 0;   ///< current allocated-node GC trigger
-    /// Nodes rebuilt by permute/compose/compose_vector: substitution memo
-    /// misses.  A node permute already rebuilt under the same permutation
-    /// since the last collection is not counted again.
+    /// Nodes rebuilt by permute: substitution memo misses.  A node permute
+    /// already rebuilt under the same permutation since the last collection
+    /// is not counted again.
     std::size_t subst_nodes = 0;
     /// Per-operation split of cache_lookups/cache_hits (indexed by the
     /// bdd_op_name order): which recursion is thrashing the cache.
@@ -269,8 +267,6 @@ public:
     /// Existential quantification of all variables in `cube` (a positive
     /// product of the variables to eliminate).
     [[nodiscard]] bdd exists(const bdd& f, const bdd& cube);
-    /// Universal quantification: the complement-edge dual !exists(!f, cube).
-    [[nodiscard]] bdd forall(const bdd& f, const bdd& cube);
     /// Relational product: exists(cube, f & g) computed in one pass.
     [[nodiscard]] bdd and_exists(const bdd& f, const bdd& g, const bdd& cube);
     /// N-ary relational product: exists(cube, f_1 & ... & f_n) in one fused
@@ -285,33 +281,12 @@ public:
     /// `perm` must be defined for every variable in the support of f.
     /// Throws std::invalid_argument if an entry of `perm` is not a variable
     /// or the support of f reaches past the end of `perm`.  Rebuilt nodes
-    /// stay memoized until the next garbage collection, a call with a
-    /// different permutation, or a compose/compose_vector call, so renaming
-    /// a function that shares sub-DAGs with an earlier rename under the
-    /// same permutation costs a lookup per shared node.
+    /// stay memoized until the next garbage collection or a call with a
+    /// different permutation, so renaming a function that shares sub-DAGs
+    /// with an earlier rename under the same permutation costs a lookup per
+    /// shared node.
     [[nodiscard]] bdd permute(const bdd& f,
                               const std::vector<std::uint32_t>& perm);
-    /// Functional composition: substitute g for variable v in f.  Throws
-    /// std::invalid_argument if v is not a variable.
-    [[nodiscard]] bdd compose(const bdd& f, std::uint32_t v, const bdd& g);
-    /// Simultaneous composition: substitute every listed (variable,
-    /// function) pair at once.  Unlike chained compose() calls the
-    /// substituted functions never see each other's variables.  Throws
-    /// std::invalid_argument if a listed variable is not a variable.
-    [[nodiscard]] bdd compose_vector(
-        const bdd& f,
-        const std::vector<std::pair<std::uint32_t, bdd>>& substitutions);
-    /// Cofactor with respect to a (possibly negative-literal) cube.
-    [[nodiscard]] bdd cofactor(const bdd& f, const bdd& cube);
-
-    /// Coudert-Madre constrain (generalized cofactor): a function agreeing
-    /// with f on the care set c (c != 0), with image property
-    /// constrain(f,c) & c == f & c.
-    [[nodiscard]] bdd constrain(const bdd& f, const bdd& c);
-    /// Coudert-Madre restrict: like constrain but prunes variables absent
-    /// from f's support at each level, usually giving a smaller result;
-    /// restrict(f,c) & c == f & c.
-    [[nodiscard]] bdd restrict_dc(const bdd& f, const bdd& c);
 
     // ---- structural queries ----------------------------------------------
     /// Support of f as a positive cube.
@@ -430,10 +405,9 @@ private:
     static constexpr std::uint32_t idx_nil = 0xffffffffu;
 
     enum class op : std::uint8_t {
-        and_op, xor_op, ite_op, exists_op, and_exists_op, support_op,
-        cofactor_op, constrain_op, restrict_op
+        and_op, xor_op, ite_op, exists_op, and_exists_op, support_op
     };
-    static_assert(static_cast<std::size_t>(op::restrict_op) + 1 == bdd_num_ops,
+    static_assert(static_cast<std::size_t>(op::support_op) + 1 == bdd_num_ops,
                   "bdd_num_ops must match the cached-op enum");
 
     /// One computed-cache slot: four words, 16 bytes, so a `cache_ways` set
@@ -604,19 +578,10 @@ private:
     std::uint32_t and_exists_nary_rec(std::vector<std::uint32_t> operands,
                                       std::uint32_t cube, nary_memo& memo);
     std::uint32_t support_rec(std::uint32_t f);
-    std::uint32_t constrain_rec(std::uint32_t f, std::uint32_t c);
-    std::uint32_t restrict_rec(std::uint32_t f, std::uint32_t c);
-    // substitution cores (bdd_subst.cpp); they memoize in subst_memo_.
-    // permute keeps its entries across calls (see subst_memo_);
-    // compose/compose_vector scope theirs to one call with a subst_scope.
-    class subst_scope;
+    // the substitution core (bdd_subst.cpp); it memoizes in subst_memo_ and
+    // keeps its entries across calls (see subst_memo_)
     std::uint32_t permute_rec(std::uint32_t f,
                               const std::vector<std::uint32_t>& perm);
-    std::uint32_t compose_rec(std::uint32_t f, std::uint32_t v,
-                              std::uint32_t g);
-    std::uint32_t compose_vec_rec(std::uint32_t f,
-                                  const std::vector<std::uint32_t>& sub,
-                                  std::uint32_t deepest_level);
     /// Record the rebuilt result of regular node n.
     void subst_memo_store(std::uint32_t n, std::uint32_t result) {
         subst_memo_[n] = result;
@@ -668,9 +633,9 @@ private:
     /// outlive the call while the permutation stays subst_perm_: nodes are
     /// freed only by collect_garbage, which drops the memo, so between
     /// collections every key and value names the same node.  A permutation
-    /// change, compose/compose_vector (on entry and exit) and an unwinding
-    /// permute drop it too.  A drop resets only the touched entries, so it
-    /// costs the visits since the last drop, never an arena-sized fill.
+    /// change and an unwinding permute drop it too.  A drop resets only the
+    /// touched entries, so it costs the visits since the last drop, never an
+    /// arena-sized fill.
     std::vector<std::uint32_t> subst_memo_;
     std::vector<std::uint32_t> subst_touched_; ///< entries set since the last drop
     std::vector<std::uint32_t> subst_perm_;    ///< permutation of the memo's entries

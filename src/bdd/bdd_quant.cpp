@@ -1,12 +1,9 @@
 /// \file bdd_quant.cpp
-/// \brief Quantification: exists, forall, and the fused and-exists
-/// (relational product), the workhorse of partitioned image computation.
+/// \brief Quantification: exists and the fused and-exists (relational
+/// product), the workhorse of partitioned image computation.
 ///
 /// Quantifier cubes are positive products of the variables to eliminate;
-/// traversal follows the hi-edges of the cube.  With complement edges
-/// forall needs no recursion of its own: it is the dual !exists(!f, cube),
-/// and both negations are free bit flips, so exists and forall share one
-/// cache.
+/// traversal follows the hi-edges of the cube.
 
 #include "bdd/bdd.hpp"
 
@@ -20,13 +17,6 @@ bdd bdd_manager::exists(const bdd& f, const bdd& cube) {
     assert(f.manager() == this && cube.manager() == this);
     maybe_gc_or_grow();
     return make(exists_rec(f.index(), cube.index()));
-}
-
-bdd bdd_manager::forall(const bdd& f, const bdd& cube) {
-    checked_guard("forall", f, cube);
-    assert(f.manager() == this && cube.manager() == this);
-    maybe_gc_or_grow();
-    return make(exists_rec(f.index() ^ 1u, cube.index()) ^ 1u);
 }
 
 bdd bdd_manager::and_exists(const bdd& f, const bdd& g, const bdd& cube) {

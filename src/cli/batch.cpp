@@ -3,6 +3,8 @@
 
 #include "cli/batch.hpp"
 
+#include "net/parse_error.hpp"
+
 #include <atomic>
 #include <chrono>
 #include <fstream>
@@ -36,29 +38,33 @@ std::vector<batch_job> read_manifest(std::istream& in,
         std::string f_path, s_path, name, extra;
         if (!(row >> f_path)) { continue; } // blank / comment-only line
         batch_job job;
-        if (is_gen_spec(f_path)) {
-            // one-token form: `gen:FAMILY[:SEED] [NAME]`
-            row >> name;
-            generated_pair pair = make_gen_pair(f_path);
-            job.fixed = std::move(pair.fixed);
-            job.spec = std::move(pair.spec);
-            job.has_choice_inputs = true;
-            job.choice_inputs = pair.num_choice_inputs;
-            job.name = name.empty() ? f_path.substr(4) : name;
-        } else {
-            if (!(row >> s_path)) {
-                throw std::runtime_error(
-                    "manifest:" + std::to_string(line_no) +
-                    ": expected 'F_PATH S_PATH [NAME]' or 'gen:SPEC [NAME]'");
+        // every error on this line, the gen: spec's and the F/S files'
+        // included, is reported at the line
+        try {
+            if (is_gen_spec(f_path)) {
+                // one-token form: `gen:FAMILY[:SEED] [NAME]`
+                row >> name;
+                generated_pair pair = make_gen_pair(f_path);
+                job.fixed = std::move(pair.fixed);
+                job.spec = std::move(pair.spec);
+                job.has_choice_inputs = true;
+                job.choice_inputs = pair.num_choice_inputs;
+                job.name = name.empty() ? f_path.substr(4) : name;
+            } else {
+                if (!(row >> s_path)) {
+                    throw std::runtime_error(
+                        "expected 'F_PATH S_PATH [NAME]' or 'gen:SPEC [NAME]'");
+                }
+                row >> name;
+                job.name = name.empty() ? default_job_name(f_path) : name;
+                job.fixed = read_equation_source(resolve(base_dir, f_path));
+                job.spec = read_equation_source(resolve(base_dir, s_path));
             }
-            row >> name;
-            job.name = name.empty() ? default_job_name(f_path) : name;
-            job.fixed = read_equation_source(resolve(base_dir, f_path));
-            job.spec = read_equation_source(resolve(base_dir, s_path));
-        }
-        if (row >> extra) {
-            throw std::runtime_error("manifest:" + std::to_string(line_no) +
-                                     ": trailing token '" + extra + "'");
+            if (row >> extra) {
+                throw std::runtime_error("trailing token '" + extra + "'");
+            }
+        } catch (const std::exception& e) {
+            throw parse_error("manifest", line_no, e.what());
         }
         jobs.push_back(std::move(job));
     }
@@ -73,7 +79,11 @@ std::vector<batch_job> read_manifest_file(const std::string& path) {
     const std::size_t slash = path.find_last_of('/');
     const std::string base_dir =
         slash == std::string::npos ? std::string() : path.substr(0, slash);
-    return read_manifest(in, base_dir);
+    try {
+        return read_manifest(in, base_dir);
+    } catch (const parse_error& e) {
+        throw e.in(path);
+    }
 }
 
 batch_report run_batch(const std::vector<batch_job>& jobs,

@@ -68,11 +68,14 @@ struct batch_report {
 /// whitespace-separated; `#` starts a comment; blank lines are skipped.
 /// Relative paths resolve against `base_dir` (the manifest's directory).
 /// The default NAME is F_PATH's basename with a trailing `_f` stripped.
-/// Throws std::runtime_error on malformed lines or unreadable files.
+/// Throws parse_error ("manifest:LINE: MESSAGE") on a malformed line, a bad
+/// gen: spec or an unreadable F or S file.
 [[nodiscard]] std::vector<batch_job>
 read_manifest(std::istream& in, const std::string& base_dir);
 
 /// Load a manifest file (resolves entries against its own directory).
+/// Its parse_errors read "PATH:LINE: MESSAGE", PATH being the manifest's;
+/// throws std::runtime_error when the manifest itself cannot be opened.
 [[nodiscard]] std::vector<batch_job>
 read_manifest_file(const std::string& path);
 

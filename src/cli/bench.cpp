@@ -195,7 +195,7 @@ metric_policy bench_metric_policy(const std::string& name) {
     // deterministic work counters: 10% + slack budget.  Misses are gated
     // beside lookups because the hit rate alone can fall when a change
     // removes lookups that were almost all hits; subst_nodes counts the
-    // substitution memo's misses (nodes rebuilt by permute/compose).
+    // substitution memo's misses (nodes rebuilt by permute).
     if (name == "cache_lookups" || name == "cache_misses" ||
         name == "subst_nodes") {
         return {metric_direction::up_bad, 0.10, 1000.0};

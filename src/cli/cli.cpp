@@ -235,6 +235,23 @@ int resolve_pair(parsed_args& parsed, equation_source& fixed,
     return -1;
 }
 
+/// A command option the command does not read is a usage error, not a
+/// silent no-op.  `reader` is the command that runs on each equation (for
+/// batch, its --command).  Returns an exit code to bail with, or -1.
+int check_command_options(const std::string& reader, const parsed_args& parsed,
+                          std::ostream& err) {
+    if (!parsed.config.out_path.empty() && reader != "reduce") {
+        err << "leq: --out is read only by reduce\n";
+        return 2;
+    }
+    if (!parsed.config.impl_path.empty() && reader != "diagnose") {
+        err << "leq: --impl is read only by diagnose "
+               "(in batch, --command diagnose)\n";
+        return 2;
+    }
+    return -1;
+}
+
 /// --impl is an input: check it is readable before any solve work starts
 /// (unreadable inputs are exit 3, not a per-job failure).  Returns an exit
 /// code to bail with, or -1.
@@ -250,6 +267,8 @@ int preflight_impl(const parsed_args& parsed, std::ostream& err) {
 
 int cmd_pair(const std::string& command, parsed_args& parsed,
              std::ostream& out, std::ostream& err) {
+    const int option_bail = check_command_options(command, parsed, err);
+    if (option_bail >= 0) { return option_bail; }
     equation_source fixed, spec;
     try {
         const int bail = resolve_pair(parsed, fixed, spec, err);
@@ -281,6 +300,9 @@ int cmd_batch(parsed_args& parsed, std::ostream& out, std::ostream& err) {
         err << "leq: --out is not supported in batch mode\n";
         return 2;
     }
+    const int option_bail =
+        check_command_options(parsed.batch_command, parsed, err);
+    if (option_bail >= 0) { return option_bail; }
     const int impl_bail = preflight_impl(parsed, err);
     if (impl_bail >= 0) { return impl_bail; }
     batch_options options;

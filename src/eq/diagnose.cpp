@@ -1,15 +1,16 @@
 /// \file diagnose.cpp
-/// \brief Diagnostic variants of the paper's verification checks: when a
-/// containment fails, extract a shortest concrete counterexample trace.
+/// \brief Diagnostic variant of the paper's check (2): when F . X is not
+/// contained in S, extract a shortest concrete counterexample trace.
 ///
-/// The plain verify_* entry points (verify.cpp) run a worklist fixpoint and
-/// return a bare verdict.  Here the forward exploration is layered
-/// breadth-first — frames[t][q] holds the product states *first* reached at
-/// depth t in CSF state q — so a violation found at depth t is shortest, and
-/// a backward walk over the frames reconstructs one concrete run: at every
-/// step a full assignment is picked from the BDD frontier and the partitioned
-/// functions are evaluated to fill in the dependent signal values.  The
-/// monolithic transition relation is never built, in the partitioned spirit.
+/// The plain verify_composition_contained (verify.cpp) runs a worklist
+/// fixpoint and returns a bare verdict.  Here the forward exploration is
+/// layered breadth-first — frames[t][q] holds the product states *first*
+/// reached at depth t in CSF state q — so a violation found at depth t is
+/// shortest, and a backward walk over the frames reconstructs one concrete
+/// run: at every step a full assignment is picked from the BDD frontier and
+/// the partitioned functions are evaluated to fill in the dependent signal
+/// values.  The monolithic transition relation is never built, in the
+/// partitioned spirit.
 
 #include "eq/verify.hpp"
 
@@ -17,7 +18,6 @@
 
 #include <cassert>
 #include <sstream>
-#include <stdexcept>
 
 namespace leq {
 
@@ -48,16 +48,6 @@ std::vector<bool> group_values(const std::vector<bool>& a,
     return out;
 }
 
-/// Cube fixing every variable of the group to the given values.
-bdd values_cube(bdd_manager& mgr, const std::vector<std::uint32_t>& vars,
-                const std::vector<bool>& values) {
-    bdd c = mgr.one();
-    for (std::size_t k = 0; k < vars.size(); ++k) {
-        c &= mgr.literal(vars[k], values[k]);
-    }
-    return c;
-}
-
 void append_bits(std::ostringstream& out, const char* tag,
                  const std::vector<bool>& bits) {
     if (bits.empty()) { return; }
@@ -66,109 +56,6 @@ void append_bits(std::ostringstream& out, const char* tag,
 }
 
 } // namespace
-
-// ---------------------------------------------------------------------------
-// check (1) with trace: X_P contained in the CSF
-// ---------------------------------------------------------------------------
-
-verify_diagnosis diagnose_particular_contained(const equation_problem& problem,
-                                               const automaton& csf,
-                                               const std::vector<bool>& x_init) {
-    bdd_manager& mgr = problem.mgr();
-    if (problem.u_vars.size() != problem.v_vars.size() ||
-        x_init.size() != problem.v_vars.size()) {
-        throw std::invalid_argument(
-            "diagnose_particular_contained: X_P must pair every u with a v");
-    }
-    // X_P step relation (no parts): successors are exists v . r & label,
-    // with the enabled u values renamed to v — shared with verify.cpp
-    // through the relation layer instead of a hand-rolled and_exists loop
-    transition_relation xp_step(mgr, {}, problem.v_vars);
-    xp_step.rename_result(problem.uv_swap_permutation());
-
-    // layered BFS over (X_P state as v-assignment, CSF state)
-    std::vector<std::vector<bdd>> frames;
-    std::vector<bdd> total(csf.num_states(), mgr.zero());
-    frames.emplace_back(csf.num_states(), mgr.zero());
-    frames[0][csf.initial()] = values_cube(mgr, problem.v_vars, x_init);
-    total[csf.initial()] = frames[0][csf.initial()];
-
-    std::size_t bad_layer = 0;
-    std::uint32_t bad_q = 0;
-    bdd bad_set; // over (u, v): X_P moves the CSF cannot match
-    bool found = false;
-    for (std::size_t t = 0; !found; ++t) {
-        for (std::uint32_t q = 0; q < csf.num_states() && !found; ++q) {
-            const bdd r = frames[t][q];
-            if (r.is_zero()) { continue; }
-            const bdd miss = r & !csf.domain(q);
-            if (!miss.is_zero()) {
-                bad_layer = t;
-                bad_q = q;
-                bad_set = miss;
-                found = true;
-            }
-        }
-        if (found) { break; }
-        std::vector<bdd> next(csf.num_states(), mgr.zero());
-        bool any = false;
-        for (std::uint32_t q = 0; q < csf.num_states(); ++q) {
-            const bdd r = frames[t][q];
-            if (r.is_zero()) { continue; }
-            for (const transition& tr : csf.transitions(q)) {
-                const bdd succ = xp_step.image(r, tr.label);
-                const bdd fresh = succ & !total[tr.dest];
-                if (!fresh.is_zero()) {
-                    next[tr.dest] |= fresh;
-                    total[tr.dest] |= fresh;
-                    any = true;
-                }
-            }
-        }
-        if (!any) { return {}; } // fixpoint, no violation
-        frames.push_back(std::move(next));
-    }
-
-    // backward reconstruction of the shortest offending run
-    verify_diagnosis d;
-    d.ok = false;
-    d.trace.resize(bad_layer + 1);
-    const std::vector<bool> bad = pick_assignment(mgr, bad_set);
-    d.trace[bad_layer].u = group_values(bad, problem.u_vars);
-    d.trace[bad_layer].v = group_values(bad, problem.v_vars);
-    {
-        std::ostringstream reason;
-        reason << "CSF state " << bad_q << " has no transition for step "
-               << bad_layer << " of X_P";
-        d.reason = reason.str();
-    }
-    std::uint32_t cur_q = bad_q;
-    std::vector<bool> cur_state = d.trace[bad_layer].v; // X_P state = v bits
-    for (std::size_t t = bad_layer; t > 0; --t) {
-        // predecessor letter: (u = cur_state, v = previous X_P state)
-        const bdd u_cube =
-            values_cube(mgr, problem.u_vars, cur_state);
-        bool stepped = false;
-        for (std::uint32_t q = 0; q < csf.num_states() && !stepped; ++q) {
-            for (const transition& tr : csf.transitions(q)) {
-                if (tr.dest != cur_q) { continue; }
-                const bdd lab_v = mgr.cofactor(tr.label, u_cube);
-                const bdd cand = frames[t - 1][q] & lab_v;
-                if (cand.is_zero()) { continue; }
-                const std::vector<bool> a = pick_assignment(mgr, cand);
-                d.trace[t - 1].u = cur_state;
-                d.trace[t - 1].v = group_values(a, problem.v_vars);
-                cur_q = q;
-                cur_state = d.trace[t - 1].v;
-                stepped = true;
-                break;
-            }
-        }
-        assert(stepped && "frame invariant: predecessor must exist");
-        if (!stepped) { break; }
-    }
-    return d;
-}
 
 // ---------------------------------------------------------------------------
 // check (2) with trace: F . X contained in S

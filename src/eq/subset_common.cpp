@@ -102,12 +102,6 @@ std::vector<cofactor_class> split_by_top_block(bdd_manager& mgr, const bdd& p,
     return classes;
 }
 
-bdd guard_domain(bdd_manager& mgr, const std::vector<cofactor_class>& classes) {
-    bdd d = mgr.zero();
-    for (const cofactor_class& c : classes) { d |= c.guard; }
-    return d;
-}
-
 solve_result
 subset_driver::run(const bdd& initial_state,
                    const std::function<expansion(const bdd&)>& expand,

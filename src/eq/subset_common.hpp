@@ -53,10 +53,6 @@ struct cofactor_class {
 [[nodiscard]] std::vector<cofactor_class>
 split_by_top_block(bdd_manager& mgr, const bdd& p, std::uint32_t boundary);
 
-/// Union of all guards (the domain over (u,v)) of a split.
-[[nodiscard]] bdd guard_domain(bdd_manager& mgr,
-                               const std::vector<cofactor_class>& classes);
-
 /// Result of expanding one subset state.
 struct expansion {
     std::vector<cofactor_class> successors; ///< guard -> successor subset

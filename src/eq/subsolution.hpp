@@ -22,26 +22,27 @@ namespace leq {
 
 /// How to commit to one (v, successor) choice per (state, u assignment).
 enum class extraction_policy {
-    first_edge,       ///< first admitting edge (the extract_fsm baseline)
+    first_edge,       ///< first admitting edge (the greedy baseline)
     prefer_self_loop, ///< stay in the current state when allowed
     prefer_visited,   ///< re-enter already-extracted states when possible
     prefer_low_dest,  ///< deterministic bias to the lowest successor id
 };
 
-[[nodiscard]] const char* to_string(extraction_policy policy);
-
 /// All policies, for sweeps.
 [[nodiscard]] const std::vector<extraction_policy>& all_extraction_policies();
 
-/// extract_fsm generalized over the commitment policy.  The result is a
-/// deterministic FSM (complete over the u inputs) contained in the CSF.
-/// Throws std::invalid_argument on an empty CSF and std::logic_error if the
-/// CSF is not input-progressive.
-[[nodiscard]] automaton
-extract_fsm_with_policy(const automaton& csf,
-                        const std::vector<std::uint32_t>& u_vars,
-                        const std::vector<std::uint32_t>& v_vars,
-                        extraction_policy policy);
+/// Extract a concrete FSM implementation from a CSF over u_vars and v_vars
+/// (as produced by the solvers): in every state and for every input u,
+/// commit to one output v and successor the CSF allows, chosen by
+/// `policy`.  The result is a deterministic Mealy FSM, complete over the u
+/// inputs and contained in the CSF by construction.  Exponential in |u|
+/// (it iterates the input minterms).  Throws std::invalid_argument on an
+/// empty CSF or more than 20 inputs, and std::logic_error if the CSF is not
+/// input-progressive.
+[[nodiscard]] automaton extract_fsm(const automaton& csf,
+                                    const std::vector<std::uint32_t>& u_vars,
+                                    const std::vector<std::uint32_t>& v_vars,
+                                    extraction_policy policy);
 
 /// One candidate of the sub-solution search.
 struct subsolution_candidate {

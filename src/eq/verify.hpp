@@ -33,12 +33,11 @@ namespace leq {
                                                 const automaton& csf);
 
 // ---------------------------------------------------------------------------
-// diagnostic variants: concrete counterexample traces on failure
+// diagnostic variant of check (2): a concrete counterexample trace on failure
 // ---------------------------------------------------------------------------
 
 /// One step of a counterexample trace; values per variable group, in the
-/// problem's group order.  The particular-solution check only fills u and v;
-/// the composition check fills all four groups.
+/// problem's group order.
 struct trace_step {
     std::vector<bool> i, u, v, o;
 };
@@ -50,14 +49,6 @@ struct verify_diagnosis {
     std::string reason;
     std::vector<trace_step> trace;
 };
-
-/// Check (1) with counterexample extraction: on failure the trace is the
-/// shortest X_P run that the CSF cannot match, ending in the unmatched
-/// (u, v) step.
-[[nodiscard]] verify_diagnosis
-diagnose_particular_contained(const equation_problem& problem,
-                              const automaton& csf,
-                              const std::vector<bool>& x_init);
 
 /// Check (2) with counterexample extraction: on failure the trace is a
 /// shortest composed run of F and the CSF ending in a step whose o output

@@ -4,9 +4,9 @@
 #include "gen/differential.hpp"
 
 #include "automata/stg.hpp"
-#include "eq/extract.hpp"
 #include "eq/problem.hpp"
 #include "eq/solver.hpp"
+#include "eq/subsolution.hpp"
 #include "eq/verify.hpp"
 
 #include <sstream>
@@ -144,8 +144,9 @@ run_differential_impl(const network& fixed, const network& spec,
             }
             // the largest solution contains every sub-solution
             if (!problem.u_vars.empty()) {
-                const automaton sub = extract_fsm(*ref.csf, problem.u_vars,
-                                                  problem.v_vars);
+                const automaton sub =
+                    extract_fsm(*ref.csf, problem.u_vars, problem.v_vars,
+                                extraction_policy::first_edge);
                 if (!language_contained(sub, *ref.csf)) {
                     return fail(std::move(out),
                                 "extracted sub-solution escapes the CSF");

@@ -85,8 +85,6 @@ void add_constant(network& net, const std::string& signal, bool value) {
 
 } // namespace
 
-network copy_network(const network& net) { return rebuild(net, {}); }
-
 network tie_input(const network& net, std::size_t index, bool value) {
     if (index >= net.num_inputs()) {
         throw std::out_of_range("tie_input: index");

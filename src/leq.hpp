@@ -8,7 +8,8 @@
 ///   3. equation_problem(F, S) -> variable layout + partitioned functions
 ///   4. solve_partitioned (or solve_monolithic / solve_explicit) -> CSF
 ///   5. verify_particular_contained / verify_composition_contained
-///   6. extract_fsm / select_small_subsolution -> automaton_to_network ->
+///   6. extract_fsm (one commitment policy) or select_small_subsolution
+///      (the smallest over all policies) -> automaton_to_network ->
 ///      compose_networks -> write_blif
 #pragma once
 
@@ -32,7 +33,6 @@
 #include "automata/kiss.hpp"
 #include "automata/stg.hpp"
 
-#include "eq/extract.hpp"
 #include "eq/kiss_flow.hpp"
 #include "eq/problem.hpp"
 #include "eq/reduce.hpp"

@@ -17,13 +17,6 @@ std::uint32_t network::signal(const std::string& name) {
     return id;
 }
 
-std::optional<std::uint32_t>
-network::find_signal(const std::string& name) const {
-    const auto it = signal_ids_.find(name);
-    if (it == signal_ids_.end()) { return std::nullopt; }
-    return it->second;
-}
-
 std::uint32_t network::add_input(const std::string& name) {
     const std::uint32_t id = signal(name);
     inputs_.push_back(id);

@@ -9,7 +9,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -67,8 +66,6 @@ public:
     [[nodiscard]] const std::string& signal_name(std::uint32_t id) const {
         return signal_names_[id];
     }
-    [[nodiscard]] std::optional<std::uint32_t>
-    find_signal(const std::string& name) const;
 
     [[nodiscard]] const std::vector<std::uint32_t>& inputs() const { return inputs_; }
     [[nodiscard]] const std::vector<std::uint32_t>& outputs() const { return outputs_; }

@@ -89,14 +89,6 @@ TEST_P(nfa_props, product_is_intersection) {
     EXPECT_TRUE(language_equivalent(p, product(b, a)));
 }
 
-TEST_P(nfa_props, union_difference_partition) {
-    // L(a) = (L(a) \ L(b)) union (L(a) intersect L(b)), disjointly
-    const automaton only_a = difference(a, b);
-    const automaton both = product(a, b);
-    EXPECT_TRUE(language_equivalent(union_automata(only_a, both), a));
-    EXPECT_TRUE(language_empty(product(only_a, both)));
-}
-
 TEST_P(nfa_props, prefix_close_is_idempotent_and_shrinking) {
     const automaton p1 = prefix_close(a);
     EXPECT_TRUE(language_contained(p1, a));
@@ -111,38 +103,6 @@ TEST_P(nfa_props, minimize_preserves_and_fixes_size) {
     const automaton m2 = minimize(m1);
     EXPECT_EQ(m1.num_states(), m2.num_states());
     EXPECT_LE(m1.num_states(), d.num_states());
-}
-
-TEST_P(nfa_props, count_words_is_representation_independent) {
-    const automaton d = determinize(a);
-    const automaton m = minimize(trim_unreachable(d));
-    for (const std::size_t len : {0u, 1u, 2u, 3u, 4u}) {
-        EXPECT_EQ(count_words(a, len), count_words(d, len)) << len;
-        EXPECT_EQ(count_words(a, len), count_words(m, len)) << len;
-    }
-}
-
-TEST_P(nfa_props, counterexample_agrees_with_containment) {
-    const bool contained = language_contained(a, b);
-    const auto witness = containment_counterexample(a, b);
-    EXPECT_EQ(contained, !witness.has_value());
-    if (witness.has_value()) {
-        EXPECT_TRUE(accepts(a, *witness));
-        EXPECT_FALSE(accepts(b, *witness));
-    }
-}
-
-TEST_P(nfa_props, shortest_word_is_shortest) {
-    const auto w = shortest_accepted_word(a);
-    if (!w.has_value()) {
-        EXPECT_TRUE(language_empty(a));
-        return;
-    }
-    EXPECT_TRUE(accepts(a, *w));
-    // no sampled accepted word is shorter
-    for (const word& other : sample_accepted_words(a, 12, 6, seed)) {
-        EXPECT_GE(other.size(), w->size());
-    }
 }
 
 TEST_P(nfa_props, change_support_expansion_round_trip) {

@@ -79,13 +79,6 @@ TEST(bdd_quant, exists_removes_variable) {
     EXPECT_EQ(s, (std::vector<std::uint32_t>{1, 2}));
 }
 
-TEST(bdd_quant, forall_dual_of_exists) {
-    bdd_manager m(4);
-    const bdd f = (m.var(0) & m.var(1)) | (m.var(2) & !m.var(1));
-    const bdd c = m.cube({1});
-    EXPECT_EQ(m.forall(f, c), !m.exists(!f, c));
-}
-
 TEST(bdd_quant, and_exists_equals_exists_of_and) {
     bdd_manager m(6);
     const bdd f = (m.var(0) & m.var(2)) | (m.var(1) & m.var(4));
@@ -111,15 +104,6 @@ TEST(bdd_subst, permute_renames_support) {
     EXPECT_EQ(m.permute(g, perm), f);
 }
 
-TEST(bdd_subst, compose_substitutes_function) {
-    bdd_manager m(5);
-    const bdd f = m.var(0) & m.var(1);
-    const bdd g = m.var(2) | m.var(3);
-    EXPECT_EQ(m.compose(f, 1, g), m.var(0) & (m.var(2) | m.var(3)));
-    // compose with the variable itself is identity
-    EXPECT_EQ(m.compose(f, 1, m.var(1)), f);
-}
-
 TEST(bdd_subst, permute_rejects_bad_permutations) {
     bdd_manager m(4);
     const bdd f = m.var(0) & m.var(3);
@@ -132,29 +116,6 @@ TEST(bdd_subst, permute_rejects_bad_permutations) {
     EXPECT_EQ(m.permute(m.var(0) & m.var(1), {1, 0}), m.var(0) & m.var(1));
     EXPECT_EQ(m.permute(f, {3, 1, 2, 0}), f);
     m.check_consistency();
-}
-
-TEST(bdd_subst, compose_rejects_a_variable_out_of_range) {
-    bdd_manager m(3);
-    const bdd f = m.var(0) & m.var(1);
-    EXPECT_THROW((void)m.compose(f, 3, m.var(2)), std::invalid_argument);
-    EXPECT_EQ(m.compose(f, 1, m.var(2)), m.var(0) & m.var(2));
-}
-
-TEST(bdd_subst, compose_vector_rejects_a_variable_out_of_range) {
-    bdd_manager m(3);
-    const bdd f = m.var(0) & m.var(1);
-    EXPECT_THROW((void)m.compose_vector(f, {{0, m.var(2)}, {7, m.var(0)}}),
-                 std::invalid_argument);
-    EXPECT_EQ(m.compose_vector(f, {{0, m.var(2)}}), m.var(2) & m.var(1));
-}
-
-TEST(bdd_subst, cofactor_by_cube) {
-    bdd_manager m(4);
-    const bdd f = (m.var(0) & m.var(1)) | ((!m.var(0)) & m.var(2));
-    EXPECT_EQ(m.cofactor(f, m.var(0)), m.var(1));
-    EXPECT_EQ(m.cofactor(f, !m.var(0)), m.var(2));
-    EXPECT_EQ(m.cofactor(f, m.var(0) & m.var(1)), m.one());
 }
 
 TEST(bdd_util, support_and_dag_size) {
@@ -327,12 +288,12 @@ TEST_P(bdd_property, random_functions_respect_boolean_algebra) {
     EXPECT_EQ(f | (f & g), f);
     // Shannon expansion on every variable
     for (std::uint32_t v = 0; v < nvars; ++v) {
-        const bdd pos = m.cofactor(f, m.var(v));
-        const bdd neg = m.cofactor(f, !m.var(v));
+        const bdd pos = m.exists(f & m.var(v), m.cube({v}));
+        const bdd neg = m.exists(f & !m.var(v), m.cube({v}));
         EXPECT_EQ(f, m.ite(m.var(v), pos, neg));
-        // quantifier identities
+        // quantifier identities: exists and its dual through complement
         EXPECT_EQ(m.exists(f, m.cube({v})), pos | neg);
-        EXPECT_EQ(m.forall(f, m.cube({v})), pos & neg);
+        EXPECT_EQ(!m.exists(!f, m.cube({v})), pos & neg);
     }
     // and_exists over a random cube
     const bdd c = m.cube({0, 2, 4});
@@ -394,70 +355,5 @@ TEST_P(bdd_quant_property, early_quantification_condition) {
 
 INSTANTIATE_TEST_SUITE_P(random_seeds, bdd_quant_property,
                          ::testing::Range(0u, 10u));
-
-} // namespace
-
-namespace {
-
-using leq::bdd;
-using leq::bdd_manager;
-
-TEST(bdd_gencof, constrain_agrees_on_care_set) {
-    bdd_manager m(5);
-    const bdd f = (m.var(0) & m.var(1)) | (m.var(2) ^ m.var(3));
-    const bdd c = m.var(0) | m.var(4);
-    const bdd g = m.constrain(f, c);
-    EXPECT_EQ(g & c, f & c);
-    // constrain by 1 is identity; constrain of constants
-    EXPECT_EQ(m.constrain(f, m.one()), f);
-    EXPECT_EQ(m.constrain(m.one(), c), m.one());
-    EXPECT_EQ(m.constrain(m.zero(), c), m.zero());
-    // constrain(f, f) = 1
-    EXPECT_EQ(m.constrain(f, f), m.one());
-}
-
-TEST(bdd_gencof, restrict_agrees_and_often_shrinks) {
-    bdd_manager m(6);
-    const bdd f = (m.var(1) & m.var(2)) | (m.var(3) & m.var(4));
-    // care set constrains var0 (absent from f) and var1
-    const bdd c = (m.var(0) | m.var(1)) & m.var(3);
-    const bdd g = m.restrict_dc(f, c);
-    EXPECT_EQ(g & c, f & c);
-    EXPECT_LE(m.dag_size(g), m.dag_size(f) + 1);
-    // unlike constrain, restrict never introduces variables absent from f
-    for (const std::uint32_t v : m.support(g)) {
-        const auto sup = m.support(f);
-        EXPECT_NE(std::find(sup.begin(), sup.end(), v), sup.end())
-            << "restrict introduced variable " << v;
-    }
-}
-
-class bdd_gencof_property : public ::testing::TestWithParam<unsigned> {};
-
-TEST_P(bdd_gencof_property, generalized_cofactor_identities) {
-    std::mt19937 rng(GetParam());
-    constexpr std::uint32_t nvars = 5;
-    bdd_manager m(nvars);
-    std::vector<bool> tf(1u << nvars), tc(1u << nvars);
-    bool any_care = false;
-    for (std::size_t r = 0; r < tf.size(); ++r) {
-        tf[r] = (rng() & 1) != 0;
-        tc[r] = (rng() & 1) != 0;
-        any_care |= tc[r];
-    }
-    if (!any_care) { tc[0] = true; }
-    const bdd f = from_truth_table(m, tf, nvars);
-    const bdd c = from_truth_table(m, tc, nvars);
-    const bdd cons = m.constrain(f, c);
-    const bdd rest = m.restrict_dc(f, c);
-    // both are valid don't-care covers of f with care set c
-    EXPECT_EQ(cons & c, f & c);
-    EXPECT_EQ(rest & c, f & c);
-    // idempotence on the care set
-    EXPECT_EQ(m.constrain(cons, c) & c, f & c);
-}
-
-INSTANTIATE_TEST_SUITE_P(random_seeds, bdd_gencof_property,
-                         ::testing::Range(100u, 115u));
 
 } // namespace

@@ -4,9 +4,9 @@
 /// Every BDD operation is cross-checked against independent bit-vector
 /// semantics: a function over n <= 12 variables is a 2^n-bit table, each
 /// operator a few word-wise instructions.  Random expression DAGs mix
-/// and/or/xor/not/ite/exists/forall/relprod (and_exists) and substitution
-/// (compose/permute/cofactor), and after every step the new node must agree
-/// with the oracle on all 2^n rows.
+/// and/or/xor/not/ite/exists/relprod (and_exists) and renaming (permute),
+/// and after every step the new node must agree with the oracle on all 2^n
+/// rows.
 ///
 /// On top of pointwise agreement the suite asserts the complement-edge
 /// canonicity contract:
@@ -104,35 +104,21 @@ words tt_ite(const words& f, const words& g, const words& h,
     return t;
 }
 
-/// Smooth (existential) or consense (universal) over one variable.
-words tt_quant1(const words& a, std::uint32_t nvars, std::uint32_t v,
-                bool universal) {
+/// Smooth (existential quantification) over one variable.
+words tt_quant1(const words& a, std::uint32_t nvars, std::uint32_t v) {
     words t = a;
     for (std::size_t r = 0; r < tt_rows(nvars); ++r) {
         const bool b0 = tt_bit(a, r & ~(std::size_t{1} << v));
         const bool b1 = tt_bit(a, r | (std::size_t{1} << v));
-        tt_assign(t, r, universal ? (b0 && b1) : (b0 || b1));
+        tt_assign(t, r, b0 || b1);
     }
     return t;
 }
 
 words tt_quant(const words& a, std::uint32_t nvars,
-               const std::vector<std::uint32_t>& vars, bool universal) {
+               const std::vector<std::uint32_t>& vars) {
     words t = a;
-    for (const std::uint32_t v : vars) { t = tt_quant1(t, nvars, v, universal); }
-    return t;
-}
-
-/// Substitute g for variable v in f.
-words tt_compose(const words& f, std::uint32_t v, const words& g,
-                 std::uint32_t nvars) {
-    words t = tt_const(nvars, false);
-    for (std::size_t r = 0; r < tt_rows(nvars); ++r) {
-        const std::size_t rr = tt_bit(g, r)
-                                   ? (r | (std::size_t{1} << v))
-                                   : (r & ~(std::size_t{1} << v));
-        tt_assign(t, r, tt_bit(f, rr));
-    }
+    for (const std::uint32_t v : vars) { t = tt_quant1(t, nvars, v); }
     return t;
 }
 
@@ -242,7 +228,7 @@ void run_expression_dag(const oracle_params& p) {
     };
 
     for (std::size_t step = 0; step < p.ops; ++step) {
-        std::uniform_int_distribution<int> pick_op(0, 9);
+        std::uniform_int_distribution<int> pick_op(0, 7);
         const int op = pick_op(rng);
         bdd f;
         words t;
@@ -274,33 +260,18 @@ void run_expression_dag(const oracle_params& p) {
             const auto& [af, at] = pick();
             const auto vars = pick_vars(1 + rng() % 3);
             f = mgr.exists(af, mgr.cube(vars));
-            t = tt_quant(at, nvars, vars, false);
+            t = tt_quant(at, nvars, vars);
             break;
         }
-        case 6: { // forall
-            const auto& [af, at] = pick();
-            const auto vars = pick_vars(1 + rng() % 3);
-            f = mgr.forall(af, mgr.cube(vars));
-            t = tt_quant(at, nvars, vars, true);
-            break;
-        }
-        case 7: { // relational product
+        case 6: { // relational product
             const auto& [af, at] = pick();
             const auto& [bf, bt] = pick();
             const auto vars = pick_vars(1 + rng() % 3);
             f = mgr.and_exists(af, bf, mgr.cube(vars));
-            t = tt_quant(tt_bin(at, bt, 0), nvars, vars, false);
+            t = tt_quant(tt_bin(at, bt, 0), nvars, vars);
             // the fused form must equal the two-step form exactly
             ASSERT_EQ(f.index(),
                       mgr.exists(af & bf, mgr.cube(vars)).index());
-            break;
-        }
-        case 8: { // compose (substitution)
-            const auto& [af, at] = pick();
-            const auto& [bf, bt] = pick();
-            const std::uint32_t v = rng() % nvars;
-            f = mgr.compose(af, v, bf);
-            t = tt_compose(at, v, bt, nvars);
             break;
         }
         default: { // permute
@@ -323,7 +294,7 @@ void run_expression_dag(const oracle_params& p) {
                 std::vector<std::uint32_t> cs;
                 for (std::uint32_t v = 0; v < nvars; v += 2) { cs.push_back(v); }
                 from = mgr.exists(af, mgr.cube(cs));
-                from_t = tt_quant(at, nvars, cs, false);
+                from_t = tt_quant(at, nvars, cs);
                 for (std::uint32_t v = 0; v + 1 < nvars; v += 2) {
                     std::swap(perm[v], perm[v + 1]);
                 }

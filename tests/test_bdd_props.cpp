@@ -30,6 +30,18 @@ bdd random_function(bdd_manager& mgr, std::uint32_t seed, std::size_t ops = 60) 
     return f;
 }
 
+/// Oracle: permute(f, perm)(x) == f(x[perm[0]], x[perm[1]], ...) on every
+/// assignment of the first `n` variables.
+void expect_permuted(bdd_manager& mgr, const bdd& result, const bdd& f,
+                     const std::vector<std::uint32_t>& perm, std::uint32_t n) {
+    std::vector<bool> x(n), y(n);
+    for (std::uint32_t row = 0; row < (1u << n); ++row) {
+        for (std::uint32_t v = 0; v < n; ++v) { x[v] = ((row >> v) & 1u) != 0; }
+        for (std::uint32_t v = 0; v < n; ++v) { y[v] = x[perm[v]]; }
+        ASSERT_EQ(mgr.eval(result, x), mgr.eval(f, y)) << "row " << row;
+    }
+}
+
 class bdd_props : public ::testing::TestWithParam<std::uint32_t> {
 protected:
     bdd_manager mgr{nvars};
@@ -58,14 +70,14 @@ TEST_P(bdd_props, implication_and_containment) {
 }
 
 TEST_P(bdd_props, quantifier_identities) {
-    // duality, monotonicity, distribution laws
-    EXPECT_EQ(mgr.exists(f, cube), !mgr.forall(!f, cube));
-    EXPECT_TRUE(mgr.forall(f, cube).leq(f));
+    // monotonicity and distribution laws; universal quantification is the
+    // dual !exists(!f) through the complement edges
+    const auto forall = [&](const bdd& x) { return !mgr.exists(!x, cube); };
+    EXPECT_TRUE(forall(f).leq(f));
     EXPECT_TRUE(f.leq(mgr.exists(f, cube)));
     EXPECT_EQ(mgr.exists(f | g, cube),
               mgr.exists(f, cube) | mgr.exists(g, cube));
-    EXPECT_EQ(mgr.forall(f & g, cube),
-              mgr.forall(f, cube) & mgr.forall(g, cube));
+    EXPECT_EQ(forall(f & g), forall(f) & forall(g));
     // quantifying twice is idempotent
     EXPECT_EQ(mgr.exists(mgr.exists(f, cube), cube), mgr.exists(f, cube));
 }
@@ -98,21 +110,11 @@ TEST_P(bdd_props, nary_and_exists_matches_folded_conjunction) {
 
 TEST_P(bdd_props, cofactor_shannon_expansion) {
     const bdd x = mgr.var(2);
-    const bdd f1 = mgr.cofactor(f, x);
-    const bdd f0 = mgr.cofactor(f, !x);
+    const bdd f1 = mgr.exists(f & x, mgr.cube({2}));
+    const bdd f0 = mgr.exists(f & !x, mgr.cube({2}));
     EXPECT_EQ(f, (x & f1) | ((!x) & f0));
     // cofactors are independent of the cofactored variable
     for (const std::uint32_t v : mgr.support(f1)) { EXPECT_NE(v, 2u); }
-}
-
-TEST_P(bdd_props, constrain_and_restrict_image_property) {
-    if (g.is_zero()) { GTEST_SKIP(); }
-    // both generalized cofactors agree with f on the care set
-    EXPECT_EQ(mgr.constrain(f, g) & g, f & g);
-    EXPECT_EQ(mgr.restrict_dc(f, g) & g, f & g);
-    // constrain by one is the identity
-    EXPECT_EQ(mgr.constrain(f, mgr.one()), f);
-    EXPECT_EQ(mgr.restrict_dc(f, mgr.one()), f);
 }
 
 TEST_P(bdd_props, sat_count_inclusion_exclusion) {
@@ -128,8 +130,8 @@ TEST_P(bdd_props, support_is_tight) {
     // every support variable actually matters; every other one does not
     const auto support = mgr.support(f);
     for (std::uint32_t v = 0; v < nvars; ++v) {
-        const bdd pos = mgr.cofactor(f, mgr.var(v));
-        const bdd neg = mgr.cofactor(f, mgr.nvar(v));
+        const bdd pos = mgr.exists(f & mgr.var(v), mgr.cube({v}));
+        const bdd neg = mgr.exists(f & mgr.nvar(v), mgr.cube({v}));
         const bool in_support =
             std::find(support.begin(), support.end(), v) != support.end();
         EXPECT_EQ(pos != neg, in_support) << "var " << v;
@@ -143,23 +145,13 @@ TEST_P(bdd_props, pick_cube_satisfies) {
     EXPECT_FALSE(cube_of_f.is_zero());
 }
 
-TEST_P(bdd_props, permute_round_trip_and_composition) {
+TEST_P(bdd_props, permute_round_trip_and_pointwise) {
     std::vector<std::uint32_t> swap02(nvars);
     for (std::uint32_t v = 0; v < nvars; ++v) { swap02[v] = v; }
     std::swap(swap02[0], swap02[2]);
     EXPECT_EQ(mgr.permute(mgr.permute(f, swap02), swap02), f);
-    // permute == compose_vector with variable substitutions
-    EXPECT_EQ(mgr.permute(f, swap02),
-              mgr.compose_vector(f, {{0, mgr.var(2)}, {2, mgr.var(0)}}));
-}
-
-TEST_P(bdd_props, compose_inverts_expansion) {
-    // f == ite(x, f|x=1, f|x=0) composed back with anything for x when f
-    // does not depend on x after cofactoring
-    const bdd f1 = mgr.cofactor(f, mgr.var(4));
-    EXPECT_EQ(mgr.compose(f1, 4, g), f1); // x4 absent from f1
-    // compose with the variable itself is the identity
-    EXPECT_EQ(mgr.compose(f, 4, mgr.var(4)), f);
+    ASSERT_NO_FATAL_FAILURE(
+        expect_permuted(mgr, mgr.permute(f, swap02), f, swap02, nvars));
 }
 
 INSTANTIATE_TEST_SUITE_P(seeds, bdd_props, ::testing::Range(1u, 16u));
@@ -201,18 +193,6 @@ std::vector<std::uint32_t> shuffled_order(std::uint32_t n, std::uint32_t seed) {
     std::mt19937 rng(seed);
     std::shuffle(perm.begin(), perm.end(), rng);
     return perm;
-}
-
-/// Oracle: permute(f, perm)(x) == f(x[perm[0]], x[perm[1]], ...) on every
-/// assignment of the first `n` variables.
-void expect_permuted(bdd_manager& mgr, const bdd& result, const bdd& f,
-                     const std::vector<std::uint32_t>& perm, std::uint32_t n) {
-    std::vector<bool> x(n), y(n);
-    for (std::uint32_t row = 0; row < (1u << n); ++row) {
-        for (std::uint32_t v = 0; v < n; ++v) { x[v] = ((row >> v) & 1u) != 0; }
-        for (std::uint32_t v = 0; v < n; ++v) { y[v] = x[perm[v]]; }
-        ASSERT_EQ(mgr.eval(result, x), mgr.eval(f, y)) << "row " << row;
-    }
 }
 
 constexpr std::size_t ite_op = 2; // bdd_op_name order
@@ -283,24 +263,8 @@ TEST(bdd_subst_fast_path, rename_that_grows_the_arena_mid_call) {
 
 // ---------------------------------------------------------------------------
 // the rename memo outlives a permute call: it must be dropped at every
-// collection, permutation change, compose/compose_vector and unwinding
-// permute, and nowhere else
+// collection, permutation change and unwinding permute, and nowhere else
 // ---------------------------------------------------------------------------
-
-/// Oracle: compose_vector(f, subs)(x) == f(x with every listed v replaced
-/// by g(x)) on every assignment of the first `n` variables (compose is the
-/// one-pair case).
-void expect_composed(bdd_manager& mgr, const bdd& result, const bdd& f,
-                     const std::vector<std::pair<std::uint32_t, bdd>>& subs,
-                     std::uint32_t n) {
-    std::vector<bool> x(n), y(n);
-    for (std::uint32_t row = 0; row < (1u << n); ++row) {
-        for (std::uint32_t v = 0; v < n; ++v) { x[v] = ((row >> v) & 1u) != 0; }
-        y = x;
-        for (const auto& [v, g] : subs) { y[v] = mgr.eval(g, x); }
-        ASSERT_EQ(mgr.eval(result, x), mgr.eval(f, y)) << "row " << row;
-    }
-}
 
 /// Non-terminal nodes of f: what a rename with an empty memo rebuilds.
 std::size_t internal_nodes(bdd_manager& mgr, const bdd& f) {
@@ -353,34 +317,6 @@ TEST(bdd_subst_fast_path, memo_is_dropped_when_the_permutation_changes) {
         ASSERT_NO_FATAL_FAILURE(expect_permuted(mgr, again, g, p, nvars));
     }
     mgr.check_consistency();
-}
-
-TEST(bdd_subst_fast_path, memo_is_dropped_around_compose) {
-    bdd_manager mgr(nvars);
-    const std::vector<std::uint32_t> perm = pair_swap(nvars / 2);
-    for (std::uint32_t seed = 1; seed <= 8; ++seed) {
-        const bdd f = random_function(mgr, seed + 300);
-        const bdd g = random_function(mgr, seed + 400);
-        const bdd h = random_function(mgr, seed + 500);
-        ASSERT_NO_FATAL_FAILURE(
-            expect_permuted(mgr, mgr.permute(f, perm), f, perm, nvars));
-        // compose must not read permute's entries for f's nodes ...
-        const std::vector<std::uint32_t> support = mgr.support(f);
-        const std::uint32_t v = support.at(support.size() / 2);
-        const bdd composed = mgr.compose(f, v, g);
-        ASSERT_NO_FATAL_FAILURE(
-            expect_composed(mgr, composed, f, {{v, g}}, nvars));
-        // ... and permute must not read compose's
-        ASSERT_NO_FATAL_FAILURE(
-            expect_permuted(mgr, mgr.permute(f, perm), f, perm, nvars));
-        const std::vector<std::pair<std::uint32_t, bdd>> subs = {
-            {v, g}, {(v + 3) % nvars, h}};
-        const bdd vector_composed = mgr.compose_vector(f, subs);
-        ASSERT_NO_FATAL_FAILURE(
-            expect_composed(mgr, vector_composed, f, subs, nvars));
-        ASSERT_NO_FATAL_FAILURE(
-            expect_permuted(mgr, mgr.permute(f, perm), f, perm, nvars));
-    }
 }
 
 TEST(bdd_subst_fast_path, a_permute_that_throws_leaves_nothing_memoized) {
@@ -603,9 +539,9 @@ std::vector<bool> truth_table(bdd_manager& mgr, const bdd& f) {
 }
 
 /// One operand pair for every cached op.  The operands are regular,
-/// ordered and topped by variable 0, so no core renormalizes them: and,
-/// xor, constrain and restrict all probe key (f,g,0), and exists and
-/// cofactor both probe (f,cube,0) — keys that differ only in the op nibble.
+/// ordered and topped by variable 0, so no core renormalizes them: and and
+/// xor both probe key (f,g,0), and ite (with h the cube) and and_exists
+/// both probe (f,g,cube) — keys that differ only in the op nibble.
 struct op_operands {
     bdd f, g, h, cube;
 };
@@ -616,7 +552,8 @@ op_operands make_operands(bdd_manager& mgr) {
     if ((f.index() & 1u) != 0) { f = !f; }
     if ((g.index() & 1u) != 0) { g = !g; }
     if (f.index() > g.index()) { std::swap(f, g); }
-    return {f, g, random_function(mgr, 43), mgr.cube({1, 3, 5})};
+    const bdd cube = mgr.cube({1, 3, 5});
+    return {f, g, cube, cube};
 }
 
 /// Cached op k (bdd_op_name order) on the operands.
@@ -627,10 +564,7 @@ bdd run_cached_op(bdd_manager& mgr, const op_operands& o, std::size_t k) {
         case 2: return mgr.ite(o.f, o.g, o.h);
         case 3: return mgr.exists(o.f, o.cube);
         case 4: return mgr.and_exists(o.f, o.g, o.cube);
-        case 5: return mgr.support_cube(o.f);
-        case 6: return mgr.cofactor(o.f, o.cube);
-        case 7: return mgr.constrain(o.f, o.g);
-        default: return mgr.restrict_dc(o.f, o.g);
+        default: return mgr.support_cube(o.f);
     }
 }
 

@@ -445,6 +445,42 @@ TEST(cli_errors, missing_impl_is_unreadable_input) {
               3);
 }
 
+TEST(cli_errors, command_options_outside_their_command_are_usage_errors) {
+    const std::string f = example("passthrough_f.kiss");
+    const std::string s = example("passthrough_s.kiss");
+    const std::string out = temp_path("unread_out.kiss");
+    std::remove(out.c_str());
+    for (const char* command : {"solve", "verify", "diagnose"}) {
+        const cli_run r = run({command, f, s, "--out", out});
+        EXPECT_EQ(r.exit_code, 2) << command;
+        EXPECT_NE(r.err.find("--out"), std::string::npos) << r.err;
+        EXPECT_TRUE(r.out.empty()) << command << ": nothing may run";
+    }
+    EXPECT_FALSE(std::ifstream(out).good()) << "no command wrote --out";
+    // --impl is checked before its file is opened: a missing file is not
+    // an input error where nothing reads it
+    for (const char* command : {"solve", "verify", "reduce"}) {
+        const cli_run r = run({command, f, s, "--impl", "missing.kiss"});
+        EXPECT_EQ(r.exit_code, 2) << command;
+        EXPECT_NE(r.err.find("--impl"), std::string::npos) << r.err;
+    }
+    for (const char* command : {"solve", "verify", "reduce"}) {
+        EXPECT_EQ(run({"batch", example("campaign.txt"), "--command", command,
+                       "--impl", "missing.kiss"})
+                      .exit_code,
+                  2)
+            << command;
+    }
+    // the commands that read them still accept them
+    EXPECT_EQ(run({"reduce", f, s, "--out", out}).exit_code, 0);
+    EXPECT_TRUE(std::ifstream(out).good());
+    std::remove(out.c_str());
+    EXPECT_EQ(run({"batch", example("campaign.txt"), "--command", "diagnose",
+                   "--impl", "missing.kiss"})
+                  .exit_code,
+              3);
+}
+
 TEST(cli_errors, batch_rejects_shared_out_path) {
     EXPECT_EQ(run({"batch", example("campaign.txt"), "--command", "reduce",
                    "--out", "x.kiss"})
@@ -622,6 +658,30 @@ TEST(cli_errors, malformed_manifest_line) {
         out << "only_one_token\n";
     }
     EXPECT_EQ(run({"batch", manifest}).exit_code, 3);
+    std::remove(manifest.c_str());
+}
+
+TEST(cli_errors, manifest_errors_name_the_manifest_and_line) {
+    const std::string manifest = temp_path("named_manifest.txt");
+    // each bad entry sits on line 2, below a valid one
+    const std::string good = "gen:counter:3 fine\n";
+    const std::vector<std::pair<std::string, std::string>> cases = {
+        {"only_one_token\n", "expected 'F_PATH S_PATH [NAME]'"},
+        {"gen:nosuch:1\n", "unknown scenario family 'nosuch'"},
+        {"no_such_f.blif no_such_s.blif\n", "cannot open"},
+        {"gen:counter:3 name extra\n", "trailing token 'extra'"},
+    };
+    for (const auto& [line, message] : cases) {
+        {
+            std::ofstream out(manifest);
+            out << good << line;
+        }
+        const cli_run r = run({"batch", manifest});
+        EXPECT_EQ(r.exit_code, 3) << line;
+        EXPECT_EQ(r.err.rfind("leq: " + manifest + ":2: ", 0), 0u) << r.err;
+        EXPECT_NE(r.err.find(message), std::string::npos) << r.err;
+        EXPECT_TRUE(r.out.empty()) << "no job may run";
+    }
     std::remove(manifest.c_str());
 }
 

@@ -3,8 +3,8 @@
 /// composition, and the end-to-end circuit-level round trip
 /// (split -> solve -> extract -> encode -> compose -> compare with S).
 
-#include "eq/extract.hpp"
 #include "eq/solver.hpp"
+#include "eq/subsolution.hpp"
 #include "net/compose.hpp"
 #include "automata/encode.hpp"
 #include "net/generator.hpp"
@@ -139,7 +139,8 @@ TEST(encode_test, extracted_fsm_simulates_correctly) {
     const solve_result result = solve_partitioned(problem);
     ASSERT_EQ(result.status, solve_status::ok);
     const automaton fsm =
-        extract_fsm(*result.csf, problem.u_vars, problem.v_vars);
+        extract_fsm(*result.csf, problem.u_vars, problem.v_vars,
+                    extraction_policy::first_edge);
     check_encoding_simulates(fsm, problem.u_vars, problem.v_vars, 11);
 }
 

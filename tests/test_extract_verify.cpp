@@ -4,8 +4,8 @@
 
 #include "automata/automaton_io.hpp"
 #include "automata/kiss.hpp"
-#include "eq/extract.hpp"
 #include "eq/solver.hpp"
+#include "eq/subsolution.hpp"
 #include "eq/verify.hpp"
 #include "net/generator.hpp"
 #include "net/latch_split.hpp"
@@ -34,7 +34,8 @@ TEST(extract_fsm_test, extraction_is_deterministic_and_contained) {
     solved s(make_paper_example(), {1});
     ASSERT_EQ(s.result.status, solve_status::ok);
     const automaton fsm =
-        extract_fsm(*s.result.csf, s.problem.u_vars, s.problem.v_vars);
+        extract_fsm(*s.result.csf, s.problem.u_vars, s.problem.v_vars,
+                    extraction_policy::first_edge);
     EXPECT_TRUE(is_deterministic(fsm));
     EXPECT_TRUE(language_contained(fsm, *s.result.csf));
     // input-progressive: every u covered in every state
@@ -55,7 +56,8 @@ TEST(extract_fsm_test, extraction_over_families) {
         ASSERT_EQ(s.result.status, solve_status::ok) << id;
         if (s.result.empty_solution) { continue; }
         const automaton fsm =
-            extract_fsm(*s.result.csf, s.problem.u_vars, s.problem.v_vars);
+            extract_fsm(*s.result.csf, s.problem.u_vars, s.problem.v_vars,
+                        extraction_policy::first_edge);
         EXPECT_TRUE(language_contained(fsm, *s.result.csf)) << id;
         // a valid implementation also satisfies the composition check
         EXPECT_TRUE(verify_composition_contained(s.problem, fsm)) << id;
@@ -66,7 +68,8 @@ TEST(extract_fsm_test, rejects_empty_csf) {
     bdd_manager mgr(2);
     automaton empty(mgr, {0, 1});
     empty.set_initial(empty.add_state(false));
-    EXPECT_THROW(extract_fsm(empty, {0}, {1}), std::invalid_argument);
+    EXPECT_THROW(extract_fsm(empty, {0}, {1}, extraction_policy::first_edge),
+                 std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------
@@ -160,7 +163,8 @@ TEST(kiss_io, round_trip_extracted_fsm) {
     solved s(make_traffic_controller(), {2});
     ASSERT_EQ(s.result.status, solve_status::ok);
     const automaton fsm =
-        extract_fsm(*s.result.csf, s.problem.u_vars, s.problem.v_vars);
+        extract_fsm(*s.result.csf, s.problem.u_vars, s.problem.v_vars,
+                    extraction_policy::first_edge);
     const std::string text =
         write_kiss_string(fsm, s.problem.u_vars, s.problem.v_vars);
     EXPECT_NE(text.find(".i 1"), std::string::npos);

@@ -2,9 +2,9 @@
 /// \brief FSM-level equation solving from KISS2 text.
 
 #include "automata/kiss.hpp"
-#include "eq/extract.hpp"
 #include "eq/kiss_flow.hpp"
 #include "eq/solver.hpp"
+#include "eq/subsolution.hpp"
 #include "eq/verify.hpp"
 
 #include <gtest/gtest.h>
@@ -105,7 +105,8 @@ TEST(kiss_flow, solves_the_delay_decomposition) {
     EXPECT_TRUE(language_contained(xdelay, *result.csf));
     // any extracted implementation satisfies check (2)
     const automaton fsm =
-        extract_fsm(*result.csf, problem.u_vars, problem.v_vars);
+        extract_fsm(*result.csf, problem.u_vars, problem.v_vars,
+                    extraction_policy::first_edge);
     EXPECT_TRUE(verify_composition_contained(problem, fsm));
 }
 

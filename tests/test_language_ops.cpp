@@ -1,5 +1,5 @@
 /// \file test_language_ops.cpp
-/// \brief Union, difference, prefix-closure, witness words and word sampling.
+/// \brief Prefix closure and word sampling.
 
 #include "automata/automaton.hpp"
 #include "automata/stg.hpp"
@@ -7,8 +7,6 @@
 #include "net/netbdd.hpp"
 
 #include <gtest/gtest.h>
-
-#include <algorithm>
 
 namespace leq {
 namespace {
@@ -36,91 +34,6 @@ automaton length_exactly(bdd_manager& mgr, std::size_t n) {
     }
     a.set_initial(0);
     return a;
-}
-
-word make_word(const std::vector<int>& bits) {
-    word w;
-    for (const int b : bits) { w.push_back({b != 0}); }
-    return w;
-}
-
-// ---------------------------------------------------------------------------
-// union
-// ---------------------------------------------------------------------------
-
-TEST(language_ops, union_accepts_both_languages) {
-    bdd_manager mgr(1);
-    const automaton a = length_exactly(mgr, 2);
-    const automaton b = length_exactly(mgr, 4);
-    const automaton u = union_automata(a, b);
-    EXPECT_TRUE(accepts(u, make_word({0, 1})));
-    EXPECT_TRUE(accepts(u, make_word({1, 0, 1, 0})));
-    EXPECT_FALSE(accepts(u, make_word({1})));
-    EXPECT_FALSE(accepts(u, make_word({1, 1, 1})));
-    EXPECT_FALSE(accepts(u, {}));
-}
-
-TEST(language_ops, union_empty_word_cases) {
-    bdd_manager mgr(1);
-    const automaton a = length_exactly(mgr, 0); // only the empty word
-    const automaton b = length_exactly(mgr, 1);
-    const automaton u = union_automata(a, b);
-    EXPECT_TRUE(accepts(u, {}));
-    EXPECT_TRUE(accepts(u, make_word({1})));
-    EXPECT_FALSE(accepts(u, make_word({1, 1})));
-}
-
-TEST(language_ops, union_is_commutative_in_language) {
-    bdd_manager mgr(1);
-    const automaton a = ones_chain(mgr, 2);
-    const automaton b = length_exactly(mgr, 3);
-    EXPECT_TRUE(language_equivalent(union_automata(a, b),
-                                    union_automata(b, a)));
-}
-
-TEST(language_ops, union_with_self_is_identity) {
-    bdd_manager mgr(1);
-    const automaton a = ones_chain(mgr, 3);
-    EXPECT_TRUE(language_equivalent(union_automata(a, a), a));
-}
-
-TEST(language_ops, union_rejects_support_mismatch) {
-    bdd_manager mgr(2);
-    automaton a(mgr, {0});
-    a.add_state(true);
-    automaton b(mgr, {1});
-    b.add_state(true);
-    EXPECT_THROW((void)union_automata(a, b), std::logic_error);
-}
-
-// ---------------------------------------------------------------------------
-// difference
-// ---------------------------------------------------------------------------
-
-TEST(language_ops, difference_semantics) {
-    bdd_manager mgr(1);
-    const automaton any3 = length_exactly(mgr, 3);
-    const automaton ones = ones_chain(mgr, 5);
-    // words of length 3 that are NOT all-ones
-    const automaton d = difference(any3, ones);
-    EXPECT_TRUE(accepts(d, make_word({1, 0, 1})));
-    EXPECT_TRUE(accepts(d, make_word({0, 0, 0})));
-    EXPECT_FALSE(accepts(d, make_word({1, 1, 1})));
-    EXPECT_FALSE(accepts(d, make_word({1, 0})));
-}
-
-TEST(language_ops, difference_with_self_is_empty) {
-    bdd_manager mgr(1);
-    const automaton a = ones_chain(mgr, 4);
-    EXPECT_TRUE(language_empty(difference(a, a)));
-}
-
-TEST(language_ops, difference_from_superset_is_empty) {
-    bdd_manager mgr(1);
-    const automaton small = ones_chain(mgr, 2);
-    const automaton big = ones_chain(mgr, 6);
-    EXPECT_TRUE(language_empty(difference(small, big)));
-    EXPECT_FALSE(language_empty(difference(big, small)));
 }
 
 // ---------------------------------------------------------------------------
@@ -163,81 +76,6 @@ TEST(language_ops, network_stg_is_prefix_closed) {
 }
 
 // ---------------------------------------------------------------------------
-// shortest word / counterexample
-// ---------------------------------------------------------------------------
-
-TEST(language_ops, shortest_word_of_empty_language_is_nullopt) {
-    bdd_manager mgr(1);
-    automaton a(mgr, {0});
-    a.add_state(false);
-    a.set_initial(0);
-    EXPECT_FALSE(shortest_accepted_word(a).has_value());
-}
-
-TEST(language_ops, shortest_word_empty_when_initial_accepting) {
-    bdd_manager mgr(1);
-    const automaton a = ones_chain(mgr, 3);
-    const auto w = shortest_accepted_word(a);
-    ASSERT_TRUE(w.has_value());
-    EXPECT_TRUE(w->empty());
-}
-
-TEST(language_ops, shortest_word_has_minimal_length) {
-    bdd_manager mgr(1);
-    const automaton a = length_exactly(mgr, 3);
-    const auto w = shortest_accepted_word(a);
-    ASSERT_TRUE(w.has_value());
-    EXPECT_EQ(w->size(), 3u);
-    EXPECT_TRUE(accepts(a, *w));
-}
-
-TEST(language_ops, shortest_word_respects_labels) {
-    // only x=1 letters move forward; the witness must spell 1,1
-    bdd_manager mgr(1);
-    automaton a(mgr, {0});
-    a.add_state(false);
-    a.add_state(false);
-    a.add_state(true);
-    a.add_transition(0, 1, mgr.var(0));
-    a.add_transition(1, 2, mgr.var(0));
-    a.set_initial(0);
-    const auto w = shortest_accepted_word(a);
-    ASSERT_TRUE(w.has_value());
-    ASSERT_EQ(w->size(), 2u);
-    EXPECT_TRUE((*w)[0][0]);
-    EXPECT_TRUE((*w)[1][0]);
-}
-
-TEST(language_ops, counterexample_none_when_contained) {
-    bdd_manager mgr(1);
-    const automaton small = ones_chain(mgr, 2);
-    const automaton big = ones_chain(mgr, 5);
-    EXPECT_FALSE(containment_counterexample(small, big).has_value());
-}
-
-TEST(language_ops, counterexample_is_in_a_not_in_b) {
-    bdd_manager mgr(1);
-    const automaton small = ones_chain(mgr, 2);
-    const automaton big = ones_chain(mgr, 5);
-    const auto w = containment_counterexample(big, small);
-    ASSERT_TRUE(w.has_value());
-    EXPECT_TRUE(accepts(big, *w));
-    EXPECT_FALSE(accepts(small, *w));
-    // shortest such word: three ones
-    EXPECT_EQ(w->size(), 3u);
-}
-
-TEST(language_ops, counterexample_matches_language_contained) {
-    bdd_manager mgr(1);
-    const automaton a = length_exactly(mgr, 2);
-    const automaton b = ones_chain(mgr, 4);
-    EXPECT_EQ(language_contained(a, b),
-              !containment_counterexample(a, b).has_value());
-    EXPECT_EQ(language_contained(b, a),
-              !containment_counterexample(b, a).has_value());
-}
-
-// ---------------------------------------------------------------------------
 // sampling
 // ---------------------------------------------------------------------------
 
@@ -267,32 +105,6 @@ TEST(language_ops, sampling_is_deterministic_per_seed) {
     const auto w2 = sample_accepted_words(a, 5, 5, 7);
     EXPECT_EQ(w1, w2);
 }
-
-// ---------------------------------------------------------------------------
-// property sweep: set algebra on random chain/length automata
-// ---------------------------------------------------------------------------
-
-class lang_algebra : public ::testing::TestWithParam<std::size_t> {};
-
-TEST_P(lang_algebra, union_difference_roundtrip) {
-    const std::size_t n = GetParam();
-    bdd_manager mgr(1);
-    const automaton a = ones_chain(mgr, n);
-    const automaton b = length_exactly(mgr, n);
-    // (a \ b) union (a intersect b) == a
-    const automaton left =
-        union_automata(difference(a, b), product(a, b));
-    EXPECT_TRUE(language_equivalent(left, a));
-    // a subset (a union b); b subset (a union b)
-    const automaton u = union_automata(a, b);
-    EXPECT_TRUE(language_contained(a, u));
-    EXPECT_TRUE(language_contained(b, u));
-    // difference against the union is empty
-    EXPECT_TRUE(language_empty(difference(a, u)));
-}
-
-INSTANTIATE_TEST_SUITE_P(sizes, lang_algebra,
-                         ::testing::Values(1, 2, 3, 4, 5, 6));
 
 } // namespace
 } // namespace leq

@@ -270,8 +270,8 @@ TEST(relation_deadline, op_deadline_interrupts_inside_a_chain_step) {
     // too fast to cross even one ~1024-lookup stride
     bdd from = mgr.zero();
     for (std::size_t k = 0; k + 2 < vars.cs.size(); k += 3) {
-        from ^= mgr.var(vars.cs[k]) &
-                (mgr.var(vars.cs[k + 1]) | !mgr.var(vars.cs[k + 2]));
+        from = from ^ (mgr.var(vars.cs[k]) &
+                       (mgr.var(vars.cs[k + 1]) | !mgr.var(vars.cs[k + 2])));
     }
 
     mgr.set_op_deadline(std::chrono::steady_clock::now() -

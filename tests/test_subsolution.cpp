@@ -2,7 +2,6 @@
 /// \brief Sub-solution selection (the paper's "optimum sub-solution" future
 /// work): policy extraction, minimization, containment and the search.
 
-#include "eq/extract.hpp"
 #include "eq/solver.hpp"
 #include "eq/subsolution.hpp"
 #include "eq/verify.hpp"
@@ -39,33 +38,20 @@ bool input_progressive_over_u(const equation_problem& p, const automaton& a) {
 // policy extraction
 // ---------------------------------------------------------------------------
 
-TEST(subsolution, first_edge_policy_matches_extract_fsm) {
-    solved s(make_paper_example(), {1});
-    ASSERT_EQ(s.result.status, solve_status::ok);
-    const automaton& csf = *s.result.csf;
-    const automaton a = extract_fsm(csf, s.problem.u_vars, s.problem.v_vars);
-    const automaton b = extract_fsm_with_policy(
-        csf, s.problem.u_vars, s.problem.v_vars,
-        extraction_policy::first_edge);
-    EXPECT_TRUE(language_equivalent(a, b));
-    EXPECT_EQ(a.num_states(), b.num_states());
-}
-
 TEST(subsolution, every_policy_yields_contained_progressive_fsm) {
     solved s(make_traffic_controller(), {1});
     ASSERT_EQ(s.result.status, solve_status::ok);
     ASSERT_FALSE(s.result.empty_solution);
     const automaton& csf = *s.result.csf;
     for (const extraction_policy policy : all_extraction_policies()) {
-        const automaton fsm = extract_fsm_with_policy(
-            csf, s.problem.u_vars, s.problem.v_vars, policy);
-        EXPECT_TRUE(is_deterministic(fsm)) << to_string(policy);
-        EXPECT_TRUE(language_contained(fsm, csf)) << to_string(policy);
-        EXPECT_TRUE(input_progressive_over_u(s.problem, fsm))
-            << to_string(policy);
+        const automaton fsm =
+            extract_fsm(csf, s.problem.u_vars, s.problem.v_vars, policy);
+        const int id = static_cast<int>(policy);
+        EXPECT_TRUE(is_deterministic(fsm)) << id;
+        EXPECT_TRUE(language_contained(fsm, csf)) << id;
+        EXPECT_TRUE(input_progressive_over_u(s.problem, fsm)) << id;
         // a contained FSM also satisfies the paper's check (2)
-        EXPECT_TRUE(verify_composition_contained(s.problem, fsm))
-            << to_string(policy);
+        EXPECT_TRUE(verify_composition_contained(s.problem, fsm)) << id;
     }
 }
 
@@ -75,9 +61,8 @@ TEST(subsolution, rejects_empty_csf) {
     automaton empty(s.problem.mgr(), s.result.csf->label_vars());
     empty.add_state(false);
     empty.set_initial(0);
-    EXPECT_THROW((void)extract_fsm_with_policy(
-                     empty, s.problem.u_vars, s.problem.v_vars,
-                     extraction_policy::first_edge),
+    EXPECT_THROW((void)extract_fsm(empty, s.problem.u_vars, s.problem.v_vars,
+                                   extraction_policy::first_edge),
                  std::invalid_argument);
 }
 
@@ -94,7 +79,8 @@ TEST(subsolution, search_returns_smallest_candidate) {
     ASSERT_EQ(r.candidates.size(), all_extraction_policies().size());
     std::size_t smallest = SIZE_MAX;
     for (const auto& c : r.candidates) {
-        EXPECT_LE(c.minimized_states, c.raw_states) << to_string(c.policy);
+        EXPECT_LE(c.minimized_states, c.raw_states)
+            << static_cast<int>(c.policy);
         smallest = std::min(smallest, c.minimized_states);
     }
     EXPECT_EQ(r.fsm.num_states(), smallest);
@@ -118,7 +104,8 @@ TEST(subsolution, search_beats_or_matches_naive_extraction) {
     ASSERT_EQ(s.result.status, solve_status::ok);
     if (s.result.empty_solution) { GTEST_SKIP(); }
     const automaton naive =
-        extract_fsm(*s.result.csf, s.problem.u_vars, s.problem.v_vars);
+        extract_fsm(*s.result.csf, s.problem.u_vars, s.problem.v_vars,
+                    extraction_policy::first_edge);
     const auto r = select_small_subsolution(*s.result.csf, s.problem.u_vars,
                                             s.problem.v_vars);
     EXPECT_LE(r.fsm.num_states(), naive.num_states());
@@ -153,13 +140,5 @@ TEST_P(subsolution_families, search_is_sound_across_circuits) {
 
 INSTANTIATE_TEST_SUITE_P(families, subsolution_families,
                          ::testing::Range(0, 6));
-
-TEST(subsolution, policy_names_are_distinct) {
-    std::set<std::string> names;
-    for (const extraction_policy p : all_extraction_policies()) {
-        names.insert(to_string(p));
-    }
-    EXPECT_EQ(names.size(), all_extraction_policies().size());
-}
 
 } // namespace
