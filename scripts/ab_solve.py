@@ -1,28 +1,29 @@
 #!/usr/bin/env python3
-"""Interleaved A/B timing of two `leq` binaries on one equation.
+"""Interleaved A/B timing of two `leq` binaries on one equation or a batch.
 
     scripts/ab_solve.py BIN_A BIN_B F S [N]
+    scripts/ab_solve.py BIN_A BIN_B --batch MANIFEST [N]
 
-Runs `BIN solve F S` N times per binary (default 10) as N pairs, swapping
-which binary goes first in every other pair so slow stretches of a noisy
-host hit both sides alike.  Prints, per binary, the median, quartiles and
-minimum of the wall time and the peak RSS of its runs, then how many pairs
-B won and B's median relative to A's.
+Runs `BIN solve F S` (or, with --batch, `BIN batch MANIFEST --command verify
+--jobs 2`) N times per binary (default 10) as N pairs, swapping which binary
+goes first in every other pair so slow stretches of a noisy host hit both
+sides alike.  Prints, per binary, the median, quartiles and minimum of the
+wall time and the peak RSS of its runs, then how many pairs B won and B's
+median relative to A's.  Each timed run is forked from a bare interpreter,
+so a peak RSS under about 5 MB reads as that floor.
 
-Before timing, each binary solves the pair once with --no-timing and the two
-JSON records are compared.  They may differ only in the computed-cache
-traffic counters (stats.cache_lookups, stats.cache_hits, stats.op_cache)
-and the collection count (stats.gc_runs); any other difference is a
-changed answer, and the script exits 1.  Exit 2 is a usage error or a
-failed solve.
+Before timing, each binary runs the command once with --no-timing and the
+JSON records are compared, record by record for a batch.  They may differ
+only in the computed-cache traffic counters (stats.cache_lookups,
+stats.cache_hits, stats.op_cache) and the collection count
+(stats.gc_runs); any other difference is a changed answer, and the script
+exits 1.  Exit 2 is a usage error or a failed run.
 """
 
 import json
-import os
 import statistics
 import subprocess
 import sys
-import time
 
 # record fields a pure speed change may move: cache traffic and GC runs
 COUNTER_FIELDS = {("stats", "cache_lookups"), ("stats", "cache_hits"),
@@ -34,13 +35,21 @@ def fail(message):
     sys.exit(2)
 
 
-def record(binary, f, s):
-    proc = subprocess.run([binary, "solve", f, s, "--no-timing"],
-                          capture_output=True, text=True)
+def record_lines(binary, args):
+    """The JSON record lines one --no-timing run prints, in output order.
+
+    They stay text until compared, one pair at a time: a child inherits
+    this process's peak RSS as the floor of its own, so holding a whole
+    campaign's parsed records here would hide the binaries' peaks."""
+    try:
+        proc = subprocess.run([binary] + args + ["--no-timing"],
+                              capture_output=True, text=True)
+    except OSError as e:
+        fail(f"cannot run {binary}: {e}")
     if proc.returncode != 0:
-        fail(f"{binary} solve exited {proc.returncode}: "
+        fail(f"{binary} {args[0]} exited {proc.returncode}: "
              f"{proc.stderr.strip()}")
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    return [line for line in proc.stdout.splitlines() if line.strip()]
 
 
 def differences(a, b, path=()):
@@ -55,17 +64,34 @@ def differences(a, b, path=()):
     return [] if a == b else [path]
 
 
-def timed_run(binary, f, s):
-    """One solve: wall seconds and peak RSS in MB."""
-    with open(os.devnull, "w") as devnull:
-        start = time.perf_counter()
-        proc = subprocess.Popen([binary, "solve", f, s, "--no-timing"],
-                                stdout=devnull, stderr=devnull)
-        _, status, usage = os.wait4(proc.pid, 0)
-        wall = time.perf_counter() - start
-    if os.waitstatus_to_exitcode(status) != 0:
-        fail(f"{binary} solve failed during timing")
-    return wall, usage.ru_maxrss / 1024.0
+# Runs argv[1:] with its output discarded and prints its wall seconds, peak
+# RSS in KiB and exit code.  Linux starts a child's peak RSS at its parent's
+# (this whole script's, on a vfork spawn), so the timed run is forked from
+# this bare interpreter instead: the floor it leaves is about 5 MB.
+LAUNCHER = """
+import os, sys, time
+start = time.perf_counter()
+pid = os.fork()
+if pid == 0:
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, 1)
+    os.dup2(devnull, 2)
+    os.execv(sys.argv[1], sys.argv[1:])
+_, status, usage = os.wait4(pid, 0)
+print(time.perf_counter() - start, usage.ru_maxrss,
+      os.waitstatus_to_exitcode(status))
+"""
+
+
+def timed_run(binary, args):
+    """One run: wall seconds and peak RSS in MB."""
+    proc = subprocess.run([sys.executable, "-I", "-S", "-c", LAUNCHER,
+                           binary] + args + ["--no-timing"],
+                          capture_output=True, text=True)
+    fields = proc.stdout.split()
+    if proc.returncode != 0 or len(fields) != 3 or fields[2] != "0":
+        fail(f"{binary} {args[0]} failed during timing")
+    return float(fields[0]), int(fields[1]) / 1024.0
 
 
 def summary(label, runs):
@@ -81,17 +107,31 @@ def main(argv):
     if len(argv) not in (5, 6):
         print(__doc__.strip(), file=sys.stderr)
         return 2
-    bin_a, bin_b, f, s = argv[1:5]
+    bin_a, bin_b = argv[1:3]
+    if argv[3] == "--batch":
+        args = ["batch", argv[4], "--command", "verify", "--jobs", "2"]
+        label = "batch " + argv[4]
+    else:
+        args = ["solve", argv[3], argv[4]]
+        label = f"{argv[3]} {argv[4]}"
     pairs = int(argv[5]) if len(argv) == 6 else 10
     if pairs < 2:
         print("ab_solve: N must be at least 2", file=sys.stderr)
         return 2
 
-    diff = differences(record(bin_a, f, s), record(bin_b, f, s))
-    if diff:
-        for path in diff:
-            print("ab_solve: records differ at " + ".".join(path),
-                  file=sys.stderr)
+    lines_a, lines_b = record_lines(bin_a, args), record_lines(bin_b, args)
+    if len(lines_a) != len(lines_b):
+        print(f"ab_solve: {len(lines_a)} records vs {len(lines_b)}",
+              file=sys.stderr)
+        return 1
+    changed = False
+    for line_a, line_b in zip(lines_a, lines_b):
+        a, b = json.loads(line_a), json.loads(line_b)
+        for path in differences(a, b):
+            changed = True
+            print(f"ab_solve: record {a.get('name')} differs at "
+                  + ".".join(path), file=sys.stderr)
+    if changed:
         return 1
 
     binaries = (bin_a, bin_b)
@@ -100,12 +140,13 @@ def main(argv):
     for k in range(pairs):
         pair = [None, None]
         for side in ((0, 1) if k % 2 == 0 else (1, 0)):
-            pair[side] = timed_run(binaries[side], f, s)
+            pair[side] = timed_run(binaries[side], args)
             runs[side].append(pair[side])
         wins += pair[1][0] < pair[0][0]
 
-    print(f"ab_solve: {f} {s}, {pairs} interleaved pairs; records agree "
-          "apart from cache traffic and GC runs")
+    print(f"ab_solve: {label}, {pairs} interleaved pairs; "
+          f"{len(lines_a)} record(s) agree apart from cache traffic and "
+          "GC runs")
     median_a = summary("A " + bin_a, runs[0])
     median_b = summary("B " + bin_b, runs[1])
     print(f"B faster in {wins}/{pairs} pairs; B median / A median = "

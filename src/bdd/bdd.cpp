@@ -185,7 +185,7 @@ bdd_manager::bdd_manager(std::uint32_t num_vars, unsigned cache_bits) {
     nodes_.push_back({var_nil, 0, 0});
     chain_.assign(1, idx_nil);
     ext_ref_.assign(1, 1); // the terminal is permanently live
-    buckets_.assign(1u << 12, idx_nil);
+    buckets_.assign(std::size_t{1} << initial_bucket_bits, idx_nil);
     cache_allocate(std::size_t{1} << cache_bits);
     stats_.gc_threshold = gc_threshold_;
     for (std::uint32_t v = 0; v < num_vars; ++v) { new_var(); }

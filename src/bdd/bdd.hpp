@@ -203,6 +203,10 @@ public:
     /// into the larger geometry, not discarded) — until it reaches
     /// 2^max_cache_bits.
     static constexpr unsigned max_cache_bits = 24;
+    /// log2 of the unique table's bucket count at construction.  The table
+    /// doubles with the arena, and the computed cache starts at the growth
+    /// floor for this size: two slots per bucket.
+    static constexpr unsigned initial_bucket_bits = 12;
     /// Allocated-node count that triggers the first garbage collection;
     /// also the floor the adaptive trigger never drops below.  After each
     /// collection the next trigger is max(gc_floor, 2 * live nodes,
@@ -217,9 +221,11 @@ public:
 
     /// \param num_vars   initial number of variables (ids 0..num_vars-1)
     /// \param cache_bits log2 of the *initial* computed-cache size, clamped
-    ///        to 8..max_cache_bits; the cache grows with the unique table up
-    ///        to 2^max_cache_bits
-    explicit bdd_manager(std::uint32_t num_vars = 0, unsigned cache_bits = 18);
+    ///        to 8..max_cache_bits.  The default is the growth floor, two
+    ///        slots per initial bucket (2^(initial_bucket_bits + 1)); the
+    ///        cache grows with the unique table up to 2^max_cache_bits
+    explicit bdd_manager(std::uint32_t num_vars = 0,
+                         unsigned cache_bits = initial_bucket_bits + 1);
     ~bdd_manager();
 
     bdd_manager(const bdd_manager&) = delete;

@@ -72,7 +72,9 @@ struct parsed_args {
     std::string name;
     std::size_t jobs = 1;
     std::string batch_command = "solve";
-    bool timing_set = false; ///< explicit --timing/--no-timing
+    bool timing_set = false;  ///< explicit --timing/--no-timing
+    bool jobs_set = false;    ///< explicit --jobs (batch only)
+    bool command_set = false; ///< explicit --command (batch only)
 };
 
 /// Parse flags into `parsed`; returns an exit code to bail with, or -1.
@@ -185,6 +187,7 @@ int parse_flags(const std::vector<std::string>& args, parsed_args& parsed,
             parsed.config.out_path = *v;
         } else if (arg == "--jobs") {
             if (!numeric("--jobs", parsed.jobs)) { return 2; }
+            parsed.jobs_set = true;
         } else if (arg == "--command") {
             const std::string* v = value();
             if (v == nullptr ||
@@ -195,6 +198,7 @@ int parse_flags(const std::vector<std::string>& args, parsed_args& parsed,
                 return 2;
             }
             parsed.batch_command = *v;
+            parsed.command_set = true;
         } else if (arg == "--timing") {
             parsed.config.timing = true;
             parsed.timing_set = true;
@@ -236,10 +240,21 @@ int resolve_pair(parsed_args& parsed, equation_source& fixed,
 }
 
 /// A command option the command does not read is a usage error, not a
-/// silent no-op.  `reader` is the command that runs on each equation (for
-/// batch, its --command).  Returns an exit code to bail with, or -1.
-int check_command_options(const std::string& reader, const parsed_args& parsed,
-                          std::ostream& err) {
+/// silent no-op.  `command` is the subcommand; the one that runs on each
+/// equation is `command` itself, or batch's --command.  Returns an exit code
+/// to bail with, or -1.
+int check_command_options(const std::string& command,
+                          const parsed_args& parsed, std::ostream& err) {
+    const bool batch = command == "batch";
+    if (!batch && parsed.jobs_set) {
+        err << "leq: --jobs is read only by batch\n";
+        return 2;
+    }
+    if (!batch && parsed.command_set) {
+        err << "leq: --command is read only by batch\n";
+        return 2;
+    }
+    const std::string& reader = batch ? parsed.batch_command : command;
     if (!parsed.config.out_path.empty() && reader != "reduce") {
         err << "leq: --out is read only by reduce\n";
         return 2;
@@ -300,8 +315,7 @@ int cmd_batch(parsed_args& parsed, std::ostream& out, std::ostream& err) {
         err << "leq: --out is not supported in batch mode\n";
         return 2;
     }
-    const int option_bail =
-        check_command_options(parsed.batch_command, parsed, err);
+    const int option_bail = check_command_options("batch", parsed, err);
     if (option_bail >= 0) { return option_bail; }
     const int impl_bail = preflight_impl(parsed, err);
     if (impl_bail >= 0) { return impl_bail; }

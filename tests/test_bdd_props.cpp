@@ -404,6 +404,29 @@ TEST(bdd_memory_geometry, cache_grows_geometrically_with_unique_table) {
               reference.sat_count(big_function(reference, 7), big_nvars));
 }
 
+TEST(bdd_memory_geometry, default_cache_starts_at_the_growth_floor) {
+    // the default initial cache is the floor growth enforces, two slots per
+    // initial bucket, so the first table growth resizes it exactly once
+    const std::size_t buckets = std::size_t{1}
+                                << bdd_manager::initial_bucket_bits;
+    bdd_manager mgr(static_cast<std::uint32_t>(buckets));
+    EXPECT_EQ(mgr.stats().cache_entries, 2 * buckets);
+    EXPECT_EQ(mgr.stats().cache_resizes, 0u);
+    // each var() is one fresh node: with the terminal, buckets - 1 of them
+    // fill the table to its size without growing it
+    std::vector<bdd> held;
+    for (std::uint32_t v = 0; v + 1 < buckets; ++v) {
+        held.push_back(mgr.var(v));
+    }
+    ASSERT_EQ(mgr.live_node_count(), buckets);
+    EXPECT_EQ(mgr.stats().cache_resizes, 0u);
+    EXPECT_EQ(mgr.stats().cache_entries, 2 * buckets);
+    // one more node doubles the table, and the cache follows once
+    held.push_back(mgr.var(static_cast<std::uint32_t>(buckets - 1)));
+    EXPECT_EQ(mgr.stats().cache_resizes, 1u);
+    EXPECT_GE(mgr.stats().cache_entries, 2 * (2 * buckets));
+}
+
 TEST(bdd_memory_geometry, cache_bits_ctor_pins_initial_cache_size) {
     bdd_manager mgr(4, 12u);
     EXPECT_EQ(mgr.stats().cache_entries, std::size_t{1} << 12);

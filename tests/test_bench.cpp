@@ -3,10 +3,10 @@
 /// deterministic, the JSON schema round-trips, the compare gate fails on
 /// genuine regressions (and only those), the checked-in corpus is
 /// byte-identical to what the generators produce, and the checked-in
-/// BENCH_PR21.json baseline still parses and gates every workload.
+/// BENCH_PR25.json baseline still parses and gates every workload.
 ///
 /// Compiled with LEQ_SOURCE_DIR pointing at the repo root so the suite can
-/// read bench/corpus/ and BENCH_PR21.json.
+/// read bench/corpus/ and BENCH_PR25.json.
 
 #include "cli/bench.hpp"
 #include "gen/scenario.hpp"
@@ -295,8 +295,8 @@ TEST(bench_artifacts, corpus_directory_holds_exactly_the_generated_files) {
 }
 
 TEST(bench_artifacts, checked_in_baseline_parses_and_covers_every_workload) {
-    const std::string json = repo_file("BENCH_PR21.json");
-    ASSERT_FALSE(json.empty()) << "BENCH_PR21.json missing at the repo root";
+    const std::string json = repo_file("BENCH_PR25.json");
+    ASSERT_FALSE(json.empty()) << "BENCH_PR25.json missing at the repo root";
     const bench_report baseline = parse_bench_report(json);
     EXPECT_EQ(baseline.schema, "leq-bench-v1");
 
@@ -313,7 +313,7 @@ TEST(bench_artifacts, checked_in_baseline_parses_and_covers_every_workload) {
 
 TEST(bench_artifacts, baseline_gates_a_collection_per_batch_equation) {
     const bench_report baseline =
-        parse_bench_report(repo_file("BENCH_PR21.json"));
+        parse_bench_report(repo_file("BENCH_PR25.json"));
     bench_report current = baseline;
     const auto batch = std::find_if(
         current.rows.begin(), current.rows.end(),

@@ -6,7 +6,9 @@
 #include "cli/cli.hpp"
 
 #include "cli/batch.hpp"
+#include "cli/equation_io.hpp"
 #include "cli/json.hpp"
+#include "eq/problem.hpp"
 
 #include <gtest/gtest.h>
 
@@ -276,6 +278,19 @@ TEST(cli_solve, reading_the_stats_runs_no_collection) {
     }
 }
 
+TEST(cli_solve, example_problem_starts_at_the_cache_floor) {
+    // a small equation's manager starts with the cache growth would give
+    // its initial unique table, not a fixed large one
+    const loaded_equation eq =
+        load_equation(read_equation_source(example("delay_f.blif")),
+                      read_equation_source(example("delay_s.blif")));
+    const equation_problem problem(eq.fixed, eq.spec, eq.num_choice_inputs);
+    const bdd_stats& stats = problem.mgr().stats();
+    EXPECT_EQ(stats.cache_entries,
+              std::size_t{2} << bdd_manager::initial_bucket_bits);
+    EXPECT_EQ(stats.cache_resizes, 0u);
+}
+
 TEST(cli_errors, gen_spec_rejects_bad_scale) {
     EXPECT_NE(run({"solve", "gen:counter:2:x"}).exit_code, 0);
     EXPECT_NE(run({"solve", "gen:counter:2:0"}).exit_code, 0);
@@ -479,6 +494,32 @@ TEST(cli_errors, command_options_outside_their_command_are_usage_errors) {
                    "--impl", "missing.kiss"})
                   .exit_code,
               3);
+}
+
+TEST(cli_errors, batch_options_outside_batch_are_usage_errors) {
+    // --jobs 1 and --command solve are the defaults: it is the flag being
+    // given, not its value, that a pair command rejects
+    const std::string f = example("delay_f.blif");
+    const std::string s = example("delay_s.blif");
+    for (const char* command : {"solve", "verify", "diagnose", "reduce"}) {
+        for (const auto& [flag, value] :
+             {std::pair{"--jobs", "4"}, std::pair{"--jobs", "1"},
+              std::pair{"--command", "diagnose"},
+              std::pair{"--command", "solve"}}) {
+            const cli_run r = run({command, f, s, flag, value});
+            EXPECT_EQ(r.exit_code, 2) << command << " " << flag;
+            EXPECT_NE(r.err.find(std::string("leq: ") + flag +
+                                 " is read only by batch"),
+                      std::string::npos)
+                << r.err;
+            EXPECT_TRUE(r.out.empty()) << command << ": nothing may run";
+        }
+    }
+    // batch still reads both
+    const cli_run r = run({"batch", example("campaign.txt"), "--jobs", "2",
+                           "--command", "verify"});
+    EXPECT_EQ(r.exit_code, 0) << r.err;
+    EXPECT_NE(r.err.find("[verify, jobs 2,"), std::string::npos) << r.err;
 }
 
 TEST(cli_errors, batch_rejects_shared_out_path) {
