@@ -179,6 +179,14 @@ struct bdd_stats {
     std::array<std::size_t, bdd_num_ops> op_hits{};
 };
 
+/// One cofactor class of a function split at a level boundary (see
+/// bdd_manager::cofactor_classes): the function equals `leaf` exactly on
+/// the assignments of the levels above the boundary that satisfy `guard`.
+struct bdd_cofactor_class {
+    bdd guard; ///< over the variables above the boundary
+    bdd leaf;  ///< over the variables at or below it; never FALSE
+};
+
 /// The BDD manager: node arena, unique table, computed cache and the
 /// recursive algorithms.  All `bdd` handles stay valid across garbage
 /// collection (references are stable, and a live node's contents never
@@ -293,6 +301,17 @@ public:
     /// shared node.
     [[nodiscard]] bdd permute(const bdd& f,
                               const std::vector<std::uint32_t>& perm);
+
+    /// Split f into its cofactor classes over the levels above `boundary`:
+    /// one class per distinct non-FALSE sub-function hanging off that top
+    /// block (a leaf: a constant or a node at or below `boundary`), guarded
+    /// by the top-block assignments that reach it.  The guards are pairwise
+    /// disjoint and OR(guard & leaf) == f.  Leaves come in the order a
+    /// depth-first walk from f, else-edge first, first reaches them; a node
+    /// reached in both phases gives two leaves.  FALSE has no classes, and
+    /// an f with no node above the boundary is one class under guard TRUE.
+    [[nodiscard]] std::vector<bdd_cofactor_class>
+    cofactor_classes(const bdd& f, std::uint32_t boundary);
 
     // ---- structural queries ----------------------------------------------
     /// Support of f as a positive cube.
@@ -501,8 +520,10 @@ private:
 
     /// Find-or-create the node (var, lo, hi) and return its reference.  The
     /// complement bit of `hi` is hoisted onto the returned reference so the
-    /// stored then-edge stays regular.
-    std::uint32_t mk(std::uint32_t var, std::uint32_t lo, std::uint32_t hi);
+    /// stored then-edge stays regular.  Defined in bdd_core.hpp, like the
+    /// cache probes below: inline for the recursive cores.
+    inline std::uint32_t mk(std::uint32_t var, std::uint32_t lo,
+                            std::uint32_t hi);
     std::uint32_t alloc_node();
     void unique_insert(std::uint32_t idx);
     void rehash(std::size_t new_size);
@@ -525,10 +546,10 @@ private:
     void op_deadline_check();
 
     // computed cache (set-associative, one line per set, aged per GC)
-    bool cache_lookup(op o, std::uint32_t f, std::uint32_t g, std::uint32_t h,
-                      std::uint32_t& result);
-    void cache_store(op o, std::uint32_t f, std::uint32_t g, std::uint32_t h,
-                     std::uint32_t result);
+    inline bool cache_lookup(op o, std::uint32_t f, std::uint32_t g,
+                             std::uint32_t h, std::uint32_t& result);
+    inline void cache_store(op o, std::uint32_t f, std::uint32_t g,
+                            std::uint32_t h, std::uint32_t result);
     void cache_clear();
     /// Allocate an empty cache of `slots` entries (a power of two) with its
     /// sets on line boundaries.
@@ -538,13 +559,14 @@ private:
         return static_cast<std::size_t>(cache_bucket_mask_ + 1) * cache_ways;
     }
     /// First slot of the bucket the (o,f,g,h) key hashes to.
-    [[nodiscard]] cache_entry* cache_bucket(op o, std::uint32_t f,
-                                            std::uint32_t g, std::uint32_t h);
+    [[nodiscard]] inline cache_entry* cache_bucket(op o, std::uint32_t f,
+                                                   std::uint32_t g,
+                                                   std::uint32_t h);
     /// Deterministic replacement: overwrite a same-key slot, else fill the
     /// first empty slot, else evict the entry with the largest age (highest
     /// way on ties — way order is store order within an epoch), then shift
     /// the set down and write the entry to way 0.
-    void cache_insert(cache_entry* bucket, const cache_entry& entry);
+    inline void cache_insert(cache_entry* bucket, const cache_entry& entry);
     /// GC epilogue: purge only the entries that reference swept nodes (their
     /// indices are about to be recycled via free_list_, so a stale entry
     /// would alias a future unrelated node) and age the rest.  Entries over
@@ -607,6 +629,29 @@ private:
     std::uint32_t subst_rebuild(std::uint32_t var, std::uint32_t r0,
                                 std::uint32_t r1);
 
+    // cofactor_classes (bdd_split.cpp).  The walk numbers the region above
+    // the boundary once, keyed by tagged reference: a region node gets its
+    // slot in split_region_ (children before parents), a leaf its position
+    // in split_leaves_ with split_leaf set, FALSE the code split_false.
+    static constexpr std::uint32_t split_leaf = 1u << 31;
+    static constexpr std::uint32_t split_false = idx_nil;
+    /// A region node with its children's codes.
+    struct split_node {
+        std::uint32_t var;
+        std::uint32_t lo;
+        std::uint32_t hi;
+    };
+    /// One slot of the numbering's open-addressing table; ref idx_nil is
+    /// empty.
+    struct split_slot {
+        std::uint32_t ref;
+        std::uint32_t code;
+    };
+    std::uint32_t split_number(std::uint32_t r, std::uint32_t boundary);
+    /// The code recorded for r, idx_nil if none.
+    [[nodiscard]] std::uint32_t split_find(std::uint32_t r) const;
+    void split_insert(std::uint32_t r, std::uint32_t code);
+
     [[nodiscard]] bdd make(std::uint32_t idx) { return bdd(this, idx); }
 
     // data
@@ -645,6 +690,15 @@ private:
     std::vector<std::uint32_t> subst_memo_;
     std::vector<std::uint32_t> subst_touched_; ///< entries set since the last drop
     std::vector<std::uint32_t> subst_perm_;    ///< permutation of the memo's entries
+    /// cofactor_classes scratch, kept for its capacity.  The numbering
+    /// table is sized to the largest region split so far, not to the
+    /// arena; split_used_ lists its occupied slots, and the next split
+    /// empties exactly those.
+    std::vector<split_slot> split_table_;
+    std::vector<std::uint32_t> split_used_;
+    std::vector<split_node> split_region_;
+    std::vector<std::uint32_t> split_leaves_; ///< leaf references, in order
+    std::vector<std::uint32_t> split_value_;  ///< per region node: its guard for one leaf
 
 #ifdef LEQ_CHECKED
     std::uint64_t checked_serial_ = 0;  ///< process-wide construction serial

@@ -13,6 +13,7 @@
 /// stack) are safe.
 
 #include "bdd/bdd.hpp"
+#include "bdd/bdd_core.hpp"
 
 #include <algorithm>
 #include <cassert>

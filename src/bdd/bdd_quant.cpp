@@ -6,6 +6,7 @@
 /// traversal follows the hi-edges of the cube.
 
 #include "bdd/bdd.hpp"
+#include "bdd/bdd_core.hpp"
 
 #include <algorithm>
 #include <cassert>

@@ -7,6 +7,7 @@
 /// work.
 
 #include "bdd/bdd.hpp"
+#include "bdd/bdd_core.hpp"
 
 #include <algorithm>
 #include <cassert>

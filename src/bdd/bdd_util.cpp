@@ -7,6 +7,7 @@
 /// node index alone — f and !f share one entry.
 
 #include "bdd/bdd.hpp"
+#include "bdd/bdd_core.hpp"
 
 #include <algorithm>
 #include <cassert>

@@ -8,9 +8,10 @@
 /// (scaled gen/ scenarios, a KISS pair with hundreds of explicit states, a
 /// mixed batch campaign) and runs them under `tools/leq_bench_run`, emitting
 /// one schema-stable JSON report (`leq-bench-v1`).  A checked-in baseline
-/// (BENCH_PR25.json at the repo root) plus `leq_bench_run --compare BASE
-/// NEW` turn the report into a CI gate: any gated metric that moves the
-/// wrong way by more than 10% (plus a small absolute slack) fails the build.
+/// (the one BENCH_PR<n>.json at the repo root) plus `leq_bench_run
+/// --compare NEW` turn the report into a CI gate: any gated metric that
+/// moves the wrong way by more than 10% (plus a small absolute slack)
+/// fails the build.
 ///
 /// What makes this workable across machines and compilers is that every
 /// *gated* metric is a deterministic work counter read off the BDD manager

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <deque>
 #include <queue>
+#include <utility>
 
 namespace leq::detail {
 
@@ -59,47 +60,7 @@ void read_manager_stats(solve_stats& stats, bdd_manager& mgr) {
 
 std::vector<cofactor_class> split_by_top_block(bdd_manager& mgr, const bdd& p,
                                                std::uint32_t boundary) {
-    if (p.is_zero()) { return {}; }
-    // collect distinct leaves: first nodes (by descent) at/below the boundary
-    std::vector<bdd> leaves;
-    std::unordered_map<std::uint32_t, std::size_t> leaf_ids; // idx -> pos
-    std::unordered_map<std::uint32_t, char> visited;
-    const std::function<void(const bdd&)> collect = [&](const bdd& n) {
-        if (!visited.emplace(n.index(), 1).second) { return; }
-        const bool is_leaf =
-            n.is_const() || mgr.level_of(n.top_var()) >= boundary;
-        if (is_leaf) {
-            if (!n.is_zero() && leaf_ids.emplace(n.index(), leaves.size()).second) {
-                leaves.push_back(n);
-            }
-            return;
-        }
-        collect(n.low());
-        collect(n.high());
-    };
-    collect(p);
-
-    // one memoized rebuild per leaf: replace that leaf by TRUE, all other
-    // leaves by FALSE, keep the guard region structure
-    std::vector<cofactor_class> classes;
-    classes.reserve(leaves.size());
-    for (const bdd& leaf : leaves) {
-        std::unordered_map<std::uint32_t, bdd> memo;
-        const std::function<bdd(const bdd&)> rebuild =
-            [&](const bdd& n) -> bdd {
-            const bool is_leaf =
-                n.is_const() || mgr.level_of(n.top_var()) >= boundary;
-            if (is_leaf) { return n == leaf ? mgr.one() : mgr.zero(); }
-            const auto it = memo.find(n.index());
-            if (it != memo.end()) { return it->second; }
-            const bdd r =
-                mgr.ite(mgr.var(n.top_var()), rebuild(n.high()), rebuild(n.low()));
-            memo.emplace(n.index(), r);
-            return r;
-        };
-        classes.push_back({rebuild(p), leaf});
-    }
-    return classes;
+    return mgr.cofactor_classes(p, boundary);
 }
 
 solve_result
@@ -269,9 +230,9 @@ subset_driver::run(const bdd& initial_state,
             }
         }
     }
-    const automaton trimmed = trim_unreachable(csf);
+    automaton trimmed = trim_unreachable(csf);
     result.csf_states = trimmed.num_states();
-    result.csf = trimmed;
+    result.csf = std::move(trimmed);
     result.seconds = elapsed();
     return result;
 }

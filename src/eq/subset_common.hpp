@@ -39,17 +39,14 @@ void read_manager_stats(solve_stats& stats, bdd_manager& mgr);
 
 /// One (u,v)-cofactor class of an image P(u,v,ns): the set of (u,v)
 /// assignments (guard) that lead to the same successor state set (leaf, over
-/// the ns variables).
-struct cofactor_class {
-    bdd guard; ///< over the (u,v) block
-    bdd leaf;  ///< successor set over ns variables (never constant false)
-};
+/// the ns variables, never constant false).
+using cofactor_class = bdd_cofactor_class;
 
 /// Split P into its cofactor classes with respect to the top block of the
 /// variable order (levels < boundary).  Relies on the problem's variable
 /// order: every (u,v) variable is above `boundary`, everything else below,
-/// so the classes are exactly the distinct sub-BDDs hanging off the block
-/// and each guard is read off with one memoized traversal.
+/// so the classes are exactly the distinct sub-BDDs hanging off the block.
+/// The manager does the split (bdd_manager::cofactor_classes).
 [[nodiscard]] std::vector<cofactor_class>
 split_by_top_block(bdd_manager& mgr, const bdd& p, std::uint32_t boundary);
 

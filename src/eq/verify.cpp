@@ -101,6 +101,13 @@ bool verify_composition_contained(const equation_problem& problem,
         enabled[q] = u_subst.image(csf.domain(q));
     }
 
+    // !C_j per output, built once for the whole walk
+    std::vector<bdd> nonconforming;
+    nonconforming.reserve(problem.s_o.size());
+    for (std::size_t j = 0; j < problem.s_o.size(); ++j) {
+        nonconforming.push_back(!problem.conformance(j));
+    }
+
     std::vector<bdd> reached(csf.num_states(), mgr.zero());
     reached[csf.initial()] = problem.initial_product_state();
     std::queue<std::uint32_t> work;
@@ -115,10 +122,9 @@ bool verify_composition_contained(const equation_problem& problem,
         // violation: an enabled composed step whose o output disagrees with
         // S on some output j (checked one output at a time; the monolithic
         // conformance relation is never built)
-        for (std::size_t j = 0; j < problem.s_o.size(); ++j) {
-            if (!((r & enabled[q]) & !problem.conformance(j)).is_zero()) {
-                return false;
-            }
+        const bdd r_enabled = r & enabled[q];
+        for (const bdd& not_c : nonconforming) {
+            if (!(r_enabled & not_c).is_zero()) { return false; }
         }
         for (const transition& t : csf.transitions(q)) {
             const bdd next = step.image(r, t.label);

@@ -18,6 +18,10 @@
 ///  * f and !f have the same dag_size (they share every node);
 ///  * check_consistency() validates the unique table (no duplicate keys, no
 ///    complemented then-edge, i.e. no function present in both phases).
+///
+/// The cofactor-class split (bdd_manager::cofactor_classes) is checked
+/// against a reference kept here: the straightforward handle-level walk with
+/// one ITE rebuild per leaf, which the manager's split replaced.
 
 #include "bdd/bdd.hpp"
 #include "bdd_invariants.hpp"
@@ -27,8 +31,10 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <numeric>
 #include <random>
+#include <unordered_map>
 #include <vector>
 
 namespace {
@@ -425,6 +431,216 @@ TEST(oracle_canonicity, shared_phases_across_operations) {
     EXPECT_EQ(m.ite(f, !g, g).index(), (f ^ g).index());
     EXPECT_EQ(m.ite(!f, g, !g).index(), (f ^ g).index());
     EXPECT_EQ(f.implies(g).index(), (!(f & !g)).index());
+    m.check_consistency();
+}
+
+// ---------------------------------------------------------------------------
+// cofactor classes over a level boundary
+// ---------------------------------------------------------------------------
+
+/// The reference split: collect the distinct non-FALSE leaves (the first
+/// nodes at or below the boundary, by tagged reference) in a depth-first,
+/// else-first walk, then rebuild each guard with ITEs, that leaf read as
+/// TRUE and every other leaf as FALSE.
+std::vector<leq::bdd_cofactor_class> reference_split(bdd_manager& mgr,
+                                                     const bdd& p,
+                                                     std::uint32_t boundary) {
+    if (p.is_zero()) { return {}; }
+    const auto is_leaf = [&](const bdd& n) {
+        return n.is_const() || mgr.level_of(n.top_var()) >= boundary;
+    };
+    std::vector<bdd> leaves;
+    std::unordered_map<std::uint32_t, char> visited;
+    const std::function<void(const bdd&)> collect = [&](const bdd& n) {
+        if (!visited.emplace(n.index(), 1).second) { return; }
+        if (is_leaf(n)) {
+            if (!n.is_zero()) { leaves.push_back(n); }
+            return;
+        }
+        collect(n.low());
+        collect(n.high());
+    };
+    collect(p);
+    std::vector<leq::bdd_cofactor_class> classes;
+    for (const bdd& leaf : leaves) {
+        std::unordered_map<std::uint32_t, bdd> memo;
+        const std::function<bdd(const bdd&)> rebuild =
+            [&](const bdd& n) -> bdd {
+            if (is_leaf(n)) { return n == leaf ? mgr.one() : mgr.zero(); }
+            const auto it = memo.find(n.index());
+            if (it != memo.end()) { return it->second; }
+            const bdd r = mgr.ite(mgr.var(n.top_var()), rebuild(n.high()),
+                                  rebuild(n.low()));
+            memo.emplace(n.index(), r);
+            return r;
+        };
+        classes.push_back({rebuild(p), leaf});
+    }
+    return classes;
+}
+
+/// The split of f must equal the reference class by class, and its guards
+/// must partition f: pairwise disjoint, over the levels above the boundary,
+/// with OR(guard & leaf) == f.
+void expect_split_matches_reference(bdd_manager& mgr, const bdd& f,
+                                    std::uint32_t boundary) {
+    const std::vector<leq::bdd_cofactor_class> got =
+        mgr.cofactor_classes(f, boundary);
+    const std::vector<leq::bdd_cofactor_class> want =
+        reference_split(mgr, f, boundary);
+    ASSERT_EQ(got.size(), want.size());
+    bdd sum = mgr.zero();
+    for (std::size_t k = 0; k < got.size(); ++k) {
+        ASSERT_EQ(got[k].guard, want[k].guard) << "class " << k;
+        ASSERT_EQ(got[k].leaf, want[k].leaf) << "class " << k;
+        ASSERT_FALSE(got[k].leaf.is_zero()) << "class " << k;
+        ASSERT_FALSE(got[k].guard.is_zero()) << "class " << k;
+        for (const std::uint32_t v : mgr.support(got[k].guard)) {
+            ASSERT_LT(mgr.level_of(v), boundary) << "class " << k;
+        }
+        for (std::size_t j = 0; j < k; ++j) {
+            ASSERT_TRUE((got[j].guard & got[k].guard).is_zero())
+                << "classes " << j << " and " << k << " overlap";
+        }
+        sum |= got[k].guard & got[k].leaf;
+    }
+    ASSERT_EQ(sum, f);
+}
+
+class oracle_split : public ::testing::TestWithParam<unsigned> {};
+
+/// 200 random functions over 2..12 variables, split at a random boundary;
+/// odd seeds under a shuffled variable order.
+TEST_P(oracle_split, random_dag_matches_reference) {
+    const unsigned seed = leq::test_seed(GetParam());
+    SCOPED_TRACE("seed " + std::to_string(seed) +
+                 " (replay: LEQ_TEST_SEED=" + std::to_string(seed) + ")");
+    std::mt19937 rng(seed * 2654435761u + 7);
+    const std::uint32_t nvars = 2 + rng() % 11;
+    bdd_manager mgr(nvars);
+    if (seed % 2 == 1) {
+        std::vector<std::uint32_t> order(nvars);
+        std::iota(order.begin(), order.end(), 0u);
+        std::shuffle(order.begin(), order.end(), rng);
+        mgr.set_var_order(order);
+    }
+    std::vector<bdd> pool;
+    for (std::uint32_t v = 0; v < nvars; ++v) {
+        pool.push_back(mgr.var(v));
+        pool.push_back(mgr.nvar(v));
+    }
+    const auto pick = [&]() { return pool[rng() % pool.size()]; };
+    for (int step = 0; step < 40; ++step) {
+        const bdd a = pick();
+        const bdd b = pick();
+        switch (rng() % 4) {
+        case 0: pool.push_back(a & b); break;
+        case 1: pool.push_back(a | b); break;
+        case 2: pool.push_back(a ^ b); break;
+        default: pool.push_back(mgr.ite(pick(), a, b)); break;
+        }
+    }
+    for (int k = 0; k < 6; ++k) {
+        const bdd f = pool[pool.size() - 1 - rng() % 20];
+        const std::uint32_t boundary = rng() % (nvars + 1);
+        ASSERT_NO_FATAL_FAILURE(expect_split_matches_reference(mgr, f, boundary))
+            << "boundary " << boundary;
+        ASSERT_NO_FATAL_FAILURE(
+            expect_split_matches_reference(mgr, !f, boundary))
+            << "boundary " << boundary << ", complement";
+    }
+    mgr.check_consistency();
+}
+
+INSTANTIATE_TEST_SUITE_P(seeds, oracle_split, ::testing::Range(0u, 200u));
+
+TEST(oracle_split_cases, false_has_no_classes) {
+    bdd_manager m(4);
+    EXPECT_TRUE(m.cofactor_classes(m.zero(), 2).empty());
+    EXPECT_TRUE(m.cofactor_classes(m.zero(), 0).empty());
+}
+
+TEST(oracle_split_cases, true_is_one_class) {
+    bdd_manager m(4);
+    for (const std::uint32_t boundary : {0u, 2u, 4u}) {
+        const auto classes = m.cofactor_classes(m.one(), boundary);
+        ASSERT_EQ(classes.size(), 1u);
+        EXPECT_TRUE(classes[0].guard.is_one());
+        EXPECT_TRUE(classes[0].leaf.is_one());
+    }
+}
+
+TEST(oracle_split_cases, function_below_the_boundary_is_its_own_leaf) {
+    bdd_manager m(4);
+    const bdd g = m.var(2) ^ m.var(3);
+    const auto classes = m.cofactor_classes(g, 2);
+    ASSERT_EQ(classes.size(), 1u);
+    EXPECT_TRUE(classes[0].guard.is_one());
+    EXPECT_EQ(classes[0].leaf, g);
+}
+
+TEST(oracle_split_cases, region_node_reached_in_both_phases) {
+    // x0, x1 above the boundary; a and b below it.  n = ite(x1, a, b) is
+    // reached as n under x0 and as !n under !x0: one node, two phases, four
+    // leaves
+    bdd_manager m(4);
+    const bdd a = m.var(2) & m.var(3);
+    const bdd b = m.var(2) | m.var(3);
+    const bdd n = m.ite(m.var(1), a, b);
+    const bdd f = m.ite(m.var(0), n, !n);
+    ASSERT_EQ(f.low().index(), f.high().index() ^ 1u)
+        << "the region node must be shared between the phases";
+    const auto classes = m.cofactor_classes(f, 2);
+    ASSERT_EQ(classes.size(), 4u);
+    // else-first walk: !x0 (!n: !b, then !a), then x0 (n: b, then a)
+    const bdd x0 = m.var(0);
+    const bdd x1 = m.var(1);
+    EXPECT_EQ(classes[0].leaf, !b);
+    EXPECT_EQ(classes[0].guard, (!x0) & (!x1));
+    EXPECT_EQ(classes[1].leaf, !a);
+    EXPECT_EQ(classes[1].guard, (!x0) & x1);
+    EXPECT_EQ(classes[2].leaf, b);
+    EXPECT_EQ(classes[2].guard, x0 & !x1);
+    EXPECT_EQ(classes[3].leaf, a);
+    EXPECT_EQ(classes[3].guard, x0 & x1);
+    ASSERT_NO_FATAL_FAILURE(expect_split_matches_reference(m, f, 2));
+}
+
+TEST(oracle_split_cases, leaf_in_both_phases_is_two_classes) {
+    bdd_manager m(3);
+    const bdd g = m.var(1) ^ m.var(2);
+    const bdd f = m.ite(m.var(0), g, !g);
+    const auto classes = m.cofactor_classes(f, 1);
+    ASSERT_EQ(classes.size(), 2u);
+    EXPECT_EQ(classes[0].leaf, !g);
+    EXPECT_EQ(classes[0].guard, m.nvar(0));
+    EXPECT_EQ(classes[1].leaf, g);
+    EXPECT_EQ(classes[1].guard, m.var(0));
+    ASSERT_NO_FATAL_FAILURE(expect_split_matches_reference(m, f, 1));
+}
+
+TEST(oracle_split_cases, large_region_grows_the_numbering_table) {
+    // a parity chain over 16 region variables has 2 nodes per level, and
+    // 64 leaves below: far past the numbering table's first size
+    bdd_manager m(22);
+    bdd region = m.zero();
+    for (std::uint32_t v = 0; v < 16; ++v) { region = region ^ m.var(v); }
+    bdd f = m.zero();
+    for (std::uint32_t k = 0; k < 64; ++k) {
+        bdd leaf = m.one();
+        for (std::uint32_t b = 0; b < 6; ++b) {
+            leaf &= m.literal(16 + b, ((k >> b) & 1u) != 0);
+        }
+        bdd guard = (k % 2 == 0) ? region : !region;
+        for (std::uint32_t v = 0; v < 5; ++v) {
+            guard &= m.literal(v, ((k >> (v + 1)) & 1u) != 0);
+        }
+        f |= guard & (leaf | m.var(21));
+    }
+    ASSERT_NO_FATAL_FAILURE(expect_split_matches_reference(m, f, 16));
+    // a second split reuses the scratch the first one left
+    ASSERT_NO_FATAL_FAILURE(expect_split_matches_reference(m, !f, 16));
+    ASSERT_NO_FATAL_FAILURE(expect_split_matches_reference(m, f, 8));
     m.check_consistency();
 }
 

@@ -3,10 +3,11 @@
 /// deterministic, the JSON schema round-trips, the compare gate fails on
 /// genuine regressions (and only those), the checked-in corpus is
 /// byte-identical to what the generators produce, and the checked-in
-/// BENCH_PR25.json baseline still parses and gates every workload.
+/// baseline still parses and gates every workload.
 ///
 /// Compiled with LEQ_SOURCE_DIR pointing at the repo root so the suite can
-/// read bench/corpus/ and BENCH_PR25.json.
+/// read bench/corpus/, and with LEQ_BENCH_BASELINE naming the one
+/// BENCH_PR<n>.json there (CMake finds it).
 
 #include "cli/bench.hpp"
 #include "gen/scenario.hpp"
@@ -25,8 +26,7 @@ namespace {
 
 using namespace leq;
 
-std::string repo_file(const std::string& relative) {
-    const std::string path = std::string(LEQ_SOURCE_DIR) + "/" + relative;
+std::string read_file(const std::string& path) {
     std::ifstream in(path, std::ios::binary);
     if (!in) { return {}; }
     std::ostringstream text;
@@ -270,7 +270,8 @@ TEST(bench_artifacts, corpus_files_match_the_generators_byte_for_byte) {
     const std::vector<bench_corpus_file> corpus = bench_corpus_files();
     ASSERT_FALSE(corpus.empty());
     for (const bench_corpus_file& file : corpus) {
-        const std::string checked_in = repo_file("bench/corpus/" + file.name);
+        const std::string checked_in = read_file(
+            std::string(LEQ_SOURCE_DIR) + "/bench/corpus/" + file.name);
         ASSERT_FALSE(checked_in.empty())
             << "bench/corpus/" << file.name
             << " missing — regenerate with leq_bench_run --write-corpus";
@@ -295,8 +296,8 @@ TEST(bench_artifacts, corpus_directory_holds_exactly_the_generated_files) {
 }
 
 TEST(bench_artifacts, checked_in_baseline_parses_and_covers_every_workload) {
-    const std::string json = repo_file("BENCH_PR25.json");
-    ASSERT_FALSE(json.empty()) << "BENCH_PR25.json missing at the repo root";
+    const std::string json = read_file(LEQ_BENCH_BASELINE);
+    ASSERT_FALSE(json.empty()) << LEQ_BENCH_BASELINE << " is missing";
     const bench_report baseline = parse_bench_report(json);
     EXPECT_EQ(baseline.schema, "leq-bench-v1");
 
@@ -313,7 +314,7 @@ TEST(bench_artifacts, checked_in_baseline_parses_and_covers_every_workload) {
 
 TEST(bench_artifacts, baseline_gates_a_collection_per_batch_equation) {
     const bench_report baseline =
-        parse_bench_report(repo_file("BENCH_PR25.json"));
+        parse_bench_report(read_file(LEQ_BENCH_BASELINE));
     bench_report current = baseline;
     const auto batch = std::find_if(
         current.rows.begin(), current.rows.end(),

@@ -17,14 +17,15 @@
 ///   leq_bench_run --list
 ///       Print the pinned workload ids, one per line.
 ///
-///   leq_bench_run --compare BASELINE CURRENT
-///       Gate CURRENT against BASELINE (two report files).  Exit 0 when no
-///       gated metric regressed, 1 otherwise, printing one line per
-///       regression.  Wall-clock seconds are never gated — only the
-///       deterministic work counters are, so the gate behaves identically
-///       on every machine.
+///   leq_bench_run --compare [BASELINE] CURRENT
+///       Gate CURRENT against BASELINE (two report files; BASELINE defaults
+///       to the checked-in BENCH_PR<n>.json the build was configured with).
+///       Exit 0 when no gated metric regressed, 1 otherwise, printing one
+///       line per regression.  Wall-clock seconds are never gated — only
+///       the deterministic work counters are, so the gate behaves
+///       identically on every machine.
 ///
-///   leq_bench_run --delta BASELINE CURRENT
+///   leq_bench_run --delta [BASELINE] CURRENT
 ///       Print a Markdown table of every gated metric's movement between
 ///       the two reports (no gating, exit 0) — what scripts/bench_run.sh
 ///       and the CI job summary show.
@@ -34,10 +35,12 @@
 ///       (bench/corpus/ in the repo).  The checked-in copies must be
 ///       byte-identical to this output; tests/test_bench.cpp pins that.
 ///
-/// The intended trajectory: every PR that touches performance-relevant
-/// code refreshes BENCH_PR25.json deliberately (run the tool, commit the
-/// report, explain the movement in the PR); CI runs the compare on every
-/// push and refuses accidental movement.
+/// The intended trajectory: every change that moves a gated counter
+/// re-pins the baseline deliberately (scripts/bench_run.sh
+/// --update-baseline, commit the report, explain the movement); CI runs
+/// the compare on every push and refuses accidental movement.  CMake finds
+/// the one BENCH_PR<n>.json at the repo root and compiles its path in as
+/// LEQ_BENCH_BASELINE.
 
 #include "cli/bench.hpp"
 
@@ -56,9 +59,10 @@ int usage(std::ostream& err) {
     err << "usage: leq_bench_run [--filter SUBSTR] [--repeat N] "
            "[--out FILE]\n"
         << "       leq_bench_run --list\n"
-        << "       leq_bench_run --compare BASELINE CURRENT\n"
-        << "       leq_bench_run --delta BASELINE CURRENT\n"
-        << "       leq_bench_run --write-corpus DIR\n";
+        << "       leq_bench_run --compare [BASELINE] CURRENT\n"
+        << "       leq_bench_run --delta [BASELINE] CURRENT\n"
+        << "       leq_bench_run --write-corpus DIR\n"
+        << "BASELINE defaults to " LEQ_BENCH_BASELINE "\n";
     return 2;
 }
 
@@ -183,17 +187,15 @@ int main(int argc, char** argv) {
                 }
                 return 0;
             }
-            if (arg == "--compare") {
-                if (k + 2 >= args.size()) {
-                    return usage(std::cerr);
-                }
-                return compare_mode(args[k + 1], args[k + 2]);
-            }
-            if (arg == "--delta") {
-                if (k + 2 >= args.size()) {
-                    return usage(std::cerr);
-                }
-                return delta_mode(args[k + 1], args[k + 2]);
+            if (arg == "--compare" || arg == "--delta") {
+                // one report: gate it against the checked-in baseline
+                const std::size_t files = args.size() - k - 1;
+                if (files != 1 && files != 2) { return usage(std::cerr); }
+                const std::string base =
+                    files == 2 ? args[k + 1] : LEQ_BENCH_BASELINE;
+                const std::string& current = args.back();
+                return arg == "--compare" ? compare_mode(base, current)
+                                          : delta_mode(base, current);
             }
             if (arg == "--write-corpus") {
                 return write_corpus_mode(value("--write-corpus"));
