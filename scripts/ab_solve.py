@@ -1,16 +1,18 @@
 #!/usr/bin/env python3
 """Interleaved A/B timing of two `leq` binaries on one equation or a batch.
 
-    scripts/ab_solve.py BIN_A BIN_B F S [N]
+    scripts/ab_solve.py BIN_A BIN_B F S [N] [--command solve|verify]
     scripts/ab_solve.py BIN_A BIN_B --batch MANIFEST [N]
 
-Runs `BIN solve F S` (or, with --batch, `BIN batch MANIFEST --command verify
---jobs 2`) N times per binary (default 10) as N pairs, swapping which binary
-goes first in every other pair so slow stretches of a noisy host hit both
-sides alike.  Prints, per binary, the median, quartiles and minimum of the
-wall time and the peak RSS of its runs, then how many pairs B won and B's
-median relative to A's.  Each timed run is forked from a bare interpreter,
-so a peak RSS under about 5 MB reads as that floor.
+Runs `BIN solve F S` N times per binary (default 10) as N pairs, swapping
+which binary goes first in every other pair so slow stretches of a noisy
+host hit both sides alike.  `--command verify` runs `BIN verify F S`
+instead, which adds the F . X <= S walk to the solve; `--batch` runs
+`BIN batch MANIFEST --command verify --jobs 2`.  Prints, per binary, the
+median, quartiles and minimum of the wall time and the peak RSS of its
+runs, then how many pairs B won and B's median relative to A's.  Each
+timed run is forked from a bare interpreter, so a peak RSS under about
+5 MB reads as that floor.
 
 Before timing, each binary runs the command once with --no-timing and the
 JSON records are compared, record by record for a batch.  They may differ
@@ -104,6 +106,15 @@ def summary(label, runs):
 
 
 def main(argv):
+    command = "solve"
+    if "--command" in argv:
+        at = argv.index("--command")
+        command = argv[at + 1] if at + 1 < len(argv) else None
+        argv = argv[:at] + argv[at + 2:]
+        if command not in ("solve", "verify") or argv[3:4] == ["--batch"]:
+            print("ab_solve: --command takes solve or verify, and only "
+                  "with a pair", file=sys.stderr)
+            return 2
     if len(argv) not in (5, 6):
         print(__doc__.strip(), file=sys.stderr)
         return 2
@@ -112,8 +123,8 @@ def main(argv):
         args = ["batch", argv[4], "--command", "verify", "--jobs", "2"]
         label = "batch " + argv[4]
     else:
-        args = ["solve", argv[3], argv[4]]
-        label = f"{argv[3]} {argv[4]}"
+        args = [command, argv[3], argv[4]]
+        label = f"{command} {argv[3]} {argv[4]}"
     pairs = int(argv[5]) if len(argv) == 6 else 10
     if pairs < 2:
         print("ab_solve: N must be at least 2", file=sys.stderr)

@@ -320,6 +320,9 @@ public:
     [[nodiscard]] std::vector<std::uint32_t> support(const bdd& f);
     /// Number of DAG nodes (including the terminal) reachable from f.  With
     /// complement edges f and !f have identical size by construction.
+    /// O(size) per call on manager-owned scratch (dag_mark_, dag_visited_),
+    /// with no allocation once the scratch has grown to the arena and the
+    /// largest DAG measured.
     [[nodiscard]] std::size_t dag_size(const bdd& f);
     /// Number of satisfying assignments over `nvars` variables.
     [[nodiscard]] double sat_count(const bdd& f, std::uint32_t nvars);
@@ -699,6 +702,13 @@ private:
     std::vector<split_node> split_region_;
     std::vector<std::uint32_t> split_leaves_; ///< leaf references, in order
     std::vector<std::uint32_t> split_value_;  ///< per region node: its guard for one leaf
+    /// dag_size scratch, kept for its capacity: a mark per node, grown to
+    /// the arena, and the nodes the last walk marked, in the order it
+    /// reached them.  The next walk unmarks exactly those first, so the
+    /// marks never cost an arena-sized fill and a collection (which reuses
+    /// node indices but never shrinks the arena) needs no reset.
+    std::vector<char> dag_mark_;
+    std::vector<std::uint32_t> dag_visited_;
 
 #ifdef LEQ_CHECKED
     std::uint64_t checked_serial_ = 0;  ///< process-wide construction serial

@@ -3,8 +3,8 @@
 ///
 /// Traversals walk tagged references: a node's stored edges are XOR-ed with
 /// the incoming reference's complement bit, so every helper sees the true
-/// cofactor functions.  Node-keyed memos (sat_count, dag_size) key on the
-/// node index alone — f and !f share one entry.
+/// cofactor functions.  Node-keyed memos and marks (sat_count, dag_size) key
+/// on the node index alone — f and !f share one entry.
 
 #include "bdd/bdd.hpp"
 #include "bdd/bdd_core.hpp"
@@ -14,7 +14,6 @@
 #include <cmath>
 #include <stdexcept>
 #include <unordered_map>
-#include <unordered_set>
 
 namespace leq {
 
@@ -81,16 +80,27 @@ std::vector<std::uint32_t> bdd_manager::support(const bdd& f) {
 std::size_t bdd_manager::dag_size(const bdd& f) {
     checked_guard("dag_size", f);
     assert(f.manager() == this);
-    std::unordered_set<std::uint32_t> seen; // node indices
-    std::vector<std::uint32_t> stack{node_of(f.index())};
-    while (!stack.empty()) {
-        const std::uint32_t n = stack.back();
-        stack.pop_back();
-        if (!seen.insert(n).second || n == 0) { continue; }
-        stack.push_back(node_of(nodes_[n].lo));
-        stack.push_back(node_of(nodes_[n].hi));
+    // clear the previous walk's marks first, so a walk that unwound (only
+    // bad_alloc can) leaves nothing behind either
+    for (const std::uint32_t n : dag_visited_) { dag_mark_[n] = 0; }
+    dag_visited_.clear();
+    if (dag_mark_.size() < nodes_.size()) { dag_mark_.resize(nodes_.size(), 0); }
+    // the visited list is also the work list: a node is appended when first
+    // reached and expanded when the scan gets to it
+    const auto reach = [this](std::uint32_t n) {
+        if (dag_mark_[n] == 0) {
+            dag_visited_.push_back(n);
+            dag_mark_[n] = 1;
+        }
+    };
+    reach(node_of(f.index()));
+    for (std::size_t k = 0; k < dag_visited_.size(); ++k) {
+        const std::uint32_t n = dag_visited_[k];
+        if (n == 0) { continue; }
+        reach(node_of(nodes_[n].lo));
+        reach(node_of(nodes_[n].hi));
     }
-    return seen.size();
+    return dag_visited_.size();
 }
 
 double bdd_manager::sat_count(const bdd& f, std::uint32_t nvars) {

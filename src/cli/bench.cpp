@@ -11,6 +11,7 @@
 #include "eq/kiss_flow.hpp"
 #include "eq/problem.hpp"
 #include "eq/solver.hpp"
+#include "eq/verify.hpp"
 #include "gen/scenario.hpp"
 #include "net/blif.hpp"
 #include "net/generator.hpp"
@@ -78,9 +79,11 @@ bench_row run_solve_scenario(const std::string& id, scenario_family family,
     return row;
 }
 
-/// Solve the corpus KISS pair through the FSM-level flow.
-bench_row run_solve_kiss(const std::string& id, const std::string& f_kiss,
-                         const std::string& s_kiss) {
+/// Solve the corpus KISS pair through the FSM-level flow; with `verify`,
+/// then walk the paper's Section 4 check F . X <= S over the CSF, and read
+/// the manager counters after the walk.
+bench_row run_kiss(const std::string& id, const std::string& f_kiss,
+                   const std::string& s_kiss, bool verify) {
     bench_row row;
     row.workload = id;
     const kiss_instance inst = build_kiss_instance(f_kiss, s_kiss);
@@ -92,6 +95,11 @@ bench_row run_solve_kiss(const std::string& id, const std::string& f_kiss,
         static_cast<double>(result.subset_states_explored));
     add(row, "csf_states", static_cast<double>(result.csf_states));
     add(row, "images", static_cast<double>(result.stats.images));
+    if (verify) {
+        add(row, "composition_ok",
+            verify_composition_contained(*inst.problem, *result.csf) ? 1.0
+                                                                     : 0.0);
+    }
     add_manager_metrics(row, inst.problem->mgr());
     return row;
 }
@@ -189,7 +197,8 @@ const bench_metric* bench_row::find(const std::string& name) const {
 metric_policy bench_metric_policy(const std::string& name) {
     // deterministic solver outputs: any drift is a behaviour change
     if (name == "subset_states" || name == "csf_states" ||
-        name == "batch_solved" || name == "batch_empty") {
+        name == "batch_solved" || name == "batch_empty" ||
+        name == "composition_ok") {
         return {metric_direction::exact, 0.0, 0.0};
     }
     // deterministic work counters: 10% + slack budget.  Misses are gated
@@ -220,6 +229,7 @@ std::vector<std::string> bench_workload_names() {
         "solve/counter_x256",
         "solve/arbiter_x16",
         "solve/kiss_counter9",
+        "verify/kiss_counter9",
         "batch/families",
     };
 }
@@ -231,9 +241,11 @@ bench_row run_bench_workload(const std::string& workload) {
     if (workload == "solve/arbiter_x16") {
         return run_solve_scenario(workload, scenario_family::arbiter, 2, 16);
     }
-    if (workload == "solve/kiss_counter9") {
+    if (workload == "solve/kiss_counter9" ||
+        workload == "verify/kiss_counter9") {
         const auto [f_kiss, s_kiss] = make_counter_kiss(9);
-        return run_solve_kiss(workload, f_kiss, s_kiss);
+        return run_kiss(workload, f_kiss, s_kiss,
+                        workload == "verify/kiss_counter9");
     }
     if (workload == "batch/families") {
         return run_batch_workload(workload);

@@ -38,7 +38,6 @@ int usage(std::ostream& err) {
         << "                   oracle for small instances; it ignores\n"
         << "                   --time-limit/--max-states and solver knobs)\n"
         << "  --cluster-limit N   merged-cluster node bound (default 2500)\n"
-        << "  --no-early-quant    quantify at the end (ablation baseline)\n"
         << "  --no-trim           explore non-conforming subsets (mono flow)\n"
         << "  --collect-stats     track peak intermediate product sizes\n"
         << "  --time-limit SEC    wall-clock deadline per solve (default 0)\n"
@@ -131,8 +130,6 @@ int parse_flags(const std::vector<std::string>& args, parsed_args& parsed,
                          parsed.config.solve.img.cluster_limit)) {
                 return 2;
             }
-        } else if (arg == "--no-early-quant") {
-            parsed.config.solve.img.early_quantification = false;
         } else if (arg == "--no-trim") {
             parsed.config.solve.trim_nonconforming = false;
         } else if (arg == "--collect-stats") {

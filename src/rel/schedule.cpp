@@ -138,32 +138,25 @@ bdd quant_schedule::apply(const bdd& from, const bdd* constraint,
 bdd quant_schedule::apply_steps(const bdd& from, const bdd* constraint,
                                 const relation_deadline& deadline,
                                 relation_stats* stats) const {
-    // leading quantification; a pending extra conjunct is fused here when
-    // the leading cube could touch it (leading variables appear in no
-    // cluster, but may well appear in the constraint), or carried into the
-    // first chain step otherwise — either way `from & constraint` is never
-    // materialized on its own
-    bdd acc;
-    if (constraint != nullptr &&
-        (run_end_.empty() || !leading_cube_.is_one())) {
-        acc = mgr_->and_exists(from, *constraint, leading_cube_);
-        constraint = nullptr;
-    } else {
-        acc = mgr_->exists(from, leading_cube_);
-    }
+    // leading quantification; an extra conjunct is conjoined into `from`
+    // here, on the cached binary and-exists, whatever the leading cube.  It
+    // never joins a chain step: the n-ary kernel keeps a per-call memo and
+    // bypasses the computed cache, so it runs only for fused runs of several
+    // clusters.  In the verify and diagnose walks `from` is a state set and
+    // the constraint a CSF label, over disjoint supports, so the conjunction
+    // stays small
+    bdd acc = constraint != nullptr
+                  ? mgr_->and_exists(from, *constraint, leading_cube_)
+                  : mgr_->exists(from, leading_cube_);
     std::size_t begin = 0;
     for (const std::size_t end : run_end_) {
         throw_if_past(deadline);
-        if (end - begin == 1 && constraint == nullptr) {
+        if (end - begin == 1) {
             acc = mgr_->and_exists(acc, clusters_[begin], cubes_[end - 1]);
         } else {
             std::vector<bdd> operands;
-            operands.reserve(end - begin + 2);
+            operands.reserve(end - begin + 1);
             operands.push_back(acc);
-            if (constraint != nullptr) {
-                operands.push_back(*constraint);
-                constraint = nullptr;
-            }
             for (std::size_t k = begin; k < end; ++k) {
                 operands.push_back(clusters_[k]);
             }

@@ -58,10 +58,12 @@ public:
         return apply(from, nullptr, deadline, stats);
     }
 
-    /// Same, with one extra conjunct fused into the chain instead of being
-    /// materialized as `from & *constraint` up front: it rides the leading
-    /// quantification (or the first chain step) as a fused and-exists
-    /// operand.  `constraint` may be null.
+    /// Same, with one extra conjunct: the leading quantification conjoins
+    /// it into `from` with one binary and-exists over the leading cube,
+    /// through the computed cache.  When every quantified variable occurs
+    /// in a cluster the leading cube is TRUE and that step is the plain
+    /// `from & *constraint`.  The constraint never joins an n-ary chain
+    /// step.  `constraint` may be null.
     [[nodiscard]] bdd apply(const bdd& from, const bdd* constraint,
                             const relation_deadline& deadline,
                             relation_stats* stats) const;

@@ -21,7 +21,9 @@
 ///
 /// The cofactor-class split (bdd_manager::cofactor_classes) is checked
 /// against a reference kept here: the straightforward handle-level walk with
-/// one ITE rebuild per leaf, which the manager's split replaced.
+/// one ITE rebuild per leaf, which the manager's split replaced.  dag_size,
+/// which counts on manager-owned marks, is checked the same way against a
+/// walk with a fresh hash set per call.
 
 #include "bdd/bdd.hpp"
 #include "bdd_invariants.hpp"
@@ -35,6 +37,7 @@
 #include <numeric>
 #include <random>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 namespace {
@@ -507,6 +510,29 @@ void expect_split_matches_reference(bdd_manager& mgr, const bdd& f,
     ASSERT_EQ(sum, f);
 }
 
+/// A random pool of functions over `nvars` variables: the literals, then
+/// `steps` random and/or/xor/ite combinations of earlier entries.
+std::vector<bdd> random_pool(bdd_manager& mgr, std::uint32_t nvars, int steps,
+                             std::mt19937& rng) {
+    std::vector<bdd> pool;
+    for (std::uint32_t v = 0; v < nvars; ++v) {
+        pool.push_back(mgr.var(v));
+        pool.push_back(mgr.nvar(v));
+    }
+    const auto pick = [&]() { return pool[rng() % pool.size()]; };
+    for (int step = 0; step < steps; ++step) {
+        const bdd a = pick();
+        const bdd b = pick();
+        switch (rng() % 4) {
+        case 0: pool.push_back(a & b); break;
+        case 1: pool.push_back(a | b); break;
+        case 2: pool.push_back(a ^ b); break;
+        default: pool.push_back(mgr.ite(pick(), a, b)); break;
+        }
+    }
+    return pool;
+}
+
 class oracle_split : public ::testing::TestWithParam<unsigned> {};
 
 /// 200 random functions over 2..12 variables, split at a random boundary;
@@ -524,22 +550,7 @@ TEST_P(oracle_split, random_dag_matches_reference) {
         std::shuffle(order.begin(), order.end(), rng);
         mgr.set_var_order(order);
     }
-    std::vector<bdd> pool;
-    for (std::uint32_t v = 0; v < nvars; ++v) {
-        pool.push_back(mgr.var(v));
-        pool.push_back(mgr.nvar(v));
-    }
-    const auto pick = [&]() { return pool[rng() % pool.size()]; };
-    for (int step = 0; step < 40; ++step) {
-        const bdd a = pick();
-        const bdd b = pick();
-        switch (rng() % 4) {
-        case 0: pool.push_back(a & b); break;
-        case 1: pool.push_back(a | b); break;
-        case 2: pool.push_back(a ^ b); break;
-        default: pool.push_back(mgr.ite(pick(), a, b)); break;
-        }
-    }
+    const std::vector<bdd> pool = random_pool(mgr, nvars, 40, rng);
     for (int k = 0; k < 6; ++k) {
         const bdd f = pool[pool.size() - 1 - rng() % 20];
         const std::uint32_t boundary = rng() % (nvars + 1);
@@ -642,6 +653,109 @@ TEST(oracle_split_cases, large_region_grows_the_numbering_table) {
     ASSERT_NO_FATAL_FAILURE(expect_split_matches_reference(m, !f, 16));
     ASSERT_NO_FATAL_FAILURE(expect_split_matches_reference(m, f, 8));
     m.check_consistency();
+}
+
+// ---------------------------------------------------------------------------
+// dag_size against a reference walk
+// ---------------------------------------------------------------------------
+
+/// The reference count: the nodes reachable from f, collected in a fresh
+/// hash set of node indices (a tagged reference without its complement
+/// bit), the terminal included.
+std::size_t reference_dag_size(const bdd& f) {
+    std::unordered_set<std::uint32_t> seen;
+    std::vector<bdd> stack{f};
+    while (!stack.empty()) {
+        const bdd n = stack.back();
+        stack.pop_back();
+        if (!seen.insert(n.index() >> 1).second || n.is_const()) { continue; }
+        stack.push_back(n.low());
+        stack.push_back(n.high());
+    }
+    return seen.size();
+}
+
+/// dag_size of f and of !f must equal the reference, twice in a row (the
+/// second call runs on the marks the first one left).
+void expect_dag_size_matches_reference(bdd_manager& mgr, const bdd& f) {
+    const std::size_t want = reference_dag_size(f);
+    ASSERT_EQ(mgr.dag_size(f), want);
+    ASSERT_EQ(mgr.dag_size(f), want) << "second call";
+    ASSERT_EQ(mgr.dag_size(!f), want) << "complement";
+}
+
+class oracle_dag_size : public ::testing::TestWithParam<unsigned> {};
+
+/// 60 random pools over 2..14 variables: every sampled function, before
+/// and after a collection that frees most of the arena and a rebuild that
+/// reuses the freed node indices.
+TEST_P(oracle_dag_size, random_dag_matches_reference) {
+    const unsigned seed = leq::test_seed(GetParam());
+    SCOPED_TRACE("seed " + std::to_string(seed) +
+                 " (replay: LEQ_TEST_SEED=" + std::to_string(seed) + ")");
+    std::mt19937 rng(seed * 2654435761u + 11);
+    const std::uint32_t nvars = 2 + rng() % 13;
+    bdd_manager mgr(nvars);
+    std::vector<bdd> pool = random_pool(mgr, nvars, 60, rng);
+    for (int k = 0; k < 12; ++k) {
+        ASSERT_NO_FATAL_FAILURE(expect_dag_size_matches_reference(
+            mgr, pool[rng() % pool.size()]));
+    }
+    const bdd kept = pool.back();
+    pool.clear();
+    mgr.collect_garbage();
+    ASSERT_NO_FATAL_FAILURE(expect_dag_size_matches_reference(mgr, kept));
+    pool = random_pool(mgr, nvars, 60, rng);
+    for (int k = 0; k < 12; ++k) {
+        ASSERT_NO_FATAL_FAILURE(expect_dag_size_matches_reference(
+            mgr, pool[rng() % pool.size()]));
+    }
+    mgr.check_consistency();
+}
+
+INSTANTIATE_TEST_SUITE_P(seeds, oracle_dag_size, ::testing::Range(0u, 60u));
+
+TEST(oracle_dag_size_cases, terminals_are_one_node) {
+    bdd_manager m(3);
+    EXPECT_EQ(m.dag_size(m.one()), 1u);
+    EXPECT_EQ(m.dag_size(m.zero()), 1u);
+    // again, after a walk that marked real nodes
+    EXPECT_EQ(m.dag_size(m.var(0) & m.var(2)), 3u);
+    EXPECT_EQ(m.dag_size(m.zero()), 1u);
+    EXPECT_EQ(m.dag_size(m.one()), 1u);
+}
+
+TEST(oracle_dag_size_cases, parity_chain_and_arena_growth) {
+    // parity over n variables: one node per level with complement edges
+    bdd_manager m(24);
+    bdd parity = m.zero();
+    for (std::uint32_t v = 0; v < 24; ++v) { parity = parity ^ m.var(v); }
+    ASSERT_EQ(m.dag_size(parity), 25u);
+    (void)m.live_node_count(); // refreshes allocated_nodes
+    const std::size_t arena_before = m.stats().allocated_nodes;
+    // a multiplexer tree over 2^10 data leaves grows the arena well past
+    // the size of the marks the walks above left
+    bdd mux = m.zero();
+    for (std::uint32_t k = 0; k < 1024; ++k) {
+        bdd select = m.one();
+        for (std::uint32_t b = 0; b < 10; ++b) {
+            select &= m.literal(b, ((k >> b) & 1u) != 0);
+        }
+        bdd data = m.one();
+        for (std::uint32_t b = 0; b < 14; ++b) {
+            if ((((k * 2654435761u) >> (b + 7)) & 1u) != 0) {
+                data &= m.literal(10 + b, ((k >> (b % 10)) & 1u) != 0);
+            }
+        }
+        mux |= select & data;
+    }
+    (void)m.live_node_count();
+    ASSERT_GT(m.stats().allocated_nodes, 4 * arena_before);
+    ASSERT_NO_FATAL_FAILURE(expect_dag_size_matches_reference(m, mux));
+    EXPECT_EQ(m.dag_size(parity), 25u);
+    m.collect_garbage();
+    ASSERT_NO_FATAL_FAILURE(expect_dag_size_matches_reference(m, mux));
+    EXPECT_EQ(m.dag_size(parity), 25u);
 }
 
 } // namespace

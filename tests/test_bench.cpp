@@ -208,7 +208,7 @@ TEST(bench_workloads, ids_are_stable_and_unknown_ids_throw) {
     ASSERT_FALSE(names.empty());
     for (const char* expected :
          {"solve/counter_x256", "solve/arbiter_x16", "solve/kiss_counter9",
-          "batch/families"}) {
+          "verify/kiss_counter9", "batch/families"}) {
         EXPECT_NE(std::find(names.begin(), names.end(), expected),
                   names.end())
             << expected;

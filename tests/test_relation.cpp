@@ -133,30 +133,67 @@ TEST_P(relation_oracle, image_matches_naive_monolithic_conjunction) {
 }
 
 TEST_P(relation_oracle, constrained_image_fuses_the_extra_conjunct) {
-    // image(from, c) fuses c into the quantification chain; the result must
-    // equal the materialized image(from & c) for any extra conjunct
+    // image(from, c) conjoins c into `from` in the leading quantification
+    // (one binary and-exists, the leading cube possibly TRUE); the result
+    // must equal the materialized image(from & c) for any extra conjunct,
+    // whatever the schedule shape: a relation with no parts, clusters with
+    // an empty leading cube, a leading cube whose variables the constraint
+    // reads, and fused runs of clusters that retire nothing
     const network net = machine_for(GetParam());
     bdd_manager mgr;
     auto [fns, vars] = setup(mgr, net);
-    const std::vector<bdd> parts = next_state_parts(mgr, fns, vars);
+    std::vector<bdd> parts = next_state_parts(mgr, fns, vars);
+    // a twin of the first part over a fresh next-state variable: with every
+    // part its own cluster (limit 0), whichever twin is scheduled first
+    // retires nothing, so it opens a fused run
+    parts.push_back(mgr.var(mgr.new_var()).iff(fns.next_state[0]));
     std::vector<std::uint32_t> quantify = vars.in;
     quantify.insert(quantify.end(), vars.cs.begin(), vars.cs.end());
+    // quantified variables in no part: they form the leading cube
+    const std::uint32_t x0 = mgr.new_var();
+    const std::uint32_t x1 = mgr.new_var();
+    std::vector<std::uint32_t> with_leading = quantify;
+    with_leading.push_back(x0);
+    with_leading.push_back(x1);
 
     const std::vector<bdd> sets =
         sample_state_sets(mgr, net, vars, 3000u + GetParam());
+    std::vector<bdd> constraints = sets;
+    for (const bdd& s : sets) {
+        constraints.push_back(s & (mgr.var(x0) ^ mgr.var(vars.cs[0])));
+        constraints.push_back(s | (mgr.var(x1) & !mgr.var(vars.cs.back())));
+    }
     const bdd& from = sets[1];
-    for (const bdd& constraint : sets) {
-        for (const std::size_t limit : {std::size_t{0}, std::size_t{2500}}) {
-            image_options options;
-            options.cluster_limit = limit;
-            const transition_relation rel(mgr, parts, quantify, options);
-            EXPECT_EQ(rel.image(from, constraint),
-                      rel.image(from & constraint))
-                << "machine " << GetParam() << " limit " << limit;
+    for (const std::size_t limit :
+         {std::size_t{0}, std::size_t{60}, std::size_t{2500}}) {
+        image_options options;
+        options.cluster_limit = limit;
+        for (const auto* q : {&quantify, &with_leading}) {
+            const transition_relation rel(mgr, parts, *q, options);
+            const std::vector<std::size_t>& retired =
+                rel.stats().quantified_per_cluster;
+            if (q == &with_leading) {
+                ASSERT_GE(rel.stats().leading_quantified, 2u);
+            }
+            if (limit == 0) {
+                // a cluster before the last that retires nothing
+                ASSERT_GE(retired.size(), 2u);
+                EXPECT_NE(std::find(retired.begin(), retired.end() - 1,
+                                    std::size_t{0}),
+                          retired.end() - 1)
+                    << "machine " << GetParam() << ": no fused run";
+            }
+            for (const bdd& constraint : constraints) {
+                EXPECT_EQ(rel.image(from, constraint),
+                          rel.image(from & constraint))
+                    << "machine " << GetParam() << " limit " << limit
+                    << " leading " << rel.stats().leading_quantified;
+            }
         }
-        // also through a no-part relation (the X_P walker shape), where the
-        // constraint rides the leading quantification
-        const transition_relation empty(mgr, {}, vars.cs);
+    }
+    // also through a no-part relation (the X_P walker shape)
+    const transition_relation empty(mgr, {}, vars.cs);
+    for (const bdd& constraint : constraints) {
         EXPECT_EQ(empty.image(from, constraint),
                   empty.image(from & constraint));
     }
