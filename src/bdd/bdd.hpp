@@ -65,7 +65,6 @@
 #include <functional>
 #include <stdexcept>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -283,13 +282,6 @@ public:
     [[nodiscard]] bdd exists(const bdd& f, const bdd& cube);
     /// Relational product: exists(cube, f & g) computed in one pass.
     [[nodiscard]] bdd and_exists(const bdd& f, const bdd& g, const bdd& cube);
-    /// N-ary relational product: exists(cube, f_1 & ... & f_n) in one fused
-    /// pass over the whole operand span — no intermediate pairwise products
-    /// are materialized.  The relation layer applies a cluster span through
-    /// this instead of chaining binary calls.  An empty span yields
-    /// exists(cube, 1) = 1.
-    [[nodiscard]] bdd and_exists(const std::vector<bdd>& operands,
-                                 const bdd& cube);
 
     /// Rename variables: result(x) = f(x with var v replaced by perm[v]).
     /// `perm` must be defined for every variable in the support of f.
@@ -411,11 +403,6 @@ private:
                        const Handles&... handles) const {
         checked_thread_guard(operation);
         (checked_handle_guard(operation, handles), ...);
-    }
-    void checked_guard(const char* operation,
-                       const std::vector<bdd>& handles) const {
-        checked_thread_guard(operation);
-        for (const bdd& h : handles) { checked_handle_guard(operation, h); }
     }
 
     /// Arena node.  `lo`/`hi` are tagged references; the canonical-form
@@ -588,26 +575,6 @@ private:
     std::uint32_t exists_rec(std::uint32_t f, std::uint32_t cube);
     std::uint32_t and_exists_rec(std::uint32_t f, std::uint32_t g,
                                  std::uint32_t cube);
-    /// Hash map keyed by a normalized operand list (plus the cube) for the
-    /// n-ary relational product.  Per call: unlike the computed table it
-    /// cannot be recycled across operations, since entries pin arbitrary
-    /// operand lists; the unary/binary degenerations below still ride the
-    /// global caches, which is where cross-call sharing lives.
-    struct nary_key_hash {
-        std::size_t operator()(const std::vector<std::uint32_t>& key) const {
-            std::uint64_t h = 0x9e3779b97f4a7c15ull;
-            for (const std::uint32_t r : key) {
-                h = node_hash(h, r, key.size());
-            }
-            return static_cast<std::size_t>(h);
-        }
-    };
-    using nary_memo = std::unordered_map<std::vector<std::uint32_t>,
-                                         std::uint32_t, nary_key_hash>;
-    /// N-ary core; memoized per call, degenerating to the cached
-    /// unary/binary cores once the span shrinks.
-    std::uint32_t and_exists_nary_rec(std::vector<std::uint32_t> operands,
-                                      std::uint32_t cube, nary_memo& memo);
     std::uint32_t support_rec(std::uint32_t f);
     // the substitution core (bdd_subst.cpp); it memoizes in subst_memo_ and
     // keeps its entries across calls (see subst_memo_)

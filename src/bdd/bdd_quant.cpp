@@ -28,93 +28,6 @@ bdd bdd_manager::and_exists(const bdd& f, const bdd& g, const bdd& cube) {
     return make(and_exists_rec(f.index(), g.index(), cube.index()));
 }
 
-bdd bdd_manager::and_exists(const std::vector<bdd>& operands,
-                            const bdd& cube) {
-    checked_guard("and_exists", operands);
-    checked_guard("and_exists", cube);
-    assert(cube.manager() == this);
-    maybe_gc_or_grow();
-    std::vector<std::uint32_t> ops;
-    ops.reserve(operands.size());
-    for (const bdd& f : operands) {
-        assert(f.manager() == this);
-        ops.push_back(f.index());
-    }
-    nary_memo memo;
-    return make(and_exists_nary_rec(std::move(ops), cube.index(), memo));
-}
-
-std::uint32_t bdd_manager::and_exists_nary_rec(std::vector<std::uint32_t> ops,
-                                               std::uint32_t cube,
-                                               nary_memo& memo) {
-    // normalize the span: sort + dedupe, drop TRUE, detect FALSE and
-    // complementary pairs (a reference and its complement differ only in the
-    // low bit, so after sorting they sit adjacent)
-    std::sort(ops.begin(), ops.end());
-    ops.erase(std::unique(ops.begin(), ops.end()), ops.end());
-    if (!ops.empty() && ops.front() == 0) { return 0; }
-    ops.erase(std::remove(ops.begin(), ops.end(), 1u), ops.end());
-    for (std::size_t k = 0; k + 1 < ops.size(); ++k) {
-        if (ops[k + 1] == (ops[k] ^ 1u)) { return 0; } // f & !f
-    }
-    if (ops.empty()) { return 1; }
-    if (ops.size() == 1) { return exists_rec(ops[0], cube); }
-    if (ops.size() == 2) { return and_exists_rec(ops[0], ops[1], cube); }
-
-    // top level across the span (all operands non-terminal here)
-    std::uint32_t top_level = var2level_[var_of(ops[0])];
-    for (std::size_t k = 1; k < ops.size(); ++k) {
-        top_level = std::min(top_level, var2level_[var_of(ops[k])]);
-    }
-    // skip quantified variables above the top: absent from every operand
-    while (cube != 1 && var2level_[var_of(cube)] < top_level) {
-        cube = hi_of(cube);
-    }
-    if (cube == 1) {
-        // nothing left to quantify: plain conjunction (pairwise, so the
-        // global AND cache amortizes shared sub-conjunctions)
-        std::uint32_t acc = ops[0];
-        for (std::size_t k = 1; k < ops.size() && acc != 0; ++k) {
-            acc = and_rec(acc, ops[k]);
-        }
-        return acc;
-    }
-
-    std::vector<std::uint32_t> key = ops;
-    key.push_back(cube);
-    const auto it = memo.find(key);
-    if (it != memo.end()) { return it->second; }
-
-    const std::uint32_t top_var = level2var_[top_level];
-    std::vector<std::uint32_t> lo_ops, hi_ops;
-    lo_ops.reserve(ops.size());
-    hi_ops.reserve(ops.size());
-    for (const std::uint32_t f : ops) {
-        lo_ops.push_back(var_of(f) == top_var ? lo_of(f) : f);
-        hi_ops.push_back(var_of(f) == top_var ? hi_of(f) : f);
-    }
-    std::uint32_t result = 0;
-    if (var_of(cube) == top_var) {
-        const std::uint32_t rest = hi_of(cube);
-        const std::uint32_t r0 =
-            and_exists_nary_rec(std::move(lo_ops), rest, memo);
-        if (r0 == 1) {
-            result = 1;
-        } else {
-            result =
-                or_rec(r0, and_exists_nary_rec(std::move(hi_ops), rest, memo));
-        }
-    } else {
-        const std::uint32_t r0 =
-            and_exists_nary_rec(std::move(lo_ops), cube, memo);
-        const std::uint32_t r1 =
-            and_exists_nary_rec(std::move(hi_ops), cube, memo);
-        result = mk(top_var, r0, r1);
-    }
-    memo.emplace(std::move(key), result);
-    return result;
-}
-
 std::uint32_t bdd_manager::exists_rec(std::uint32_t f, std::uint32_t cube) {
     if (is_terminal(f)) { return f; }
     // skip quantified variables above f's top: they do not occur in f

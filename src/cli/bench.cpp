@@ -56,25 +56,36 @@ void add_manager_metrics(bench_row& row, bdd_manager& mgr) {
     add(row, "cache_resizes", static_cast<double>(stats.cache_resizes));
 }
 
+/// The answer and schedule shape of one partitioned solve: `relations` and
+/// `clusters` move when a change splits or merges a relation.
+void add_solve_metrics(bench_row& row, const solve_result& result) {
+    if (result.status != solve_status::ok) {
+        throw std::runtime_error("bench workload " + row.workload +
+                                 " gave up");
+    }
+    add(row, "subset_states",
+        static_cast<double>(result.subset_states_explored));
+    add(row, "csf_states", static_cast<double>(result.csf_states));
+    add(row, "images", static_cast<double>(result.stats.images));
+    add(row, "relations", static_cast<double>(result.stats.relations));
+    add(row, "clusters", static_cast<double>(result.stats.clusters));
+}
+
 // ---------------------------------------------------------------------------
 // workloads
 // ---------------------------------------------------------------------------
 
 /// Solve one scaled gen/ scenario with the partitioned flow.
 bench_row run_solve_scenario(const std::string& id, scenario_family family,
-                             std::uint32_t seed, std::uint32_t scale) {
+                             std::uint32_t seed, std::uint32_t scale,
+                             const solve_options& options = {}) {
     bench_row row;
     row.workload = id;
     const scenario s = make_scenario(family, seed, scale);
     const equation_problem problem(s.fixed, s.spec, s.num_choice_inputs);
-    const solve_result result = solve_partitioned(problem);
-    if (result.status != solve_status::ok) {
-        throw std::runtime_error("bench workload " + id + " gave up");
-    }
-    add(row, "subset_states",
-        static_cast<double>(result.subset_states_explored));
-    add(row, "csf_states", static_cast<double>(result.csf_states));
-    add(row, "images", static_cast<double>(result.stats.images));
+    // the result (its CSF) stays alive while the manager is read
+    const solve_result result = solve_partitioned(problem, options);
+    add_solve_metrics(row, result);
     add_manager_metrics(row, problem.mgr());
     return row;
 }
@@ -88,13 +99,7 @@ bench_row run_kiss(const std::string& id, const std::string& f_kiss,
     row.workload = id;
     const kiss_instance inst = build_kiss_instance(f_kiss, s_kiss);
     const solve_result result = solve_partitioned(*inst.problem);
-    if (result.status != solve_status::ok) {
-        throw std::runtime_error("bench workload " + id + " gave up");
-    }
-    add(row, "subset_states",
-        static_cast<double>(result.subset_states_explored));
-    add(row, "csf_states", static_cast<double>(result.csf_states));
-    add(row, "images", static_cast<double>(result.stats.images));
+    add_solve_metrics(row, result);
     if (verify) {
         add(row, "composition_ok",
             verify_composition_contained(*inst.problem, *result.csf) ? 1.0
@@ -195,18 +200,25 @@ const bench_metric* bench_row::find(const std::string& name) const {
 }
 
 metric_policy bench_metric_policy(const std::string& name) {
-    // deterministic solver outputs: any drift is a behaviour change
+    // deterministic solver outputs and the schedule's shape: any drift is
+    // a behaviour change
     if (name == "subset_states" || name == "csf_states" ||
         name == "batch_solved" || name == "batch_empty" ||
-        name == "composition_ok") {
+        name == "composition_ok" || name == "relations" ||
+        name == "clusters") {
         return {metric_direction::exact, 0.0, 0.0};
     }
     // deterministic work counters: 10% + slack budget.  Misses are gated
     // beside lookups because the hit rate alone can fall when a change
-    // removes lookups that were almost all hits; subst_nodes counts the
-    // substitution memo's misses (nodes rebuilt by permute).
-    if (name == "cache_lookups" || name == "cache_misses" ||
-        name == "subst_nodes") {
+    // removes lookups that were almost all hits.  Both are two-sided: a
+    // fall means work left the computed cache (an uncached kernel, a
+    // skipped phase), which must be re-pinned on purpose, not pass
+    // silently.  subst_nodes counts the substitution memo's misses (nodes
+    // rebuilt by permute).
+    if (name == "cache_lookups" || name == "cache_misses") {
+        return {metric_direction::two_sided, 0.10, 1000.0};
+    }
+    if (name == "subst_nodes") {
         return {metric_direction::up_bad, 0.10, 1000.0};
     }
     if (name == "images") { return {metric_direction::up_bad, 0.10, 2.0}; }
@@ -227,6 +239,7 @@ metric_policy bench_metric_policy(const std::string& name) {
 std::vector<std::string> bench_workload_names() {
     return {
         "solve/counter_x256",
+        "solve/counter_x256_flat",
         "solve/arbiter_x16",
         "solve/kiss_counter9",
         "verify/kiss_counter9",
@@ -234,9 +247,19 @@ std::vector<std::string> bench_workload_names() {
     };
 }
 
-bench_row run_bench_workload(const std::string& workload) {
+namespace {
+
+bench_row run_untimed_workload(const std::string& workload) {
     if (workload == "solve/counter_x256") {
         return run_solve_scenario(workload, scenario_family::counter, 3, 256);
+    }
+    if (workload == "solve/counter_x256_flat") {
+        // every part its own cluster: the one gated row whose image chain
+        // has several steps, some retiring nothing
+        solve_options flat;
+        flat.img.cluster_limit = 0;
+        return run_solve_scenario(workload, scenario_family::counter, 3, 256,
+                                  flat);
     }
     if (workload == "solve/arbiter_x16") {
         return run_solve_scenario(workload, scenario_family::arbiter, 2, 16);
@@ -253,20 +276,15 @@ bench_row run_bench_workload(const std::string& workload) {
     throw std::invalid_argument("unknown bench workload '" + workload + "'");
 }
 
-bench_report run_bench(const std::string& filter) {
-    bench_report report;
-    for (const std::string& name : bench_workload_names()) {
-        if (!filter.empty() && name.find(filter) == std::string::npos) {
-            continue;
-        }
-        const auto start = std::chrono::steady_clock::now();
-        bench_row row = run_bench_workload(name);
-        const auto stop = std::chrono::steady_clock::now();
-        row.seconds =
-            std::chrono::duration<double>(stop - start).count();
-        report.rows.push_back(std::move(row));
-    }
-    return report;
+} // namespace
+
+bench_row run_bench_workload(const std::string& workload) {
+    const auto start = std::chrono::steady_clock::now();
+    bench_row row = run_untimed_workload(workload);
+    row.seconds = std::chrono::duration<double>(
+                      std::chrono::steady_clock::now() - start)
+                      .count();
+    return row;
 }
 
 // ---------------------------------------------------------------------------
@@ -537,6 +555,14 @@ bench_compare_result compare_bench_reports(const bench_report& base,
                 limit = bm.value * (1.0 - policy.rel_tol) - policy.abs_slack;
                 regressed = cm->value < limit;
                 break;
+            case metric_direction::two_sided: {
+                const double budget = bm.value * policy.rel_tol +
+                                      policy.abs_slack;
+                limit = cm->value < bm.value ? bm.value - budget
+                                             : bm.value + budget;
+                regressed = std::abs(cm->value - bm.value) > budget;
+                break;
+            }
             case metric_direction::exact:
                 limit = bm.value;
                 regressed =

@@ -11,7 +11,7 @@
 /// (the one BENCH_PR<n>.json at the repo root) plus `leq_bench_run
 /// --compare NEW` turn the report into a CI gate: any gated metric that
 /// moves the wrong way by more than 10% (plus a small absolute slack)
-/// fails the build.
+/// fails the build (for cache traffic, a move either way).
 ///
 /// What makes this workable across machines and compilers is that every
 /// *gated* metric is a deterministic work counter read off the BDD manager
@@ -56,6 +56,7 @@ enum class metric_direction : std::uint8_t {
     info,    ///< recorded, never gated (wall clock, cache geometry)
     up_bad,  ///< regression = grew past base * (1+tol) + slack
     down_bad,///< regression = shrank past base * (1-tol) - slack
+    two_sided,///< regression = moved past base * (1 +- tol) +- slack
     exact,   ///< deterministic pin: any drift beyond slack fails
 };
 
@@ -71,11 +72,9 @@ struct metric_policy {
 /// The pinned workload ids, in run order.
 [[nodiscard]] std::vector<std::string> bench_workload_names();
 
-/// Run one workload by id; throws std::invalid_argument for unknown ids.
+/// Run one workload by id and record its wall clock; throws
+/// std::invalid_argument for unknown ids.
 [[nodiscard]] bench_row run_bench_workload(const std::string& workload);
-
-/// Run every workload whose id contains `filter` (all when empty).
-[[nodiscard]] bench_report run_bench(const std::string& filter = "");
 
 /// Serialize; byte-deterministic for equal reports.
 [[nodiscard]] std::string bench_report_to_json(const bench_report& report);

@@ -38,8 +38,6 @@ int usage(std::ostream& err) {
         << "                   oracle for small instances; it ignores\n"
         << "                   --time-limit/--max-states and solver knobs)\n"
         << "  --cluster-limit N   merged-cluster node bound (default 2500)\n"
-        << "  --no-trim           explore non-conforming subsets (mono flow)\n"
-        << "  --collect-stats     track peak intermediate product sizes\n"
         << "  --time-limit SEC    wall-clock deadline per solve (default 0)\n"
         << "  --max-states N      subset-state cap per solve (default 0)\n"
         << "  --choice-inputs N   trailing F inputs are choice inputs w\n"
@@ -130,10 +128,6 @@ int parse_flags(const std::vector<std::string>& args, parsed_args& parsed,
                          parsed.config.solve.img.cluster_limit)) {
                 return 2;
             }
-        } else if (arg == "--no-trim") {
-            parsed.config.solve.trim_nonconforming = false;
-        } else if (arg == "--collect-stats") {
-            parsed.config.solve.img.collect_stats = true;
         } else if (arg == "--time-limit") {
             const std::string* v = value();
             if (v == nullptr) {

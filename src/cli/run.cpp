@@ -196,9 +196,6 @@ std::string record_to_json(const solve_record& record,
         stats.field("relation_parts", s.relation_parts);
         stats.field("clusters", s.clusters);
         stats.field("images", s.images);
-        if (config.solve.img.collect_stats) {
-            stats.field("peak_intermediate", s.peak_intermediate);
-        }
         stats.field("live_nodes", s.live_nodes_after);
         stats.field("gc_runs", s.gc_runs);
         stats.field("cache_lookups", s.cache_lookups);

@@ -22,9 +22,8 @@ namespace leq {
 struct cli_config {
     /// "partitioned" (default), "monolithic", or "explicit".
     std::string flow = "partitioned";
-    /// Solver options; `solve.img` carries the relation-layer knobs
-    /// (cluster limit, early quantification, collect-stats) exposed as
-    /// flags.
+    /// Solver options; `solve.img` carries the relation-layer knob the
+    /// flags expose (the cluster limit).
     solve_options solve;
     /// Trailing F inputs that are footnote-2 choice inputs w.
     std::size_t choice_inputs = 0;

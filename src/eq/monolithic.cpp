@@ -7,8 +7,9 @@
 /// complemented by swapping acceptance, the product TO_F & TO_S' is formed
 /// as one conjunction, the external variables i and o are hidden by
 /// quantification, and the resulting non-deterministic relation is
-/// determinized with a standard subset construction.  The final
-/// prefix-close/progressive steps are shared with the partitioned flow.
+/// determinized with a standard subset construction that drops every move
+/// into a DCN-type subset (prefix-closed trimming).  The final progressive
+/// step is shared with the partitioned flow.
 ///
 /// The expensive objects the partitioned flow avoids — TO_F, the completed
 /// TO_S', their product and the quantified product — are all materialized
@@ -143,32 +144,21 @@ solve_result solve_monolithic(const equation_problem& problem,
             detail::expansion exp{detail::split_by_top_block(mgr, p, boundary),
                                   mgr.zero()};
             exp.to_dca = !mgr.exists(p, ns_cube);
-            if (local.trim_nonconforming) {
-                // prefix-closed trimming (paper, Section 3.2): a successor
-                // containing an (a, DC1)-type state is DCN; drop the move and
-                // never explore it
-                std::vector<detail::cofactor_class> kept;
-                kept.reserve(exp.successors.size());
-                for (detail::cofactor_class& c : exp.successors) {
-                    if ((c.leaf & accepting_ns).is_zero()) {
-                        kept.push_back(std::move(c));
-                    }
+            // prefix-closed trimming (paper, Section 3.2): a successor
+            // containing an (a, DC1)-type state is DCN; drop the move and
+            // never explore it
+            std::vector<detail::cofactor_class> kept;
+            kept.reserve(exp.successors.size());
+            for (detail::cofactor_class& c : exp.successors) {
+                if ((c.leaf & accepting_ns).is_zero()) {
+                    kept.push_back(std::move(c));
                 }
-                exp.successors = std::move(kept);
             }
+            exp.successors = std::move(kept);
             return exp;
         };
 
-        solve_result result;
-        if (local.trim_nonconforming) {
-            result = driver.run(initial, expand);
-        } else {
-            // Ablation-A baseline: explore DCN-type subsets too and remove
-            // them only in the final prefix-close
-            result = driver.run(initial, expand, [&](const bdd& psi) {
-                return !(psi & accepting_product).is_zero();
-            });
-        }
+        solve_result result = driver.run(initial, expand);
         result.seconds = std::chrono::duration<double>(
                              std::chrono::steady_clock::now() - start)
                              .count();

@@ -51,11 +51,6 @@ struct solve_options {
     double time_limit_seconds = 0.0;
     /// Cap on explored subset states; 0 = unlimited.
     std::size_t max_subset_states = 0;
-    /// Replace subsets containing non-accepting (DC1-type) product states by
-    /// DCN without exploring them (paper, Section 3.2).  Only meaningful for
-    /// the monolithic flow, where such subsets are representable; switching
-    /// it off is the Ablation-A baseline.
-    bool trim_nonconforming = true;
 };
 
 /// Aggregate statistics of one solve, read off the transition relations the
@@ -71,10 +66,6 @@ struct solve_stats {
     std::size_t relation_parts = 0; ///< partition parts across all relations
     std::size_t clusters = 0;       ///< scheduled clusters across relations
     std::size_t images = 0;         ///< image() calls served
-    /// Largest partial product seen in any chain (DAG nodes).  Only tracked
-    /// when `image_options::collect_stats` is set — it costs one DAG
-    /// traversal per chain step.
-    std::size_t peak_intermediate = 0;
     /// Live BDD nodes in the problem's manager when the solve returned.
     std::size_t live_nodes_after = 0;
     /// Garbage collections the problem's manager has run, the adaptive

@@ -3,7 +3,6 @@
 
 #include "eq/subset_common.hpp"
 
-#include <algorithm>
 #include <deque>
 #include <queue>
 #include <utility>
@@ -39,13 +38,10 @@ solve_result timeout_result(std::chrono::steady_clock::time_point start) {
 }
 
 void accumulate_stats(solve_stats& stats, const transition_relation& rel) {
-    const relation_stats& r = rel.stats();
     stats.relations += 1;
     stats.relation_parts += rel.num_parts();
     stats.clusters += rel.num_clusters();
-    stats.images += r.images;
-    stats.peak_intermediate =
-        std::max(stats.peak_intermediate, r.peak_intermediate);
+    stats.images += rel.stats().images;
 }
 
 void read_manager_stats(solve_stats& stats, bdd_manager& mgr) {
@@ -65,8 +61,7 @@ std::vector<cofactor_class> split_by_top_block(bdd_manager& mgr, const bdd& p,
 
 solve_result
 subset_driver::run(const bdd& initial_state,
-                   const std::function<expansion(const bdd&)>& expand,
-                   const std::function<bool(const bdd&)>& is_bad) const {
+                   const std::function<expansion(const bdd&)>& expand) const {
     const auto start = std::chrono::steady_clock::now();
     const auto elapsed = [&] {
         return std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -155,22 +150,6 @@ subset_driver::run(const bdd& initial_state,
                                        static_cast<std::ptrdiff_t>(u_vars.size()),
                                    uv_vars.end()));
     std::vector<bool> alive(num_subsets + 1, true);
-    if (is_bad) {
-        // prefix-close: DCN-type subsets are non-accepting in the final
-        // answer and are removed before the progressive fixpoint
-        for (std::uint32_t s = 0; s < num_subsets; ++s) {
-            if (is_bad(subsets[s])) { alive[s] = false; }
-        }
-        if (!alive[0]) {
-            result.empty_solution = true;
-            automaton empty(mgr, uv_vars);
-            empty.set_initial(empty.add_state(false));
-            result.csf = std::move(empty);
-            result.csf_states = 0;
-            result.seconds = elapsed();
-            return result;
-        }
-    }
     // worklist fixpoint: when a state dies only its predecessors need
     // rechecking (a full-sweep loop is quadratic at 10^5 states)
     std::vector<std::vector<std::uint32_t>> preds(num_subsets + 1);
@@ -186,11 +165,9 @@ subset_driver::run(const bdd& initial_state,
     };
     std::queue<std::uint32_t> dead;
     for (std::uint32_t s = 0; s <= num_subsets; ++s) {
-        if (alive[s] && !progressive_ok(s)) {
+        if (!progressive_ok(s)) {
             alive[s] = false;
             dead.push(s);
-        } else if (!alive[s]) {
-            dead.push(s); // is_bad casualties: propagate to predecessors
         }
     }
     while (!dead.empty()) {

@@ -67,16 +67,9 @@ struct subset_driver {
     std::vector<std::uint32_t> ns_to_cs;   ///< permutation for leaf renaming
     const solve_options& options;
 
-    /// \param is_bad optional classifier for DCN-type subsets (those meeting
-    ///        an accepting product state).  With the paper's trimming, such
-    ///        subsets are filtered inside `expand` and never reach the
-    ///        driver; the Ablation-A baseline instead explores them and
-    ///        passes this predicate so the prefix-close step can remove them
-    ///        afterwards.
     [[nodiscard]] solve_result
     run(const bdd& initial_state,
-        const std::function<expansion(const bdd&)>& expand,
-        const std::function<bool(const bdd&)>& is_bad = nullptr) const;
+        const std::function<expansion(const bdd&)>& expand) const;
 };
 
 } // namespace leq::detail

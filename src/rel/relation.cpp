@@ -29,27 +29,18 @@ void transition_relation::build(const std::vector<std::uint32_t>& quantify) {
                                   options_.deadline);
     }
     image_schedule_ = quant_schedule(*mgr_, clusters_, quantify);
-    image_schedule_.describe(*mgr_, stats_);
+    image_schedule_.describe(stats_);
 }
 
 bdd transition_relation::image(const bdd& from) const {
-    ++stats_.images;
-    bdd result = image_schedule_.apply(
-        from, options_.deadline, options_.collect_stats ? &stats_ : nullptr);
-    if (options_.fault_suppress_var != image_options::no_fault) {
-        result &= mgr_->literal(options_.fault_suppress_var, false);
-    }
-    if (!result_perm_.empty()) {
-        result = mgr_->permute(result, result_perm_);
-    }
-    return result;
+    // the constrained form with a TRUE conjunct runs exactly the
+    // unconstrained chain: and-exists against TRUE is the plain exists
+    return image(from, mgr_->one());
 }
 
 bdd transition_relation::image(const bdd& from, const bdd& constraint) const {
     ++stats_.images;
-    bdd result = image_schedule_.apply(
-        from, &constraint, options_.deadline,
-        options_.collect_stats ? &stats_ : nullptr);
+    bdd result = image_schedule_.apply(from, constraint, options_.deadline);
     if (options_.fault_suppress_var != image_options::no_fault) {
         result &= mgr_->literal(options_.fault_suppress_var, false);
     }

@@ -45,9 +45,6 @@ struct image_options {
     /// single huge conjunction can still overshoot the deadline by the
     /// length of that one operation.
     relation_deadline deadline;
-    /// Also track `relation_stats::peak_intermediate` (costs one DAG
-    /// traversal per chain step; off on the hot path by default).
-    bool collect_stats = false;
     /// TEST-ONLY fault injection.  When set to a variable id, every
     /// image() result is wrongly constrained to that variable
     /// being 0 (successors with the variable at 1 are silently dropped) —
@@ -75,9 +72,9 @@ public:
     /// renamed by `rename_result` when set.
     [[nodiscard]] bdd image(const bdd& from) const;
 
-    /// Image of `from & constraint` with the constraint fused into the
-    /// quantification chain (never materialized as a standalone product) —
-    /// the form the verification walkers use for per-transition labels.
+    /// Image of `from & constraint`, the constraint conjoined into `from`
+    /// by the schedule's leading and-exists — the form the verification
+    /// walkers use for per-transition labels.
     [[nodiscard]] bdd image(const bdd& from, const bdd& constraint) const;
 
     /// Install a variable renaming applied to every image() result (e.g. the

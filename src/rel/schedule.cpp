@@ -82,14 +82,6 @@ quant_schedule::quant_schedule(bdd_manager& mgr,
         clusters_.push_back(clusters[order[pos]]);
         cubes_.push_back(mgr.cube(retired_[pos]));
     }
-
-    // chain steps: fuse every empty-retire cluster into its successor so the
-    // step runs as one n-ary and-exists instead of a chain of binary ANDs
-    for (std::size_t pos = 0; pos < clusters_.size(); ++pos) {
-        if (!retired_[pos].empty() || pos + 1 == clusters_.size()) {
-            run_end_.push_back(pos + 1);
-        }
-    }
 }
 
 namespace {
@@ -120,63 +112,40 @@ private:
 
 } // namespace
 
-bdd quant_schedule::apply(const bdd& from, const bdd* constraint,
-                          const relation_deadline& deadline,
-                          relation_stats* stats) const {
+bdd quant_schedule::apply(const bdd& from, const bdd& constraint,
+                          const relation_deadline& deadline) const {
     throw_if_past(deadline);
     const op_deadline_guard op_guard(*mgr_, deadline);
     // the translation is unconditional — a deadline the *manager* already
     // had armed (set_op_deadline without a relation deadline) surfaces to
     // relation consumers under the one exception type they handle
     try {
-        return apply_steps(from, constraint, deadline, stats);
+        return apply_steps(from, constraint, deadline);
     } catch (const bdd_deadline_exceeded&) {
         throw relation_deadline_exceeded{};
     }
 }
 
-bdd quant_schedule::apply_steps(const bdd& from, const bdd* constraint,
-                                const relation_deadline& deadline,
-                                relation_stats* stats) const {
-    // leading quantification; an extra conjunct is conjoined into `from`
-    // here, on the cached binary and-exists, whatever the leading cube.  It
-    // never joins a chain step: the n-ary kernel keeps a per-call memo and
-    // bypasses the computed cache, so it runs only for fused runs of several
-    // clusters.  In the verify and diagnose walks `from` is a state set and
-    // the constraint a CSF label, over disjoint supports, so the conjunction
-    // stays small
-    bdd acc = constraint != nullptr
-                  ? mgr_->and_exists(from, *constraint, leading_cube_)
-                  : mgr_->exists(from, leading_cube_);
-    std::size_t begin = 0;
-    for (const std::size_t end : run_end_) {
+bdd quant_schedule::apply_steps(const bdd& from, const bdd& constraint,
+                                const relation_deadline& deadline) const {
+    // leading quantification, with the extra conjunct conjoined into `from`
+    // (against TRUE the and-exists is the plain exists).  In the verify and
+    // diagnose walks `from` is a state set and the constraint a CSF label,
+    // over disjoint supports, so the conjunction stays small
+    bdd acc = mgr_->and_exists(from, constraint, leading_cube_);
+    // one cached binary and-exists per cluster; a cluster that retires
+    // nothing has a TRUE cube, and the step is the plain conjunction
+    for (std::size_t k = 0; k < clusters_.size(); ++k) {
         throw_if_past(deadline);
-        if (end - begin == 1) {
-            acc = mgr_->and_exists(acc, clusters_[begin], cubes_[end - 1]);
-        } else {
-            std::vector<bdd> operands;
-            operands.reserve(end - begin + 1);
-            operands.push_back(acc);
-            for (std::size_t k = begin; k < end; ++k) {
-                operands.push_back(clusters_[k]);
-            }
-            acc = mgr_->and_exists(operands, cubes_[end - 1]);
-        }
-        if (stats != nullptr) {
-            stats->peak_intermediate =
-                std::max(stats->peak_intermediate, mgr_->dag_size(acc));
-        }
-        begin = end;
+        acc = mgr_->and_exists(acc, clusters_[k], cubes_[k]);
     }
     return acc;
 }
 
-void quant_schedule::describe(bdd_manager& mgr, relation_stats& stats) const {
-    stats.cluster_sizes.clear();
+void quant_schedule::describe(relation_stats& stats) const {
     stats.quantified_per_cluster.clear();
-    for (std::size_t k = 0; k < clusters_.size(); ++k) {
-        stats.cluster_sizes.push_back(mgr.dag_size(clusters_[k]));
-        stats.quantified_per_cluster.push_back(retired_[k].size());
+    for (const std::vector<std::uint32_t>& retired : retired_) {
+        stats.quantified_per_cluster.push_back(retired.size());
     }
     stats.leading_quantified = leading_.size();
 }

@@ -89,25 +89,6 @@ TEST_P(bdd_props, and_exists_is_fused_relational_product) {
     EXPECT_EQ(mgr.and_exists(f, mgr.zero(), cube), mgr.zero());
 }
 
-TEST_P(bdd_props, nary_and_exists_matches_folded_conjunction) {
-    const bdd k = random_function(mgr, GetParam() + 300);
-    EXPECT_EQ(mgr.and_exists({f, g, h, k}, cube),
-              mgr.exists(f & g & h & k, cube));
-    EXPECT_EQ(mgr.and_exists({f, g, h}, cube), mgr.exists(f & g & h, cube));
-    // degenerate spans collapse onto the cached unary/binary cores
-    EXPECT_EQ(mgr.and_exists({f, g}, cube), mgr.and_exists(f, g, cube));
-    EXPECT_EQ(mgr.and_exists({f}, cube), mgr.exists(f, cube));
-    EXPECT_EQ(mgr.and_exists(std::vector<bdd>{}, cube), mgr.one());
-    // absorbing / neutral operands and complementary pairs
-    EXPECT_EQ(mgr.and_exists({f, mgr.zero(), g}, cube), mgr.zero());
-    EXPECT_EQ(mgr.and_exists({f, mgr.one(), g}, cube),
-              mgr.and_exists(f, g, cube));
-    EXPECT_EQ(mgr.and_exists({f, !f, g}, cube), mgr.zero());
-    EXPECT_EQ(mgr.and_exists({f, f, g}, cube), mgr.and_exists(f, g, cube));
-    // an empty cube is a plain n-ary conjunction
-    EXPECT_EQ(mgr.and_exists({f, g, h}, mgr.one()), f & g & h);
-}
-
 TEST_P(bdd_props, cofactor_shannon_expansion) {
     const bdd x = mgr.var(2);
     const bdd f1 = mgr.exists(f & x, mgr.cube({2}));

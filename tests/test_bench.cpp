@@ -57,11 +57,13 @@ TEST(bench_policy, directions_match_the_documented_gate) {
               metric_direction::info);
     EXPECT_EQ(bench_metric_policy("cache_entries").direction,
               metric_direction::info);
+    // cache traffic is gated both ways: work leaving the computed cache
+    // is a change to re-pin, not a silent pass
     EXPECT_EQ(bench_metric_policy("cache_lookups").direction,
-              metric_direction::up_bad);
+              metric_direction::two_sided);
     // misses are gated with the lookups' budget
     EXPECT_EQ(bench_metric_policy("cache_misses").direction,
-              metric_direction::up_bad);
+              metric_direction::two_sided);
     EXPECT_EQ(bench_metric_policy("cache_misses").rel_tol,
               bench_metric_policy("cache_lookups").rel_tol);
     EXPECT_EQ(bench_metric_policy("cache_misses").abs_slack,
@@ -79,6 +81,11 @@ TEST(bench_policy, directions_match_the_documented_gate) {
     EXPECT_EQ(bench_metric_policy("subset_states").direction,
               metric_direction::exact);
     EXPECT_EQ(bench_metric_policy("batch_solved").direction,
+              metric_direction::exact);
+    // the schedule's shape is pinned
+    EXPECT_EQ(bench_metric_policy("relations").direction,
+              metric_direction::exact);
+    EXPECT_EQ(bench_metric_policy("clusters").direction,
               metric_direction::exact);
     // unknown names are recorded but never gated
     EXPECT_EQ(bench_metric_policy("some_future_metric").direction,
@@ -146,6 +153,19 @@ TEST(bench_compare, up_bad_metric_over_budget_fails) {
     EXPECT_NE(to_string(result).find("cache_lookups"), std::string::npos);
 }
 
+TEST(bench_compare, cache_traffic_falling_past_budget_fails) {
+    const bench_report base = make_base_report();
+    bench_report current = base;
+    current.rows[0].metrics[0].value = 80000.0; // -20% cache lookups
+    const bench_compare_result result = compare_bench_reports(base, current);
+    ASSERT_EQ(result.regressions.size(), 1u) << to_string(result);
+    EXPECT_EQ(result.regressions[0].metric, "cache_lookups");
+    EXPECT_DOUBLE_EQ(result.regressions[0].limit, 89000.0);
+    // a fall within the budget still passes
+    current.rows[0].metrics[0].value = 95000.0;
+    EXPECT_TRUE(compare_bench_reports(base, current).ok());
+}
+
 TEST(bench_compare, down_bad_metric_under_budget_fails) {
     const bench_report base = make_base_report();
     bench_report current = base;
@@ -207,8 +227,9 @@ TEST(bench_workloads, ids_are_stable_and_unknown_ids_throw) {
     const std::vector<std::string> names = bench_workload_names();
     ASSERT_FALSE(names.empty());
     for (const char* expected :
-         {"solve/counter_x256", "solve/arbiter_x16", "solve/kiss_counter9",
-          "verify/kiss_counter9", "batch/families"}) {
+         {"solve/counter_x256", "solve/counter_x256_flat",
+          "solve/arbiter_x16", "solve/kiss_counter9", "verify/kiss_counter9",
+          "batch/families"}) {
         EXPECT_NE(std::find(names.begin(), names.end(), expected),
                   names.end())
             << expected;
@@ -336,6 +357,33 @@ TEST(bench_artifacts, baseline_gates_a_collection_per_batch_equation) {
         compare_bench_reports(baseline, current);
     ASSERT_EQ(result.regressions.size(), 1u) << to_string(result);
     EXPECT_EQ(result.regressions[0].metric, "gc_runs");
+}
+
+TEST(bench_artifacts, baseline_pins_the_schedule_shape_of_every_solve_row) {
+    const bench_report baseline =
+        parse_bench_report(read_file(LEQ_BENCH_BASELINE));
+    const auto value = [&baseline](const std::string& workload,
+                                   const std::string& metric) {
+        for (const bench_row& row : baseline.rows) {
+            if (row.workload != workload) { continue; }
+            const bench_metric* m = row.find(metric);
+            return m != nullptr ? m->value : -1.0;
+        }
+        return -1.0;
+    };
+    for (const std::string& name : bench_workload_names()) {
+        if (name.rfind("solve/", 0) != 0 && name.rfind("verify/", 0) != 0) {
+            continue;
+        }
+        EXPECT_GT(value(name, "relations"), 0.0) << name;
+        EXPECT_GE(value(name, "clusters"), value(name, "relations")) << name;
+    }
+    // the flat row keeps every part its own cluster: its chains have more
+    // steps than the merged row's one per relation
+    EXPECT_GT(value("solve/counter_x256_flat", "clusters"),
+              value("solve/counter_x256", "clusters"));
+    EXPECT_EQ(value("solve/counter_x256_flat", "relations"),
+              value("solve/counter_x256", "relations"));
 }
 
 // ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@
 
 #include <cstring>
 #include <thread>
-#include <vector>
 
 namespace {
 
@@ -64,14 +63,6 @@ TEST_F(checked_death, cross_manager_cube_in_exists_aborts) {
     const bdd foreign_cube = other.cube({1});
     EXPECT_DEATH((void)mine.exists(f, foreign_cube),
                  "cross-manager bdd handle.*exists");
-}
-
-TEST_F(checked_death, cross_manager_nary_operand_aborts) {
-    bdd_manager mine(4);
-    bdd_manager other(4);
-    const std::vector<bdd> operands = {mine.var(0), other.var(1)};
-    EXPECT_DEATH((void)mine.and_exists(operands, mine.cube({0})),
-                 "cross-manager bdd handle.*and_exists");
 }
 
 TEST_F(checked_death, off_thread_operation_aborts_with_diagnostic) {

@@ -211,7 +211,7 @@ TEST(cli_solve, knob_flags_reach_the_relation_layer) {
     const cli_run r =
         run({"solve", example("passthrough_f.kiss"),
              example("passthrough_s.kiss"), "--cluster-limit", "100",
-             "--max-states", "5000", "--collect-stats", "--no-timing"});
+             "--max-states", "5000", "--no-timing"});
     EXPECT_EQ(r.exit_code, 0) << r.err;
     const std::string line = first_line(r.out);
     EXPECT_TRUE(valid_json_object(line)) << line;
@@ -219,7 +219,6 @@ TEST(cli_solve, knob_flags_reach_the_relation_layer) {
     EXPECT_EQ(raw_field(line, "max_subset_states"), "5000");
     // no flag turns early quantification off: the record always says so
     EXPECT_EQ(raw_field(line, "early_quantification"), "true");
-    EXPECT_NE(raw_field(line, "peak_intermediate"), "");
     EXPECT_EQ(raw_field(line, "seconds"), ""); // --no-timing
 }
 
@@ -250,8 +249,7 @@ TEST(cli_solve, gen_spec_scale_suffix_grows_the_instance) {
 TEST(cli_solve, stats_line_carries_the_per_op_cache_breakdown) {
     const cli_run r =
         run({"solve", example("passthrough_f.kiss"),
-             example("passthrough_s.kiss"), "--collect-stats",
-             "--no-timing"});
+             example("passthrough_s.kiss"), "--no-timing"});
     EXPECT_EQ(r.exit_code, 0) << r.err;
     const std::string line = first_line(r.out);
     EXPECT_TRUE(valid_json_object(line)) << line;
@@ -388,9 +386,9 @@ TEST(cli_errors, missing_flag_value) {
 }
 
 TEST(cli_errors, removed_solver_knobs_are_unknown_options) {
-    // the cluster policy, the BDD memory geometry and early quantification
-    // are fixed; their old flags (named without the dashes here) are usage
-    // errors, not silently ignored
+    // the cluster policy, the BDD memory geometry, early quantification,
+    // trimming and the statistics are fixed; their old flags (named without
+    // the dashes here) are usage errors, not silently ignored
     const std::vector<std::pair<std::string, std::string>> gone = {
         {"policy", "affinity"}, {"cache-bits", "12"},
         {"max-cache-bits", "20"}, {"gc-threshold", "20000"},
@@ -404,14 +402,17 @@ TEST(cli_errors, removed_solver_knobs_are_unknown_options) {
                   std::string::npos)
             << r.err;
     }
-    // so is the valueless switch that turned early quantification off
-    const cli_run naive = run({"solve", example("passthrough_f.kiss"),
-                               example("passthrough_s.kiss"),
-                               "--no-early-quant"});
-    EXPECT_EQ(naive.exit_code, 2);
-    EXPECT_NE(naive.err.find("unknown option '--no-early-quant'"),
-              std::string::npos)
-        << naive.err;
+    // so are the valueless switches that turned early quantification and
+    // the monolithic flow's trimming off and tracked peak product sizes
+    for (const char* flag :
+         {"--no-early-quant", "--no-trim", "--collect-stats"}) {
+        const cli_run r = run({"solve", example("passthrough_f.kiss"),
+                               example("passthrough_s.kiss"), flag});
+        EXPECT_EQ(r.exit_code, 2) << flag;
+        EXPECT_NE(r.err.find("unknown option '" + std::string(flag) + "'"),
+                  std::string::npos)
+            << r.err;
+    }
     // and the record no longer echoes them
     const std::string line =
         first_line(run({"solve", example("passthrough_f.kiss"),

@@ -101,20 +101,6 @@ TEST_P(eq_random_two_latch, symbolic_flows_agree_without_oracle) {
 INSTANTIATE_TEST_SUITE_P(random_seeds, eq_random_two_latch,
                          ::testing::Range(0u, 6u));
 
-TEST(eq_flows, monolithic_trimming_ablation_same_language) {
-    const instance inst(make_counter(4), {1, 3});
-    const equation_problem problem(inst.split.fixed, inst.original);
-    solve_options trim, no_trim;
-    no_trim.trim_nonconforming = false;
-    const solve_result a = solve_monolithic(problem, trim);
-    const solve_result b = solve_monolithic(problem, no_trim);
-    ASSERT_EQ(a.status, solve_status::ok);
-    ASSERT_EQ(b.status, solve_status::ok);
-    EXPECT_TRUE(language_equivalent(*a.csf, *b.csf));
-    // without trimming at least as many subsets are explored
-    EXPECT_GE(b.subset_states_explored, a.subset_states_explored);
-}
-
 TEST(eq_flows, image_scheduling_ablation_same_language) {
     const instance inst(make_lfsr(5, {2}), {3, 4});
     const equation_problem problem(inst.split.fixed, inst.original);

@@ -90,21 +90,6 @@ TEST(solver_edges, clustering_disabled_matches) {
     EXPECT_TRUE(language_equivalent(*base.csf, *flat.csf));
 }
 
-TEST(solver_edges, monolithic_trim_off_matches_language) {
-    const network original = make_counter(3);
-    const split_result split = split_latches(original, {2});
-    const equation_problem problem(split.fixed, original);
-    const solve_result trimmed = solve_monolithic(problem);
-    solve_options off;
-    off.trim_nonconforming = false;
-    const solve_result full = solve_monolithic(problem, off);
-    ASSERT_EQ(trimmed.status, solve_status::ok);
-    ASSERT_EQ(full.status, solve_status::ok);
-    EXPECT_TRUE(language_equivalent(*trimmed.csf, *full.csf));
-    // the ablation's point: trimming never explores more subsets
-    EXPECT_LE(trimmed.subset_states_explored, full.subset_states_explored);
-}
-
 // ---------------------------------------------------------------------------
 // degenerate interfaces
 // ---------------------------------------------------------------------------

@@ -84,32 +84,26 @@ int run_mode(const std::string& filter, std::size_t repeat,
             continue;
         }
         std::cerr << "bench: " << name << "..." << std::flush;
-        leq::bench_report one = leq::run_bench(name);
-        if (one.rows.size() != 1) {
-            std::cerr << " filter error\n";
-            return 1;
-        }
+        leq::bench_row row = leq::run_bench_workload(name);
         if (repeat > 1) {
             // counters are deterministic — keep the first run's row and
             // only re-measure the wall clock, reporting the median
-            std::vector<double> seconds{one.rows.front().seconds};
+            std::vector<double> seconds{row.seconds};
             for (std::size_t r = 1; r < repeat; ++r) {
-                leq::bench_report again = leq::run_bench(name);
-                seconds.push_back(again.rows.front().seconds);
+                seconds.push_back(leq::run_bench_workload(name).seconds);
             }
             std::sort(seconds.begin(), seconds.end());
             const std::size_t mid = seconds.size() / 2;
-            one.rows.front().seconds =
-                seconds.size() % 2 == 1
-                    ? seconds[mid]
-                    : (seconds[mid - 1] + seconds[mid]) / 2.0;
+            row.seconds = seconds.size() % 2 == 1
+                              ? seconds[mid]
+                              : (seconds[mid - 1] + seconds[mid]) / 2.0;
         }
-        std::cerr << " " << one.rows.front().seconds << "s"
+        std::cerr << " " << row.seconds << "s"
                   << (repeat > 1
                           ? " (median of " + std::to_string(repeat) + ")"
                           : "")
                   << "\n";
-        report.rows.push_back(std::move(one.rows.front()));
+        report.rows.push_back(std::move(row));
     }
     const std::string json = leq::bench_report_to_json(report);
     if (out_path.empty()) {
