@@ -75,19 +75,26 @@ void add_solve_metrics(bench_row& row, const solve_result& result) {
 // workloads
 // ---------------------------------------------------------------------------
 
-/// Solve one scaled gen/ scenario with the partitioned flow.
-bench_row run_solve_scenario(const std::string& id, scenario_family family,
-                             std::uint32_t seed, std::uint32_t scale,
-                             const solve_options& options = {}) {
+/// Solve one pair with the partitioned flow.
+bench_row run_solve(const std::string& id, const network& fixed,
+                    const network& spec, std::size_t num_choice_inputs,
+                    const solve_options& options = {}) {
     bench_row row;
     row.workload = id;
-    const scenario s = make_scenario(family, seed, scale);
-    const equation_problem problem(s.fixed, s.spec, s.num_choice_inputs);
+    const equation_problem problem(fixed, spec, num_choice_inputs);
     // the result (its CSF) stays alive while the manager is read
     const solve_result result = solve_partitioned(problem, options);
     add_solve_metrics(row, result);
     add_manager_metrics(row, problem.mgr());
     return row;
+}
+
+/// Solve one scaled gen/ scenario with the partitioned flow.
+bench_row run_solve_scenario(const std::string& id, scenario_family family,
+                             std::uint32_t seed, std::uint32_t scale,
+                             const solve_options& options = {}) {
+    const scenario s = make_scenario(family, seed, scale);
+    return run_solve(id, s.fixed, s.spec, s.num_choice_inputs, options);
 }
 
 /// Solve the corpus KISS pair through the FSM-level flow; with `verify`,
@@ -162,6 +169,24 @@ bench_row run_batch_workload(const std::string& id) {
         cache_lookups > 0 ? cache_hits / cache_lookups : 0.0);
     add(row, "gc_runs", gc_runs);
     return row;
+}
+
+/// A Table-1 row as the paper builds it: the circuit is S, and F keeps it
+/// with its last `x_latches` latches split into X.
+struct table1_pair {
+    network fixed;
+    network spec;
+};
+
+table1_pair make_table1_pair(const std::string& name) {
+    for (table1_instance& inst : make_table1_suite()) {
+        if (inst.name == name) {
+            network fixed =
+                split_last_latches(inst.circuit, inst.x_latches).fixed;
+            return {std::move(fixed), std::move(inst.circuit)};
+        }
+    }
+    throw std::invalid_argument("no Table-1 row '" + name + "'");
 }
 
 /// The corpus KISS pair: an explicit-state counter equation.  The split
@@ -241,9 +266,12 @@ std::vector<std::string> bench_workload_names() {
         "solve/counter_x256",
         "solve/counter_x256_flat",
         "solve/arbiter_x16",
+        "solve/random_3_64",
         "solve/kiss_counter9",
         "verify/kiss_counter9",
         "batch/families",
+        "table1/s349",
+        "table1/s444",
     };
 }
 
@@ -264,6 +292,11 @@ bench_row run_untimed_workload(const std::string& workload) {
     if (workload == "solve/arbiter_x16") {
         return run_solve_scenario(workload, scenario_family::arbiter, 2, 16);
     }
+    if (workload == "solve/random_3_64") {
+        // the one gen instance whose relations do not each fit one cluster
+        // at the default limit
+        return run_solve_scenario(workload, scenario_family::random, 3, 64);
+    }
     if (workload == "solve/kiss_counter9" ||
         workload == "verify/kiss_counter9") {
         const auto [f_kiss, s_kiss] = make_counter_kiss(9);
@@ -272,6 +305,11 @@ bench_row run_untimed_workload(const std::string& workload) {
     }
     if (workload == "batch/families") {
         return run_batch_workload(workload);
+    }
+    if (workload.rfind("table1/", 0) == 0) {
+        const table1_pair pair =
+            make_table1_pair(workload.substr(7)); // the row's name
+        return run_solve(workload, pair.fixed, pair.spec, 0);
     }
     throw std::invalid_argument("unknown bench workload '" + workload + "'");
 }
@@ -674,6 +712,12 @@ std::vector<bench_corpus_file> bench_corpus_files() {
         const auto [f_kiss, s_kiss] = make_counter_kiss(9);
         files.push_back({"counter9_f.kiss", f_kiss});
         files.push_back({"counter9_s.kiss", s_kiss});
+    }
+    for (const char* name : {"s349", "s444"}) {
+        const table1_pair pair = make_table1_pair(name);
+        const std::string stem = std::string("table1_") + name;
+        files.push_back({stem + "_f.blif", write_blif_string(pair.fixed)});
+        files.push_back({stem + "_s.blif", write_blif_string(pair.spec)});
     }
     return files;
 }

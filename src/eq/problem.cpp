@@ -7,6 +7,8 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string_view>
+#include <unordered_map>
 
 namespace leq {
 
@@ -39,28 +41,53 @@ equation_problem::equation_problem(const network& fixed, const network& spec,
     }
 
     mgr_ = std::make_unique<bdd_manager>();
-    // creation order == level order (see header): the (u,v) block on top —
+    // creation order == level order (see header). The (u,v) block on top:
     // u/v pairs interleaved, since u_m == U_m(i,v,cs) couples each u tightly
     // to nearby v's and a u-block-above-v-block order makes those
-    // functional-dependency BDDs blow up — then i, o, F latch cs/ns pairs,
-    // S latch cs/ns pairs, completion bit pair
+    // functional-dependency BDDs blow up.
     for (std::size_t k = 0; k < std::max(num_u, num_v); ++k) {
         if (k < num_u) { u_vars.push_back(mgr_->new_var()); }
         if (k < num_v) { v_vars.push_back(mgr_->new_var()); }
     }
+    // Then the inputs: i, the choice inputs w (quantified at the same points
+    // as i), o (monolithic flow only). Below the latch block instead, they
+    // made the Table-1 stand-ins s349 and s444 slower.
     for (std::size_t k = 0; k < num_i; ++k) { i_vars.push_back(mgr_->new_var()); }
-    // choice inputs live with i: quantified at the same points
     for (std::size_t k = 0; k < num_choice_inputs; ++k) {
         w_vars.push_back(mgr_->new_var());
     }
     for (std::size_t k = 0; k < num_o; ++k) { o_vars.push_back(mgr_->new_var()); }
+    // Then the latch block. Each F latch is followed by the S latch of the
+    // same name: latch splitting copies S's kept latches into F, so in every
+    // reachable product state each such pair is equal, and a subset that
+    // says cs_f[k] == cs_s[k'] for n pairs takes ~3n nodes here instead of
+    // ~2^n with the F block above the S block. The S latches without a twin
+    // (the ones split into X) follow in S order, and the S-completion bit
+    // pair comes last.
+    cs_f.resize(fixed.num_latches());
+    ns_f.resize(fixed.num_latches());
+    cs_s.resize(spec.num_latches());
+    ns_s.resize(spec.num_latches());
+    std::unordered_map<std::string_view, std::size_t> s_latch_of;
+    s_latch_of.reserve(spec.num_latches());
+    for (std::size_t k = 0; k < spec.num_latches(); ++k) {
+        s_latch_of.emplace(spec.signal_name(spec.latches()[k].output), k);
+    }
+    std::vector<bool> s_placed(spec.num_latches(), false);
+    const auto place_s = [&](std::size_t k) {
+        cs_s[k] = mgr_->new_var();
+        ns_s[k] = mgr_->new_var();
+        s_placed[k] = true;
+    };
     for (std::size_t k = 0; k < fixed.num_latches(); ++k) {
-        cs_f.push_back(mgr_->new_var());
-        ns_f.push_back(mgr_->new_var());
+        cs_f[k] = mgr_->new_var();
+        ns_f[k] = mgr_->new_var();
+        const auto twin =
+            s_latch_of.find(fixed.signal_name(fixed.latches()[k].output));
+        if (twin != s_latch_of.end()) { place_s(twin->second); }
     }
     for (std::size_t k = 0; k < spec.num_latches(); ++k) {
-        cs_s.push_back(mgr_->new_var());
-        ns_s.push_back(mgr_->new_var());
+        if (!s_placed[k]) { place_s(k); }
     }
     dc_cs = mgr_->new_var();
     dc_ns = mgr_->new_var();

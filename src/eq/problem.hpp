@@ -11,11 +11,19 @@
 ///       {O^F_j(i,v,cs_F)}  the o outputs
 ///   S:  {T^S_k(i,cs_S)}, {O^S_j(i,cs_S)}
 ///
-/// The variable order is fixed at construction and is load-bearing: the
-/// (u,v) block sits on top so the subset construction can read the
-/// (u,v)-cofactor classes of an image straight off the BDD structure; o sits
-/// below i (used only by the monolithic flow); each latch's cs/ns pair is
-/// interleaved; the completion bit for S (monolithic flow only) comes last.
+/// The variable order is fixed at construction and is load-bearing, top to
+/// bottom:
+///   - the (u,v) block, u/v pairs interleaved, so the subset construction
+///     can read the (u,v)-cofactor classes of an image straight off the BDD
+///     structure;
+///   - i, then w, then o (o is used only by the monolithic flow);
+///   - the latches, each cs/ns pair adjacent: every F latch followed by the
+///     S latch whose output has the same name (latch splitting makes each
+///     such pair equal in every reachable product state, and the subsets
+///     stay linear in the number of pairs), then the S latches without an F
+///     twin, in S order;
+///   - the completion bit pair for S (monolithic flow only).
+/// The id vectors cs_f/ns_f/cs_s/ns_s stay indexed by latch number.
 #pragma once
 
 #include "bdd/bdd.hpp"

@@ -5,20 +5,29 @@
 
 #include "net/parse_error.hpp"
 
+#include <cctype>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 
 namespace leq {
 
 namespace {
 
-std::vector<std::string> tokenize(const std::string& line) {
-    std::vector<std::string> tokens;
-    std::istringstream ss(line);
-    std::string token;
-    while (ss >> token) { tokens.push_back(token); }
-    return tokens;
+/// Split `line` at whitespace into views of it, reusing `tokens`.
+void tokenize(std::string_view line, std::vector<std::string_view>& tokens) {
+    tokens.clear();
+    const auto space = [](char c) {
+        return std::isspace(static_cast<unsigned char>(c)) != 0;
+    };
+    std::size_t k = 0;
+    while (k < line.size()) {
+        while (k < line.size() && space(line[k])) { ++k; }
+        const std::size_t start = k;
+        while (k < line.size() && !space(line[k])) { ++k; }
+        if (k > start) { tokens.push_back(line.substr(start, k - start)); }
+    }
 }
 
 } // namespace
@@ -58,21 +67,28 @@ network read_blif(std::istream& in) {
 
     bool saw_directive = false;
     bool saw_end = false;
-    std::string pending; // accumulates '\' continuations
+    // the logical line: raw lines joined at '\' continuations; `tokens`
+    // view into it, and both keep their storage from line to line
+    std::string line;
+    bool continued = false;
+    std::vector<std::string_view> tokens;
     while (std::getline(in, raw)) {
         ++line_no;
         const std::size_t hash = raw.find('#');
         if (hash != std::string::npos) { raw.erase(hash); }
-        // line continuation
-        std::string line = pending + raw;
-        pending.clear();
-        if (!line.empty() && line.back() == '\\') {
-            pending = line.substr(0, line.size() - 1) + " ";
+        if (continued) {
+            line += raw;
+        } else {
+            line.assign(raw);
+        }
+        continued = !line.empty() && line.back() == '\\';
+        if (continued) {
+            line.back() = ' ';
             continue;
         }
-        const std::vector<std::string> tokens = tokenize(line);
+        tokenize(line, tokens);
         if (tokens.empty()) { continue; }
-        const std::string& head = tokens[0];
+        const std::string_view head = tokens[0];
         if (head[0] == '.') {
             saw_directive = true;
             if (head == ".names") {
@@ -82,16 +98,18 @@ network read_blif(std::istream& in) {
                 in_names = true;
             } else if (head == ".model") {
                 flush_names();
-                if (tokens.size() >= 2) { net.set_name(tokens[1]); }
+                if (tokens.size() >= 2) {
+                    net.set_name(std::string(tokens[1]));
+                }
             } else if (head == ".inputs") {
                 flush_names();
                 for (std::size_t k = 1; k < tokens.size(); ++k) {
-                    net.add_input(tokens[k]);
+                    net.add_input(std::string(tokens[k]));
                 }
             } else if (head == ".outputs") {
                 flush_names();
                 for (std::size_t k = 1; k < tokens.size(); ++k) {
-                    net.add_output(tokens[k]);
+                    net.add_output(std::string(tokens[k]));
                 }
             } else if (head == ".latch") {
                 flush_names();
@@ -100,15 +118,17 @@ network read_blif(std::istream& in) {
                 // forms: .latch in out [init] | .latch in out type clock [init]
                 bool init = false;
                 if (tokens.size() == 4 || tokens.size() == 6) {
-                    const std::string& last = tokens.back();
+                    const std::string_view last = tokens.back();
                     if (last != "0" && last != "1" && last != "2" &&
                         last != "3") {
-                        fail("bad latch init value '" + last + "'");
+                        fail("bad latch init value '" + std::string(last) +
+                             "'");
                     }
                     // 2 (don't care) and 3 (unknown) choose 0
                     init = last == "1";
                 }
-                net.add_latch(tokens[1], tokens[2], init);
+                net.add_latch(std::string(tokens[1]), std::string(tokens[2]),
+                              init);
             } else if (head == ".end") {
                 flush_names();
                 saw_end = true;
@@ -117,16 +137,16 @@ network read_blif(std::istream& in) {
                        head == ".default_input_arrival") {
                 flush_names(); // ignored extensions
             } else {
-                fail("unsupported construct '" + head + "'");
+                fail("unsupported construct '" + std::string(head) + "'");
             }
         } else {
             if (!in_names) { fail("cube row outside .names"); }
             if (tokens.size() == 1 && names_args.size() == 1) {
                 // constant node: single output column
                 if (tokens[0] == "1") {
-                    on_cubes.push_back("");
+                    on_cubes.emplace_back();
                 } else if (tokens[0] == "0") {
-                    off_cubes.push_back("");
+                    off_cubes.emplace_back();
                 } else {
                     fail("bad constant row");
                 }
@@ -141,9 +161,9 @@ network read_blif(std::istream& in) {
                     }
                 }
                 if (tokens[1] == "1") {
-                    on_cubes.push_back(tokens[0]);
+                    on_cubes.emplace_back(tokens[0]);
                 } else if (tokens[1] == "0") {
-                    off_cubes.push_back(tokens[0]);
+                    off_cubes.emplace_back(tokens[0]);
                 } else {
                     fail("bad cube output value");
                 }

@@ -228,8 +228,9 @@ TEST(bench_workloads, ids_are_stable_and_unknown_ids_throw) {
     ASSERT_FALSE(names.empty());
     for (const char* expected :
          {"solve/counter_x256", "solve/counter_x256_flat",
-          "solve/arbiter_x16", "solve/kiss_counter9", "verify/kiss_counter9",
-          "batch/families"}) {
+          "solve/arbiter_x16", "solve/random_3_64", "solve/kiss_counter9",
+          "verify/kiss_counter9", "batch/families", "table1/s349",
+          "table1/s444"}) {
         EXPECT_NE(std::find(names.begin(), names.end(), expected),
                   names.end())
             << expected;
@@ -299,6 +300,25 @@ TEST(bench_artifacts, corpus_files_match_the_generators_byte_for_byte) {
         EXPECT_EQ(checked_in, file.text)
             << "bench/corpus/" << file.name
             << " drifted — regenerate with leq_bench_run --write-corpus";
+    }
+}
+
+TEST(bench_artifacts, table1_corpus_pairs_are_the_papers_latch_splits) {
+    // F is the circuit S with its last Xcs latches moved into X: F keeps
+    // Fcs latches, and carries one v input and one u output per moved one
+    struct row {
+        const char* name;
+        std::size_t f_latches, x_latches;
+    };
+    for (const row r : {row{"s349", 5, 10}, row{"s444", 5, 16}}) {
+        const std::string stem =
+            std::string(LEQ_SOURCE_DIR) + "/bench/corpus/table1_" + r.name;
+        const network f = read_blif_string(read_file(stem + "_f.blif"));
+        const network s = read_blif_string(read_file(stem + "_s.blif"));
+        EXPECT_EQ(f.num_latches(), r.f_latches) << r.name;
+        EXPECT_EQ(s.num_latches(), r.f_latches + r.x_latches) << r.name;
+        EXPECT_EQ(f.num_inputs(), s.num_inputs() + r.x_latches) << r.name;
+        EXPECT_EQ(f.num_outputs(), s.num_outputs() + r.x_latches) << r.name;
     }
 }
 
@@ -372,9 +392,7 @@ TEST(bench_artifacts, baseline_pins_the_schedule_shape_of_every_solve_row) {
         return -1.0;
     };
     for (const std::string& name : bench_workload_names()) {
-        if (name.rfind("solve/", 0) != 0 && name.rfind("verify/", 0) != 0) {
-            continue;
-        }
+        if (name.rfind("batch/", 0) == 0) { continue; }
         EXPECT_GT(value(name, "relations"), 0.0) << name;
         EXPECT_GE(value(name, "clusters"), value(name, "relations")) << name;
     }
@@ -384,6 +402,10 @@ TEST(bench_artifacts, baseline_pins_the_schedule_shape_of_every_solve_row) {
               value("solve/counter_x256", "clusters"));
     EXPECT_EQ(value("solve/counter_x256_flat", "relations"),
               value("solve/counter_x256", "relations"));
+    // the random row is the one whose relations overflow a cluster at the
+    // default limit
+    EXPECT_GT(value("solve/random_3_64", "clusters"),
+              value("solve/random_3_64", "relations"));
 }
 
 // ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 /// invariants, partitioned sweep correctness, and input validation.
 
 #include "eq/problem.hpp"
+#include "gen/scenario.hpp"
 #include "net/generator.hpp"
 #include "net/latch_split.hpp"
 
@@ -48,6 +49,93 @@ TEST(problem_builder, uv_pairs_interleaved) {
         EXPECT_EQ(p.mgr().level_of(p.u_vars[m]) + 1,
                   p.mgr().level_of(p.v_vars[m]));
     }
+}
+
+/// Level of a variable id in `p`'s manager.
+std::uint32_t level(const equation_problem& p, std::uint32_t var) {
+    return p.mgr().level_of(var);
+}
+
+TEST(problem_builder, each_kept_latch_sits_beside_its_spec_twin) {
+    // latch splitting copies S's kept latches into F under the same names:
+    // each pair takes four consecutive levels cs_f, ns_f, cs_s, ns_s
+    const network original = make_counter(6);
+    const split_result split = split_latches(original, {1, 4});
+    const equation_problem p(split.fixed, original);
+    ASSERT_EQ(p.cs_f.size(), 4u);
+    ASSERT_EQ(p.cs_s.size(), 6u);
+    const std::size_t kept[] = {0, 2, 3, 5}; // F latch k is S latch kept[k]
+    for (std::size_t k = 0; k < p.cs_f.size(); ++k) {
+        const std::uint32_t top = level(p, p.cs_f[k]);
+        EXPECT_EQ(level(p, p.ns_f[k]), top + 1) << k;
+        EXPECT_EQ(level(p, p.cs_s[kept[k]]), top + 2) << k;
+        EXPECT_EQ(level(p, p.ns_s[kept[k]]), top + 3) << k;
+    }
+    // the latches split into X follow every pair, in S order
+    const std::uint32_t pairs_end = level(p, p.ns_s[kept[3]]) + 1;
+    EXPECT_EQ(level(p, p.cs_s[1]), pairs_end);
+    EXPECT_EQ(level(p, p.cs_s[4]), pairs_end + 2);
+}
+
+TEST(problem_builder, every_latch_pair_is_adjacent) {
+    const network original = make_lfsr(7, {2, 5});
+    const split_result split = split_latches(original, {0, 3, 6});
+    const equation_problem p(split.fixed, original);
+    for (std::size_t k = 0; k < p.cs_f.size(); ++k) {
+        EXPECT_EQ(level(p, p.ns_f[k]), level(p, p.cs_f[k]) + 1) << k;
+    }
+    for (std::size_t k = 0; k < p.cs_s.size(); ++k) {
+        EXPECT_EQ(level(p, p.ns_s[k]), level(p, p.cs_s[k]) + 1) << k;
+    }
+    EXPECT_EQ(level(p, p.dc_ns), level(p, p.dc_cs) + 1);
+}
+
+TEST(problem_builder, inputs_lie_between_the_uv_block_and_the_latches) {
+    // the nondet family carries choice inputs w, so all three input groups
+    // are present
+    const scenario s = make_scenario(scenario_family::nondet, 3);
+    const equation_problem p(s.fixed, s.spec, s.num_choice_inputs);
+    ASSERT_FALSE(p.i_vars.empty());
+    ASSERT_FALSE(p.w_vars.empty());
+    ASSERT_FALSE(p.o_vars.empty());
+    std::uint32_t highest_latch = level(p, p.dc_cs);
+    std::uint32_t lowest_latch = 0;
+    for (const auto& group : {p.cs_f, p.ns_f, p.cs_s, p.ns_s}) {
+        for (const std::uint32_t v : group) {
+            highest_latch = std::min(highest_latch, level(p, v));
+            lowest_latch = std::max(lowest_latch, level(p, v));
+        }
+    }
+    for (const auto& group : {p.i_vars, p.w_vars, p.o_vars}) {
+        for (const std::uint32_t v : group) {
+            EXPECT_GE(level(p, v), p.uv_boundary_level());
+            EXPECT_LT(level(p, v), highest_latch);
+        }
+    }
+    // i, then w, then o; the completion pair below every latch
+    EXPECT_LT(level(p, p.i_vars.back()), level(p, p.w_vars.front()));
+    EXPECT_LT(level(p, p.w_vars.back()), level(p, p.o_vars.front()));
+    EXPECT_GT(level(p, p.dc_cs), lowest_latch);
+}
+
+TEST(problem_builder, unrelated_latch_names_keep_the_f_block_above_s) {
+    // no F latch shares a name with an S latch: nothing pairs, so F's
+    // latches come first and S's follow, each in its own order
+    const auto make = [](const std::string& prefix) {
+        network n(prefix);
+        n.add_input("i");
+        n.add_output("o");
+        n.add_latch(prefix + "n0", prefix + "q0", false);
+        n.add_latch(prefix + "n1", prefix + "q1", true);
+        n.add_node("o", {prefix + "q1"}, {"1"});
+        n.add_node(prefix + "n0", {"i"}, {"1"});
+        n.add_node(prefix + "n1", {prefix + "q0"}, {"1"});
+        return n;
+    };
+    const equation_problem p(make("f"), make("s"));
+    EXPECT_EQ(level(p, p.cs_f[1]), level(p, p.cs_f[0]) + 2);
+    EXPECT_EQ(level(p, p.cs_s[0]), level(p, p.ns_f[1]) + 1);
+    EXPECT_EQ(level(p, p.cs_s[1]), level(p, p.cs_s[0]) + 2);
 }
 
 TEST(problem_builder, partitioned_functions_match_network_semantics) {
