@@ -17,9 +17,10 @@ timed run is forked from a bare interpreter, so a peak RSS under about
 Before timing, each binary runs the command once with --no-timing and the
 JSON records are compared, record by record for a batch.  They may differ
 only in the computed-cache traffic counters (stats.cache_lookups,
-stats.cache_hits, stats.op_cache) and the collection count
-(stats.gc_runs); any other difference is a changed answer, and the script
-exits 1.  Exit 2 is a usage error or a failed run.
+stats.cache_hits, stats.op_cache), the collection count (stats.gc_runs)
+and the live node count (stats.live_nodes, which the variable order moves
+without changing the answer); any other difference is a changed answer,
+and the script exits 1.  Exit 2 is a usage error or a failed run.
 """
 
 import json
@@ -27,9 +28,11 @@ import statistics
 import subprocess
 import sys
 
-# record fields a pure speed change may move: cache traffic and GC runs
+# record fields a pure speed change may move: cache traffic, GC runs and
+# live nodes
 COUNTER_FIELDS = {("stats", "cache_lookups"), ("stats", "cache_hits"),
-                  ("stats", "op_cache"), ("stats", "gc_runs")}
+                  ("stats", "op_cache"), ("stats", "gc_runs"),
+                  ("stats", "live_nodes")}
 
 
 def fail(message):
@@ -156,8 +159,8 @@ def main(argv):
         wins += pair[1][0] < pair[0][0]
 
     print(f"ab_solve: {label}, {pairs} interleaved pairs; "
-          f"{len(lines_a)} record(s) agree apart from cache traffic and "
-          "GC runs")
+          f"{len(lines_a)} record(s) agree apart from cache traffic, "
+          "GC runs and live nodes")
     median_a = summary("A " + bin_a, runs[0])
     median_b = summary("B " + bin_b, runs[1])
     print(f"B faster in {wins}/{pairs} pairs; B median / A median = "

@@ -35,7 +35,7 @@ if [ "${1:-}" = "--update-baseline" ]; then
 fi
 
 cmake -B build-bench -S . -DCMAKE_BUILD_TYPE=Release -DBUILD_TESTING=OFF \
-      -DLEQ_BUILD_BENCH=OFF -DLEQ_BUILD_EXAMPLES=OFF >/dev/null
+      -DLEQ_BUILD_EXAMPLES=OFF >/dev/null
 cmake --build build-bench -j --target leq_bench_run >/dev/null
 old=$(cat build-bench/bench_baseline.txt)
 

@@ -20,13 +20,9 @@
 #      gtest suite or test called NAME (a trailing `...` matches a prefix) —
 #      a renamed or deleted test fails here;
 #   6. check every `leq_bench_<x>` named in README.md, docs/*.md or the verify
-#      skill note has a bench/bench_<x>.cpp (or, for a tool such as
-#      leq_bench_run, a tools/leq_bench_<x>.cpp), and every
-#      `leq_example_<x>` an examples/<x>.cpp — a doc naming a binary the
-#      build no longer makes fails here;
-#   7. the reverse of 6: every bench/bench_<x>.cpp must be named as
-#      `leq_bench_<x>` in README.md — a bench binary nobody documents (and
-#      so nobody runs) fails here.
+#      skill note has a tools/leq_bench_<x>.cpp, and every `leq_example_<x>`
+#      an examples/<x>.cpp — a doc naming a binary the build no longer
+#      makes fails here.
 #
 # Usage: scripts/check_docs.sh   (expects ./build/leq to exist)
 set -euo pipefail
@@ -151,9 +147,8 @@ docs=(README.md docs/*.md)
 while IFS=: read -r doc name; do
     case $name in
         leq_bench_*)
-            x=${name#leq_bench_}
-            [ -e "bench/bench_$x.cpp" ] || [ -e "tools/$name.cpp" ] && continue
-            want="bench/bench_$x.cpp" ;;
+            [ -e "tools/$name.cpp" ] && continue
+            want="tools/$name.cpp" ;;
         leq_example_*)
             x=${name#leq_example_}
             [ -e "examples/$x.cpp" ] && continue
@@ -165,16 +160,3 @@ done < <(grep -HoE '\bleq_(bench|example)_[A-Za-z0-9_]+' "${docs[@]}" |
          sort -u || true)
 [ "$status" -eq 0 ] || fail "docs name bench or example binaries that do not exist"
 echo "== named binaries ok =="
-
-# ---- 7. every bench binary is documented in README.md -----------------------
-status=0
-for src in bench/bench_*.cpp; do
-    [ -e "$src" ] || continue
-    name=leq_$(basename "$src" .cpp)
-    if ! grep -qE "\b$name\b" README.md; then
-        echo "check_docs: $src builds $name, but README.md does not name it" >&2
-        status=1
-    fi
-done
-[ "$status" -eq 0 ] || fail "bench binaries missing from README.md"
-echo "== bench binaries documented =="

@@ -3,14 +3,13 @@
 #
 #   scripts/check_linked.sh [BUILD_DIR]        (default: build-linked)
 #
-# Configures and builds its own Debug tree in BUILD_DIR (tests off, bench
-# and examples on) with -ffunction-sections and -Wl,--gc-sections: every
+# Configures and builds its own Debug tree in BUILD_DIR (tests off, examples
+# on) with -ffunction-sections and -Wl,--gc-sections: every
 # function sits in its own section, the linker drops each section no
 # binary reaches, and -O0 inlines nothing, so a function the tools call
 # keeps its symbol in the binary that calls it.  Every strong text symbol
 # (nm type T) of libleq.a must then be defined by at least one shipped
-# binary: `leq`, `leq_fuzz`, `leq_bench_run`, a `leq_bench_*` or a
-# `leq_example_*`.  A symbol that all of them drop is library code no tool
+# binary: `leq`, `leq_fuzz`, `leq_bench_run` or a `leq_example_*`.  A symbol that all of them drop is library code no tool
 # runs; it fails here, named with its source file.  A module nobody links
 # has every symbol dropped, so it fails too.  Weak symbols (nm types W and
 # V: inline functions, template instantiations) do not count.
@@ -40,7 +39,7 @@ build=${1:-build-linked}
 fail() { echo "check_linked: $*" >&2; exit 2; }
 
 cmake -S . -B "$build" -DCMAKE_BUILD_TYPE=Debug -DBUILD_TESTING=OFF \
-  -DLEQ_BUILD_BENCH=ON -DLEQ_BUILD_EXAMPLES=ON -DLEQ_HEADER_SELFCHECK=OFF \
+  -DLEQ_BUILD_EXAMPLES=ON -DLEQ_HEADER_SELFCHECK=OFF \
   -DCMAKE_CXX_FLAGS=-ffunction-sections \
   -DCMAKE_EXE_LINKER_FLAGS=-Wl,--gc-sections > /dev/null ||
   fail "cannot configure $build"
@@ -50,7 +49,7 @@ cmake --build "$build" -j "$(nproc)" > /dev/null ||
 lib="$build/libleq.a"
 [ -f "$lib" ] || fail "no $lib"
 shopt -s nullglob
-bins=("$build/leq" "$build/leq_fuzz" "$build"/leq_bench_*
+bins=("$build/leq" "$build/leq_fuzz" "$build/leq_bench_run"
       "$build"/leq_example_*)
 shopt -u nullglob
 for bin in "$build/leq" "$build/leq_fuzz" "$build/leq_bench_run"; do
@@ -98,6 +97,6 @@ if [ $status -eq 0 ]; then
   echo "check_linked: all $count strong symbols of $lib are linked" \
        "or kept for tests"
 else
-  echo "check_linked: tools: leq, leq_fuzz, leq_bench_*, leq_example_*" >&2
+  echo "check_linked: tools: leq, leq_fuzz, leq_bench_run, leq_example_*" >&2
 fi
 exit $status

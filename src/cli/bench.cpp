@@ -1,6 +1,6 @@
 /// \file bench.cpp
-/// \brief Pinned benchmark workloads, report (de)serialization and the
-/// regression gate.
+/// \brief Pinned benchmark workloads, the paper's Table 1, report
+/// (de)serialization and the regression gate.
 
 #include "cli/bench.hpp"
 
@@ -11,6 +11,7 @@
 #include "eq/kiss_flow.hpp"
 #include "eq/problem.hpp"
 #include "eq/solver.hpp"
+#include "eq/subsolution.hpp"
 #include "eq/verify.hpp"
 #include "gen/scenario.hpp"
 #include "net/blif.hpp"
@@ -171,22 +172,22 @@ bench_row run_batch_workload(const std::string& id) {
     return row;
 }
 
-/// A Table-1 row as the paper builds it: the circuit is S, and F keeps it
-/// with its last `x_latches` latches split into X.
-struct table1_pair {
-    network fixed;
-    network spec;
-};
-
-table1_pair make_table1_pair(const std::string& name) {
-    for (table1_instance& inst : make_table1_suite()) {
-        if (inst.name == name) {
-            network fixed =
-                split_last_latches(inst.circuit, inst.x_latches).fixed;
-            return {std::move(fixed), std::move(inst.circuit)};
-        }
-    }
-    throw std::invalid_argument("no Table-1 row '" + name + "'");
+/// Solve one scaled gen/ scenario, then pick its smallest sub-solution:
+/// the commit-and-minimize path `leq reduce` takes once the CSF is past
+/// the compatibility reduction's limits.
+bench_row run_reduce_scenario(const std::string& id, scenario_family family,
+                              std::uint32_t seed, std::uint32_t scale) {
+    bench_row row;
+    row.workload = id;
+    const scenario s = make_scenario(family, seed, scale);
+    const equation_problem problem(s.fixed, s.spec, s.num_choice_inputs);
+    const solve_result result = solve_partitioned(problem);
+    add_solve_metrics(row, result);
+    const subsolution_result small = select_small_subsolution(
+        *result.csf, problem.u_vars, problem.v_vars);
+    add(row, "reduced_states", static_cast<double>(small.fsm.num_states()));
+    add_manager_metrics(row, problem.mgr());
+    return row;
 }
 
 /// The corpus KISS pair: an explicit-state counter equation.  The split
@@ -217,6 +218,18 @@ std::pair<std::string, std::string> make_counter_kiss(std::size_t bits) {
 
 } // namespace
 
+table1_pair make_table1_pair(const std::string& name) {
+    for (table1_instance& inst : make_table1_suite()) {
+        if (inst.name == name) {
+            split_result split = split_last_latches(inst.circuit,
+                                                    inst.x_latches);
+            return {std::move(split.fixed), std::move(inst.circuit),
+                    split.part.initial_state()};
+        }
+    }
+    throw std::invalid_argument("no Table-1 row '" + name + "'");
+}
+
 const bench_metric* bench_row::find(const std::string& name) const {
     for (const bench_metric& m : metrics) {
         if (m.name == name) { return &m; }
@@ -230,7 +243,7 @@ metric_policy bench_metric_policy(const std::string& name) {
     if (name == "subset_states" || name == "csf_states" ||
         name == "batch_solved" || name == "batch_empty" ||
         name == "composition_ok" || name == "relations" ||
-        name == "clusters") {
+        name == "clusters" || name == "reduced_states") {
         return {metric_direction::exact, 0.0, 0.0};
     }
     // deterministic work counters: 10% + slack budget.  Misses are gated
@@ -272,6 +285,7 @@ std::vector<std::string> bench_workload_names() {
         "batch/families",
         "table1/s349",
         "table1/s444",
+        "reduce/counter_16",
     };
 }
 
@@ -311,6 +325,10 @@ bench_row run_untimed_workload(const std::string& workload) {
             make_table1_pair(workload.substr(7)); // the row's name
         return run_solve(workload, pair.fixed, pair.spec, 0);
     }
+    if (workload == "reduce/counter_16") {
+        // a 640-state CSF: past the compatibility reduction's limits
+        return run_reduce_scenario(workload, scenario_family::counter, 1, 16);
+    }
     throw std::invalid_argument("unknown bench workload '" + workload + "'");
 }
 
@@ -322,6 +340,45 @@ bench_row run_bench_workload(const std::string& workload) {
     row.seconds = std::chrono::duration<double>(
                       std::chrono::steady_clock::now() - start)
                       .count();
+    return row;
+}
+
+// ---------------------------------------------------------------------------
+// the paper's Table 1
+// ---------------------------------------------------------------------------
+
+table1_checks check_table1_row(const equation_problem& problem,
+                               const std::vector<bool>& x_init,
+                               const automaton& part, const automaton* mono) {
+    table1_checks checks;
+    checks.particular = verify_particular_contained(problem, part, x_init);
+    checks.composition = verify_composition_contained(problem, part);
+    if (mono != nullptr) {
+        checks.equivalent = language_equivalent(part, *mono);
+    }
+    return checks;
+}
+
+table1_row run_table1_row(const std::string& name,
+                          double time_limit_seconds) {
+    const table1_pair pair = make_table1_pair(name);
+    const equation_problem problem(pair.fixed, pair.spec);
+    solve_options options;
+    options.time_limit_seconds = time_limit_seconds;
+    const solve_result part = solve_partitioned(problem, options);
+    const solve_result mono = solve_monolithic(problem, options);
+
+    table1_row row;
+    row.part_status = part.status;
+    row.mono_status = mono.status;
+    row.part_seconds = part.seconds;
+    row.mono_seconds = mono.seconds;
+    if (part.status == solve_status::ok) {
+        row.csf_states = part.csf_states;
+        row.checks = check_table1_row(
+            problem, pair.x_init, *part.csf,
+            mono.status == solve_status::ok ? &*mono.csf : nullptr);
+    }
     return row;
 }
 

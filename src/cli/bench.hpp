@@ -20,8 +20,13 @@
 /// seconds are recorded for humans but never gated.
 #pragma once
 
+#include "automata/automaton.hpp"
 #include "bdd/bdd.hpp"
+#include "eq/problem.hpp"
+#include "eq/solver.hpp"
+#include "net/network.hpp"
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -125,5 +130,56 @@ struct bench_corpus_file {
     std::string text;
 };
 [[nodiscard]] std::vector<bench_corpus_file> bench_corpus_files();
+
+// ---------------------------------------------------------------------------
+// the paper's Table 1 (leq_bench_run --table1)
+// ---------------------------------------------------------------------------
+
+/// A Table-1 row's equation as the paper builds it: the circuit is S, and
+/// F keeps it with its last Xcs latches split into the unknown component.
+/// `x_init` is the initial latch state of X_P, the split-off latches.
+struct table1_pair {
+    network fixed;
+    network spec;
+    std::vector<bool> x_init;
+};
+
+/// The pair of the make_table1_suite() row called `name`; throws
+/// std::invalid_argument for any other name.
+[[nodiscard]] table1_pair make_table1_pair(const std::string& name);
+
+/// The verdicts on one row's partitioned CSF.
+struct table1_checks {
+    bool particular = false;  ///< check (1): X_P is contained in X
+    bool composition = false; ///< check (2): F . X is contained in S
+    /// The cross-flow certificate: the partitioned and monolithic CSFs
+    /// accept the same language.  Empty when no monolithic CSF was given.
+    std::optional<bool> equivalent;
+    [[nodiscard]] bool ok() const {
+        return particular && composition && equivalent.value_or(true);
+    }
+};
+
+/// Run checks (1) and (2) on the partitioned CSF `part` and, given the
+/// monolithic flow's CSF `mono` of the same problem, the certificate.
+[[nodiscard]] table1_checks check_table1_row(const equation_problem& problem,
+                                             const std::vector<bool>& x_init,
+                                             const automaton& part,
+                                             const automaton* mono);
+
+/// One measured Table-1 row: both flows under one time limit, and the
+/// checks whenever the partitioned flow finished.
+struct table1_row {
+    solve_status part_status = solve_status::ok;
+    solve_status mono_status = solve_status::ok;
+    double part_seconds = 0.0, mono_seconds = 0.0;
+    std::size_t csf_states = 0; ///< of the partitioned CSF
+    std::optional<table1_checks> checks;
+};
+
+/// Build the row's pair, run both flows (each stops after
+/// `time_limit_seconds`) and check the result.
+[[nodiscard]] table1_row run_table1_row(const std::string& name,
+                                        double time_limit_seconds);
 
 } // namespace leq

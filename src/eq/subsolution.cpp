@@ -13,7 +13,6 @@ namespace leq {
 const std::vector<extraction_policy>& all_extraction_policies() {
     static const std::vector<extraction_policy> policies = {
         extraction_policy::first_edge,
-        extraction_policy::prefer_self_loop,
         extraction_policy::prefer_visited,
         extraction_policy::prefer_low_dest,
     };
@@ -63,9 +62,6 @@ automaton extract_fsm(const automaton& csf,
                     switch (policy) {
                         case extraction_policy::first_edge:
                             break; // keep the first
-                        case extraction_policy::prefer_self_loop:
-                            better = t.dest == q && chosen->dest != q;
-                            break;
                         case extraction_policy::prefer_visited:
                             better = ids.count(t.dest) != 0 &&
                                      ids.count(chosen->dest) == 0;

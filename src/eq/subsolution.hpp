@@ -23,7 +23,6 @@ namespace leq {
 /// How to commit to one (v, successor) choice per (state, u assignment).
 enum class extraction_policy {
     first_edge,       ///< first admitting edge (the greedy baseline)
-    prefer_self_loop, ///< stay in the current state when allowed
     prefer_visited,   ///< re-enter already-extracted states when possible
     prefer_low_dest,  ///< deterministic bias to the lowest successor id
 };

@@ -2,8 +2,9 @@
 /// \brief The pinned benchmark trajectory stays trustworthy: workloads are
 /// deterministic, the JSON schema round-trips, the compare gate fails on
 /// genuine regressions (and only those), the checked-in corpus is
-/// byte-identical to what the generators produce, and the checked-in
-/// baseline still parses and gates every workload.
+/// byte-identical to what the generators produce, the checked-in
+/// baseline still parses and gates every workload, and the Table-1 checks
+/// catch a wrong CSF.
 ///
 /// Compiled with LEQ_SOURCE_DIR pointing at the repo root so the suite can
 /// read bench/corpus/, and with LEQ_BENCH_BASELINE naming the one
@@ -86,6 +87,8 @@ TEST(bench_policy, directions_match_the_documented_gate) {
     EXPECT_EQ(bench_metric_policy("relations").direction,
               metric_direction::exact);
     EXPECT_EQ(bench_metric_policy("clusters").direction,
+              metric_direction::exact);
+    EXPECT_EQ(bench_metric_policy("reduced_states").direction,
               metric_direction::exact);
     // unknown names are recorded but never gated
     EXPECT_EQ(bench_metric_policy("some_future_metric").direction,
@@ -230,7 +233,7 @@ TEST(bench_workloads, ids_are_stable_and_unknown_ids_throw) {
          {"solve/counter_x256", "solve/counter_x256_flat",
           "solve/arbiter_x16", "solve/random_3_64", "solve/kiss_counter9",
           "verify/kiss_counter9", "batch/families", "table1/s349",
-          "table1/s444"}) {
+          "table1/s444", "reduce/counter_16"}) {
         EXPECT_NE(std::find(names.begin(), names.end(), expected),
                   names.end())
             << expected;
@@ -406,6 +409,44 @@ TEST(bench_artifacts, baseline_pins_the_schedule_shape_of_every_solve_row) {
     // default limit
     EXPECT_GT(value("solve/random_3_64", "clusters"),
               value("solve/random_3_64", "relations"));
+}
+
+// ---------------------------------------------------------------------------
+// the paper's Table 1
+// ---------------------------------------------------------------------------
+
+TEST(bench_table1, small_row_finishes_both_flows_and_passes_every_check) {
+    const table1_row row = run_table1_row("s510", 60.0);
+    EXPECT_EQ(row.part_status, solve_status::ok);
+    EXPECT_EQ(row.mono_status, solve_status::ok);
+    EXPECT_EQ(row.csf_states, 52u);
+    ASSERT_TRUE(row.checks.has_value());
+    EXPECT_TRUE(row.checks->ok());
+    EXPECT_EQ(row.checks->equivalent, true);
+    EXPECT_THROW((void)run_table1_row("s9999", 1.0), std::invalid_argument);
+}
+
+TEST(bench_table1, cross_flow_certificate_fails_a_faulted_csf) {
+    // an image engine that drops every successor setting the spec's first
+    // next-state variable yields a wrong partitioned CSF; the honest CSF
+    // of the same row passes
+    const table1_pair pair = make_table1_pair("s510");
+    const equation_problem problem(pair.fixed, pair.spec);
+    const solve_result mono = solve_monolithic(problem);
+    const solve_result honest = solve_partitioned(problem);
+    ASSERT_EQ(mono.status, solve_status::ok);
+    ASSERT_EQ(honest.status, solve_status::ok);
+    EXPECT_TRUE(
+        check_table1_row(problem, pair.x_init, *honest.csf, &*mono.csf).ok());
+
+    solve_options faulted;
+    faulted.img.fault_suppress_var = problem.ns_s.front();
+    const solve_result wrong = solve_partitioned(problem, faulted);
+    ASSERT_EQ(wrong.status, solve_status::ok);
+    const table1_checks checks =
+        check_table1_row(problem, pair.x_init, *wrong.csf, &*mono.csf);
+    EXPECT_FALSE(checks.ok());
+    EXPECT_EQ(checks.equivalent, false);
 }
 
 // ---------------------------------------------------------------------------

@@ -17,6 +17,16 @@
 ///   leq_bench_run --list
 ///       Print the pinned workload ids, one per line.
 ///
+///   leq_bench_run --table1 [SECONDS] [--filter SUBSTR]
+///       Reproduce the paper's Table 1: partitioned against monolithic CSF
+///       computation on the latch-split stand-ins, each flow stopped after
+///       SECONDS (default 120; "CNC" marks a flow that could not
+///       complete).  --filter keeps the rows whose name contains SUBSTR.
+///       Every row the partitioned flow finishes runs the paper's checks
+///       (1) X_P <= X and (2) F . X <= S, and, when the monolithic flow
+///       finishes too, the cross-flow certificate: both CSFs accept the
+///       same language.  Exit 1 when any check fails.
+///
 ///   leq_bench_run --compare [BASELINE] CURRENT
 ///       Gate CURRENT against BASELINE (two report files; BASELINE defaults
 ///       to the checked-in BENCH_PR<n>.json the build was configured with).
@@ -43,11 +53,14 @@
 /// LEQ_BENCH_BASELINE.
 
 #include "cli/bench.hpp"
+#include "net/generator.hpp"
 
 #include <algorithm>
+#include <cstdio>
 #include <exception>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -59,6 +72,7 @@ int usage(std::ostream& err) {
     err << "usage: leq_bench_run [--filter SUBSTR] [--repeat N] "
            "[--out FILE]\n"
         << "       leq_bench_run --list\n"
+        << "       leq_bench_run --table1 [SECONDS] [--filter SUBSTR]\n"
         << "       leq_bench_run --compare [BASELINE] CURRENT\n"
         << "       leq_bench_run --delta [BASELINE] CURRENT\n"
         << "       leq_bench_run --write-corpus DIR\n"
@@ -121,6 +135,77 @@ int run_mode(const std::string& filter, std::size_t repeat,
     return 0;
 }
 
+/// A flow's seconds, or CNC when it hit the time limit.
+std::string table1_time(leq::solve_status status, double seconds) {
+    if (status != leq::solve_status::ok) { return "CNC"; }
+    char buf[32];
+    std::snprintf(buf, sizeof buf, "%.2f", seconds);
+    return buf;
+}
+
+std::string table1_verdicts(const leq::table1_checks& checks) {
+    const auto verdict = [](bool ok) { return ok ? " ok" : " FAIL"; };
+    std::string out = std::string("Xp<=X") + verdict(checks.particular) +
+                      ", FX<=S" + verdict(checks.composition);
+    if (checks.equivalent.has_value()) {
+        out += std::string(", P==M") + verdict(*checks.equivalent);
+    }
+    return out;
+}
+
+int table1_mode(const std::string& filter, double limit) {
+    std::printf("Table 1: partitioned vs monolithic CSF computation "
+                "(time limit %.0fs per flow)\n\n", limit);
+    std::printf("%-8s %-10s %-8s %12s %10s %10s %8s  %s\n", "Name", "i/o/cs",
+                "Fcs/Xcs", "States(X)", "Part,s", "Mono,s", "Ratio",
+                "Checks");
+    std::printf("%s\n", std::string(100, '-').c_str());
+    bool failed = false;
+    std::size_t rows = 0;
+    for (const leq::table1_instance& inst : leq::make_table1_suite()) {
+        if (inst.name.find(filter) == std::string::npos) { continue; }
+        ++rows;
+        const leq::table1_row row = leq::run_table1_row(inst.name, limit);
+        const bool part_ok = row.part_status == leq::solve_status::ok;
+        const bool mono_ok = row.mono_status == leq::solve_status::ok;
+        std::string ratio = "-";
+        if (part_ok && mono_ok && row.part_seconds > 0) {
+            char buf[32];
+            std::snprintf(buf, sizeof buf, "%.1f",
+                          row.mono_seconds / row.part_seconds);
+            ratio = buf;
+        }
+        const std::string dims =
+            std::to_string(inst.circuit.num_inputs()) + "/" +
+            std::to_string(inst.circuit.num_outputs()) + "/" +
+            std::to_string(inst.circuit.num_latches());
+        const std::string split = std::to_string(inst.f_latches) + "/" +
+                                  std::to_string(inst.x_latches);
+        const std::string states =
+            part_ok ? std::to_string(row.csf_states) : "-";
+        const std::string checks =
+            row.checks ? table1_verdicts(*row.checks) : "-";
+        std::printf("%-8s %-10s %-8s %12s %10s %10s %8s  %s\n",
+                    inst.name.c_str(), dims.c_str(), split.c_str(),
+                    states.c_str(),
+                    table1_time(row.part_status, row.part_seconds).c_str(),
+                    table1_time(row.mono_status, row.mono_seconds).c_str(),
+                    ratio.c_str(), checks.c_str());
+        std::fflush(stdout);
+        failed = failed || (row.checks && !row.checks->ok());
+    }
+    std::printf("\nPaper's reference (1.6GHz, MCNC originals): s510 54st "
+                "0.3/0.2s; s208 497st 0.4/0.8s; s298 553st 0.9/2.7s;\n"
+                "s349 2626st 37.7/810.3s (21.5x); s444 17730st 25.9s/CNC; "
+                "s526 141829st 276.7s/CNC\n");
+    if (rows == 0) {
+        std::cerr << "leq_bench_run: no Table-1 row matches '" << filter
+                  << "'\n";
+        return 1;
+    }
+    return failed ? 1 : 0;
+}
+
 int compare_mode(const std::string& base_path,
                  const std::string& current_path) {
     const leq::bench_report base =
@@ -165,6 +250,7 @@ int main(int argc, char** argv) {
     std::string filter;
     std::string out_path;
     std::size_t repeat = 1;
+    std::optional<double> table1_limit;
     try {
         for (std::size_t k = 0; k < args.size(); ++k) {
             const std::string& arg = args[k];
@@ -194,7 +280,22 @@ int main(int argc, char** argv) {
             if (arg == "--write-corpus") {
                 return write_corpus_mode(value("--write-corpus"));
             }
-            if (arg == "--filter") {
+            if (arg == "--table1") {
+                table1_limit = 120.0;
+                if (k + 1 < args.size() && args[k + 1].rfind("--", 0) != 0) {
+                    const std::string& v = args[++k];
+                    std::size_t end = 0;
+                    try {
+                        table1_limit = std::stod(v, &end);
+                    } catch (const std::exception&) {
+                        end = 0;
+                    }
+                    if (end != v.size() || !(*table1_limit > 0)) {
+                        throw std::runtime_error(
+                            "--table1 needs a time limit in seconds > 0");
+                    }
+                }
+            } else if (arg == "--filter") {
                 filter = value("--filter");
             } else if (arg == "--repeat") {
                 const std::string& v = value("--repeat");
@@ -213,6 +314,10 @@ int main(int argc, char** argv) {
                           << "'\n";
                 return usage(std::cerr);
             }
+        }
+        if (table1_limit) {
+            if (repeat != 1 || !out_path.empty()) { return usage(std::cerr); }
+            return table1_mode(filter, *table1_limit);
         }
         return run_mode(filter, repeat, out_path);
     } catch (const std::exception& e) {
