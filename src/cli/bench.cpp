@@ -98,20 +98,26 @@ bench_row run_solve_scenario(const std::string& id, scenario_family family,
     return run_solve(id, s.fixed, s.spec, s.num_choice_inputs, options);
 }
 
-/// Solve the corpus KISS pair through the FSM-level flow; with `verify`,
-/// then walk the paper's Section 4 check F . X <= S over the CSF, and read
-/// the manager counters after the walk.
+/// Solve the corpus KISS pair through the FSM-level flow, then run the
+/// check `command` names over the CSF — "verify" walks the paper's Section
+/// 4 check F . X <= S, "diagnose" runs it with counterexample extraction,
+/// "solve" runs none — and read the manager counters after the check.
 bench_row run_kiss(const std::string& id, const std::string& f_kiss,
-                   const std::string& s_kiss, bool verify) {
+                   const std::string& s_kiss, const std::string& command) {
     bench_row row;
     row.workload = id;
     const kiss_instance inst = build_kiss_instance(f_kiss, s_kiss);
     const solve_result result = solve_partitioned(*inst.problem);
     add_solve_metrics(row, result);
-    if (verify) {
+    if (command == "verify") {
         add(row, "composition_ok",
             verify_composition_contained(*inst.problem, *result.csf) ? 1.0
                                                                      : 0.0);
+    } else if (command == "diagnose") {
+        add(row, "diagnose_ok",
+            diagnose_composition_contained(*inst.problem, *result.csf).ok
+                ? 1.0
+                : 0.0);
     }
     add_manager_metrics(row, inst.problem->mgr());
     return row;
@@ -242,8 +248,9 @@ metric_policy bench_metric_policy(const std::string& name) {
     // a behaviour change
     if (name == "subset_states" || name == "csf_states" ||
         name == "batch_solved" || name == "batch_empty" ||
-        name == "composition_ok" || name == "relations" ||
-        name == "clusters" || name == "reduced_states") {
+        name == "composition_ok" || name == "diagnose_ok" ||
+        name == "relations" || name == "clusters" ||
+        name == "reduced_states") {
         return {metric_direction::exact, 0.0, 0.0};
     }
     // deterministic work counters: 10% + slack budget.  Misses are gated
@@ -282,6 +289,7 @@ std::vector<std::string> bench_workload_names() {
         "solve/random_3_64",
         "solve/kiss_counter9",
         "verify/kiss_counter9",
+        "diagnose/kiss_counter9",
         "batch/families",
         "table1/s349",
         "table1/s444",
@@ -312,10 +320,11 @@ bench_row run_untimed_workload(const std::string& workload) {
         return run_solve_scenario(workload, scenario_family::random, 3, 64);
     }
     if (workload == "solve/kiss_counter9" ||
-        workload == "verify/kiss_counter9") {
+        workload == "verify/kiss_counter9" ||
+        workload == "diagnose/kiss_counter9") {
         const auto [f_kiss, s_kiss] = make_counter_kiss(9);
         return run_kiss(workload, f_kiss, s_kiss,
-                        workload == "verify/kiss_counter9");
+                        workload.substr(0, workload.find('/')));
     }
     if (workload == "batch/families") {
         return run_batch_workload(workload);

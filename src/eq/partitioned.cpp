@@ -39,21 +39,7 @@ solve_result solve_partitioned(const equation_problem& problem,
 
     try {
         // relation parts shared by both images: u_m == U_m(i, v, cs_F)
-        std::vector<bdd> u_match;
-        u_match.reserve(problem.u_vars.size());
-        for (std::size_t m = 0; m < problem.u_vars.size(); ++m) {
-            u_match.push_back(mgr.var(problem.u_vars[m]).iff(problem.f_u[m]));
-        }
-        // next-state parts for F and S
-        std::vector<bdd> ns_parts;
-        for (std::size_t k = 0; k < problem.ns_f.size(); ++k) {
-            ns_parts.push_back(
-                mgr.var(problem.ns_f[k]).iff(problem.f_next[k]));
-        }
-        for (std::size_t k = 0; k < problem.ns_s.size(); ++k) {
-            ns_parts.push_back(
-                mgr.var(problem.ns_s[k]).iff(problem.s_next[k]));
-        }
+        const std::vector<bdd> u_match = problem.u_match_parts();
 
         std::vector<std::uint32_t> quantify = problem.hidden_input_vars();
         quantify.insert(quantify.end(), problem.cs_f.begin(),
@@ -63,8 +49,11 @@ solve_result solve_partitioned(const equation_problem& problem,
 
         // successor relation: u-match plus next-state parts
         std::vector<bdd> p_parts = u_match;
-        p_parts.insert(p_parts.end(), ns_parts.begin(), ns_parts.end());
-        const transition_relation p_rel(mgr, p_parts, quantify, local.img);
+        for (bdd& part : problem.next_state_parts()) {
+            p_parts.push_back(std::move(part));
+        }
+        const transition_relation p_rel(mgr, std::move(p_parts), quantify,
+                                        local.img);
 
         // one non-conformance relation per output: u-match plus !C_j
         std::vector<transition_relation> q_rels;

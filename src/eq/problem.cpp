@@ -148,6 +148,27 @@ std::vector<std::uint32_t> equation_problem::uv_swap_permutation() const {
     return perm;
 }
 
+std::vector<bdd> equation_problem::u_match_parts() const {
+    std::vector<bdd> parts;
+    parts.reserve(u_vars.size());
+    for (std::size_t m = 0; m < u_vars.size(); ++m) {
+        parts.push_back(mgr_->var(u_vars[m]).iff(f_u[m]));
+    }
+    return parts;
+}
+
+std::vector<bdd> equation_problem::next_state_parts() const {
+    std::vector<bdd> parts;
+    parts.reserve(ns_f.size() + ns_s.size());
+    for (std::size_t k = 0; k < ns_f.size(); ++k) {
+        parts.push_back(mgr_->var(ns_f[k]).iff(f_next[k]));
+    }
+    for (std::size_t k = 0; k < ns_s.size(); ++k) {
+        parts.push_back(mgr_->var(ns_s[k]).iff(s_next[k]));
+    }
+    return parts;
+}
+
 bdd equation_problem::conformance(std::size_t output) const {
     return f_o[output].iff(s_o[output]);
 }

@@ -104,6 +104,14 @@ public:
     /// u values into the successor state's v bits; see verify.cpp).
     [[nodiscard]] std::vector<std::uint32_t> uv_swap_permutation() const;
 
+    /// The u-match parts u_m == U_m(i, v, cs_f), one per u variable: they
+    /// substitute u in a CSF guard and couple X's inputs to F in a step.
+    [[nodiscard]] std::vector<bdd> u_match_parts() const;
+
+    /// The next-state parts ns_k == T_k, F's latches then S's: the product
+    /// step over (i, v, cs_f, cs_s, ns_f, ns_s).
+    [[nodiscard]] std::vector<bdd> next_state_parts() const;
+
     /// Per-output conformance condition C_j = [O^F_j == O^S_j] (paper,
     /// Section 3.2); over (i, v, cs_f, cs_s).
     [[nodiscard]] bdd conformance(std::size_t output) const;

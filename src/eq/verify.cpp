@@ -1,20 +1,148 @@
 /// \file verify.cpp
-/// \brief Symbolic verification of a computed CSF.
+/// \brief Symbolic verification of a computed CSF: both of the paper's
+/// Section-4 checks, and check (2)'s counterexample extraction.
 ///
-/// Both checks run their successor steps through the shared
-/// transition-relation layer (src/rel/): the X_P walk is a relation with no
-/// parts (image = exists v . r & label, renamed u -> v), the composition
-/// walk is the full u-match + next-state partition, and the "X enabled"
-/// substitution is the u-match relation quantifying u.
+/// Every successor step runs through the shared transition-relation layer
+/// (src/rel/): the X_P walk is a relation with no parts (image = exists v .
+/// r & label, renamed u -> v), the composition walk is the full u-match +
+/// next-state partition, and the "X enabled" substitution is the u-match
+/// relation quantifying u.  The two plain checks share one reached-set
+/// worklist; check (2)'s diagnosis explores the same composed step layer by
+/// layer instead, so the violation it finds is shortest.
 
 #include "eq/verify.hpp"
 
 #include "rel/relation.hpp"
 
+#include <cassert>
+#include <map>
 #include <queue>
+#include <sstream>
 #include <stdexcept>
+#include <utility>
 
 namespace leq {
+
+namespace {
+
+/// Everything check (2) needs, built once per CSF: the composed step of F
+/// and S (renamed back to current-state variables), the substitution of u
+/// through the U_m parts, each CSF state's "X enabled" condition E_q(i, v,
+/// cs_F) — some u with a CSF move where u matches F's u outputs — and the
+/// per-output non-conformance !C_j (the monolithic conformance relation is
+/// never built).
+struct composition_step {
+    transition_relation step;
+    transition_relation u_subst;
+    std::vector<bdd> enabled;
+    std::vector<bdd> nonconforming;
+};
+
+composition_step make_composition_step(const equation_problem& problem,
+                                       const automaton& csf) {
+    bdd_manager& mgr = problem.mgr();
+    std::vector<bdd> u_match = problem.u_match_parts();
+    std::vector<bdd> parts = u_match;
+    for (bdd& part : problem.next_state_parts()) {
+        parts.push_back(std::move(part));
+    }
+    std::vector<std::uint32_t> quantify = problem.hidden_input_vars();
+    quantify.insert(quantify.end(), problem.u_vars.begin(),
+                    problem.u_vars.end());
+    quantify.insert(quantify.end(), problem.v_vars.begin(),
+                    problem.v_vars.end());
+    quantify.insert(quantify.end(), problem.cs_f.begin(), problem.cs_f.end());
+    quantify.insert(quantify.end(), problem.cs_s.begin(), problem.cs_s.end());
+    composition_step c{
+        transition_relation(mgr, std::move(parts), std::move(quantify)),
+        transition_relation(mgr, std::move(u_match), problem.u_vars),
+        {},
+        {}};
+    c.step.rename_result(problem.ns_to_cs_permutation());
+    c.enabled.reserve(csf.num_states());
+    for (std::uint32_t q = 0; q < csf.num_states(); ++q) {
+        c.enabled.push_back(c.u_subst.image(csf.domain(q)));
+    }
+    c.nonconforming.reserve(problem.s_o.size());
+    for (std::size_t j = 0; j < problem.s_o.size(); ++j) {
+        c.nonconforming.push_back(!problem.conformance(j));
+    }
+    return c;
+}
+
+/// The reached-set fixpoint of both plain checks.  reached[q] is the set of
+/// the other side's states (X_P's v vector, or the product (cs_F, cs_S))
+/// that run in step with CSF state q from `init`; each popped state's set
+/// is tested with `violates(q, r)`, then carried along every CSF transition
+/// by `step`.  True when no reached pair violates.
+template <class Violates>
+bool no_reachable_violation(const automaton& csf,
+                            const transition_relation& step, const bdd& init,
+                            const Violates& violates) {
+    std::vector<bdd> reached(csf.num_states(), csf.manager().zero());
+    reached[csf.initial()] = init;
+    std::queue<std::uint32_t> work;
+    work.push(csf.initial());
+    std::vector<bool> queued(csf.num_states(), false);
+    queued[csf.initial()] = true;
+    while (!work.empty()) {
+        const std::uint32_t q = work.front();
+        work.pop();
+        queued[q] = false;
+        const bdd r = reached[q];
+        if (violates(q, r)) { return false; }
+        for (const transition& t : csf.transitions(q)) {
+            const bdd next = step.image(r, t.label);
+            const bdd grown = reached[t.dest] | next;
+            if (grown != reached[t.dest]) {
+                reached[t.dest] = grown;
+                if (!queued[t.dest]) {
+                    queued[t.dest] = true;
+                    work.push(t.dest);
+                }
+            }
+        }
+    }
+    return true;
+}
+
+/// One full satisfying assignment of f, indexed by variable id; don't-care
+/// variables default to false.  f must be satisfiable.
+std::vector<bool> pick_assignment(bdd_manager& mgr, const bdd& f) {
+    std::vector<bool> a(mgr.num_vars(), false);
+    bdd walk = mgr.pick_cube(f);
+    while (!walk.is_const()) {
+        if (walk.low().is_zero()) {
+            a[walk.top_var()] = true;
+            walk = walk.high();
+        } else {
+            walk = walk.low();
+        }
+    }
+    return a;
+}
+
+/// Values of a variable group under a full assignment, in group order.
+std::vector<bool> group_values(const std::vector<bool>& a,
+                               const std::vector<std::uint32_t>& vars) {
+    std::vector<bool> out;
+    out.reserve(vars.size());
+    for (const std::uint32_t v : vars) { out.push_back(a[v]); }
+    return out;
+}
+
+void append_bits(std::ostringstream& out, const char* tag,
+                 const std::vector<bool>& bits) {
+    if (bits.empty()) { return; }
+    out << ' ' << tag << '=';
+    for (const bool b : bits) { out << (b ? '1' : '0'); }
+}
+
+} // namespace
+
+// ---------------------------------------------------------------------------
+// check (1): X_P contained in X
+// ---------------------------------------------------------------------------
 
 bool verify_particular_contained(const equation_problem& problem,
                                  const automaton& csf,
@@ -34,111 +162,164 @@ bool verify_particular_contained(const equation_problem& problem,
     transition_relation xp_step(mgr, {}, problem.v_vars);
     xp_step.rename_result(problem.uv_swap_permutation());
 
-    std::vector<bdd> reached(csf.num_states(), mgr.zero());
     bdd init = mgr.one();
     for (std::size_t m = 0; m < problem.v_vars.size(); ++m) {
         init &= mgr.literal(problem.v_vars[m], x_init[m]);
     }
-    reached[csf.initial()] = init;
-
-    std::queue<std::uint32_t> work;
-    work.push(csf.initial());
-    std::vector<bool> queued(csf.num_states(), false);
-    queued[csf.initial()] = true;
-    while (!work.empty()) {
-        const std::uint32_t q = work.front();
-        work.pop();
-        queued[q] = false;
-        const bdd r = reached[q];
-        // miss: a (v in r, any u) step with no CSF transition
-        if (!(r & !csf.domain(q)).is_zero()) { return false; }
-        for (const transition& t : csf.transitions(q)) {
-            const bdd next = xp_step.image(r, t.label);
-            const bdd grown = reached[t.dest] | next;
-            if (grown != reached[t.dest]) {
-                reached[t.dest] = grown;
-                if (!queued[t.dest]) {
-                    queued[t.dest] = true;
-                    work.push(t.dest);
-                }
-            }
-        }
-    }
-    return true;
+    // miss: a (v in r, any u) step with no CSF transition
+    return no_reachable_violation(
+        csf, xp_step, init, [&csf](std::uint32_t q, const bdd& r) {
+            return !(r & !csf.domain(q)).is_zero();
+        });
 }
+
+// ---------------------------------------------------------------------------
+// check (2): F . X contained in S
+// ---------------------------------------------------------------------------
 
 bool verify_composition_contained(const equation_problem& problem,
                                   const automaton& csf) {
+    const composition_step c = make_composition_step(problem, csf);
+    // violation: an enabled composed step whose o output disagrees with S
+    // on some output j (checked one output at a time)
+    return no_reachable_violation(
+        csf, c.step, problem.initial_product_state(),
+        [&c](std::uint32_t q, const bdd& r) {
+            const bdd r_enabled = r & c.enabled[q];
+            for (const bdd& not_c : c.nonconforming) {
+                if (!(r_enabled & not_c).is_zero()) { return true; }
+            }
+            return false;
+        });
+}
+
+// The diagnosis explores breadth-first: frames[t] lists, in CSF-state
+// order, the product states *first* reached at depth t in each CSF state
+// that gained any, so a violation found at depth t is shortest and memory
+// follows the states actually reached.  A backward walk over the frames
+// then reconstructs one concrete run: at every step a full assignment is
+// picked from the BDD frontier and the partitioned functions are evaluated
+// to fill in the dependent signal values.
+verify_diagnosis diagnose_composition_contained(const equation_problem& problem,
+                                                const automaton& csf) {
     bdd_manager& mgr = problem.mgr();
-    // u_m == U_m(i, v, cs_F) parts, used both to substitute u in the CSF
-    // guards and to drive the successor image
-    std::vector<bdd> u_match;
-    for (std::size_t m = 0; m < problem.u_vars.size(); ++m) {
-        u_match.push_back(mgr.var(problem.u_vars[m]).iff(problem.f_u[m]));
-    }
-    std::vector<bdd> parts = u_match;
-    for (std::size_t k = 0; k < problem.ns_f.size(); ++k) {
-        parts.push_back(mgr.var(problem.ns_f[k]).iff(problem.f_next[k]));
-    }
-    for (std::size_t k = 0; k < problem.ns_s.size(); ++k) {
-        parts.push_back(mgr.var(problem.ns_s[k]).iff(problem.s_next[k]));
-    }
-    std::vector<std::uint32_t> quantify = problem.hidden_input_vars();
-    quantify.insert(quantify.end(), problem.u_vars.begin(),
-                    problem.u_vars.end());
-    quantify.insert(quantify.end(), problem.v_vars.begin(),
-                    problem.v_vars.end());
-    quantify.insert(quantify.end(), problem.cs_f.begin(), problem.cs_f.end());
-    quantify.insert(quantify.end(), problem.cs_s.begin(), problem.cs_s.end());
-    transition_relation step(mgr, std::move(parts), std::move(quantify));
-    step.rename_result(problem.ns_to_cs_permutation());
+    const composition_step c = make_composition_step(problem, csf);
 
-    // per CSF state: "X enabled" condition E_q(i, v, cs_F): exists u with a
-    // CSF move where u matches F's u outputs
-    const transition_relation u_subst(mgr, u_match, problem.u_vars);
-    std::vector<bdd> enabled(csf.num_states(), mgr.zero());
-    for (std::uint32_t q = 0; q < csf.num_states(); ++q) {
-        enabled[q] = u_subst.image(csf.domain(q));
-    }
+    using frame = std::map<std::uint32_t, bdd>; // CSF state -> fresh set
+    std::vector<frame> frames;
+    std::vector<bdd> total(csf.num_states(), mgr.zero());
+    total[csf.initial()] = problem.initial_product_state();
+    frames.push_back({{csf.initial(), total[csf.initial()]}});
 
-    // !C_j per output, built once for the whole walk
-    std::vector<bdd> nonconforming;
-    nonconforming.reserve(problem.s_o.size());
-    for (std::size_t j = 0; j < problem.s_o.size(); ++j) {
-        nonconforming.push_back(!problem.conformance(j));
-    }
-
-    std::vector<bdd> reached(csf.num_states(), mgr.zero());
-    reached[csf.initial()] = problem.initial_product_state();
-    std::queue<std::uint32_t> work;
-    work.push(csf.initial());
-    std::vector<bool> queued(csf.num_states(), false);
-    queued[csf.initial()] = true;
-    while (!work.empty()) {
-        const std::uint32_t q = work.front();
-        work.pop();
-        queued[q] = false;
-        const bdd r = reached[q];
-        // violation: an enabled composed step whose o output disagrees with
-        // S on some output j (checked one output at a time; the monolithic
-        // conformance relation is never built)
-        const bdd r_enabled = r & enabled[q];
-        for (const bdd& not_c : nonconforming) {
-            if (!(r_enabled & not_c).is_zero()) { return false; }
-        }
-        for (const transition& t : csf.transitions(q)) {
-            const bdd next = step.image(r, t.label);
-            const bdd grown = reached[t.dest] | next;
-            if (grown != reached[t.dest]) {
-                reached[t.dest] = grown;
-                if (!queued[t.dest]) {
-                    queued[t.dest] = true;
-                    work.push(t.dest);
+    std::size_t bad_output = 0;
+    std::uint32_t bad_q = 0;
+    bdd bad_set; // over (i, v, cs): enabled step with non-conforming output
+    const auto violation_in = [&](const frame& layer) {
+        for (const auto& [q, r] : layer) {
+            const bdd r_enabled = r & c.enabled[q];
+            for (std::size_t j = 0; j < c.nonconforming.size(); ++j) {
+                bad_set = r_enabled & c.nonconforming[j];
+                if (!bad_set.is_zero()) {
+                    bad_q = q;
+                    bad_output = j;
+                    return true;
                 }
             }
         }
+        return false;
+    };
+    while (!violation_in(frames.back())) {
+        frame next;
+        for (const auto& [q, r] : frames.back()) {
+            for (const transition& tr : csf.transitions(q)) {
+                const bdd succ = c.step.image(r, tr.label);
+                const bdd fresh = succ & !total[tr.dest];
+                if (!fresh.is_zero()) {
+                    next.try_emplace(tr.dest, mgr.zero()).first->second |=
+                        fresh;
+                    total[tr.dest] |= fresh;
+                }
+            }
+        }
+        if (next.empty()) { return {}; }
+        frames.push_back(std::move(next));
     }
-    return true;
+    const std::size_t bad_layer = frames.size() - 1;
+
+    // fill one step from a full (i, v, cs) assignment: u and o follow from
+    // the partitioned functions
+    const auto fill_step = [&](const std::vector<bool>& a) {
+        trace_step s;
+        s.i = group_values(a, problem.i_vars);
+        s.v = group_values(a, problem.v_vars);
+        for (const bdd& fu : problem.f_u) { s.u.push_back(mgr.eval(fu, a)); }
+        for (const bdd& fo : problem.f_o) { s.o.push_back(mgr.eval(fo, a)); }
+        return s;
+    };
+    verify_diagnosis d;
+    d.ok = false;
+    d.trace.resize(bad_layer + 1);
+    std::vector<bool> bad = pick_assignment(mgr, bad_set);
+    d.trace[bad_layer] = fill_step(bad);
+    {
+        std::ostringstream reason;
+        reason << "output " << bad_output
+               << " of the composition disagrees with S at step " << bad_layer
+               << " (CSF state " << bad_q << ")";
+        d.reason = reason.str();
+    }
+
+    std::uint32_t cur_q = bad_q;
+    std::vector<bool> cur = bad; // carries the target cs assignment
+    for (std::size_t t = bad_layer; t > 0; --t) {
+        // step relation restricted to the known successor state: each next
+        // state function must produce the target bit
+        bdd step_rel = mgr.one();
+        for (std::size_t k = 0; k < problem.cs_f.size(); ++k) {
+            step_rel &= cur[problem.cs_f[k]] ? problem.f_next[k]
+                                             : !problem.f_next[k];
+        }
+        for (std::size_t k = 0; k < problem.cs_s.size(); ++k) {
+            step_rel &= cur[problem.cs_s[k]] ? problem.s_next[k]
+                                             : !problem.s_next[k];
+        }
+        bool stepped = false;
+        for (const auto& [q, r] : frames[t - 1]) {
+            for (const transition& tr : csf.transitions(q)) {
+                if (tr.dest != cur_q) { continue; }
+                const bdd cand = r & c.u_subst.image(tr.label) & step_rel;
+                if (cand.is_zero()) { continue; }
+                const std::vector<bool> a = pick_assignment(mgr, cand);
+                d.trace[t - 1] = fill_step(a);
+                cur_q = q;
+                cur = a;
+                stepped = true;
+                break;
+            }
+            if (stepped) { break; }
+        }
+        assert(stepped && "frame invariant: predecessor must exist");
+        if (!stepped) { break; }
+    }
+    return d;
+}
+
+std::string format_diagnosis(const verify_diagnosis& d) {
+    std::ostringstream out;
+    if (d.ok) {
+        out << "ok: containment holds\n";
+        return out.str();
+    }
+    out << "FAILED: " << d.reason << '\n';
+    for (std::size_t t = 0; t < d.trace.size(); ++t) {
+        out << "  step " << t << ':';
+        append_bits(out, "i", d.trace[t].i);
+        append_bits(out, "u", d.trace[t].u);
+        append_bits(out, "v", d.trace[t].v);
+        append_bits(out, "o", d.trace[t].o);
+        out << '\n';
+    }
+    return out.str();
 }
 
 } // namespace leq

@@ -6,10 +6,11 @@
 ///   (2) F . X is contained in S          — every behaviour the CSF allows
 ///       keeps the composition inside the specification.
 ///
-/// Both checks run symbolically: the explicit CSF states index a family of
-/// reachable-set BDDs, and the component moves are applied through the
-/// partitioned functions (u substituted by and-exists against the U_m
-/// parts), so no monolithic relation is ever built here either.
+/// Both checks, and check (2)'s counterexample extraction, live in
+/// verify.cpp.  They run symbolically: the explicit CSF states index a
+/// family of reachable-set BDDs, and the component moves are applied
+/// through the partitioned functions (u substituted by and-exists against
+/// the U_m parts), so no monolithic relation is ever built here either.
 #pragma once
 
 #include "automata/automaton.hpp"
@@ -52,7 +53,8 @@ struct verify_diagnosis {
 
 /// Check (2) with counterexample extraction: on failure the trace is a
 /// shortest composed run of F and the CSF ending in a step whose o output
-/// disagrees with S.
+/// disagrees with S.  Its memory follows the (depth, CSF state) pairs the
+/// breadth-first search reaches, not depth times the CSF's size.
 [[nodiscard]] verify_diagnosis
 diagnose_composition_contained(const equation_problem& problem,
                                const automaton& csf);

@@ -90,6 +90,8 @@ TEST(bench_policy, directions_match_the_documented_gate) {
               metric_direction::exact);
     EXPECT_EQ(bench_metric_policy("reduced_states").direction,
               metric_direction::exact);
+    EXPECT_EQ(bench_metric_policy("diagnose_ok").direction,
+              metric_direction::exact);
     // unknown names are recorded but never gated
     EXPECT_EQ(bench_metric_policy("some_future_metric").direction,
               metric_direction::info);
@@ -232,8 +234,9 @@ TEST(bench_workloads, ids_are_stable_and_unknown_ids_throw) {
     for (const char* expected :
          {"solve/counter_x256", "solve/counter_x256_flat",
           "solve/arbiter_x16", "solve/random_3_64", "solve/kiss_counter9",
-          "verify/kiss_counter9", "batch/families", "table1/s349",
-          "table1/s444", "reduce/counter_16"}) {
+          "verify/kiss_counter9", "diagnose/kiss_counter9",
+          "batch/families", "table1/s349", "table1/s444",
+          "reduce/counter_16"}) {
         EXPECT_NE(std::find(names.begin(), names.end(), expected),
                   names.end())
             << expected;

@@ -36,6 +36,48 @@ automaton universal(const automaton& like) {
     return out;
 }
 
+/// Replay a failing diagnosis on the actual networks: drive F (the fixed
+/// part) with (i, v) and S with i.  Every step's u and o must match F's
+/// outputs, every step but the last must conform to S, and the last must
+/// expose an output disagreement with S.
+void expect_replays_on_networks(const solved& s, const verify_diagnosis& d) {
+    const network& fixed = s.split.fixed;
+    const network& spec = s.original;
+    std::vector<bool> f_state = fixed.initial_state();
+    std::vector<bool> s_state = spec.initial_state();
+    const std::size_t n_o = s.problem.o_vars.size();
+    for (std::size_t t = 0; t < d.trace.size(); ++t) {
+        const trace_step& st = d.trace[t];
+        std::vector<bool> f_in = st.i;
+        f_in.insert(f_in.end(), st.v.begin(), st.v.end());
+        const auto f_res = fixed.simulate(f_state, f_in);
+        const auto s_res = spec.simulate(s_state, st.i);
+        ASSERT_EQ(f_res.outputs.size(), n_o + st.u.size());
+        // F's outputs are (o..., u...)
+        for (std::size_t j = 0; j < n_o; ++j) {
+            EXPECT_EQ(f_res.outputs[j], st.o[j]) << "step " << t;
+        }
+        for (std::size_t m = 0; m < st.u.size(); ++m) {
+            EXPECT_EQ(f_res.outputs[n_o + m], st.u[m]) << "step " << t;
+        }
+        if (t + 1 == d.trace.size()) {
+            // violation step: some composed output differs from S's
+            bool differs = false;
+            for (std::size_t j = 0; j < n_o; ++j) {
+                differs = differs || (st.o[j] != s_res.outputs[j]);
+            }
+            EXPECT_TRUE(differs) << "final step conforms; bad trace";
+        } else {
+            // conforming prefix
+            for (std::size_t j = 0; j < n_o; ++j) {
+                EXPECT_EQ(st.o[j], s_res.outputs[j]) << "step " << t;
+            }
+        }
+        f_state = f_res.next_state;
+        s_state = s_res.next_state;
+    }
+}
+
 // ---------------------------------------------------------------------------
 // agreement with the plain verdicts on valid CSFs
 // ---------------------------------------------------------------------------
@@ -86,46 +128,7 @@ TEST(diagnose, universal_x_fails_composition_with_network_replay) {
     ASSERT_FALSE(d.ok);
     ASSERT_FALSE(d.trace.empty());
 
-    // replay the trace on the actual networks: drive F (the fixed part) with
-    // (i, v) and S with i; every step's u and o must match F's outputs, and
-    // the final step must expose an output disagreement with S
-    const network& fixed = s.split.fixed;
-    const network& spec = s.original;
-    std::vector<bool> f_state = fixed.initial_state();
-    std::vector<bool> s_state = spec.initial_state();
-    const std::size_t n_i = s.problem.i_vars.size();
-    const std::size_t n_o = s.problem.o_vars.size();
-    for (std::size_t t = 0; t < d.trace.size(); ++t) {
-        const trace_step& st = d.trace[t];
-        std::vector<bool> f_in = st.i;
-        f_in.insert(f_in.end(), st.v.begin(), st.v.end());
-        const auto f_res = fixed.simulate(f_state, f_in);
-        const auto s_res = spec.simulate(s_state, st.i);
-        ASSERT_EQ(f_res.outputs.size(), n_o + st.u.size());
-        // F's outputs are (o..., u...)
-        for (std::size_t j = 0; j < n_o; ++j) {
-            EXPECT_EQ(f_res.outputs[j], st.o[j]) << "step " << t;
-        }
-        for (std::size_t m = 0; m < st.u.size(); ++m) {
-            EXPECT_EQ(f_res.outputs[n_o + m], st.u[m]) << "step " << t;
-        }
-        if (t + 1 == d.trace.size()) {
-            // violation step: some composed output differs from S's
-            bool differs = false;
-            for (std::size_t j = 0; j < n_o; ++j) {
-                differs = differs || (st.o[j] != s_res.outputs[j]);
-            }
-            EXPECT_TRUE(differs) << "final step conforms; bad trace";
-        } else {
-            // conforming prefix
-            for (std::size_t j = 0; j < n_o; ++j) {
-                EXPECT_EQ(st.o[j], s_res.outputs[j]) << "step " << t;
-            }
-        }
-        f_state = f_res.next_state;
-        s_state = s_res.next_state;
-    }
-    (void)n_i;
+    expect_replays_on_networks(s, d);
 }
 
 TEST(diagnose, shortest_trace_for_immediate_violation) {
@@ -141,6 +144,25 @@ TEST(diagnose, shortest_trace_for_immediate_violation) {
     // find a violation at the earliest possible depth; replaying the prefix
     // (asserted in the other test) pins minimality per state/output order
     EXPECT_GE(d.trace.size(), 1u);
+}
+
+TEST(diagnose, deep_first_violation_yields_an_exact_shortest_trace) {
+    // counter9 with its last latch split into X, and an X that holds v at 1
+    // whatever u says: the composition runs conforming for 255 steps, and
+    // the shortest trace is 256 steps long
+    solved s(make_counter(9), {8});
+    ASSERT_EQ(s.result.status, solve_status::ok);
+    const automaton& csf = *s.result.csf;
+    automaton v_high(csf.manager(), csf.label_vars());
+    v_high.add_state(true);
+    v_high.set_initial(0);
+    v_high.add_transition(0, 0, csf.manager().var(s.problem.v_vars[0]));
+    ASSERT_FALSE(verify_composition_contained(s.problem, v_high));
+    const auto d = diagnose_composition_contained(s.problem, v_high);
+    ASSERT_FALSE(d.ok);
+    EXPECT_EQ(d.trace.size(), 256u);
+    EXPECT_NE(d.reason.find("at step 255 "), std::string::npos) << d.reason;
+    expect_replays_on_networks(s, d);
 }
 
 } // namespace

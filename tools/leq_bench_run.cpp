@@ -56,6 +56,7 @@
 #include "net/generator.hpp"
 
 #include <algorithm>
+#include <cctype>
 #include <cstdio>
 #include <exception>
 #include <fstream>
@@ -298,10 +299,19 @@ int main(int argc, char** argv) {
             } else if (arg == "--filter") {
                 filter = value("--filter");
             } else if (arg == "--repeat") {
+                // digits only: stoul would wrap "-1" to 2^64-1 and throw
+                // a bare "stoul" on "abc"
                 const std::string& v = value("--repeat");
-                std::size_t end = 0;
-                repeat = std::stoul(v, &end);
-                if (end != v.size() || repeat == 0) {
+                const bool digits =
+                    !v.empty() && std::all_of(v.begin(), v.end(), [](char c) {
+                        return std::isdigit(static_cast<unsigned char>(c)) != 0;
+                    });
+                try {
+                    repeat = digits ? std::stoul(v) : 0;
+                } catch (const std::out_of_range&) {
+                    repeat = 0;
+                }
+                if (repeat == 0) {
                     throw std::runtime_error("--repeat needs a count >= 1");
                 }
             } else if (arg == "--out") {
