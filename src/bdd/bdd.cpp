@@ -419,10 +419,11 @@ void bdd_manager::cache_allocate(std::size_t slots) {
 }
 
 void bdd_manager::op_deadline_check() {
-    op_deadline_countdown_ = op_deadline_stride;
     if (std::chrono::steady_clock::now() > op_deadline_) {
+        op_deadline_countdown_ = 1;
         throw bdd_deadline_exceeded{};
     }
+    op_deadline_countdown_ = op_deadline_stride;
 }
 
 void bdd_manager::cache_age_and_purge() {

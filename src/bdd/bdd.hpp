@@ -140,9 +140,10 @@ private:
 /// Thrown from inside a recursive BDD operation when the manager's op
 /// deadline (set_op_deadline) has passed.  The operation's partial results
 /// become ordinary garbage — no manager state needs unwinding beyond the
-/// exception itself — so callers may catch, translate and keep using the
-/// manager.  The relation layer translates this into
-/// relation_deadline_exceeded (src/rel/deadline.hpp).
+/// exception itself — so callers may catch it and keep using the manager
+/// once the deadline is cleared.  It is the library's one timeout
+/// exception: a solve arms the deadline for its whole run and turns this
+/// into `solve_status::timeout` (src/eq/subset_common.hpp).
 struct bdd_deadline_exceeded : std::runtime_error {
     bdd_deadline_exceeded()
         : std::runtime_error("bdd operation deadline exceeded") {}
@@ -341,16 +342,17 @@ public:
     void check_consistency() const;
 
     // ---- cooperative op deadline ----------------------------------------
-    /// Arm a deadline checked *inside* the recursive operation cores: once
-    /// `when` passes, the next computed-cache probe (checked every ~1024
-    /// lookups to keep the hot path cheap) throws bdd_deadline_exceeded.
-    /// This is what lets a caller bound one monolithic and_exists run
-    /// instead of only noticing a blown budget between operations.  The
-    /// deadline stays armed until clear_op_deadline().
+    /// Arm a deadline checked *inside* the recursive operation cores: the
+    /// first computed-cache probe after arming reads the clock, then every
+    /// ~1024th (to keep the hot path cheap), and the countdown runs across
+    /// operations.  Once `when` has passed, that probe and every later one
+    /// throws bdd_deadline_exceeded, so one long and_exists is bounded from
+    /// the inside and nothing completes past the deadline.  The deadline
+    /// stays armed until clear_op_deadline().
     void set_op_deadline(std::chrono::steady_clock::time_point when) {
         op_deadline_ = when;
         op_deadline_armed_ = true;
-        op_deadline_countdown_ = op_deadline_stride;
+        op_deadline_countdown_ = 1;
     }
     void clear_op_deadline() { op_deadline_armed_ = false; }
 
@@ -531,7 +533,8 @@ private:
     void dec_ext_ref(std::uint32_t ref);
 
     /// Countdown slow path for the op deadline: reads the clock and throws
-    /// bdd_deadline_exceeded when past.  Called from cache_lookup every
+    /// bdd_deadline_exceeded when past, leaving the countdown at its last
+    /// step so the next probe throws too.  Called from cache_lookup every
     /// `op_deadline_stride` probes while a deadline is armed.
     void op_deadline_check();
 

@@ -5,6 +5,7 @@
 
 #include "cli/batch.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <cmath>
 #include <fstream>
@@ -90,19 +91,12 @@ int parse_flags(const std::vector<std::string>& args, parsed_args& parsed,
                 err << "leq: " << flag << " needs a value\n";
                 return false;
             }
-            try {
-                // stoul would wrap "-1" to 2^64-1: digits only
-                if (v->empty() ||
-                    std::isdigit(static_cast<unsigned char>((*v)[0])) == 0) {
-                    throw std::invalid_argument(*v);
-                }
-                std::size_t used = 0;
-                dst = std::stoul(*v, &used);
-                if (used != v->size()) { throw std::invalid_argument(*v); }
-            } catch (const std::exception&) {
+            const std::optional<std::size_t> n = parse_count(*v);
+            if (!n) {
                 err << "leq: bad value for " << flag << ": '" << *v << "'\n";
                 return false;
             }
+            dst = *n;
             return true;
         };
 
@@ -134,18 +128,12 @@ int parse_flags(const std::vector<std::string>& args, parsed_args& parsed,
                 err << "leq: --time-limit needs a value\n";
                 return 2;
             }
-            try {
-                std::size_t used = 0;
-                parsed.config.solve.time_limit_seconds = std::stod(*v, &used);
-                if (used != v->size() ||
-                    !std::isfinite(parsed.config.solve.time_limit_seconds) ||
-                    parsed.config.solve.time_limit_seconds < 0) {
-                    throw std::invalid_argument(*v);
-                }
-            } catch (const std::exception&) {
+            const std::optional<double> t = parse_seconds(*v);
+            if (!t) {
                 err << "leq: bad value for --time-limit: '" << *v << "'\n";
                 return 2;
             }
+            parsed.config.solve.time_limit_seconds = *t;
         } else if (arg == "--max-states") {
             if (!numeric("--max-states",
                          parsed.config.solve.max_subset_states)) {
@@ -344,6 +332,33 @@ int cmd_batch(parsed_args& parsed, std::ostream& out, std::ostream& err) {
 }
 
 } // namespace
+
+std::optional<std::size_t> parse_count(const std::string& text) {
+    if (text.empty() ||
+        !std::all_of(text.begin(), text.end(), [](unsigned char c) {
+            return std::isdigit(c) != 0;
+        })) {
+        return std::nullopt;
+    }
+    try {
+        return std::stoul(text);
+    } catch (const std::out_of_range&) {
+        return std::nullopt;
+    }
+}
+
+std::optional<double> parse_seconds(const std::string& text) {
+    try {
+        std::size_t used = 0;
+        const double t = std::stod(text, &used);
+        if (used != text.size() || !std::isfinite(t) || t < 0) {
+            return std::nullopt;
+        }
+        return t;
+    } catch (const std::exception&) {
+        return std::nullopt;
+    }
+}
 
 int run_leq_cli(const std::vector<std::string>& args, std::ostream& out,
                 std::ostream& err) {

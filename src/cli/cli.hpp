@@ -19,7 +19,9 @@
 /// errored, 2 usage error, 3 inputs unreadable.
 #pragma once
 
+#include <cstddef>
 #include <iosfwd>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -29,5 +31,14 @@ namespace leq {
 /// JSON records go to `out`; usage, summaries and errors go to `err`.
 [[nodiscard]] int run_leq_cli(const std::vector<std::string>& args,
                               std::ostream& out, std::ostream& err);
+
+/// A count as the command-line tools (`leq`, `leq_fuzz`, `leq_bench_run`)
+/// read one: digits only and the whole token, so "-1" (which std::stoul
+/// wraps to 2^64-1) and "5abc" are refused; empty when refused or too big.
+[[nodiscard]] std::optional<std::size_t> parse_count(const std::string& text);
+
+/// A time in seconds as the command-line tools read one: finite, >= 0 and
+/// the whole token; empty otherwise.
+[[nodiscard]] std::optional<double> parse_seconds(const std::string& text);
 
 } // namespace leq

@@ -31,15 +31,13 @@ solve_result solve_monolithic(const equation_problem& problem,
     const solve_options local = detail::with_deadline(options);
 
     try {
+        const detail::deadline_scope armed(mgr, local);
         // ---- monolithic relations -------------------------------------------
         // TO_F(i,v,u,o,cs_F,ns_F): the full product of F's output and
         // next-state parts.  Choice inputs w are not part of F's alphabet;
         // quantifying them (at their last occurrence across the clustered
         // product) yields the non-deterministic TO_F.
-        std::vector<bdd> f_parts;
-        for (std::size_t m = 0; m < problem.u_vars.size(); ++m) {
-            f_parts.push_back(mgr.var(problem.u_vars[m]).iff(problem.f_u[m]));
-        }
+        std::vector<bdd> f_parts = problem.u_match_parts();
         for (std::size_t j = 0; j < problem.o_vars.size(); ++j) {
             f_parts.push_back(mgr.var(problem.o_vars[j]).iff(problem.f_o[j]));
         }
@@ -166,10 +164,10 @@ solve_result solve_monolithic(const equation_problem& problem,
         result.stats = stats;
         detail::read_manager_stats(result.stats, mgr);
         return result;
-    } catch (const relation_deadline_exceeded&) {
-        // a relation build or image chain outlived the time limit before the
-        // driver could notice (the driver handles its own expansions); the
-        // relation counters died with the unwound relations
+    } catch (const bdd_deadline_exceeded&) {
+        // a relation build or product image outlived the time limit (the
+        // driver turns a timeout in the subset construction into its own
+        // result); the relation counters died with the unwound relations
         solve_result result = detail::timeout_result(start);
         detail::read_manager_stats(result.stats, mgr);
         return result;

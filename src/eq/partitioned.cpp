@@ -32,12 +32,10 @@ solve_result solve_partitioned(const equation_problem& problem,
                                const solve_options& options) {
     const auto start = std::chrono::steady_clock::now();
     bdd_manager& mgr = problem.mgr();
-    // arm the relation-layer deadline so a deep image chain inside one
-    // subset expansion respects the solver time limit (the driver only
-    // checks between expansions)
     const solve_options local = detail::with_deadline(options);
 
     try {
+        const detail::deadline_scope armed(mgr, local);
         // relation parts shared by both images: u_m == U_m(i, v, cs_F)
         const std::vector<bdd> u_match = problem.u_match_parts();
 
@@ -99,10 +97,10 @@ solve_result solve_partitioned(const equation_problem& problem,
         }
         detail::read_manager_stats(result.stats, mgr);
         return result;
-    } catch (const relation_deadline_exceeded&) {
-        // relation construction (clustering) outlived the time limit before
-        // the driver could notice (the driver handles its own expansions);
-        // the relation counters died with the unwound relations
+    } catch (const bdd_deadline_exceeded&) {
+        // relation construction outlived the time limit (the driver turns
+        // a timeout in the subset construction into its own result); the
+        // relation counters died with the unwound relations
         solve_result result = detail::timeout_result(start);
         detail::read_manager_stats(result.stats, mgr);
         return result;

@@ -31,6 +31,7 @@
 #include "rel/relation.hpp"
 
 #include <array>
+#include <chrono>
 #include <optional>
 
 namespace leq {
@@ -43,12 +44,16 @@ enum class solve_status {
 
 struct solve_options {
     image_options img;
-    /// Wall-clock limit; 0 = unlimited.  Checked between subset expansions
-    /// by the driver, and additionally armed as a relation-layer deadline
-    /// (`image_options::deadline`) so image chains *inside* one expansion
-    /// cannot blow past the limit.  A timed-out solve returns
-    /// `solve_status::timeout` with no CSF; it never throws.
+    /// Wall-clock limit; 0 = unlimited.  The solve turns it into `deadline`
+    /// (detail::with_deadline) and arms that on the problem's BDD manager
+    /// for its whole run: relation construction, the subset loop and the
+    /// final trimming.  The manager probes the clock inside its operations,
+    /// so one long image cannot run far past the limit.  A timed-out solve
+    /// returns `solve_status::timeout` with no CSF; it never throws.
     double time_limit_seconds = 0.0;
+    /// Absolute deadline of the solve; unset = none.  Set from
+    /// `time_limit_seconds` when empty; a caller may also set it directly.
+    std::optional<std::chrono::steady_clock::time_point> deadline;
     /// Cap on explored subset states; 0 = unlimited.
     std::size_t max_subset_states = 0;
 };
@@ -56,8 +61,8 @@ struct solve_options {
 /// Aggregate statistics of one solve, read off the transition relations the
 /// flow built and the BDD manager it ran in.  Filled by the symbolic flows
 /// (`solve_partitioned` / `solve_monolithic`); the explicit oracle reports
-/// only the manager counters (`live_nodes_after` onward).  On a
-/// driver-detected timeout the counters cover the work done up to the
+/// only the manager counters (`live_nodes_after` onward).  On a timeout in
+/// the subset construction the counters cover the work done up to the
 /// deadline; a deadline tripped inside relation construction reports zero
 /// relation counters (the relations unwound), with only the manager
 /// counters still measured.

@@ -12,7 +12,7 @@ namespace leq::detail {
 solve_options with_deadline(const solve_options& options) {
     using clock = std::chrono::steady_clock;
     solve_options armed = options;
-    if (armed.time_limit_seconds > 0 && !armed.img.deadline) {
+    if (armed.time_limit_seconds > 0 && !armed.deadline) {
         const clock::time_point now = clock::now();
         const std::chrono::duration<double> limit(armed.time_limit_seconds);
         // saturate: a limit near or past the clock's range (about 146
@@ -21,11 +21,20 @@ solve_options with_deadline(const solve_options& options) {
         // rounding of the cast clear of the edge.
         if (limit < std::chrono::duration<double>(
                         clock::time_point::max() - now) / 2) {
-            armed.img.deadline =
+            armed.deadline =
                 now + std::chrono::duration_cast<clock::duration>(limit);
         }
     }
     return armed;
+}
+
+deadline_scope::deadline_scope(bdd_manager& mgr, const solve_options& options)
+    : mgr_(mgr), armed_(options.deadline.has_value()) {
+    if (armed_) { mgr_.set_op_deadline(*options.deadline); }
+}
+
+deadline_scope::~deadline_scope() {
+    if (armed_) { mgr_.clear_op_deadline(); }
 }
 
 solve_result timeout_result(std::chrono::steady_clock::time_point start) {
@@ -93,125 +102,117 @@ subset_driver::run(const bdd& initial_state,
     };
     std::vector<std::vector<edge>> edges;
 
-    intern(initial_state);
-    while (!work.empty()) {
-        if (options.time_limit_seconds > 0 &&
-            elapsed() > options.time_limit_seconds) {
-            result = timeout_result(start);
-            result.subset_states_explored = subsets.size();
-            return result;
+    try {
+        intern(initial_state);
+        while (!work.empty()) {
+            if (options.max_subset_states > 0 &&
+                subsets.size() > options.max_subset_states) {
+                result.status = solve_status::state_limit;
+                result.subset_states_explored = subsets.size();
+                result.seconds = elapsed();
+                return result;
+            }
+            const std::uint32_t id = work.front();
+            work.pop_front();
+            const expansion exp = expand(subsets[id]);
+            if (edges.size() <= id) { edges.resize(id + 1); }
+            for (const cofactor_class& c : exp.successors) {
+                const bdd successor = mgr.permute(c.leaf, ns_to_cs);
+                edges[id].push_back({intern(successor), c.guard});
+            }
+            if (!exp.to_dca.is_zero()) {
+                // DCA is state number `subsets.size()` once exploration ends;
+                // mark with a sentinel and fix up below
+                edges[id].push_back({0xffffffffu, exp.to_dca});
+            }
         }
-        if (options.max_subset_states > 0 &&
-            subsets.size() > options.max_subset_states) {
-            result.status = solve_status::state_limit;
-            result.subset_states_explored = subsets.size();
+        result.subset_states_explored = subsets.size();
+
+        const auto num_subsets = static_cast<std::uint32_t>(subsets.size());
+        const std::uint32_t dca = num_subsets; // appended completion state
+        edges.resize(num_subsets + 1);
+        for (auto& state_edges : edges) {
+            for (edge& e : state_edges) {
+                if (e.dest == 0xffffffffu) { e.dest = dca; }
+            }
+        }
+        edges[dca].push_back({dca, mgr.one()});
+
+        // progressive trimming over u: a state survives while every u
+        // assignment admits some v with a transition to a surviving state
+        const bdd v_cube = mgr.cube(std::vector<std::uint32_t>(
+            uv_vars.begin() + static_cast<std::ptrdiff_t>(u_vars.size()),
+            uv_vars.end()));
+        std::vector<bool> alive(num_subsets + 1, true);
+        // worklist fixpoint: when a state dies only its predecessors need
+        // rechecking (a full-sweep loop is quadratic at 10^5 states)
+        std::vector<std::vector<std::uint32_t>> preds(num_subsets + 1);
+        for (std::uint32_t s = 0; s <= num_subsets; ++s) {
+            for (const edge& e : edges[s]) { preds[e.dest].push_back(s); }
+        }
+        const auto progressive_ok = [&](std::uint32_t s) {
+            bdd dom = mgr.zero();
+            for (const edge& e : edges[s]) {
+                if (alive[e.dest]) { dom |= e.guard; }
+            }
+            return mgr.exists(dom, v_cube).is_one();
+        };
+        std::queue<std::uint32_t> dead;
+        for (std::uint32_t s = 0; s <= num_subsets; ++s) {
+            if (!progressive_ok(s)) {
+                alive[s] = false;
+                dead.push(s);
+            }
+        }
+        while (!dead.empty()) {
+            const std::uint32_t d = dead.front();
+            dead.pop();
+            for (const std::uint32_t p : preds[d]) {
+                if (alive[p] && !progressive_ok(p)) {
+                    alive[p] = false;
+                    dead.push(p);
+                }
+            }
+        }
+
+        if (!alive[0]) {
+            result.empty_solution = true;
+            automaton empty(mgr, uv_vars);
+            empty.set_initial(empty.add_state(false));
+            result.csf = std::move(empty);
+            result.csf_states = 0;
             result.seconds = elapsed();
             return result;
         }
-        const std::uint32_t id = work.front();
-        work.pop_front();
-        expansion exp;
-        try {
-            exp = expand(subsets[id]);
-        } catch (const relation_deadline_exceeded&) {
-            // a single image chain inside the expansion outlived the
-            // deadline armed by with_deadline()
-            result = timeout_result(start);
-            result.subset_states_explored = subsets.size();
-            return result;
-        }
-        if (edges.size() <= id) { edges.resize(id + 1); }
-        for (const cofactor_class& c : exp.successors) {
-            const bdd successor = mgr.permute(c.leaf, ns_to_cs);
-            edges[id].push_back({intern(successor), c.guard});
-        }
-        if (!exp.to_dca.is_zero()) {
-            // DCA is state number `subsets.size()` once exploration ends;
-            // mark with a sentinel and fix up below
-            edges[id].push_back({0xffffffffu, exp.to_dca});
-        }
-    }
-    result.subset_states_explored = subsets.size();
 
-    const auto num_subsets = static_cast<std::uint32_t>(subsets.size());
-    const std::uint32_t dca = num_subsets; // appended completion state
-    edges.resize(num_subsets + 1);
-    for (auto& state_edges : edges) {
-        for (edge& e : state_edges) {
-            if (e.dest == 0xffffffffu) { e.dest = dca; }
+        // assemble the CSF automaton (all states accepting; prefix-closed by
+        // construction: DCN-bound moves were never added as edges)
+        automaton csf(mgr, uv_vars);
+        std::vector<std::uint32_t> remap(num_subsets + 1, 0);
+        for (std::uint32_t s = 0; s <= num_subsets; ++s) {
+            if (alive[s]) { remap[s] = csf.add_state(true); }
         }
-    }
-    edges[dca].push_back({dca, mgr.one()});
-
-    // progressive trimming over u: a state survives while every u assignment
-    // admits some v with a transition to a surviving state
-    const bdd v_cube = mgr.cube(
-        std::vector<std::uint32_t>(uv_vars.begin() +
-                                       static_cast<std::ptrdiff_t>(u_vars.size()),
-                                   uv_vars.end()));
-    std::vector<bool> alive(num_subsets + 1, true);
-    // worklist fixpoint: when a state dies only its predecessors need
-    // rechecking (a full-sweep loop is quadratic at 10^5 states)
-    std::vector<std::vector<std::uint32_t>> preds(num_subsets + 1);
-    for (std::uint32_t s = 0; s <= num_subsets; ++s) {
-        for (const edge& e : edges[s]) { preds[e.dest].push_back(s); }
-    }
-    const auto progressive_ok = [&](std::uint32_t s) {
-        bdd dom = mgr.zero();
-        for (const edge& e : edges[s]) {
-            if (alive[e.dest]) { dom |= e.guard; }
-        }
-        return mgr.exists(dom, v_cube).is_one();
-    };
-    std::queue<std::uint32_t> dead;
-    for (std::uint32_t s = 0; s <= num_subsets; ++s) {
-        if (!progressive_ok(s)) {
-            alive[s] = false;
-            dead.push(s);
-        }
-    }
-    while (!dead.empty()) {
-        const std::uint32_t d = dead.front();
-        dead.pop();
-        for (const std::uint32_t p : preds[d]) {
-            if (alive[p] && !progressive_ok(p)) {
-                alive[p] = false;
-                dead.push(p);
+        csf.set_initial(remap[0]);
+        for (std::uint32_t s = 0; s <= num_subsets; ++s) {
+            if (!alive[s]) { continue; }
+            for (const edge& e : edges[s]) {
+                if (alive[e.dest]) {
+                    csf.add_transition(remap[s], remap[e.dest], e.guard);
+                }
             }
         }
-    }
-
-    if (!alive[0]) {
-        result.empty_solution = true;
-        automaton empty(mgr, uv_vars);
-        empty.set_initial(empty.add_state(false));
-        result.csf = std::move(empty);
-        result.csf_states = 0;
+        automaton trimmed = trim_unreachable(csf);
+        result.csf_states = trimmed.num_states();
+        result.csf = std::move(trimmed);
         result.seconds = elapsed();
         return result;
+    } catch (const bdd_deadline_exceeded&) {
+        // the solve's deadline passed in an expansion, the trimming or the
+        // assembly
+        result = timeout_result(start);
+        result.subset_states_explored = subsets.size();
+        return result;
     }
-
-    // assemble the CSF automaton (all states accepting; prefix-closed by
-    // construction: DCN-bound moves were never added as edges)
-    automaton csf(mgr, uv_vars);
-    std::vector<std::uint32_t> remap(num_subsets + 1, 0);
-    for (std::uint32_t s = 0; s <= num_subsets; ++s) {
-        if (alive[s]) { remap[s] = csf.add_state(true); }
-    }
-    csf.set_initial(remap[0]);
-    for (std::uint32_t s = 0; s <= num_subsets; ++s) {
-        if (!alive[s]) { continue; }
-        for (const edge& e : edges[s]) {
-            if (alive[e.dest]) {
-                csf.add_transition(remap[s], remap[e.dest], e.guard);
-            }
-        }
-    }
-    automaton trimmed = trim_unreachable(csf);
-    result.csf_states = trimmed.num_states();
-    result.csf = std::move(trimmed);
-    result.seconds = elapsed();
-    return result;
 }
 
 } // namespace leq::detail

@@ -16,12 +16,27 @@
 
 namespace leq::detail {
 
-/// Copy of `options` with the relation-layer deadline armed from
-/// `time_limit_seconds` (when a limit is set and no deadline is present).
-/// Solvers pass the result to their transition relations and to the driver,
-/// so a deep image chain *inside* one subset expansion trips the timeout
-/// (the driver's own check only runs between expansions).
+/// Copy of `options` with `deadline` set from `time_limit_seconds` (when a
+/// limit is set and no deadline is present).  A limit past the clock's
+/// range saturates to no deadline.
 [[nodiscard]] solve_options with_deadline(const solve_options& options);
+
+/// Arms `options.deadline`, when set, on the manager for the scope's
+/// lifetime and disarms it on every exit.  Each flow holds one around its
+/// whole solve — relation construction, the subset loop and trimming — so
+/// the manager's in-operation probe is the one time budget, and its
+/// bdd_deadline_exceeded the one timeout signal.
+class deadline_scope {
+public:
+    deadline_scope(bdd_manager& mgr, const solve_options& options);
+    ~deadline_scope();
+    deadline_scope(const deadline_scope&) = delete;
+    deadline_scope& operator=(const deadline_scope&) = delete;
+
+private:
+    bdd_manager& mgr_;
+    bool armed_;
+};
 
 /// A timeout-status result with `seconds` measured from `start` (shared by
 /// the driver and both solvers' deadline handlers).
@@ -59,7 +74,9 @@ struct expansion {
 /// Generic subset-construction driver.  `expand` maps a subset state (over
 /// current-state variables) to its successor classes (leaves over
 /// next-state variables; the driver renames them back).  Returns the CSF
-/// after progressive trimming, or an early status on limits.
+/// after progressive trimming, or an early status on limits: a
+/// bdd_deadline_exceeded from the expansions, the trimming or the assembly
+/// becomes a timeout that still reports the subset states explored.
 struct subset_driver {
     bdd_manager& mgr;
     std::vector<std::uint32_t> uv_vars;    ///< u then v (label variables)

@@ -14,9 +14,9 @@
 /// the calling thread; concurrent campaigns are fine as long as each call
 /// gets its own `fuzz_options` (the usual one-manager-per-thread rule,
 /// upheld here because nothing manager-backed crosses the call boundary).
-/// `diff.time_limit_seconds` bounds each solver invocation via the
-/// relation-layer deadline; a scenario that exceeds it is reported as a
-/// finding, not a hang.
+/// `diff.time_limit_seconds` bounds each solver invocation via the solve's
+/// deadline (`solve_options::time_limit_seconds`); a scenario that exceeds
+/// it is reported as a finding, not a hang.
 #pragma once
 
 #include "gen/differential.hpp"

@@ -16,7 +16,6 @@
 #pragma once
 
 #include "bdd/bdd.hpp"
-#include "rel/deadline.hpp"
 
 #include <cstddef>
 #include <vector>
@@ -25,12 +24,9 @@ namespace leq {
 
 /// Merge adjacent `parts` into clusters.  Every cluster formed by merging
 /// two or more parts has dag_size <= cluster_limit; a limit of 0 disables
-/// merging entirely.  Checks `deadline` between merge products (cluster
-/// construction is real BDD work; an armed solver timeout must be able to
-/// interrupt it).
+/// merging entirely.
 [[nodiscard]] std::vector<bdd>
 cluster_parts(bdd_manager& mgr, const std::vector<bdd>& parts,
-              std::size_t cluster_limit,
-              const relation_deadline& deadline = {});
+              std::size_t cluster_limit);
 
 } // namespace leq

@@ -19,14 +19,10 @@ void transition_relation::build(const std::vector<std::uint32_t>& quantify) {
         // naive/monolithic mode (ablation baseline): one big conjunction,
         // every variable quantified at the end
         bdd product = mgr_->one();
-        for (const bdd& p : parts_) {
-            throw_if_past(options_.deadline);
-            product &= p;
-        }
+        for (const bdd& p : parts_) { product &= p; }
         clusters_ = {product};
     } else {
-        clusters_ = cluster_parts(*mgr_, parts_, options_.cluster_limit,
-                                  options_.deadline);
+        clusters_ = cluster_parts(*mgr_, parts_, options_.cluster_limit);
     }
     image_schedule_ = quant_schedule(*mgr_, clusters_, quantify);
     image_schedule_.describe(stats_);
@@ -40,7 +36,7 @@ bdd transition_relation::image(const bdd& from) const {
 
 bdd transition_relation::image(const bdd& from, const bdd& constraint) const {
     ++stats_.images;
-    bdd result = image_schedule_.apply(from, constraint, options_.deadline);
+    bdd result = image_schedule_.apply(from, constraint);
     if (options_.fault_suppress_var != image_options::no_fault) {
         result &= mgr_->literal(options_.fault_suppress_var, false);
     }

@@ -37,14 +37,6 @@ struct image_options {
     bool early_quantification = true;
     /// Merged-cluster node bound (see rel/cluster.hpp); 0 disables merging.
     std::size_t cluster_limit = 2500;
-    /// Optional absolute deadline.  Image chains and cluster merging at
-    /// construction throw `relation_deadline_exceeded` once it passes; the
-    /// solvers set it from `solve_options::time_limit_seconds` (translating
-    /// the throw into `solve_status::timeout`) so one expansion can no
-    /// longer blow past the solver timeout.  The check runs *between* BDD operations — a
-    /// single huge conjunction can still overshoot the deadline by the
-    /// length of that one operation.
-    relation_deadline deadline;
     /// TEST-ONLY fault injection.  When set to a variable id, every
     /// image() result is wrongly constrained to that variable
     /// being 0 (successors with the variable at 1 are silently dropped) —

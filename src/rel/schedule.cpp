@@ -84,50 +84,7 @@ quant_schedule::quant_schedule(bdd_manager& mgr,
     }
 }
 
-namespace {
-
-/// Scope guard arming the manager's *op-level* deadline for the duration
-/// of one schedule application.  The between-steps throw_if_past checks
-/// below catch a blown budget at chain-step granularity; this catches it
-/// *inside* a single monolithic and_exists run (the manager probes the
-/// clock every ~1024 computed-cache lookups).  When the relation carries
-/// no deadline the guard is inert, leaving any manager deadline a caller
-/// armed manually (set_op_deadline) in place.
-class op_deadline_guard {
-public:
-    op_deadline_guard(bdd_manager& mgr, const relation_deadline& deadline)
-        : mgr_(&mgr), armed_(deadline.has_value()) {
-        if (armed_) { mgr_->set_op_deadline(*deadline); }
-    }
-    ~op_deadline_guard() {
-        if (armed_) { mgr_->clear_op_deadline(); }
-    }
-    op_deadline_guard(const op_deadline_guard&) = delete;
-    op_deadline_guard& operator=(const op_deadline_guard&) = delete;
-
-private:
-    bdd_manager* mgr_;
-    bool armed_;
-};
-
-} // namespace
-
-bdd quant_schedule::apply(const bdd& from, const bdd& constraint,
-                          const relation_deadline& deadline) const {
-    throw_if_past(deadline);
-    const op_deadline_guard op_guard(*mgr_, deadline);
-    // the translation is unconditional — a deadline the *manager* already
-    // had armed (set_op_deadline without a relation deadline) surfaces to
-    // relation consumers under the one exception type they handle
-    try {
-        return apply_steps(from, constraint, deadline);
-    } catch (const bdd_deadline_exceeded&) {
-        throw relation_deadline_exceeded{};
-    }
-}
-
-bdd quant_schedule::apply_steps(const bdd& from, const bdd& constraint,
-                                const relation_deadline& deadline) const {
+bdd quant_schedule::apply(const bdd& from, const bdd& constraint) const {
     // leading quantification, with the extra conjunct conjoined into `from`
     // (against TRUE the and-exists is the plain exists).  In the verify and
     // diagnose walks `from` is a state set and the constraint a CSF label,
@@ -136,7 +93,6 @@ bdd quant_schedule::apply_steps(const bdd& from, const bdd& constraint,
     // one cached binary and-exists per cluster; a cluster that retires
     // nothing has a TRUE cube, and the step is the plain conjunction
     for (std::size_t k = 0; k < clusters_.size(); ++k) {
-        throw_if_past(deadline);
         acc = mgr_->and_exists(acc, clusters_[k], cubes_[k]);
     }
     return acc;

@@ -18,7 +18,6 @@
 #pragma once
 
 #include "bdd/bdd.hpp"
-#include "rel/deadline.hpp"
 
 #include <cstdint>
 #include <vector>
@@ -47,16 +46,8 @@ public:
     /// and-exists over the leading cube; when every quantified variable
     /// occurs in a cluster that cube is TRUE and the step is the plain
     /// `from & constraint`); then each scheduled cluster
-    /// is one binary and-exists over the variables dying there.  Checks
-    /// `deadline` before the leading quantification and between chain
-    /// steps, *and* arms the manager's op-level deadline for the duration —
-    /// so a single long and_exists run is interrupted from the inside
-    /// instead of running to completion past the budget.  A
-    /// bdd_deadline_exceeded thrown by the manager (including one from a
-    /// manually armed set_op_deadline) is translated to
-    /// relation_deadline_exceeded.
-    [[nodiscard]] bdd apply(const bdd& from, const bdd& constraint,
-                            const relation_deadline& deadline) const;
+    /// is one binary and-exists over the variables dying there.
+    [[nodiscard]] bdd apply(const bdd& from, const bdd& constraint) const;
 
     [[nodiscard]] std::size_t num_clusters() const { return clusters_.size(); }
 
@@ -64,12 +55,6 @@ public:
     void describe(relation_stats& stats) const;
 
 private:
-    /// The chain itself (leading quantification + one step per cluster);
-    /// apply() wraps it with the op-deadline guard and the exception
-    /// translation.
-    [[nodiscard]] bdd apply_steps(const bdd& from, const bdd& constraint,
-                                  const relation_deadline& deadline) const;
-
     bdd_manager* mgr_ = nullptr;
     std::vector<bdd> clusters_; ///< scheduled order
     std::vector<bdd> cubes_;    ///< per cluster: cube of `retired_[k]`

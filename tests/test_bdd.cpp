@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <random>
 #include <stdexcept>
 #include <vector>
@@ -240,6 +241,26 @@ TEST(bdd_gc, stats_report_runs) {
     m.collect_garbage();
     EXPECT_GE(m.stats().gc_runs, 1u);
     EXPECT_GE(m.stats().num_vars, 8u);
+}
+
+TEST(bdd_deadline, expired_deadline_throws_at_every_probe_until_cleared) {
+    // an expired deadline must not wait out a probe stride: a solve armed
+    // with a limit that has already passed cannot finish even a small
+    // operation, and it stays expired across operations
+    bdd_manager m(4);
+    const bdd a = m.var(0), b = m.var(1), c = m.var(2);
+    m.set_op_deadline(std::chrono::steady_clock::now() -
+                      std::chrono::seconds(1));
+    const std::size_t lookups = m.stats().cache_lookups;
+    EXPECT_THROW((void)(a & b), leq::bdd_deadline_exceeded);
+    EXPECT_EQ(m.stats().cache_lookups, lookups); // the first probe threw
+    EXPECT_THROW((void)(a ^ c), leq::bdd_deadline_exceeded);
+    EXPECT_THROW((void)(a & b), leq::bdd_deadline_exceeded);
+    EXPECT_EQ(m.stats().cache_lookups, lookups);
+    m.clear_op_deadline();
+    const bdd ab = a & b;
+    EXPECT_DOUBLE_EQ(m.sat_count(ab, 4), 4.0);
+    EXPECT_EQ(ab, b & a);
 }
 
 // ---------------------------------------------------------------------------

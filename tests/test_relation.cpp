@@ -2,9 +2,10 @@
 /// \brief Oracle suite for the shared transition-relation subsystem
 /// (src/rel/): images over random partitions must equal the naive
 /// monolithic conjunction across the full {cluster_limit x
-/// early-quantification} option matrix, clustering must respect its node
-/// bound, and relation-layer deadlines must interrupt construction, image
-/// chains and both solver flows.
+/// early-quantification} option matrix, and clustering must respect its node
+/// bound.  The relation layer has no deadline of its own: the manager's op
+/// deadline must interrupt construction and image chains, and a solve's
+/// deadline must end both flows in `timeout` and disarm on the way out.
 
 #include "eq/solver.hpp"
 #include "gen/scenario.hpp"
@@ -266,46 +267,46 @@ TEST(relation_stats, schedule_shape_and_per_call_counters) {
     EXPECT_EQ(rel.stats().images, 2u);
 }
 
-TEST(relation_deadline, construction_throws_past_deadline) {
-    // clustering is real BDD work: an armed deadline interrupts it before
-    // the first image is ever computed
+TEST(op_deadline, interrupts_relation_construction) {
+    // clustering is real BDD work: an expired deadline on the manager
+    // interrupts it before the first image is ever computed
     const network net = make_counter(8);
     bdd_manager mgr;
     auto [fns, vars] = setup(mgr, net);
+    std::vector<std::uint32_t> quantify = vars.in;
+    quantify.insert(quantify.end(), vars.cs.begin(), vars.cs.end());
+    const std::vector<bdd> parts = next_state_parts(mgr, fns, vars);
     image_options options;
-    options.deadline = std::chrono::steady_clock::now() -
-                       std::chrono::seconds(1);
-    EXPECT_THROW((void)next_state_relation(mgr, fns, vars, options),
-                 relation_deadline_exceeded);
+    mgr.set_op_deadline(std::chrono::steady_clock::now() -
+                        std::chrono::seconds(1));
+    EXPECT_THROW((void)transition_relation(mgr, parts, quantify, options),
+                 bdd_deadline_exceeded);
     options.early_quantification = false; // the naive-mode product fold too
-    EXPECT_THROW((void)next_state_relation(mgr, fns, vars, options),
-                 relation_deadline_exceeded);
+    EXPECT_THROW((void)transition_relation(mgr, parts, quantify, options),
+                 bdd_deadline_exceeded);
+    mgr.clear_op_deadline();
 }
 
-TEST(relation_deadline, image_chain_throws_past_deadline) {
+TEST(op_deadline, interrupts_an_image_chain) {
     const network net = make_counter(8);
     bdd_manager mgr;
     auto [fns, vars] = setup(mgr, net);
     image_options options;
-    options.cluster_limit = 0; // construction merges nothing, so it survives
-    options.deadline = std::chrono::steady_clock::now() -
-                       std::chrono::seconds(1);
+    options.cluster_limit = 0; // construction merges nothing
     const transition_relation rel =
         next_state_relation(mgr, fns, vars, options);
     const bdd init = state_cube(mgr, vars.cs, net.initial_state());
-    EXPECT_THROW((void)rel.image(init), relation_deadline_exceeded);
+    mgr.set_op_deadline(std::chrono::steady_clock::now() -
+                        std::chrono::seconds(1));
+    EXPECT_THROW((void)rel.image(init), bdd_deadline_exceeded);
+    mgr.clear_op_deadline();
 }
 
-TEST(relation_deadline, op_deadline_interrupts_inside_a_chain_step) {
-    // PR-10 regression pin: the budget used to be probed only *between*
-    // chain steps, so one long and_exists could overrun it without bound.
-    // schedule::apply now arms the manager's op-level deadline (probed
-    // every ~1024 computed-cache lookups inside the recursion) for the
-    // duration of the chain and translates bdd_deadline_exceeded into the
-    // one exception type relation consumers handle.  A deadline armed on
-    // the manager directly — no relation deadline at all, so none of the
-    // between-step checks can fire — must therefore surface from image()
-    // as relation_deadline_exceeded.
+TEST(op_deadline, interrupts_inside_a_chain_step) {
+    // one long and_exists must not overrun the budget: the manager probes
+    // its deadline inside the recursion, so an expired one surfaces from
+    // image() mid-step, and the aborted chain leaves the relation and the
+    // manager usable.
     structured_spec spec;
     spec.num_inputs = 4;
     spec.num_latches = 16;
@@ -315,8 +316,7 @@ TEST(relation_deadline, op_deadline_interrupts_inside_a_chain_step) {
     auto [fns, vars] = setup(mgr, net);
     const transition_relation rel = next_state_relation(mgr, fns, vars);
     // an awkward xor-of-products state set drives the cold chain through
-    // several thousand cache probes — a one() or cube operand collapses
-    // too fast to cross even one ~1024-lookup stride
+    // several thousand cache probes
     bdd from = mgr.zero();
     for (std::size_t k = 0; k + 2 < vars.cs.size(); k += 3) {
         from = from ^ (mgr.var(vars.cs[k]) &
@@ -325,7 +325,7 @@ TEST(relation_deadline, op_deadline_interrupts_inside_a_chain_step) {
 
     mgr.set_op_deadline(std::chrono::steady_clock::now() -
                         std::chrono::seconds(1));
-    EXPECT_THROW((void)rel.image(from), relation_deadline_exceeded);
+    EXPECT_THROW((void)rel.image(from), bdd_deadline_exceeded);
     mgr.clear_op_deadline();
     // disarmed, the identical call runs to completion and agrees with an
     // independently built relation (the aborted chain left no bad state)
@@ -335,22 +335,28 @@ TEST(relation_deadline, op_deadline_interrupts_inside_a_chain_step) {
     EXPECT_FALSE(result.is_zero());
 }
 
-TEST(relation_deadline, solvers_translate_deadline_into_timeout_status) {
+TEST(op_deadline, solvers_translate_deadline_into_timeout_status) {
     const network original = make_counter(3);
     const split_result split = split_last_latches(original, 1);
     const equation_problem problem(split.fixed, original);
 
     solve_options options;
-    options.img.deadline = std::chrono::steady_clock::now() -
-                           std::chrono::seconds(1);
+    options.deadline = std::chrono::steady_clock::now() -
+                       std::chrono::seconds(1);
     const solve_result part = solve_partitioned(problem, options);
     EXPECT_EQ(part.status, solve_status::timeout);
+    EXPECT_FALSE(part.csf.has_value());
     const solve_result mono = solve_monolithic(problem, options);
     EXPECT_EQ(mono.status, solve_status::timeout);
+    EXPECT_FALSE(mono.csf.has_value());
 
-    // and without the deadline the same instances solve
-    const solve_result ok = solve_partitioned(problem, {});
-    EXPECT_EQ(ok.status, solve_status::ok);
+    // the timed-out solves disarmed the manager on their way out: both
+    // flows solve the same problem with no limit
+    const solve_result part_ok = solve_partitioned(problem, {});
+    EXPECT_EQ(part_ok.status, solve_status::ok);
+    const solve_result mono_ok = solve_monolithic(problem, {});
+    EXPECT_EQ(mono_ok.status, solve_status::ok);
+    EXPECT_TRUE(language_equivalent(*part_ok.csf, *mono_ok.csf));
 }
 
 TEST(partitioned_image, early_and_naive_modes_agree) {

@@ -53,10 +53,10 @@
 /// LEQ_BENCH_BASELINE.
 
 #include "cli/bench.hpp"
+#include "cli/cli.hpp"
 #include "net/generator.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <cstdio>
 #include <exception>
 #include <fstream>
@@ -299,18 +299,7 @@ int main(int argc, char** argv) {
             } else if (arg == "--filter") {
                 filter = value("--filter");
             } else if (arg == "--repeat") {
-                // digits only: stoul would wrap "-1" to 2^64-1 and throw
-                // a bare "stoul" on "abc"
-                const std::string& v = value("--repeat");
-                const bool digits =
-                    !v.empty() && std::all_of(v.begin(), v.end(), [](char c) {
-                        return std::isdigit(static_cast<unsigned char>(c)) != 0;
-                    });
-                try {
-                    repeat = digits ? std::stoul(v) : 0;
-                } catch (const std::out_of_range&) {
-                    repeat = 0;
-                }
+                repeat = leq::parse_count(value("--repeat")).value_or(0);
                 if (repeat == 0) {
                     throw std::runtime_error("--repeat needs a count >= 1");
                 }

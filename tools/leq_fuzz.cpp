@@ -11,10 +11,12 @@
 /// Exit status: 0 all scenarios clean, 1 failures found (reproducers
 /// written when --out is given), 2 usage error.
 
+#include "cli/cli.hpp"
 #include "gen/fuzz.hpp"
 
-#include <cstring>
+#include <cstdint>
 #include <iostream>
+#include <limits>
 #include <string>
 
 namespace {
@@ -38,9 +40,14 @@ int usage() {
     return 2;
 }
 
+/// Numbers follow `leq`'s rules (cli/cli.hpp); a refused one exits 2.
+int bad_value(const std::string& flag, const char* v) {
+    std::cerr << "leq_fuzz: bad value for " << flag << ": '" << v << "'\n";
+    return 2;
+}
+
 /// Fill `options` from argv.  Returns an exit code to bail out with, or -1
-/// to proceed.  std::stoul/std::stod throw on malformed numbers; the caller
-/// maps that to the usage exit code.
+/// to proceed.
 int parse_args(int argc, char** argv, fuzz_options& options, bool& quiet) {
     for (int k = 1; k < argc; ++k) {
         const std::string arg = argv[k];
@@ -61,11 +68,17 @@ int parse_args(int argc, char** argv, fuzz_options& options, bool& quiet) {
         if (arg == "--seeds") {
             const char* v = value();
             if (v == nullptr) { return usage(); }
-            options.seeds = std::stoul(v);
+            const auto n = parse_count(v);
+            if (!n) { return bad_value(arg, v); }
+            options.seeds = *n;
         } else if (arg == "--seed-base") {
             const char* v = value();
             if (v == nullptr) { return usage(); }
-            options.seed_base = static_cast<std::uint32_t>(std::stoul(v));
+            const auto n = parse_count(v);
+            if (!n || *n > std::numeric_limits<std::uint32_t>::max()) {
+                return bad_value(arg, v);
+            }
+            options.seed_base = static_cast<std::uint32_t>(*n);
         } else if (arg == "--family") {
             const char* v = value();
             if (v == nullptr) { return usage(); }
@@ -85,7 +98,9 @@ int parse_args(int argc, char** argv, fuzz_options& options, bool& quiet) {
         } else if (arg == "--time-limit") {
             const char* v = value();
             if (v == nullptr) { return usage(); }
-            options.diff.time_limit_seconds = std::stod(v);
+            const auto t = parse_seconds(v);
+            if (!t) { return bad_value(arg, v); }
+            options.diff.time_limit_seconds = *t;
         } else if (arg == "--no-explicit") {
             options.diff.with_explicit = false;
         } else {
@@ -101,13 +116,8 @@ int parse_args(int argc, char** argv, fuzz_options& options, bool& quiet) {
 int main(int argc, char** argv) {
     fuzz_options options;
     bool quiet = false;
-    try {
-        const int bail = parse_args(argc, argv, options, quiet);
-        if (bail >= 0) { return bail; }
-    } catch (const std::exception&) {
-        std::cerr << "leq_fuzz: malformed numeric argument\n";
-        return usage();
-    }
+    const int bail = parse_args(argc, argv, options, quiet);
+    if (bail >= 0) { return bail; }
 
     if (!quiet) { options.log = &std::cout; }
     try {
