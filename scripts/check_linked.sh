@@ -23,8 +23,6 @@
 set -euo pipefail
 
 kept_for_tests=(
-  "leq::bdd_manager::set_var_order  test_bdd_oracle runs a shuffled order"
-  "leq::bdd_manager::cache_clear  set_var_order empties the cache"
   "leq::bdd_manager::check_consistency  tests assert the manager's invariants"
   "leq::bdd_manager::ite  tests check ite_rec (permute's reorder path) and rebuild the reference split with it"
   "leq::bdd::leq  tests assert containment of BDDs"

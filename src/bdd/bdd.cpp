@@ -196,10 +196,8 @@ bdd_manager::~bdd_manager() = default;
 
 std::uint32_t bdd_manager::new_var() {
     checked_guard("new_var");
-    const auto v = static_cast<std::uint32_t>(var2level_.size());
-    var2level_.push_back(v);
-    level2var_.push_back(v);
-    stats_.num_vars = var2level_.size();
+    const std::uint32_t v = num_vars();
+    ++stats_.num_vars;
     return v;
 }
 
@@ -454,29 +452,12 @@ void bdd_manager::cache_age_and_purge() {
     }
 }
 
-void bdd_manager::cache_clear() {
-    std::fill(cache_.begin(), cache_.end(), cache_entry{});
-}
-
 // ---------------------------------------------------------------------------
 // structural consistency check (tests)
 // ---------------------------------------------------------------------------
 
 void bdd_manager::check_consistency() const {
     checked_guard("check_consistency");
-    // the level maps must be inverse permutations: a variable at two levels
-    // (or a level naming two variables) makes level() order the graph wrong
-    // while every structural check below still passes
-    if (level2var_.size() != var2level_.size()) {
-        throw std::logic_error("bdd: level maps differ in size");
-    }
-    for (std::uint32_t v = 0; v < var2level_.size(); ++v) {
-        if (var2level_[v] >= level2var_.size() ||
-            level2var_[var2level_[v]] != v) {
-            throw std::logic_error("bdd: var2level and level2var are not "
-                                   "inverse permutations");
-        }
-    }
     std::set<std::array<std::uint32_t, 3>> keys;
     std::vector<char> in_table(nodes_.size(), 0);
     // unique-table health: bucket-chain length histogram.  The table never
@@ -511,9 +492,8 @@ void bdd_manager::check_consistency() const {
                 if (node_of(c) >= nodes_.size()) {
                     throw std::logic_error("bdd: child out of range");
                 }
-                if (!is_terminal(c) &&
-                    var2level_[nodes_[node_of(c)].var] <= var2level_[n.var]) {
-                    throw std::logic_error("bdd: child level not below parent");
+                if (!is_terminal(c) && nodes_[node_of(c)].var <= n.var) {
+                    throw std::logic_error("bdd: child var not below parent");
                 }
             }
             if (!keys.insert({n.var, n.lo, n.hi}).second) {

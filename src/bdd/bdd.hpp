@@ -40,14 +40,14 @@
 ///    external reference count per node (the complement bit does not matter
 ///    for liveness).  Mark-and-sweep runs between public operations only,
 ///    so raw references inside recursive cores never escape a GC.
-///  * **The order is static.**  Variables are identified by a stable id;
-///    the manager maps ids to levels so the order can differ from creation
-///    order.  The order is chosen before any BDD is built (creation order,
-///    or set_var_order()); the language-equation solver pins the (u,v) block
-///    at the top and interleaves each cs/ns pair.  There is no dynamic
-///    reordering, so a node's contents never change between collections:
-///    an index-keyed memo stays valid until the next garbage collection
-///    frees (and may recycle) its indices.
+///  * **The order is static: a variable's id is its level.**  new_var()
+///    appends at the bottom, so the order is creation order and the
+///    recursive cores compare ids directly.  A client picks its order by
+///    the order it creates variables in; the language-equation solver
+///    creates the (u,v) block first and each cs/ns pair adjacently.  There
+///    is no reordering, so a node's contents never change between
+///    collections: an index-keyed memo stays valid until the next garbage
+///    collection frees (and may recycle) its indices.
 ///  * **Checked builds (-DLEQ_CHECKED=ON).**  The manager is single-threaded
 ///    by design, and handles must never cross managers — a foreign reference
 ///    indexes the wrong arena and silently corrupts the unique table.  In a
@@ -179,12 +179,13 @@ struct bdd_stats {
     std::array<std::size_t, bdd_num_ops> op_hits{};
 };
 
-/// One cofactor class of a function split at a level boundary (see
+/// One cofactor class of a function split at a variable-id boundary (see
 /// bdd_manager::cofactor_classes): the function equals `leaf` exactly on
-/// the assignments of the levels above the boundary that satisfy `guard`.
+/// the assignments of the variables with ids below the boundary that
+/// satisfy `guard`.
 struct bdd_cofactor_class {
-    bdd guard; ///< over the variables above the boundary
-    bdd leaf;  ///< over the variables at or below it; never FALSE
+    bdd guard; ///< over the variables with ids below the boundary
+    bdd leaf;  ///< over the variables with ids at or above it; never FALSE
 };
 
 /// The BDD manager: node arena, unique table, computed cache and the
@@ -243,22 +244,8 @@ public:
     /// Append a fresh variable at the bottom of the order; returns its id.
     std::uint32_t new_var();
     [[nodiscard]] std::uint32_t num_vars() const {
-        return static_cast<std::uint32_t>(var2level_.size());
+        return static_cast<std::uint32_t>(stats_.num_vars);
     }
-    [[nodiscard]] std::uint32_t level_of(std::uint32_t var) const {
-        return var2level_[var];
-    }
-    [[nodiscard]] std::uint32_t var_at_level(std::uint32_t level) const {
-        return level2var_[level];
-    }
-    /// Install a new order given as a permutation: order[k] = variable id at
-    /// level k.  Must be called before any BDDs are built (only constant
-    /// handles may be live); the typical pattern is to create all variables,
-    /// choose an interleaved order, then build.  Throws
-    /// std::invalid_argument if `order` is not a permutation of the
-    /// variables and std::logic_error if a handle is live; either way the
-    /// order is left unchanged.
-    void set_var_order(const std::vector<std::uint32_t>& order);
 
     // ---- constants and literals -----------------------------------------
     [[nodiscard]] bdd zero() { return make(0); }
@@ -295,21 +282,23 @@ public:
     [[nodiscard]] bdd permute(const bdd& f,
                               const std::vector<std::uint32_t>& perm);
 
-    /// Split f into its cofactor classes over the levels above `boundary`:
-    /// one class per distinct non-FALSE sub-function hanging off that top
-    /// block (a leaf: a constant or a node at or below `boundary`), guarded
-    /// by the top-block assignments that reach it.  The guards are pairwise
-    /// disjoint and OR(guard & leaf) == f.  Leaves come in the order a
-    /// depth-first walk from f, else-edge first, first reaches them; a node
-    /// reached in both phases gives two leaves.  FALSE has no classes, and
-    /// an f with no node above the boundary is one class under guard TRUE.
+    /// Split f into its cofactor classes over the variables with ids below
+    /// `boundary`: one class per distinct non-FALSE sub-function hanging off
+    /// that top block (a leaf: a constant or a node whose variable id is at
+    /// least `boundary`), guarded by the top-block assignments that reach
+    /// it.  The guards are pairwise disjoint and OR(guard & leaf) == f.
+    /// Leaves come in the order a depth-first walk from f, else-edge first,
+    /// first reaches them; a node reached in both phases gives two leaves.
+    /// FALSE has no classes, and an f with no node above the boundary is
+    /// one class under guard TRUE.
     [[nodiscard]] std::vector<bdd_cofactor_class>
     cofactor_classes(const bdd& f, std::uint32_t boundary);
 
     // ---- structural queries ----------------------------------------------
     /// Support of f as a positive cube.
     [[nodiscard]] bdd support_cube(const bdd& f);
-    /// Support of f as a sorted list of variable ids.
+    /// Support of f as a sorted list of variable ids: the support cube
+    /// read top-down.
     [[nodiscard]] std::vector<std::uint32_t> support(const bdd& f);
     /// Number of DAG nodes (including the terminal) reachable from f.  With
     /// complement edges f and !f have identical size by construction.
@@ -332,13 +321,12 @@ public:
     [[nodiscard]] bdd cube(const std::vector<std::uint32_t>& vars);
 
     // ---- diagnostics -----------------------------------------------------
-    /// Exhaustive structural check of the level maps (inverse
-    /// permutations), the unique table and the canonicity invariants
-    /// (children below parents, no lo==hi nodes, no duplicate (var,lo,hi)
-    /// keys, every stored then-edge regular — which is what guarantees a
-    /// node and its complement can never both sit in the table) and the
-    /// computed cache's layout.  Throws std::logic_error on violation; for
-    /// tests.
+    /// Exhaustive structural check of the unique table and the canonicity
+    /// invariants (every child's variable id greater than its parent's, no
+    /// lo==hi nodes, no duplicate (var,lo,hi) keys, every stored then-edge
+    /// regular — which is what guarantees a node and its complement can
+    /// never both sit in the table) and the computed cache's layout.
+    /// Throws std::logic_error on violation; for tests.
     void check_consistency() const;
 
     // ---- cooperative op deadline ----------------------------------------
@@ -418,6 +406,7 @@ private:
         std::uint32_t lo;   ///< else-edge reference (var = 0)
         std::uint32_t hi;   ///< then-edge reference (var = 1), always regular
     };
+    /// The terminal's var: larger than every id, so it sorts below them.
     static constexpr std::uint32_t var_nil = 0xffffffffu;
     static constexpr std::uint32_t idx_nil = 0xffffffffu;
 
@@ -496,10 +485,6 @@ private:
     [[nodiscard]] std::uint32_t var_of(std::uint32_t r) const {
         return nodes_[r >> 1].var;
     }
-    [[nodiscard]] std::uint32_t level(std::uint32_t r) const {
-        const node& n = nodes_[r >> 1];
-        return n.var == var_nil ? var_nil : var2level_[n.var];
-    }
 
     /// Shared hash for the unique table and the computed cache.
     static std::uint64_t node_hash(std::uint64_t a, std::uint64_t b,
@@ -543,7 +528,6 @@ private:
                              std::uint32_t h, std::uint32_t& result);
     inline void cache_store(op o, std::uint32_t f, std::uint32_t g,
                             std::uint32_t h, std::uint32_t result);
-    void cache_clear();
     /// Allocate an empty cache of `slots` entries (a power of two) with its
     /// sets on line boundaries.
     void cache_allocate(std::size_t slots);
@@ -639,8 +623,6 @@ private:
     std::vector<cache_entry> cache_;
     cache_entry* cache_sets_ = nullptr;    ///< first set, 64-byte aligned
     std::uint64_t cache_bucket_mask_ = 0;  ///< bucket count - 1
-    std::vector<std::uint32_t> var2level_;
-    std::vector<std::uint32_t> level2var_;
     std::size_t gc_threshold_ = gc_floor;
     /// Cache probes between op-deadline clock reads: rare enough that the
     /// hot path only pays a decrement, frequent enough that one and_exists

@@ -81,13 +81,11 @@ std::uint32_t bdd_manager::and_rec(std::uint32_t f, std::uint32_t g) {
     if (cache_lookup(op::and_op, f, g, 0, result)) { return result; }
     const node nf = nodes_[node_of(f)];
     const node ng = nodes_[node_of(g)];
-    const std::uint32_t lf = var2level_[nf.var];
-    const std::uint32_t lg = var2level_[ng.var];
     const std::uint32_t cf = comp_of(f);
     const std::uint32_t cg = comp_of(g);
     std::uint32_t top_var = 0, f0 = f, f1 = f, g0 = g, g1 = g;
-    if (lf <= lg) { top_var = nf.var; f0 = nf.lo ^ cf; f1 = nf.hi ^ cf; }
-    if (lg <= lf) { top_var = ng.var; g0 = ng.lo ^ cg; g1 = ng.hi ^ cg; }
+    if (nf.var <= ng.var) { top_var = nf.var; f0 = nf.lo ^ cf; f1 = nf.hi ^ cf; }
+    if (ng.var <= nf.var) { top_var = ng.var; g0 = ng.lo ^ cg; g1 = ng.hi ^ cg; }
     const std::uint32_t r0 = and_rec(f0, g0);
     const std::uint32_t r1 = and_rec(f1, g1);
     result = mk(top_var, r0, r1);
@@ -108,11 +106,9 @@ std::uint32_t bdd_manager::xor_rec(std::uint32_t f, std::uint32_t g) {
     if (cache_lookup(op::xor_op, f, g, 0, result)) { return result ^ c; }
     const node nf = nodes_[node_of(f)];
     const node ng = nodes_[node_of(g)];
-    const std::uint32_t lf = var2level_[nf.var];
-    const std::uint32_t lg = var2level_[ng.var];
     std::uint32_t top_var = 0, f0 = f, f1 = f, g0 = g, g1 = g;
-    if (lf <= lg) { top_var = nf.var; f0 = nf.lo; f1 = nf.hi; }
-    if (lg <= lf) { top_var = ng.var; g0 = ng.lo; g1 = ng.hi; }
+    if (nf.var <= ng.var) { top_var = nf.var; f0 = nf.lo; f1 = nf.hi; }
+    if (ng.var <= nf.var) { top_var = ng.var; g0 = ng.lo; g1 = ng.hi; }
     const std::uint32_t r0 = xor_rec(f0, g0);
     const std::uint32_t r1 = xor_rec(f1, g1);
     result = mk(top_var, r0, r1);
@@ -151,11 +147,7 @@ std::uint32_t bdd_manager::ite_rec(std::uint32_t f, std::uint32_t g,
     }
     std::uint32_t result = 0;
     if (cache_lookup(op::ite_op, f, g, h, result)) { return result ^ out; }
-    const std::uint32_t lf = var2level_[var_of(f)];
-    std::uint32_t top_level = lf;
-    top_level = std::min(top_level, var2level_[var_of(g)]);
-    top_level = std::min(top_level, var2level_[var_of(h)]);
-    const std::uint32_t top_var = level2var_[top_level];
+    const std::uint32_t top_var = std::min({var_of(f), var_of(g), var_of(h)});
     const auto cof = [&](std::uint32_t x, bool hi_side) {
         if (is_terminal(x) || var_of(x) != top_var) { return x; }
         return (hi_side ? nodes_[node_of(x)].hi : nodes_[node_of(x)].lo) ^

@@ -31,8 +31,8 @@ bdd bdd_manager::and_exists(const bdd& f, const bdd& g, const bdd& cube) {
 std::uint32_t bdd_manager::exists_rec(std::uint32_t f, std::uint32_t cube) {
     if (is_terminal(f)) { return f; }
     // skip quantified variables above f's top: they do not occur in f
-    const std::uint32_t f_level = var2level_[var_of(f)];
-    while (cube != 1 && var2level_[var_of(cube)] < f_level) {
+    const std::uint32_t f_var = var_of(f);
+    while (cube != 1 && var_of(cube) < f_var) {
         cube = hi_of(cube);
     }
     if (cube == 1) { return f; }
@@ -64,17 +64,15 @@ std::uint32_t bdd_manager::and_exists_rec(std::uint32_t f, std::uint32_t g,
     if (f == 1 || f == g) { return exists_rec(g, cube); }
     if (g == 1) { return exists_rec(f, cube); }
     if (f > g) { std::swap(f, g); }
-    // top level among the two operands (both non-terminal here)
-    const std::uint32_t top_level =
-        std::min(var2level_[var_of(f)], var2level_[var_of(g)]);
+    // top variable among the two operands (both non-terminal here)
+    const std::uint32_t top_var = std::min(var_of(f), var_of(g));
     // skip quantified variables above the top: absent from both operands
-    while (cube != 1 && var2level_[var_of(cube)] < top_level) {
+    while (cube != 1 && var_of(cube) < top_var) {
         cube = hi_of(cube);
     }
     if (cube == 1) { return and_rec(f, g); }
     std::uint32_t result = 0;
     if (cache_lookup(op::and_exists_op, f, g, cube, result)) { return result; }
-    const std::uint32_t top_var = level2var_[top_level];
     std::uint32_t f0 = f, f1 = f, g0 = g, g1 = g;
     if (var_of(f) == top_var) { f0 = lo_of(f); f1 = hi_of(f); }
     if (var_of(g) == top_var) { g0 = lo_of(g); g1 = hi_of(g); }

@@ -61,7 +61,7 @@ std::uint32_t bdd_manager::split_number(std::uint32_t r,
     if (r == 0) { return split_false; }
     std::uint32_t code = split_find(r);
     if (code != idx_nil) { return code; }
-    if (r == 1 || var2level_[var_of(r)] >= boundary) {
+    if (r == 1 || var_of(r) >= boundary) {
         // a leaf is numbered on its first visit
         code = split_leaf | static_cast<std::uint32_t>(split_leaves_.size());
         split_leaves_.push_back(r);
@@ -84,7 +84,7 @@ bdd_manager::cofactor_classes(const bdd& f, std::uint32_t boundary) {
     maybe_gc_or_grow();
     const std::uint32_t root = f.index();
     if (root == 0) { return {}; }
-    if (root == 1 || var2level_[var_of(root)] >= boundary) {
+    if (root == 1 || var_of(root) >= boundary) {
         std::vector<bdd_cofactor_class> single;
         single.push_back({make(1), make(root)});
         return single;

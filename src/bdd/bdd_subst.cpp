@@ -23,12 +23,11 @@ void bdd_manager::subst_memo_drop(const char* operation) {
 
 std::uint32_t bdd_manager::subst_rebuild(std::uint32_t var, std::uint32_t r0,
                                          std::uint32_t r1) {
-    // var lies strictly above both children's top levels (terminals sit
-    // below every level): the node is already in canonical position, so
-    // the unique table builds it directly.  Otherwise var lands inside a
-    // child and a full ITE merges it in.
-    const std::uint32_t lv = var2level_[var];
-    if (lv < level(r0) && lv < level(r1)) { return mk(var, r0, r1); }
+    // var lies strictly above both children's top variables (the
+    // terminal's var_nil sorts below every id): the node is already in
+    // canonical position, so the unique table builds it directly.
+    // Otherwise var lands inside a child and a full ITE merges it in.
+    if (var < var_of(r0) && var < var_of(r1)) { return mk(var, r0, r1); }
     return ite_rec(mk(var, 0, 1), r1, r0);
 }
 

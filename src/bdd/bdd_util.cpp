@@ -12,41 +12,9 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <stdexcept>
 #include <unordered_map>
 
 namespace leq {
-
-void bdd_manager::set_var_order(const std::vector<std::uint32_t>& order) {
-    checked_guard("set_var_order");
-    if (order.size() != var2level_.size()) {
-        throw std::invalid_argument("set_var_order: wrong permutation size");
-    }
-    // validate the whole permutation before touching any state, so a
-    // rejected order leaves the level maps as they were
-    std::vector<char> seen(order.size(), 0);
-    for (const std::uint32_t v : order) {
-        if (v >= order.size() || seen[v]) {
-            throw std::invalid_argument("set_var_order: not a permutation");
-        }
-        seen[v] = 1;
-    }
-    // the order may only change while no user BDDs exist: check that nothing
-    // beyond the terminal is externally referenced
-    for (std::uint32_t i = 1; i < ext_ref_.size(); ++i) {
-        if (ext_ref_[i] != 0) {
-            throw std::logic_error(
-                "set_var_order: live BDD handles exist; choose the order "
-                "before building");
-        }
-    }
-    collect_garbage();
-    level2var_ = order;
-    for (std::uint32_t lvl = 0; lvl < order.size(); ++lvl) {
-        var2level_[order[lvl]] = lvl;
-    }
-    cache_clear();
-}
 
 bdd bdd_manager::support_cube(const bdd& f) {
     checked_guard("support_cube", f);
@@ -158,8 +126,8 @@ bdd bdd_manager::pick_cube(const bdd& f) {
             r = hi_of(r);
         }
     }
-    // build the cube bottom-up in descending level order (literals collected
-    // top-down are already in ascending level order)
+    // build the cube bottom-up in descending id order (literals collected
+    // top-down are already in ascending id order)
     std::uint32_t c = 1;
     for (auto it = literals.rbegin(); it != literals.rend(); ++it) {
         c = it->second ? mk(it->first, 0, c) : mk(it->first, c, 0);
@@ -172,12 +140,9 @@ void bdd_manager::foreach_cube(
     const std::function<void(const std::vector<int>&)>& fn) {
     checked_guard("foreach_cube", f);
     assert(f.manager() == this);
-    // variables sorted by level so the walk matches the BDD order
+    // variables sorted by id so the walk matches the BDD order
     std::vector<std::uint32_t> sorted = vars;
-    std::sort(sorted.begin(), sorted.end(),
-              [&](std::uint32_t a, std::uint32_t b) {
-                  return var2level_[a] < var2level_[b];
-              });
+    std::sort(sorted.begin(), sorted.end());
     std::vector<int> values(vars.size(), 2);
     // map variable id -> position in the caller's vars list
     std::unordered_map<std::uint32_t, std::size_t> pos;
@@ -214,10 +179,7 @@ bdd bdd_manager::cube(const std::vector<std::uint32_t>& vars) {
     checked_guard("cube");
     maybe_gc_or_grow();
     std::vector<std::uint32_t> sorted = vars;
-    std::sort(sorted.begin(), sorted.end(),
-              [&](std::uint32_t a, std::uint32_t b) {
-                  return var2level_[a] > var2level_[b]; // deepest first
-              });
+    std::sort(sorted.begin(), sorted.end(), std::greater<>()); // deepest first
     std::uint32_t c = 1;
     for (const std::uint32_t v : sorted) { c = mk(v, 0, c); }
     return make(c);

@@ -41,9 +41,9 @@ equation_problem::equation_problem(const network& fixed, const network& spec,
     }
 
     mgr_ = std::make_unique<bdd_manager>();
-    // creation order == level order (see header). The (u,v) block on top:
-    // u/v pairs interleaved, since u_m == U_m(i,v,cs) couples each u tightly
-    // to nearby v's and a u-block-above-v-block order makes those
+    // creation order is the variable order (see header). The (u,v) block on
+    // top: u/v pairs interleaved, since u_m == U_m(i,v,cs) couples each u
+    // tightly to nearby v's and a u-block-above-v-block order makes those
     // functional-dependency BDDs blow up.
     for (std::size_t k = 0; k < std::max(num_u, num_v); ++k) {
         if (k < num_u) { u_vars.push_back(mgr_->new_var()); }

@@ -11,8 +11,8 @@
 ///       {O^F_j(i,v,cs_F)}  the o outputs
 ///   S:  {T^S_k(i,cs_S)}, {O^S_j(i,cs_S)}
 ///
-/// The variable order is fixed at construction and is load-bearing, top to
-/// bottom:
+/// The variable order is the order the constructor creates the variables
+/// in (a variable's id is its level) and is load-bearing, top to bottom:
 ///   - the (u,v) block, u/v pairs interleaved, so the subset construction
 ///     can read the (u,v)-cofactor classes of an image straight off the BDD
 ///     structure;
@@ -80,7 +80,8 @@ public:
 
     std::vector<bool> f_init, s_init;
 
-    /// First level strictly below the (u,v) block.
+    /// First variable id past the (u,v) block: the u and v ids are exactly
+    /// those below it, since the block is created first.
     [[nodiscard]] std::uint32_t uv_boundary_level() const {
         return static_cast<std::uint32_t>(u_vars.size() + v_vars.size());
     }

@@ -58,8 +58,8 @@ void read_manager_stats(solve_stats& stats, bdd_manager& mgr);
 using cofactor_class = bdd_cofactor_class;
 
 /// Split P into its cofactor classes with respect to the top block of the
-/// variable order (levels < boundary).  Relies on the problem's variable
-/// order: every (u,v) variable is above `boundary`, everything else below,
+/// variable order (ids < boundary).  Relies on the problem's variable
+/// order: every (u,v) id is below `boundary`, every other id at or above it,
 /// so the classes are exactly the distinct sub-BDDs hanging off the block.
 /// The manager does the split (bdd_manager::cofactor_classes).
 [[nodiscard]] std::vector<cofactor_class>

@@ -175,46 +175,35 @@ TEST(bdd_util, to_string_round_trip_basics) {
     EXPECT_EQ(m.to_string(m.var(1), names), "b");
 }
 
-TEST(bdd_order, custom_order_changes_levels_not_semantics) {
-    bdd_manager m(4);
-    m.set_var_order({3, 1, 0, 2});
-    EXPECT_EQ(m.level_of(3), 0u);
-    EXPECT_EQ(m.var_at_level(0), 3u);
-    const bdd f = (m.var(0) & m.var(3)) | m.var(2);
-    EXPECT_TRUE(m.eval(f, {false, false, true, false}));
-    EXPECT_TRUE(m.eval(f, {true, false, false, true}));
-    EXPECT_FALSE(m.eval(f, {true, false, false, false}));
+// A variable's id is its level, so cube and foreach_cube sort the caller's
+// list by id, and support lists ids ascending.
+TEST(bdd_util, cube_sorts_its_variables_by_id) {
+    bdd_manager m(6);
+    const bdd c = m.cube({4, 0, 2});
+    EXPECT_EQ(c, m.cube({0, 2, 4}));
+    EXPECT_EQ(c, m.var(0) & m.var(2) & m.var(4));
+    m.check_consistency();
 }
 
-TEST(bdd_order, set_order_rejects_bad_input) {
-    const std::vector<std::vector<std::uint32_t>> bad_orders = {
-        {0, 1}, {0, 0, 1}, {1, 1, 0}, {0, 1, 3}, {2, 2, 2}};
-    // from the creation order and from a custom one
-    for (const std::vector<std::uint32_t>& start :
-         {std::vector<std::uint32_t>{0, 1, 2}, {2, 0, 1}}) {
-        bdd_manager m(3);
-        m.set_var_order(start);
-        for (const std::vector<std::uint32_t>& order : bad_orders) {
-            EXPECT_THROW(m.set_var_order(order), std::invalid_argument);
-            // a rejected order leaves both level maps as they were ...
-            for (std::uint32_t k = 0; k < 3; ++k) {
-                EXPECT_EQ(m.var_at_level(k), start[k]) << "level " << k;
-                EXPECT_EQ(m.level_of(start[k]), k) << "var " << start[k];
-            }
-            m.check_consistency();
-            // ... so a function built afterwards matches its truth table
-            const bdd f = (m.var(0) ^ m.var(2)) & (m.var(1) | !m.var(0));
-            for (std::uint32_t row = 0; row < 8; ++row) {
-                const std::vector<bool> a = {(row & 1u) != 0, (row & 2u) != 0,
-                                             (row & 4u) != 0};
-                EXPECT_EQ(m.eval(f, a), (a[0] != a[2]) && (a[1] || !a[0]))
-                    << "row " << row;
-            }
-        }
-        const bdd held = m.var(0);
-        EXPECT_THROW(m.set_var_order({2, 1, 0}), std::logic_error);
-        EXPECT_EQ(m.var_at_level(0), start[0]);
-    }
+TEST(bdd_util, foreach_cube_reports_values_in_the_callers_order) {
+    bdd_manager m(3);
+    // two paths: x0=0, x2=1 (x1 free) and x0=1, x1=0 (x2 free)
+    const bdd f = (m.nvar(0) & m.var(2)) | (m.var(0) & m.nvar(1));
+    std::vector<std::vector<int>> cubes;
+    m.foreach_cube(f, {2, 0, 1},
+                   [&](const std::vector<int>& v) { cubes.push_back(v); });
+    // values[k] belongs to the k-th listed variable: x2, x0, x1
+    EXPECT_EQ(cubes, (std::vector<std::vector<int>>{{1, 0, 2}, {2, 1, 0}}));
+}
+
+TEST(bdd_util, support_of_a_reversed_function_is_ascending) {
+    bdd_manager m(5);
+    const bdd f = (m.var(0) & m.nvar(1)) | m.var(3);
+    const std::vector<std::uint32_t> reversal{4, 3, 2, 1, 0};
+    const bdd g = m.permute(f, reversal);
+    EXPECT_EQ(g, (m.var(4) & m.nvar(3)) | m.var(1));
+    EXPECT_EQ(m.support(g), (std::vector<std::uint32_t>{1, 3, 4}));
+    m.check_consistency();
 }
 
 TEST(bdd_gc, collect_preserves_live_handles) {

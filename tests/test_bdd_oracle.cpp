@@ -203,16 +203,6 @@ void run_expression_dag(const oracle_params& p) {
                                                             p.max_vars);
     const std::uint32_t nvars = pick_nvars(rng);
     bdd_manager mgr(nvars);
-    // odd seeds run the same expression stream under a shuffled variable
-    // order, so every operation (including permute's mk fast path) is also
-    // checked away from the creation order
-    if (p.seed % 2 == 1) {
-        std::vector<std::uint32_t> order(nvars);
-        std::iota(order.begin(), order.end(), 0u);
-        std::mt19937 order_rng(p.seed);
-        std::shuffle(order.begin(), order.end(), order_rng);
-        mgr.set_var_order(order);
-    }
 
     // seed pool: literals of both phases and the constants
     std::vector<std::pair<bdd, words>> pool;
@@ -438,7 +428,7 @@ TEST(oracle_canonicity, shared_phases_across_operations) {
 }
 
 // ---------------------------------------------------------------------------
-// cofactor classes over a level boundary
+// cofactor classes over a variable-id boundary
 // ---------------------------------------------------------------------------
 
 /// The reference split: collect the distinct non-FALSE leaves (the first
@@ -450,7 +440,7 @@ std::vector<leq::bdd_cofactor_class> reference_split(bdd_manager& mgr,
                                                      std::uint32_t boundary) {
     if (p.is_zero()) { return {}; }
     const auto is_leaf = [&](const bdd& n) {
-        return n.is_const() || mgr.level_of(n.top_var()) >= boundary;
+        return n.is_const() || n.top_var() >= boundary;
     };
     std::vector<bdd> leaves;
     std::unordered_map<std::uint32_t, char> visited;
@@ -483,7 +473,7 @@ std::vector<leq::bdd_cofactor_class> reference_split(bdd_manager& mgr,
 }
 
 /// The split of f must equal the reference class by class, and its guards
-/// must partition f: pairwise disjoint, over the levels above the boundary,
+/// must partition f: pairwise disjoint, over the ids below the boundary,
 /// with OR(guard & leaf) == f.
 void expect_split_matches_reference(bdd_manager& mgr, const bdd& f,
                                     std::uint32_t boundary) {
@@ -499,7 +489,7 @@ void expect_split_matches_reference(bdd_manager& mgr, const bdd& f,
         ASSERT_FALSE(got[k].leaf.is_zero()) << "class " << k;
         ASSERT_FALSE(got[k].guard.is_zero()) << "class " << k;
         for (const std::uint32_t v : mgr.support(got[k].guard)) {
-            ASSERT_LT(mgr.level_of(v), boundary) << "class " << k;
+            ASSERT_LT(v, boundary) << "class " << k;
         }
         for (std::size_t j = 0; j < k; ++j) {
             ASSERT_TRUE((got[j].guard & got[k].guard).is_zero())
@@ -535,8 +525,7 @@ std::vector<bdd> random_pool(bdd_manager& mgr, std::uint32_t nvars, int steps,
 
 class oracle_split : public ::testing::TestWithParam<unsigned> {};
 
-/// 200 random functions over 2..12 variables, split at a random boundary;
-/// odd seeds under a shuffled variable order.
+/// 200 random functions over 2..12 variables, split at a random boundary.
 TEST_P(oracle_split, random_dag_matches_reference) {
     const unsigned seed = leq::test_seed(GetParam());
     SCOPED_TRACE("seed " + std::to_string(seed) +
@@ -544,12 +533,6 @@ TEST_P(oracle_split, random_dag_matches_reference) {
     std::mt19937 rng(seed * 2654435761u + 7);
     const std::uint32_t nvars = 2 + rng() % 11;
     bdd_manager mgr(nvars);
-    if (seed % 2 == 1) {
-        std::vector<std::uint32_t> order(nvars);
-        std::iota(order.begin(), order.end(), 0u);
-        std::shuffle(order.begin(), order.end(), rng);
-        mgr.set_var_order(order);
-    }
     const std::vector<bdd> pool = random_pool(mgr, nvars, 40, rng);
     for (int k = 0; k < 6; ++k) {
         const bdd f = pool[pool.size() - 1 - rng() % 20];

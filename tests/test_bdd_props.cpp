@@ -319,30 +319,6 @@ TEST(bdd_subst_fast_path, a_permute_that_throws_leaves_nothing_memoized) {
     mgr.check_consistency();
 }
 
-TEST(bdd_subst_fast_path, memo_stays_correct_across_an_order_change) {
-    const std::vector<std::uint32_t> perm = shuffled_order(nvars, 21);
-    for (std::uint32_t seed = 1; seed <= 4; ++seed) {
-        bdd_manager mgr(nvars);
-        {
-            const bdd f = random_function(mgr, seed + 600);
-            (void)mgr.permute(f, perm);
-        }
-        // a new order needs an empty arena of handles
-        std::vector<std::uint32_t> order(nvars);
-        for (std::uint32_t k = 0; k < nvars; ++k) { order[k] = nvars - 1 - k; }
-        mgr.set_var_order(order);
-        const bdd g = random_function(mgr, seed + 700);
-        const bdd g_renamed = mgr.permute(g, perm);
-        ASSERT_NO_FATAL_FAILURE(expect_permuted(mgr, g_renamed, g, perm, nvars));
-        const bdd h = random_function(mgr, seed + 800) | g;
-        for (const bdd& k : {g, h}) {
-            const bdd result = mgr.permute(k, perm);
-            ASSERT_NO_FATAL_FAILURE(expect_permuted(mgr, result, k, perm, nvars));
-        }
-        mgr.check_consistency();
-    }
-}
-
 // ---------------------------------------------------------------------------
 // the fixed memory geometry: cache growth and the GC trigger must follow
 // their documented policies, and replacement must be deterministic

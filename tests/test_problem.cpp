@@ -21,23 +21,23 @@ TEST(problem_builder, variable_layout_uv_block_on_top) {
     const split_result split = split_latches(original, {2, 4});
     const equation_problem p(split.fixed, original);
 
-    // every u and v variable lies strictly above the boundary; everything
-    // else strictly below
+    // every u and v id lies below the boundary; every other id at or
+    // above it
     const std::uint32_t boundary = p.uv_boundary_level();
     EXPECT_EQ(boundary, p.u_vars.size() + p.v_vars.size());
     for (const std::uint32_t v : p.u_vars) {
-        EXPECT_LT(p.mgr().level_of(v), boundary);
+        EXPECT_LT(v, boundary);
     }
     for (const std::uint32_t v : p.v_vars) {
-        EXPECT_LT(p.mgr().level_of(v), boundary);
+        EXPECT_LT(v, boundary);
     }
     for (const auto& group : {p.i_vars, p.o_vars, p.cs_f, p.ns_f, p.cs_s,
                               p.ns_s}) {
         for (const std::uint32_t v : group) {
-            EXPECT_GE(p.mgr().level_of(v), boundary);
+            EXPECT_GE(v, boundary);
         }
     }
-    EXPECT_GE(p.mgr().level_of(p.dc_cs), boundary);
+    EXPECT_GE(p.dc_cs, boundary);
 }
 
 TEST(problem_builder, uv_pairs_interleaved) {
@@ -46,19 +46,13 @@ TEST(problem_builder, uv_pairs_interleaved) {
     const equation_problem p(split.fixed, original);
     for (std::size_t m = 0; m < p.u_vars.size(); ++m) {
         // u_m sits immediately above its v_m partner
-        EXPECT_EQ(p.mgr().level_of(p.u_vars[m]) + 1,
-                  p.mgr().level_of(p.v_vars[m]));
+        EXPECT_EQ(p.u_vars[m] + 1, p.v_vars[m]);
     }
-}
-
-/// Level of a variable id in `p`'s manager.
-std::uint32_t level(const equation_problem& p, std::uint32_t var) {
-    return p.mgr().level_of(var);
 }
 
 TEST(problem_builder, each_kept_latch_sits_beside_its_spec_twin) {
     // latch splitting copies S's kept latches into F under the same names:
-    // each pair takes four consecutive levels cs_f, ns_f, cs_s, ns_s
+    // each pair takes four consecutive ids cs_f, ns_f, cs_s, ns_s
     const network original = make_counter(6);
     const split_result split = split_latches(original, {1, 4});
     const equation_problem p(split.fixed, original);
@@ -66,15 +60,15 @@ TEST(problem_builder, each_kept_latch_sits_beside_its_spec_twin) {
     ASSERT_EQ(p.cs_s.size(), 6u);
     const std::size_t kept[] = {0, 2, 3, 5}; // F latch k is S latch kept[k]
     for (std::size_t k = 0; k < p.cs_f.size(); ++k) {
-        const std::uint32_t top = level(p, p.cs_f[k]);
-        EXPECT_EQ(level(p, p.ns_f[k]), top + 1) << k;
-        EXPECT_EQ(level(p, p.cs_s[kept[k]]), top + 2) << k;
-        EXPECT_EQ(level(p, p.ns_s[kept[k]]), top + 3) << k;
+        const std::uint32_t top = p.cs_f[k];
+        EXPECT_EQ(p.ns_f[k], top + 1) << k;
+        EXPECT_EQ(p.cs_s[kept[k]], top + 2) << k;
+        EXPECT_EQ(p.ns_s[kept[k]], top + 3) << k;
     }
     // the latches split into X follow every pair, in S order
-    const std::uint32_t pairs_end = level(p, p.ns_s[kept[3]]) + 1;
-    EXPECT_EQ(level(p, p.cs_s[1]), pairs_end);
-    EXPECT_EQ(level(p, p.cs_s[4]), pairs_end + 2);
+    const std::uint32_t pairs_end = p.ns_s[kept[3]] + 1;
+    EXPECT_EQ(p.cs_s[1], pairs_end);
+    EXPECT_EQ(p.cs_s[4], pairs_end + 2);
 }
 
 TEST(problem_builder, every_latch_pair_is_adjacent) {
@@ -82,12 +76,12 @@ TEST(problem_builder, every_latch_pair_is_adjacent) {
     const split_result split = split_latches(original, {0, 3, 6});
     const equation_problem p(split.fixed, original);
     for (std::size_t k = 0; k < p.cs_f.size(); ++k) {
-        EXPECT_EQ(level(p, p.ns_f[k]), level(p, p.cs_f[k]) + 1) << k;
+        EXPECT_EQ(p.ns_f[k], p.cs_f[k] + 1) << k;
     }
     for (std::size_t k = 0; k < p.cs_s.size(); ++k) {
-        EXPECT_EQ(level(p, p.ns_s[k]), level(p, p.cs_s[k]) + 1) << k;
+        EXPECT_EQ(p.ns_s[k], p.cs_s[k] + 1) << k;
     }
-    EXPECT_EQ(level(p, p.dc_ns), level(p, p.dc_cs) + 1);
+    EXPECT_EQ(p.dc_ns, p.dc_cs + 1);
 }
 
 TEST(problem_builder, inputs_lie_between_the_uv_block_and_the_latches) {
@@ -98,24 +92,24 @@ TEST(problem_builder, inputs_lie_between_the_uv_block_and_the_latches) {
     ASSERT_FALSE(p.i_vars.empty());
     ASSERT_FALSE(p.w_vars.empty());
     ASSERT_FALSE(p.o_vars.empty());
-    std::uint32_t highest_latch = level(p, p.dc_cs);
+    std::uint32_t highest_latch = p.dc_cs;
     std::uint32_t lowest_latch = 0;
     for (const auto& group : {p.cs_f, p.ns_f, p.cs_s, p.ns_s}) {
         for (const std::uint32_t v : group) {
-            highest_latch = std::min(highest_latch, level(p, v));
-            lowest_latch = std::max(lowest_latch, level(p, v));
+            highest_latch = std::min(highest_latch, v);
+            lowest_latch = std::max(lowest_latch, v);
         }
     }
     for (const auto& group : {p.i_vars, p.w_vars, p.o_vars}) {
         for (const std::uint32_t v : group) {
-            EXPECT_GE(level(p, v), p.uv_boundary_level());
-            EXPECT_LT(level(p, v), highest_latch);
+            EXPECT_GE(v, p.uv_boundary_level());
+            EXPECT_LT(v, highest_latch);
         }
     }
     // i, then w, then o; the completion pair below every latch
-    EXPECT_LT(level(p, p.i_vars.back()), level(p, p.w_vars.front()));
-    EXPECT_LT(level(p, p.w_vars.back()), level(p, p.o_vars.front()));
-    EXPECT_GT(level(p, p.dc_cs), lowest_latch);
+    EXPECT_LT(p.i_vars.back(), p.w_vars.front());
+    EXPECT_LT(p.w_vars.back(), p.o_vars.front());
+    EXPECT_GT(p.dc_cs, lowest_latch);
 }
 
 TEST(problem_builder, unrelated_latch_names_keep_the_f_block_above_s) {
@@ -133,9 +127,9 @@ TEST(problem_builder, unrelated_latch_names_keep_the_f_block_above_s) {
         return n;
     };
     const equation_problem p(make("f"), make("s"));
-    EXPECT_EQ(level(p, p.cs_f[1]), level(p, p.cs_f[0]) + 2);
-    EXPECT_EQ(level(p, p.cs_s[0]), level(p, p.ns_f[1]) + 1);
-    EXPECT_EQ(level(p, p.cs_s[1]), level(p, p.cs_s[0]) + 2);
+    EXPECT_EQ(p.cs_f[1], p.cs_f[0] + 2);
+    EXPECT_EQ(p.cs_s[0], p.ns_f[1] + 1);
+    EXPECT_EQ(p.cs_s[1], p.cs_s[0] + 2);
 }
 
 TEST(problem_builder, partitioned_functions_match_network_semantics) {

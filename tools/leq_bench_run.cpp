@@ -284,14 +284,8 @@ int main(int argc, char** argv) {
             if (arg == "--table1") {
                 table1_limit = 120.0;
                 if (k + 1 < args.size() && args[k + 1].rfind("--", 0) != 0) {
-                    const std::string& v = args[++k];
-                    std::size_t end = 0;
-                    try {
-                        table1_limit = std::stod(v, &end);
-                    } catch (const std::exception&) {
-                        end = 0;
-                    }
-                    if (end != v.size() || !(*table1_limit > 0)) {
+                    table1_limit = leq::parse_seconds(args[++k]);
+                    if (!table1_limit || *table1_limit <= 0) {
                         throw std::runtime_error(
                             "--table1 needs a time limit in seconds > 0");
                     }
