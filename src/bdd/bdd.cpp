@@ -254,9 +254,8 @@ void bdd_manager::rehash(std::size_t new_size) {
     assert(free_list_.empty());
     buckets_.assign(new_size, idx_nil);
     for (std::uint32_t i = 1; i < nodes_.size(); ++i) { unique_insert(i); }
-    // the computed cache scales with the unique table: a direct-mapped
-    // cache sized for unit tests thrashes once the arena holds millions of
-    // nodes, so every table growth re-checks the cache budget
+    // the computed cache scales with the unique table up to its ceiling,
+    // so every table growth re-checks the cache budget
     maybe_grow_cache();
 }
 

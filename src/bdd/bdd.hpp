@@ -4,7 +4,8 @@
 ///
 /// The package implements reduced ordered binary decision diagrams with
 /// complement edges, a unique table, a set-associative computed cache that
-/// grows geometrically with the unique table (see bdd_manager::cache_ways),
+/// grows geometrically with the unique table up to an L2-sized ceiling (see
+/// bdd_manager::cache_ways and bdd_manager::max_cache_bits),
 /// mark-and-sweep garbage collection driven by externally held handles,
 /// quantification, relational-product (and-exists) and variable
 /// permutation.
@@ -210,8 +211,15 @@ public:
     /// table geometrically — at least two slots per table bucket, doubling
     /// whenever the table outgrows it (surviving entries are rehash-migrated
     /// into the larger geometry, not discarded) — until it reaches
-    /// 2^max_cache_bits.
-    static constexpr unsigned max_cache_bits = 24;
+    /// 2^max_cache_bits slots: 2^15 x 16 bytes = 512 KiB, inside a core's
+    /// L2 cache.  The cache is a lossy memo, so its size trades
+    /// recomputation against probe latency, and past L2 almost every probe
+    /// misses it; every collection's purge also walks all slots.  An
+    /// interleaved sweep of 2^14..2^17 picked 2^15 (README.md, performance
+    /// notes).  The ceiling is a compile-time constant, never read from the
+    /// host, so the cache counters the benchmark gate pins repeat on every
+    /// machine.
+    static constexpr unsigned max_cache_bits = 15;
     /// log2 of the unique table's bucket count at construction.  The table
     /// doubles with the arena, and the computed cache starts at the growth
     /// floor for this size: two slots per bucket.

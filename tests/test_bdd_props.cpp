@@ -391,11 +391,33 @@ TEST(bdd_memory_geometry, cache_bits_ctor_pins_initial_cache_size) {
 }
 
 TEST(bdd_memory_geometry, cache_bits_ctor_is_capped_at_the_growth_ceiling) {
-    // one past the ceiling would be a 512 MiB cache; the cap keeps the
-    // constructor inside the 2^max_cache_bits bound growth enforces
+    // one past the ceiling would be twice the largest cache growth allows;
+    // the cap keeps the constructor inside the 2^max_cache_bits bound
     bdd_manager mgr(4, bdd_manager::max_cache_bits + 1);
     EXPECT_EQ(mgr.stats().cache_entries,
               std::size_t{1} << bdd_manager::max_cache_bits);
+}
+
+TEST(bdd_memory_geometry, cache_stops_growing_at_the_ceiling) {
+    // each var() is one fresh node, and the unique table keeps at least one
+    // bucket per node, so n held nodes mean at least n buckets
+    const std::size_t ceiling = std::size_t{1} << bdd_manager::max_cache_bits;
+    const std::uint32_t n = static_cast<std::uint32_t>(2 * ceiling);
+    bdd_manager mgr(2 * n);
+    std::vector<bdd> held;
+    held.reserve(2 * n);
+    // 2 * ceiling buckets, four times the 2^(max_cache_bits - 1) at which
+    // two slots per bucket first reach the ceiling
+    for (std::uint32_t v = 0; v < n; ++v) { held.push_back(mgr.var(v)); }
+    ASSERT_EQ(mgr.live_node_count(), std::size_t{n} + 1);
+    EXPECT_EQ(mgr.stats().cache_entries, ceiling);
+    const std::size_t resizes = mgr.stats().cache_resizes;
+    EXPECT_GT(resizes, 0u);
+    // doubling the table again leaves the cache where it is
+    for (std::uint32_t v = n; v < 2 * n; ++v) { held.push_back(mgr.var(v)); }
+    ASSERT_EQ(mgr.live_node_count(), 2 * std::size_t{n} + 1);
+    EXPECT_EQ(mgr.stats().cache_entries, ceiling);
+    EXPECT_EQ(mgr.stats().cache_resizes, resizes);
 }
 
 TEST(bdd_memory_geometry, live_node_count_is_a_pure_read) {

@@ -156,7 +156,7 @@ std::string table1_verdicts(const leq::table1_checks& checks) {
 
 int table1_mode(const std::string& filter, double limit) {
     std::printf("Table 1: partitioned vs monolithic CSF computation "
-                "(time limit %.0fs per flow)\n\n", limit);
+                "(time limit %gs per flow)\n\n", limit);
     std::printf("%-8s %-10s %-8s %12s %10s %10s %8s  %s\n", "Name", "i/o/cs",
                 "Fcs/Xcs", "States(X)", "Part,s", "Mono,s", "Ratio",
                 "Checks");
