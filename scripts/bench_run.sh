@@ -7,8 +7,8 @@
 #      Markdown the CI job drops into its job summary);
 #   4. gate the run against the checked-in baseline, the one
 #      BENCH_PR<n>.json at the repo root (CMake finds it) — exit 1 when any
-#      gated deterministic counter regresses past its budget (wall clock is
-#      recorded but never gated).
+#      gated deterministic counter regresses past its budget (the report
+#      holds no wall clock; time builds with scripts/ab_solve.py).
 #
 # Usage: scripts/bench_run.sh [--update-baseline [BENCH_PR<n>.json]]
 #

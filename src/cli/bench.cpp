@@ -19,7 +19,6 @@
 #include "net/latch_split.hpp"
 
 #include <cctype>
-#include <chrono>
 #include <cmath>
 #include <map>
 #include <stdexcept>
@@ -277,7 +276,7 @@ metric_policy bench_metric_policy(const std::string& name) {
     if (name == "cache_hit_rate") {
         return {metric_direction::down_bad, 0.10, 0.02};
     }
-    // seconds, cache_entries, cache_resizes, anything future
+    // cache_entries, cache_resizes, anything future
     return {metric_direction::info, 0.0, 0.0};
 }
 
@@ -297,9 +296,7 @@ std::vector<std::string> bench_workload_names() {
     };
 }
 
-namespace {
-
-bench_row run_untimed_workload(const std::string& workload) {
+bench_row run_bench_workload(const std::string& workload) {
     if (workload == "solve/counter_x256") {
         return run_solve_scenario(workload, scenario_family::counter, 3, 256);
     }
@@ -339,17 +336,6 @@ bench_row run_untimed_workload(const std::string& workload) {
         return run_reduce_scenario(workload, scenario_family::counter, 1, 16);
     }
     throw std::invalid_argument("unknown bench workload '" + workload + "'");
-}
-
-} // namespace
-
-bench_row run_bench_workload(const std::string& workload) {
-    const auto start = std::chrono::steady_clock::now();
-    bench_row row = run_untimed_workload(workload);
-    row.seconds = std::chrono::duration<double>(
-                      std::chrono::steady_clock::now() - start)
-                      .count();
-    return row;
 }
 
 // ---------------------------------------------------------------------------
@@ -405,7 +391,6 @@ std::string bench_report_to_json(const bench_report& report) {
         }
         json_object obj;
         obj.field("workload", row.workload);
-        obj.field("seconds", row.seconds);
         obj.field_raw("metrics", metrics.str());
         if (k > 0) { rows += ","; }
         rows += obj.str();
@@ -559,8 +544,6 @@ bench_row parse_row(json_reader& in) {
             in.expect(':');
             if (key == "workload") {
                 row.workload = in.parse_string();
-            } else if (key == "seconds") {
-                row.seconds = in.parse_number();
             } else if (key == "metrics") {
                 in.expect('{');
                 if (!in.consume('}')) {

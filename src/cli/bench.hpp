@@ -16,8 +16,9 @@
 /// What makes this workable across machines and compilers is that every
 /// *gated* metric is a deterministic work counter read off the BDD manager
 /// (cache lookups, hit rate, GC runs, allocated nodes) or the solver
-/// (subset states, CSF states) — identical on every host.  Wall-clock
-/// seconds are recorded for humans but never gated.
+/// (subset states, CSF states) — identical on every host.  No wall clock
+/// is recorded: one in-process run after every earlier row cannot rank two
+/// builds.  End-to-end timing is `scripts/ab_solve.py` and solvebench.
 #pragma once
 
 #include "automata/automaton.hpp"
@@ -42,7 +43,6 @@ struct bench_metric {
 /// One workload's measurements.
 struct bench_row {
     std::string workload; ///< stable id, e.g. "solve/counter_x256"
-    double seconds = 0.0; ///< wall clock; informational, never gated
     std::vector<bench_metric> metrics;
 
     /// nullptr when the row does not carry the metric.
@@ -58,7 +58,7 @@ struct bench_report {
 
 /// How the compare gate treats a metric.
 enum class metric_direction : std::uint8_t {
-    info,    ///< recorded, never gated (wall clock, cache geometry)
+    info,    ///< recorded, never gated (cache geometry)
     up_bad,  ///< regression = grew past base * (1+tol) + slack
     down_bad,///< regression = shrank past base * (1-tol) - slack
     two_sided,///< regression = moved past base * (1 +- tol) +- slack
@@ -77,8 +77,7 @@ struct metric_policy {
 /// The pinned workload ids, in run order.
 [[nodiscard]] std::vector<std::string> bench_workload_names();
 
-/// Run one workload by id and record its wall clock; throws
-/// std::invalid_argument for unknown ids.
+/// Run one workload by id; throws std::invalid_argument for unknown ids.
 [[nodiscard]] bench_row run_bench_workload(const std::string& workload);
 
 /// Serialize; byte-deterministic for equal reports.

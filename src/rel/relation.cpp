@@ -24,7 +24,10 @@ void transition_relation::build(const std::vector<std::uint32_t>& quantify) {
     } else {
         clusters_ = cluster_parts(*mgr_, parts_, options_.cluster_limit);
     }
-    image_schedule_ = quant_schedule(*mgr_, clusters_, quantify);
+    // the naive product is the differential reference, so nothing is
+    // folded out of it ahead of the chain
+    image_schedule_ = quant_schedule(*mgr_, clusters_, quantify,
+                                     options_.early_quantification);
     image_schedule_.describe(stats_);
 }
 

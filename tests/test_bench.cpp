@@ -40,7 +40,6 @@ bench_report make_base_report() {
     bench_report report;
     bench_row row;
     row.workload = "solve/synthetic";
-    row.seconds = 1.5;
     row.metrics = {{"cache_lookups", 100000.0},
                    {"cache_hit_rate", 0.5},
                    {"csf_states", 4.0},
@@ -108,7 +107,6 @@ TEST(bench_json, report_round_trips_through_json) {
     EXPECT_EQ(after.schema, before.schema);
     ASSERT_EQ(after.rows.size(), before.rows.size());
     EXPECT_EQ(after.rows[0].workload, before.rows[0].workload);
-    EXPECT_DOUBLE_EQ(after.rows[0].seconds, before.rows[0].seconds);
     ASSERT_EQ(after.rows[0].metrics.size(), before.rows[0].metrics.size());
     for (std::size_t k = 0; k < before.rows[0].metrics.size(); ++k) {
         EXPECT_EQ(after.rows[0].metrics[k].name,
@@ -118,6 +116,13 @@ TEST(bench_json, report_round_trips_through_json) {
     }
     // serialization is byte-deterministic
     EXPECT_EQ(bench_report_to_json(after), json);
+    // a report from before the per-row wall clock was dropped still reads
+    const bench_report legacy = parse_bench_report(
+        R"({"schema":"leq-bench-v1","rows":[{"workload":"solve/synthetic",)"
+        R"("seconds":1.5,"metrics":{"csf_states":4}}]})");
+    ASSERT_EQ(legacy.rows.size(), 1u);
+    ASSERT_EQ(legacy.rows[0].metrics.size(), 1u);
+    EXPECT_EQ(legacy.rows[0].metrics[0].name, "csf_states");
 }
 
 TEST(bench_json, parser_rejects_garbage_and_wrong_schema) {
@@ -192,7 +197,6 @@ TEST(bench_compare, exact_metric_drift_fails) {
 TEST(bench_compare, info_metric_drift_is_ignored) {
     const bench_report base = make_base_report();
     bench_report current = base;
-    current.rows[0].seconds = 100.0;             // wall clock: never gated
     current.rows[0].metrics[3].value = 1048576.0; // cache geometry: info
     const bench_compare_result result = compare_bench_reports(base, current);
     EXPECT_TRUE(result.ok()) << to_string(result);

@@ -2,8 +2,9 @@
 /// \brief Oracle suite for the shared transition-relation subsystem
 /// (src/rel/): images over random partitions must equal the naive
 /// monolithic conjunction across the full {cluster_limit x
-/// early-quantification} option matrix, and clustering must respect its node
-/// bound.  The relation layer has no deadline of its own: the manager's op
+/// early-quantification} option matrix, also when private variables are
+/// folded out of their clusters ahead of the chain, and clustering must
+/// respect its node bound.  The relation layer has no deadline of its own: the manager's op
 /// deadline must interrupt construction and image chains, and a solve's
 /// deadline must end both flows in `timeout` and disarm on the way out.
 
@@ -216,6 +217,77 @@ TEST_P(relation_oracle, constrained_image_fuses_the_extra_conjunct) {
 }
 
 INSTANTIATE_TEST_SUITE_P(machines, relation_oracle, ::testing::Range(0, 10));
+
+TEST(relation_fold, window_images_match_the_naive_product) {
+    // quantified variables private to one part are folded out of it ahead
+    // of the chain when they lie in the window: strictly below the
+    // constraint's deepest variable and above `from`'s top.  Levels, top
+    // to bottom: a (the (u,v) labels of the verify walks), i (hidden
+    // inputs), c (current state), n (free next state).
+    bdd_manager mgr;
+    const auto fresh = [&](std::size_t n) {
+        std::vector<std::uint32_t> vars;
+        for (std::size_t k = 0; k < n; ++k) { vars.push_back(mgr.new_var()); }
+        return vars;
+    };
+    const std::vector<std::uint32_t> a = fresh(2), i = fresh(3), c = fresh(3),
+                                     n = fresh(2);
+    const auto v = [&](std::uint32_t x) { return mgr.var(x); };
+    // a[0], a[1], i[0], i[2] and c[2] occur in one part each; i[1], c[0]
+    // and c[1] in two; one cluster at the default limit makes every one
+    // private
+    const std::vector<bdd> parts = {
+        v(n[0]).iff((v(c[0]) & v(i[0])) | (v(a[0]) ^ v(i[1]))),
+        v(n[1]).iff((v(c[1]) | v(i[2])) & (v(a[1]) | v(c[0]))),
+        v(c[1]).implies(v(c[2]) ^ v(i[1])),
+    };
+    std::vector<std::uint32_t> quantify = a;
+    quantify.insert(quantify.end(), i.begin(), i.end());
+    quantify.insert(quantify.end(), c.begin(), c.end());
+    bdd product = mgr.one();
+    for (const bdd& p : parts) { product &= p; }
+    const bdd qcube = mgr.cube(quantify);
+
+    const std::vector<bdd> froms = {
+        // top below the whole private block
+        v(c[0]) ^ v(c[1]),
+        v(c[1]) | !v(c[2]),
+        // reads one private variable, which must stay in the chain
+        v(i[1]) & v(c[0]),
+        v(i[2]) ^ v(c[2]),
+        v(a[1]) | v(c[1]),
+        // constants
+        mgr.one(),
+        mgr.zero(),
+    };
+    const std::vector<bdd> constraints = {
+        mgr.one(),
+        mgr.zero(),
+        // deepest variable below a private one that lies above `from`'s
+        // top: a verify walk's CSF label
+        v(a[0]) ^ v(a[1]),
+        !v(a[1]),
+        // deepest variable inside the input block
+        v(a[0]) & v(i[1]),
+        v(c[2]),
+    };
+    for (const image_options& options : option_matrix()) {
+        const transition_relation rel(mgr, parts, quantify, options);
+        // twice over: the second pass runs on the memoized folds
+        for (int pass = 0; pass < 2; ++pass) {
+            for (std::size_t f = 0; f < froms.size(); ++f) {
+                for (std::size_t k = 0; k < constraints.size(); ++k) {
+                    const bdd reference = mgr.exists(
+                        product & froms[f] & constraints[k], qcube);
+                    EXPECT_EQ(rel.image(froms[f], constraints[k]), reference)
+                        << "from " << f << " constraint " << k << " limit "
+                        << options.cluster_limit << " early "
+                        << options.early_quantification << " pass " << pass;
+                }
+            }
+        }
+    }
+}
 
 TEST(relation_clustering, merged_clusters_never_exceed_cluster_limit) {
     // the clustering's node bound: every cluster it returns either respects

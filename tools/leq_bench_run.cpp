@@ -5,14 +5,12 @@
 /// This is the single entry point of the perf trajectory (see
 /// src/cli/bench.hpp).  Modes:
 ///
-///   leq_bench_run [--filter SUBSTR] [--repeat N] [--out FILE]
+///   leq_bench_run [--filter SUBSTR] [--out FILE]
 ///       Run the pinned workloads (optionally only those whose id contains
 ///       SUBSTR) and write the leq-bench-v1 JSON report to FILE (stdout by
-///       default).  Progress goes to stderr.  With --repeat N each workload
-///       runs N times and reports the median seconds (counters come from
-///       the first run — they are deterministic, repetition only steadies
-///       the wall clock); use --filter + --repeat to profile one hot
-///       workload without paying for the full sweep.
+///       default).  Progress goes to stderr.  The report holds counters
+///       only; time two builds end to end with scripts/ab_solve.py or
+///       solvebench.
 ///
 ///   leq_bench_run --list
 ///       Print the pinned workload ids, one per line.
@@ -31,9 +29,8 @@
 ///       Gate CURRENT against BASELINE (two report files; BASELINE defaults
 ///       to the checked-in BENCH_PR<n>.json the build was configured with).
 ///       Exit 0 when no gated metric regressed, 1 otherwise, printing one
-///       line per regression.  Wall-clock seconds are never gated — only
-///       the deterministic work counters are, so the gate behaves
-///       identically on every machine.
+///       line per regression.  Only deterministic work counters are
+///       gated, so the gate behaves identically on every machine.
 ///
 ///   leq_bench_run --delta [BASELINE] CURRENT
 ///       Print a Markdown table of every gated metric's movement between
@@ -56,7 +53,6 @@
 #include "cli/cli.hpp"
 #include "net/generator.hpp"
 
-#include <algorithm>
 #include <cstdio>
 #include <exception>
 #include <fstream>
@@ -70,8 +66,7 @@
 namespace {
 
 int usage(std::ostream& err) {
-    err << "usage: leq_bench_run [--filter SUBSTR] [--repeat N] "
-           "[--out FILE]\n"
+    err << "usage: leq_bench_run [--filter SUBSTR] [--out FILE]\n"
         << "       leq_bench_run --list\n"
         << "       leq_bench_run --table1 [SECONDS] [--filter SUBSTR]\n"
         << "       leq_bench_run --compare [BASELINE] CURRENT\n"
@@ -91,34 +86,14 @@ std::string slurp(const std::string& path) {
     return text.str();
 }
 
-int run_mode(const std::string& filter, std::size_t repeat,
-             const std::string& out_path) {
+int run_mode(const std::string& filter, const std::string& out_path) {
     leq::bench_report report;
     for (const std::string& name : leq::bench_workload_names()) {
         if (!filter.empty() && name.find(filter) == std::string::npos) {
             continue;
         }
-        std::cerr << "bench: " << name << "..." << std::flush;
-        leq::bench_row row = leq::run_bench_workload(name);
-        if (repeat > 1) {
-            // counters are deterministic — keep the first run's row and
-            // only re-measure the wall clock, reporting the median
-            std::vector<double> seconds{row.seconds};
-            for (std::size_t r = 1; r < repeat; ++r) {
-                seconds.push_back(leq::run_bench_workload(name).seconds);
-            }
-            std::sort(seconds.begin(), seconds.end());
-            const std::size_t mid = seconds.size() / 2;
-            row.seconds = seconds.size() % 2 == 1
-                              ? seconds[mid]
-                              : (seconds[mid - 1] + seconds[mid]) / 2.0;
-        }
-        std::cerr << " " << row.seconds << "s"
-                  << (repeat > 1
-                          ? " (median of " + std::to_string(repeat) + ")"
-                          : "")
-                  << "\n";
-        report.rows.push_back(std::move(row));
+        std::cerr << "bench: " << name << "\n";
+        report.rows.push_back(leq::run_bench_workload(name));
     }
     const std::string json = leq::bench_report_to_json(report);
     if (out_path.empty()) {
@@ -250,7 +225,6 @@ int main(int argc, char** argv) {
     const std::vector<std::string> args(argv + 1, argv + argc);
     std::string filter;
     std::string out_path;
-    std::size_t repeat = 1;
     std::optional<double> table1_limit;
     try {
         for (std::size_t k = 0; k < args.size(); ++k) {
@@ -292,11 +266,6 @@ int main(int argc, char** argv) {
                 }
             } else if (arg == "--filter") {
                 filter = value("--filter");
-            } else if (arg == "--repeat") {
-                repeat = leq::parse_count(value("--repeat")).value_or(0);
-                if (repeat == 0) {
-                    throw std::runtime_error("--repeat needs a count >= 1");
-                }
             } else if (arg == "--out") {
                 out_path = value("--out");
             } else if (arg == "--help" || arg == "-h") {
@@ -309,10 +278,10 @@ int main(int argc, char** argv) {
             }
         }
         if (table1_limit) {
-            if (repeat != 1 || !out_path.empty()) { return usage(std::cerr); }
+            if (!out_path.empty()) { return usage(std::cerr); }
             return table1_mode(filter, *table1_limit);
         }
-        return run_mode(filter, repeat, out_path);
+        return run_mode(filter, out_path);
     } catch (const std::exception& e) {
         std::cerr << "leq_bench_run: " << e.what() << "\n";
         return 1;
