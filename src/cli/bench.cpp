@@ -762,7 +762,7 @@ std::vector<bench_corpus_file> bench_corpus_files() {
         files.push_back({"counter9_f.kiss", f_kiss});
         files.push_back({"counter9_s.kiss", s_kiss});
     }
-    for (const char* name : {"s349", "s444"}) {
+    for (const char* name : {"s208", "s298", "s349", "s444", "s510"}) {
         const table1_pair pair = make_table1_pair(name);
         const std::string stem = std::string("table1_") + name;
         files.push_back({stem + "_f.blif", write_blif_string(pair.fixed)});

@@ -3,8 +3,6 @@
 
 #include "eq/subset_common.hpp"
 
-#include <deque>
-#include <queue>
 #include <utility>
 
 namespace leq::detail {
@@ -77,34 +75,63 @@ subset_driver::run(const bdd& initial_state,
                                              start)
             .count();
     };
+    constexpr std::uint32_t none = 0xffffffffu;
 
     solve_result result;
 
-    // subset states interned by BDD index (canonical)
-    std::unordered_map<std::uint32_t, std::uint32_t> ids;
+    // Subset states in discovery order: a subset's id is its index here.
+    // They are interned by tagged reference (canonical) in an open-addressed
+    // table, linear probing, at most half full, doubled on growth.  A key
+    // stays valid because `subsets` holds its handle and a collection never
+    // moves or frees a held node.
     std::vector<bdd> subsets;
-    // The subset construction is itself a reachability exploration over
-    // subset states, expanded in layer (FIFO) order.
-    std::deque<std::uint32_t> work;
-    const auto intern = [&](const bdd& state) {
-        const auto it = ids.find(state.index());
-        if (it != ids.end()) { return it->second; }
+    struct slot {
+        std::uint32_t key;
+        std::uint32_t id; ///< `none` marks an empty slot
+    };
+    std::vector<slot> table(64, slot{0, none});
+    unsigned table_bits = 6;
+    const auto probe = [&](std::uint32_t key) {
+        const std::size_t mask = table.size() - 1;
+        std::size_t i = (key * 0x9e3779b1u) >> (32 - table_bits);
+        while (table[i].id != none && table[i].key != key) {
+            i = (i + 1) & mask;
+        }
+        return i;
+    };
+    const auto intern = [&](bdd state) {
+        const std::uint32_t key = state.index();
+        const std::size_t i = probe(key);
+        if (table[i].id != none) { return table[i].id; }
         const auto id = static_cast<std::uint32_t>(subsets.size());
-        ids.emplace(state.index(), id);
-        subsets.push_back(state);
-        work.push_back(id);
+        table[i] = {key, id};
+        subsets.push_back(std::move(state));
+        if (2 * subsets.size() > table.size()) {
+            std::vector<slot> old(2 * table.size(), slot{0, none});
+            old.swap(table);
+            ++table_bits;
+            for (const slot& s : old) {
+                if (s.id != none) { table[probe(s.key)] = s; }
+            }
+        }
         return id;
     };
 
+    // Edges in one array: state s owns edges[first[s] .. first[s + 1]).
+    // Expansion runs in id order, so each state's edges are contiguous.
     struct edge {
         std::uint32_t dest;
         bdd guard;
     };
-    std::vector<std::vector<edge>> edges;
+    std::vector<edge> edges;
+    std::vector<std::uint32_t> first;
 
     try {
         intern(initial_state);
-        while (!work.empty()) {
+        // The subset construction is itself a reachability exploration over
+        // subset states, expanded in layer (FIFO) order: ids are handed out
+        // in discovery order, so the worklist is the ids not yet expanded.
+        for (std::uint32_t id = 0; id < subsets.size(); ++id) {
             if (options.max_subset_states > 0 &&
                 subsets.size() > options.max_subset_states) {
                 result.status = solve_status::state_limit;
@@ -112,65 +139,77 @@ subset_driver::run(const bdd& initial_state,
                 result.seconds = elapsed();
                 return result;
             }
-            const std::uint32_t id = work.front();
-            work.pop_front();
-            const expansion exp = expand(subsets[id]);
-            if (edges.size() <= id) { edges.resize(id + 1); }
-            for (const cofactor_class& c : exp.successors) {
-                const bdd successor = mgr.permute(c.leaf, ns_to_cs);
-                edges[id].push_back({intern(successor), c.guard});
+            expansion exp = expand(subsets[id]);
+            first.push_back(static_cast<std::uint32_t>(edges.size()));
+            for (cofactor_class& c : exp.successors) {
+                const std::uint32_t dest =
+                    intern(mgr.permute(c.leaf, ns_to_cs));
+                edges.push_back({dest, std::move(c.guard)});
             }
             if (!exp.to_dca.is_zero()) {
                 // DCA is state number `subsets.size()` once exploration ends;
                 // mark with a sentinel and fix up below
-                edges[id].push_back({0xffffffffu, exp.to_dca});
+                edges.push_back({none, std::move(exp.to_dca)});
             }
         }
         result.subset_states_explored = subsets.size();
 
         const auto num_subsets = static_cast<std::uint32_t>(subsets.size());
         const std::uint32_t dca = num_subsets; // appended completion state
-        edges.resize(num_subsets + 1);
-        for (auto& state_edges : edges) {
-            for (edge& e : state_edges) {
-                if (e.dest == 0xffffffffu) { e.dest = dca; }
-            }
+        const std::uint32_t num_states = num_subsets + 1;
+        for (edge& e : edges) {
+            if (e.dest == none) { e.dest = dca; }
         }
-        edges[dca].push_back({dca, mgr.one()});
+        first.push_back(static_cast<std::uint32_t>(edges.size()));
+        edges.push_back({dca, mgr.one()});
+        first.push_back(static_cast<std::uint32_t>(edges.size()));
 
         // progressive trimming over u: a state survives while every u
         // assignment admits some v with a transition to a surviving state
         const bdd v_cube = mgr.cube(std::vector<std::uint32_t>(
             uv_vars.begin() + static_cast<std::ptrdiff_t>(u_vars.size()),
             uv_vars.end()));
-        std::vector<bool> alive(num_subsets + 1, true);
+        std::vector<bool> alive(num_states, true);
         // worklist fixpoint: when a state dies only its predecessors need
-        // rechecking (a full-sweep loop is quadratic at 10^5 states)
-        std::vector<std::vector<std::uint32_t>> preds(num_subsets + 1);
-        for (std::uint32_t s = 0; s <= num_subsets; ++s) {
-            for (const edge& e : edges[s]) { preds[e.dest].push_back(s); }
+        // rechecking (a full-sweep loop is quadratic at 10^5 states).
+        // Predecessors are indexed like edges, each list in source order.
+        std::vector<std::uint32_t> pred_first(num_states + 1, 0);
+        for (const edge& e : edges) { ++pred_first[e.dest + 1]; }
+        for (std::uint32_t s = 0; s < num_states; ++s) {
+            pred_first[s + 1] += pred_first[s];
+        }
+        std::vector<std::uint32_t> preds(edges.size());
+        {
+            std::vector<std::uint32_t> fill(pred_first.begin(),
+                                            pred_first.end() - 1);
+            for (std::uint32_t s = 0; s < num_states; ++s) {
+                for (std::uint32_t k = first[s]; k < first[s + 1]; ++k) {
+                    preds[fill[edges[k].dest]++] = s;
+                }
+            }
         }
         const auto progressive_ok = [&](std::uint32_t s) {
             bdd dom = mgr.zero();
-            for (const edge& e : edges[s]) {
-                if (alive[e.dest]) { dom |= e.guard; }
+            for (std::uint32_t k = first[s]; k < first[s + 1]; ++k) {
+                if (alive[edges[k].dest]) { dom |= edges[k].guard; }
             }
             return mgr.exists(dom, v_cube).is_one();
         };
-        std::queue<std::uint32_t> dead;
-        for (std::uint32_t s = 0; s <= num_subsets; ++s) {
+        // dead states in the order they died; `next` is the queue's head
+        std::vector<std::uint32_t> dead;
+        for (std::uint32_t s = 0; s < num_states; ++s) {
             if (!progressive_ok(s)) {
                 alive[s] = false;
-                dead.push(s);
+                dead.push_back(s);
             }
         }
-        while (!dead.empty()) {
-            const std::uint32_t d = dead.front();
-            dead.pop();
-            for (const std::uint32_t p : preds[d]) {
+        for (std::size_t next = 0; next < dead.size(); ++next) {
+            const std::uint32_t d = dead[next];
+            for (std::uint32_t k = pred_first[d]; k < pred_first[d + 1]; ++k) {
+                const std::uint32_t p = preds[k];
                 if (alive[p] && !progressive_ok(p)) {
                     alive[p] = false;
-                    dead.push(p);
+                    dead.push_back(p);
                 }
             }
         }
@@ -185,25 +224,40 @@ subset_driver::run(const bdd& initial_state,
             return result;
         }
 
-        // assemble the CSF automaton (all states accepting; prefix-closed by
-        // construction: DCN-bound moves were never added as edges)
-        automaton csf(mgr, uv_vars);
-        std::vector<std::uint32_t> remap(num_subsets + 1, 0);
-        for (std::uint32_t s = 0; s <= num_subsets; ++s) {
-            if (alive[s]) { remap[s] = csf.add_state(true); }
-        }
-        csf.set_initial(remap[0]);
-        for (std::uint32_t s = 0; s <= num_subsets; ++s) {
-            if (!alive[s]) { continue; }
-            for (const edge& e : edges[s]) {
-                if (alive[e.dest]) {
-                    csf.add_transition(remap[s], remap[e.dest], e.guard);
+        // assemble the CSF automaton from the surviving states that state 0
+        // reaches, numbered in index order (all states accepting;
+        // prefix-closed by construction: DCN-bound moves were never added
+        // as edges)
+        std::vector<std::uint32_t> number(num_states, none);
+        std::vector<std::uint32_t> reach{0};
+        number[0] = 0;
+        while (!reach.empty()) {
+            const std::uint32_t s = reach.back();
+            reach.pop_back();
+            for (std::uint32_t k = first[s]; k < first[s + 1]; ++k) {
+                const std::uint32_t d = edges[k].dest;
+                if (alive[d] && number[d] == none) {
+                    number[d] = 0;
+                    reach.push_back(d);
                 }
             }
         }
-        automaton trimmed = trim_unreachable(csf);
-        result.csf_states = trimmed.num_states();
-        result.csf = std::move(trimmed);
+        automaton csf(mgr, uv_vars);
+        for (std::uint32_t s = 0; s < num_states; ++s) {
+            if (number[s] != none) { number[s] = csf.add_state(true); }
+        }
+        csf.set_initial(number[0]);
+        for (std::uint32_t s = 0; s < num_states; ++s) {
+            if (number[s] == none) { continue; }
+            for (std::uint32_t k = first[s]; k < first[s + 1]; ++k) {
+                if (alive[edges[k].dest]) {
+                    csf.add_transition(number[s], number[edges[k].dest],
+                                       edges[k].guard);
+                }
+            }
+        }
+        result.csf_states = csf.num_states();
+        result.csf = std::move(csf);
         result.seconds = elapsed();
         return result;
     } catch (const bdd_deadline_exceeded&) {

@@ -11,7 +11,6 @@
 #include <chrono>
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
 #include <vector>
 
 namespace leq::detail {
@@ -77,6 +76,20 @@ struct expansion {
 /// after progressive trimming, or an early status on limits: a
 /// bdd_deadline_exceeded from the expansions, the trimming or the assembly
 /// becomes a timeout that still reports the subset states explored.
+///
+/// Contract:
+///  * Subset ids are handed out in discovery order (the initial state is
+///    0; a state's successors get theirs in class order), and states are
+///    expanded in id order, which is breadth-first.  The completion state
+///    DCA takes the id after the last subset.  `max_subset_states` is
+///    checked before each expansion against the ids handed out so far.
+///  * Subsets are interned by tagged reference (bdd::index()).  The key
+///    stays valid for the whole run: the driver holds every interned
+///    handle, and a collection never moves or frees a held node.
+///  * The CSF keeps the surviving states that state 0 reaches, numbered in
+///    id order, each with its surviving transitions in expansion order
+///    (the DCA edge last).  That is the automaton progressive() makes of
+///    the explored one.
 struct subset_driver {
     bdd_manager& mgr;
     std::vector<std::uint32_t> uv_vars;    ///< u then v (label variables)

@@ -320,7 +320,9 @@ TEST(bench_artifacts, table1_corpus_pairs_are_the_papers_latch_splits) {
         const char* name;
         std::size_t f_latches, x_latches;
     };
-    for (const row r : {row{"s349", 5, 10}, row{"s444", 5, 16}}) {
+    for (const row r : {row{"s208", 4, 4}, row{"s298", 7, 7},
+                        row{"s349", 5, 10}, row{"s444", 5, 16},
+                        row{"s510", 3, 3}}) {
         const std::string stem =
             std::string(LEQ_SOURCE_DIR) + "/bench/corpus/table1_" + r.name;
         const network f = read_blif_string(read_file(stem + "_f.blif"));
