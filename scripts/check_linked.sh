@@ -24,7 +24,6 @@ set -euo pipefail
 
 kept_for_tests=(
   "leq::bdd_manager::check_consistency  tests assert the manager's invariants"
-  "leq::bdd_manager::ite  tests check ite_rec (permute's reorder path) and rebuild the reference split with it"
   "leq::bdd::leq  tests assert containment of BDDs"
   "leq::bdd::implies  tests assert implications between BDDs"
   "leq::accepts  nfa_props checks complement and product on single words"

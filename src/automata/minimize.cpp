@@ -5,6 +5,7 @@
 
 #include <map>
 #include <stdexcept>
+#include <utility>
 
 namespace leq {
 
@@ -28,10 +29,12 @@ automaton minimize(const automaton& input) {
     // canonical (first-occurrence-numbered) partition is stable.
     std::uint32_t num_blocks = 0;
     while (true) {
-        // signature: sorted (block, guard BDD index) pairs
+        // signature: sorted (block, guard BDD index) pairs; an index names
+        // its guard only while held, so `keyed` holds each for the round
         std::map<std::pair<std::uint32_t, std::vector<std::pair<std::uint32_t, std::uint32_t>>>,
                  std::uint32_t>
             classes;
+        std::vector<bdd> keyed;
         std::vector<std::uint32_t> next_block(n);
         std::uint32_t next_count = 0;
         for (std::uint32_t s = 0; s < n; ++s) {
@@ -43,8 +46,9 @@ automaton minimize(const automaton& input) {
             }
             std::vector<std::pair<std::uint32_t, std::uint32_t>> sig;
             sig.reserve(guards.size());
-            for (const auto& [b, g] : guards) {
+            for (auto& [b, g] : guards) {
                 sig.emplace_back(b, g.index()); // canonical: BDD node index
+                keyed.push_back(std::move(g));
             }
             const auto key = std::make_pair(block[s], std::move(sig));
             const auto [it, fresh] = classes.emplace(key, next_count);

@@ -177,15 +177,12 @@ bench_row run_batch_workload(const std::string& id) {
     return row;
 }
 
-/// Solve one scaled gen/ scenario, then pick its smallest sub-solution:
-/// the commit-and-minimize path `leq reduce` takes once the CSF is past
-/// the compatibility reduction's limits.
-bench_row run_reduce_scenario(const std::string& id, scenario_family family,
-                              std::uint32_t seed, std::uint32_t scale) {
+/// Solve one pair, then run `leq reduce`'s sub-solution search on it.
+bench_row run_reduce(const std::string& id, const network& fixed,
+                     const network& spec, std::size_t num_choice_inputs) {
     bench_row row;
     row.workload = id;
-    const scenario s = make_scenario(family, seed, scale);
-    const equation_problem problem(s.fixed, s.spec, s.num_choice_inputs);
+    const equation_problem problem(fixed, spec, num_choice_inputs);
     const solve_result result = solve_partitioned(problem);
     add_solve_metrics(row, result);
     const subsolution_result small = select_small_subsolution(
@@ -293,6 +290,7 @@ std::vector<std::string> bench_workload_names() {
         "table1/s349",
         "table1/s444",
         "reduce/counter_16",
+        "reduce/table1_s349",
     };
 }
 
@@ -333,7 +331,13 @@ bench_row run_bench_workload(const std::string& workload) {
     }
     if (workload == "reduce/counter_16") {
         // a 640-state CSF: past the compatibility reduction's limits
-        return run_reduce_scenario(workload, scenario_family::counter, 1, 16);
+        const scenario s = make_scenario(scenario_family::counter, 1, 16);
+        return run_reduce(workload, s.fixed, s.spec, s.num_choice_inputs);
+    }
+    if (workload == "reduce/table1_s349") {
+        // the paper's row: 4069 CSF states, |u| = |v| = 10
+        const table1_pair pair = make_table1_pair("s349");
+        return run_reduce(workload, pair.fixed, pair.spec, 0);
     }
     throw std::invalid_argument("unknown bench workload '" + workload + "'");
 }

@@ -5,13 +5,11 @@
 
 #include "automata/kiss.hpp"
 #include "cli/json.hpp"
-#include "eq/reduce.hpp"
 #include "eq/subsolution.hpp"
 
 #include <exception>
 #include <fstream>
 #include <stdexcept>
-#include <utility>
 
 namespace leq {
 
@@ -88,26 +86,17 @@ void run_checks(const std::string& command, const equation_problem& problem,
                 "the equation has no solution; nothing to reduce");
         }
         record.has_reduce = true;
-        automaton small = [&] {
-            if (auto reduced = reduce_subsolution(csf, problem.u_vars,
-                                                  problem.v_vars)) {
-                record.reduce_method = "compatibility";
-                return std::move(*reduced);
-            }
-            // instance exceeded the reduction limits: commit-and-minimize
-            record.reduce_method = "subsolution";
-            return select_small_subsolution(csf, problem.u_vars,
-                                            problem.v_vars)
-                .fsm;
-        }();
-        record.reduced_states = small.num_states();
+        const subsolution_result small =
+            select_small_subsolution(csf, problem.u_vars, problem.v_vars);
+        record.reduce_method = small.method;
+        record.reduced_states = small.fsm.num_states();
         if (!config.out_path.empty()) {
             std::ofstream out(config.out_path);
             if (!out) {
                 throw std::runtime_error("cannot open '" + config.out_path +
                                          "'");
             }
-            write_kiss(out, small, problem.u_vars, problem.v_vars);
+            write_kiss(out, small.fsm, problem.u_vars, problem.v_vars);
             record.wrote_path = config.out_path;
         }
     }

@@ -64,7 +64,7 @@ struct solve_record {
 
     bool has_reduce = false;
     std::size_t reduced_states = 0;
-    std::string reduce_method; ///< "compatibility" or "subsolution"
+    std::string reduce_method; ///< subsolution_result::method
     std::string wrote_path;    ///< reduce output file, when written
 
     /// Process exit code this record maps to: 0 solved (even when the

@@ -16,8 +16,7 @@
 ///      from {initial}, every (clique, u) must map under some common v into
 ///      a clique of the cover — new cliques are opened when no existing one
 ///      contains the implied successor set;
-///   4. read the reduced FSM off the cover (one state per clique) and
-///      check containment in the CSF.
+///   4. read the FSM off the cover (one state per clique).
 ///
 /// Exact minimum closed cover selection is NP-hard; step 3 is a heuristic,
 /// so the result is small, sound, but not guaranteed minimum.
@@ -40,11 +39,11 @@ struct reduction_options {
     std::size_t max_alphabet_bits = 14;
 };
 
-/// Reduce the CSF to a small contained FSM by compatibility merging.
-/// Returns std::nullopt when the instance exceeds the option limits (the
-/// caller should fall back to select_small_subsolution).  Throws
-/// std::invalid_argument on an empty CSF and std::logic_error if the
-/// internal containment check fails (a bug, never expected).
+/// Reduce the CSF to a small deterministic FSM by compatibility merging; the
+/// result is select_small_subsolution's first candidate, which it minimizes
+/// and checks.  Returns std::nullopt when the instance exceeds the option
+/// limits or the greedy cover gets stuck.  Throws std::invalid_argument on
+/// an empty CSF.
 [[nodiscard]] std::optional<automaton>
 reduce_subsolution(const automaton& csf,
                    const std::vector<std::uint32_t>& u_vars,

@@ -5,9 +5,9 @@
 /// remains the outstanding problem for future research."  This module is a
 /// baseline for that problem: the CSF (a deterministic, prefix-closed,
 /// input-progressive automaton over (u,v)) admits many contained FSMs — one
-/// per way of committing to a single v response per state and u input.  We
-/// extract candidates under several commitment policies, minimize each with
-/// the DFA minimizer, verify containment, and keep the smallest.
+/// per way of committing to a single v response per state and u input.  The
+/// search minimizes the compatibility cover (reduce.hpp) and one extraction
+/// per commitment policy, verifies containment, and keeps the smallest.
 ///
 /// This is deliberately a heuristic: exact minimum-state sub-solution
 /// selection generalizes ISFSM minimization and is NP-hard.
@@ -16,49 +16,43 @@
 #include "automata/automaton.hpp"
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 namespace leq {
 
 /// How to commit to one (v, successor) choice per (state, u assignment).
 enum class extraction_policy {
-    first_edge,       ///< first admitting edge (the greedy baseline)
-    prefer_visited,   ///< re-enter already-extracted states when possible
-    prefer_low_dest,  ///< deterministic bias to the lowest successor id
+    first_edge,     ///< first admitting edge (the greedy baseline)
+    prefer_visited, ///< re-enter already-extracted states when possible
 };
-
-/// All policies, for sweeps.
-[[nodiscard]] const std::vector<extraction_policy>& all_extraction_policies();
 
 /// Extract a concrete FSM implementation from a CSF over u_vars and v_vars
 /// (as produced by the solvers): in every state and for every input u,
 /// commit to one output v and successor the CSF allows, chosen by
-/// `policy`.  The result is a deterministic Mealy FSM, complete over the u
-/// inputs and contained in the CSF by construction.  Exponential in |u|
-/// (it iterates the input minterms).  Throws std::invalid_argument on an
-/// empty CSF or more than 20 inputs, and std::logic_error if the CSF is not
-/// input-progressive.
+/// `policy` with u taken in ascending order (u_vars[0] least significant),
+/// and v the smallest the chosen transition allows (0 before 1, the
+/// lowest level most significant).  Commits per CSF transition on sets of
+/// u, not per u minterm.  The result is a deterministic Mealy FSM,
+/// complete over u and contained in the CSF.  Throws std::invalid_argument
+/// on an empty CSF and std::logic_error if the CSF is not input-progressive.
 [[nodiscard]] automaton extract_fsm(const automaton& csf,
                                     const std::vector<std::uint32_t>& u_vars,
                                     const std::vector<std::uint32_t>& v_vars,
                                     extraction_policy policy);
 
-/// One candidate of the sub-solution search.
-struct subsolution_candidate {
-    extraction_policy policy = extraction_policy::first_edge;
-    std::size_t raw_states = 0;       ///< extracted, before minimization
-    std::size_t minimized_states = 0; ///< after DFA minimization
-};
-
-/// Result of the search: the smallest minimized FSM over all policies.
+/// Result of the search: the smallest minimized candidate.
 struct subsolution_result {
-    automaton fsm; ///< minimized winner; contained in the CSF
-    extraction_policy policy = extraction_policy::first_edge;
-    std::vector<subsolution_candidate> candidates; ///< per-policy sizes
+    automaton fsm;      ///< contained in the CSF
+    std::string method; ///< "compatibility", "first_edge" or "prefer_visited"
 };
 
-/// Try every policy, minimize, verify containment in the CSF (internal
-/// invariant; throws std::logic_error if violated), return the smallest.
+/// Build the candidates in a fixed order — the compatibility cover (when
+/// the CSF is inside reduce_subsolution's limits), then first_edge, then
+/// prefer_visited — minimize each, check its containment in the CSF
+/// (internal invariant; throws std::logic_error if violated), and return
+/// the smallest, the earlier on a tie.  Throws std::invalid_argument on an
+/// empty CSF.
 [[nodiscard]] subsolution_result
 select_small_subsolution(const automaton& csf,
                          const std::vector<std::uint32_t>& u_vars,

@@ -9,8 +9,9 @@
 ///   4. solve_partitioned (or solve_monolithic / solve_explicit) -> CSF
 ///   5. verify_particular_contained / verify_composition_contained
 ///   6. extract_fsm (one commitment policy) or select_small_subsolution
-///      (the smallest over all policies) -> automaton_to_network ->
-///      compose_networks -> write_blif
+///      (the smallest of the compatibility cover and both policies, what
+///      `leq reduce` runs) -> automaton_to_network -> compose_networks ->
+///      write_blif
 #pragma once
 
 #include "bdd/bdd.hpp"

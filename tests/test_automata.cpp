@@ -355,6 +355,79 @@ TEST(minimize_test, rejects_nondeterministic_input) {
     EXPECT_THROW(minimize(aut), std::logic_error);
 }
 
+/// A cycle of n equivalent states p_i (each moves on x0 to p_{i+1} and on
+/// two disjoint guards to two equivalent sinks), interleaved with a cycle
+/// of n distinct states q_i whose guard unions all differ, so that each
+/// q_i allocates nodes while the states are signed.  Minimal: the initial
+/// state, one p, the n q and one sink.  Label vars 0..9.
+automaton make_interleaved_cycles(bdd_manager& mgr, std::uint32_t n) {
+    automaton aut(mgr, {0, 1, 2, 3, 4, 5, 6, 7, 8, 9});
+    const std::uint32_t init = aut.add_state(true);
+    std::vector<std::uint32_t> p, q;
+    for (std::uint32_t i = 0; i < n; ++i) {
+        p.push_back(aut.add_state(true));
+        q.push_back(aut.add_state(true));
+    }
+    const std::uint32_t sink_a = aut.add_state(true);
+    const std::uint32_t sink_b = aut.add_state(true);
+    aut.set_initial(init);
+    aut.add_transition(init, p[0], mgr.var(0));
+    aut.add_transition(init, q[0], mgr.nvar(0));
+    for (std::uint32_t i = 0; i < n; ++i) {
+        aut.add_transition(p[i], p[(i + 1) % n], mgr.var(0));
+        aut.add_transition(p[i], sink_a, mgr.nvar(0) & mgr.var(1));
+        aut.add_transition(p[i], sink_b,
+                           mgr.nvar(0) & mgr.nvar(1) & mgr.var(2));
+        aut.add_transition(q[i], q[(i + 1) % n], mgr.var(0));
+        bdd cube = mgr.nvar(0);
+        for (std::uint32_t b = 1; b < 10; ++b) {
+            cube &= mgr.literal(b, ((i >> (b - 1)) & 1) != 0);
+        }
+        aut.add_transition(q[i], sink_a, cube);
+    }
+    return aut;
+}
+
+TEST(minimize_test, collection_inside_the_call_keeps_equal_states_together) {
+    constexpr std::uint32_t n = 32;
+    std::size_t expected = 0;
+    {
+        bdd_manager mgr(10);
+        expected = minimize(make_interleaved_cycles(mgr, n)).num_states();
+        EXPECT_EQ(mgr.stats().gc_runs, 0u);
+    }
+    EXPECT_EQ(expected, n + 3);
+    // fill the arena to just below the collection trigger with garbage
+    // (each var(a) & var(b) of fresh variables is one new node), so that a
+    // collection fires while minimize signs the states
+    constexpr std::uint32_t spare = 200; // fill variables 10..209
+    for (const std::size_t margin : {4u, 12u, 20u}) {
+        bdd_manager mgr(10 + spare);
+        const automaton aut = make_interleaved_cycles(mgr, n);
+        std::vector<bdd> vars;
+        for (std::uint32_t v = 10; v < 10 + spare; ++v) {
+            vars.push_back(mgr.var(v));
+        }
+        (void)mgr.live_node_count(); // refreshes allocated_nodes
+        const std::size_t target = mgr.stats().gc_threshold - margin;
+        std::size_t allocated = mgr.stats().allocated_nodes;
+        ASSERT_LT(allocated, target);
+        for (std::uint32_t a = 0; a < spare && allocated < target; ++a) {
+            for (std::uint32_t b = a + 1; b < spare && allocated < target;
+                 ++b) {
+                (void)(vars[a] & vars[b]);
+                ++allocated;
+            }
+        }
+        (void)mgr.live_node_count();
+        ASSERT_EQ(mgr.stats().allocated_nodes, target);
+        ASSERT_EQ(mgr.stats().gc_runs, 0u);
+        const automaton m = minimize(aut);
+        EXPECT_EQ(mgr.stats().gc_runs, 1u) << "margin " << margin;
+        EXPECT_EQ(m.num_states(), expected) << "margin " << margin;
+    }
+}
+
 class minimize_property : public ::testing::TestWithParam<unsigned> {};
 
 TEST_P(minimize_property, preserves_language_and_is_minimal) {
