@@ -7,8 +7,8 @@
 #include "automata/kiss.hpp"
 #include "automata/stg.hpp"
 #include "cli/batch.hpp"
+#include "cli/equation_io.hpp"
 #include "cli/json.hpp"
-#include "eq/kiss_flow.hpp"
 #include "eq/problem.hpp"
 #include "eq/solver.hpp"
 #include "eq/subsolution.hpp"
@@ -105,20 +105,21 @@ bench_row run_kiss(const std::string& id, const std::string& f_kiss,
                    const std::string& s_kiss, const std::string& command) {
     bench_row row;
     row.workload = id;
-    const kiss_instance inst = build_kiss_instance(f_kiss, s_kiss);
-    const solve_result result = solve_partitioned(*inst.problem);
+    const loaded_equation eq =
+        load_equation({id + "#f", f_kiss, equation_format::kiss},
+                      {id + "#s", s_kiss, equation_format::kiss});
+    const equation_problem problem(eq.fixed, eq.spec);
+    const solve_result result = solve_partitioned(problem);
     add_solve_metrics(row, result);
     if (command == "verify") {
         add(row, "composition_ok",
-            verify_composition_contained(*inst.problem, *result.csf) ? 1.0
-                                                                     : 0.0);
+            verify_composition_contained(problem, *result.csf) ? 1.0 : 0.0);
     } else if (command == "diagnose") {
         add(row, "diagnose_ok",
-            diagnose_composition_contained(*inst.problem, *result.csf).ok
-                ? 1.0
-                : 0.0);
+            diagnose_composition_contained(problem, *result.csf).ok ? 1.0
+                                                                     : 0.0);
     }
-    add_manager_metrics(row, inst.problem->mgr());
+    add_manager_metrics(row, problem.mgr());
     return row;
 }
 

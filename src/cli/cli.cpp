@@ -37,7 +37,7 @@ int usage(std::ostream& err) {
         << "  --flow F         partitioned (default) | monolithic | explicit\n"
         << "                   (explicit is the exponential Algorithm-1\n"
         << "                   oracle for small instances; it ignores\n"
-        << "                   --time-limit/--max-states and solver knobs)\n"
+        << "                   --max-states and solver knobs)\n"
         << "  --cluster-limit N   merged-cluster node bound (default 2500)\n"
         << "  --time-limit SEC    wall-clock deadline per solve (default 0)\n"
         << "  --max-states N      subset-state cap per solve (default 0)\n"
@@ -370,12 +370,10 @@ int run_leq_cli(const std::vector<std::string>& args, std::ostream& out,
             {args.begin() + 1, args.end()}, parsed, err);
         if (bail >= 0) { return bail; }
         if (parsed.config.flow == "explicit" &&
-            (parsed.config.solve.time_limit_seconds > 0 ||
-             parsed.config.solve.max_subset_states > 0)) {
-            // the Algorithm-1 oracle enumerates explicitly and supports no
-            // deadline; a silent no-op limit would be a hang trap
-            err << "leq: warning: --flow explicit ignores "
-                   "--time-limit/--max-states\n";
+            parsed.config.solve.max_subset_states > 0) {
+            // the Algorithm-1 oracle builds no subset states to count; say
+            // so rather than drop the limit silently
+            err << "leq: warning: --flow explicit ignores --max-states\n";
         }
         if (command == "solve" || command == "verify" ||
             command == "diagnose" || command == "reduce") {

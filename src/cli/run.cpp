@@ -7,6 +7,7 @@
 #include "cli/json.hpp"
 #include "eq/subsolution.hpp"
 
+#include <chrono>
 #include <exception>
 #include <fstream>
 #include <stdexcept>
@@ -31,7 +32,7 @@ solve_result dispatch_solve(const std::string& flow,
                             const solve_options& options) {
     if (flow == "monolithic") { return solve_monolithic(problem, options); }
     if (flow == "explicit") {
-        return solve_explicit(problem, eq.fixed, eq.spec);
+        return solve_explicit(problem, eq.fixed, eq.spec, options);
     }
     return solve_partitioned(problem, options);
 }
@@ -123,6 +124,7 @@ solve_record run_command(const std::string& command, const std::string& name,
     record.command = command;
     record.flow = config.flow;
     record.choice_inputs = config.choice_inputs;
+    const auto start = std::chrono::steady_clock::now();
     // until both sides are parsed, encoded and their interfaces matched, a
     // failure is the input's fault, not the solver's
     record.input_error = true;
@@ -144,6 +146,9 @@ solve_record run_command(const std::string& command, const std::string& name,
             throw;
         }
         record.result.csf.reset();
+        record.seconds = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - start)
+                             .count();
     } catch (const std::exception& e) {
         record.completed = false;
         record.error = e.what();
@@ -228,7 +233,7 @@ std::string record_to_json(const solve_record& record,
         obj.field_raw("reduce", r.str());
     }
     if (config.timing && record.completed) {
-        obj.field("seconds", record.result.seconds);
+        obj.field("seconds", record.seconds);
     }
     return obj.str();
 }

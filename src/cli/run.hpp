@@ -67,6 +67,10 @@ struct solve_record {
     std::string reduce_method; ///< subsolution_result::method
     std::string wrote_path;    ///< reduce output file, when written
 
+    /// Wall time of the whole command: loading the inputs, the solve and
+    /// the subcommand's check (the record's `seconds`).
+    double seconds = 0.0;
+
     /// Process exit code this record maps to: 0 solved (even when the
     /// solution is empty), 1 gave up / check failed / errored in the
     /// solver, 3 an input was unreadable or malformed (`input_error`).

@@ -1,12 +1,11 @@
 /// \file kiss_flow.cpp
-/// \brief KISS2 front end: parse, encode, build the equation instance.
+/// \brief KISS2 front end: parse and encode one machine as a network.
 
 #include "eq/kiss_flow.hpp"
 
 #include "automata/encode.hpp"
 #include "automata/kiss.hpp"
 
-#include <stdexcept>
 #include <vector>
 
 namespace leq {
@@ -66,25 +65,6 @@ network encode_kiss_spec(const std::string& s_kiss, std::size_t num_inputs,
     return encode_kiss_network(s_kiss, kiss_port_names("i", num_inputs),
                                kiss_port_names("z", num_outputs),
                                model_name);
-}
-
-kiss_instance build_kiss_instance(const std::string& f_kiss,
-                                  const std::string& s_kiss) {
-    const kiss_header fh = read_kiss_header(f_kiss);
-    const kiss_header sh = read_kiss_header(s_kiss);
-    if (fh.num_inputs < sh.num_inputs || fh.num_outputs < sh.num_outputs) {
-        throw std::invalid_argument(
-            "build_kiss_instance: F must carry S's inputs/outputs plus v/u");
-    }
-    const std::size_t num_v = fh.num_inputs - sh.num_inputs;
-    const std::size_t num_u = fh.num_outputs - sh.num_outputs;
-
-    kiss_instance inst;
-    inst.fixed = encode_kiss_fixed(f_kiss, sh.num_inputs, sh.num_outputs,
-                                   num_v, num_u);
-    inst.spec = encode_kiss_spec(s_kiss, sh.num_inputs, sh.num_outputs);
-    inst.problem = std::make_unique<equation_problem>(inst.fixed, inst.spec);
-    return inst;
 }
 
 } // namespace leq

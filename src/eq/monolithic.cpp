@@ -26,12 +26,8 @@ namespace leq {
 
 solve_result solve_monolithic(const equation_problem& problem,
                               const solve_options& options) {
-    const auto start = std::chrono::steady_clock::now();
-    bdd_manager& mgr = problem.mgr();
-    const solve_options local = detail::with_deadline(options);
-
-    try {
-        const detail::deadline_scope armed(mgr, local);
+    return detail::run_solve(problem, options, [&] {
+        bdd_manager& mgr = problem.mgr();
         // ---- monolithic relations -------------------------------------------
         // TO_F(i,v,u,o,cs_F,ns_F): the full product of F's output and
         // next-state parts.  Choice inputs w are not part of F's alphabet;
@@ -51,7 +47,7 @@ solve_result solve_monolithic(const equation_problem& problem,
         bdd to_f;
         {
             const transition_relation f_rel(mgr, std::move(f_parts),
-                                            problem.w_vars, local.img);
+                                            problem.w_vars, options.img);
             to_f = f_rel.image(mgr.one());
             detail::accumulate_stats(stats, f_rel);
         }
@@ -67,7 +63,7 @@ solve_result solve_monolithic(const equation_problem& problem,
         bdd to_s;
         {
             const transition_relation s_rel(mgr, std::move(s_parts), {},
-                                            local.img);
+                                            options.img);
             to_s = s_rel.image(mgr.one());
             detail::accumulate_stats(stats, s_rel);
         }
@@ -100,7 +96,7 @@ solve_result solve_monolithic(const equation_problem& problem,
         bdd hidden;
         {
             const transition_relation product_rel(mgr, {to_f, to_s_completed},
-                                                  io_vars, local.img);
+                                                  io_vars, options.img);
             hidden = product_rel.image(mgr.one());
             detail::accumulate_stats(stats, product_rel);
         }
@@ -121,14 +117,14 @@ solve_result solve_monolithic(const equation_problem& problem,
 
         const detail::subset_driver driver{mgr, uv_vars, problem.u_vars,
                                            problem.ns_to_cs_permutation(),
-                                           local};
+                                           options};
         const std::uint32_t boundary = problem.uv_boundary_level();
 
         // per-subset-state image of the (single, monolithic) hidden relation
         // — through the same layer, so the img options (naive vs
         // last-occurrence quantification) apply to this flow too; with one
         // part the relation degenerates to and_exists
-        const transition_relation step_rel(mgr, {hidden}, cs_vars, local.img);
+        const transition_relation step_rel(mgr, {hidden}, cs_vars, options.img);
 
         // initial product state: F and S initial, dc = 0
         const bdd initial = problem.initial_product_state() & dc0;
@@ -157,21 +153,10 @@ solve_result solve_monolithic(const equation_problem& problem,
         };
 
         solve_result result = driver.run(initial, expand);
-        result.seconds = std::chrono::duration<double>(
-                             std::chrono::steady_clock::now() - start)
-                             .count();
         detail::accumulate_stats(stats, step_rel);
         result.stats = stats;
-        detail::read_manager_stats(result.stats, mgr);
         return result;
-    } catch (const bdd_deadline_exceeded&) {
-        // a relation build or product image outlived the time limit (the
-        // driver turns a timeout in the subset construction into its own
-        // result); the relation counters died with the unwound relations
-        solve_result result = detail::timeout_result(start);
-        detail::read_manager_stats(result.stats, mgr);
-        return result;
-    }
+    });
 }
 
 } // namespace leq

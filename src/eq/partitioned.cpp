@@ -30,12 +30,8 @@ namespace leq {
 
 solve_result solve_partitioned(const equation_problem& problem,
                                const solve_options& options) {
-    const auto start = std::chrono::steady_clock::now();
-    bdd_manager& mgr = problem.mgr();
-    const solve_options local = detail::with_deadline(options);
-
-    try {
-        const detail::deadline_scope armed(mgr, local);
+    return detail::run_solve(problem, options, [&] {
+        bdd_manager& mgr = problem.mgr();
         // relation parts shared by both images: u_m == U_m(i, v, cs_F)
         const std::vector<bdd> u_match = problem.u_match_parts();
 
@@ -51,7 +47,7 @@ solve_result solve_partitioned(const equation_problem& problem,
             p_parts.push_back(std::move(part));
         }
         const transition_relation p_rel(mgr, std::move(p_parts), quantify,
-                                        local.img);
+                                        options.img);
 
         // one non-conformance relation per output: u-match plus !C_j
         std::vector<transition_relation> q_rels;
@@ -59,7 +55,7 @@ solve_result solve_partitioned(const equation_problem& problem,
         for (std::size_t j = 0; j < problem.s_o.size(); ++j) {
             std::vector<bdd> parts = u_match;
             parts.push_back(!problem.conformance(j));
-            q_rels.emplace_back(mgr, std::move(parts), quantify, local.img);
+            q_rels.emplace_back(mgr, std::move(parts), quantify, options.img);
         }
 
         std::vector<std::uint32_t> uv_vars = problem.u_vars;
@@ -68,7 +64,7 @@ solve_result solve_partitioned(const equation_problem& problem,
 
         const detail::subset_driver driver{mgr, uv_vars, problem.u_vars,
                                            problem.ns_to_cs_permutation(),
-                                           local};
+                                           options};
         const std::uint32_t boundary = problem.uv_boundary_level();
         const bdd ns_cube = mgr.cube(problem.all_ns_vars());
 
@@ -95,16 +91,8 @@ solve_result solve_partitioned(const equation_problem& problem,
         for (const transition_relation& rel : q_rels) {
             detail::accumulate_stats(result.stats, rel);
         }
-        detail::read_manager_stats(result.stats, mgr);
         return result;
-    } catch (const bdd_deadline_exceeded&) {
-        // relation construction outlived the time limit (the driver turns
-        // a timeout in the subset construction into its own result); the
-        // relation counters died with the unwound relations
-        solve_result result = detail::timeout_result(start);
-        detail::read_manager_stats(result.stats, mgr);
-        return result;
-    }
+    });
 }
 
 } // namespace leq

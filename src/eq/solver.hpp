@@ -16,6 +16,12 @@
 ///  * solve_explicit — Algorithm 1 executed literally on explicit automata;
 ///    the cross-validation oracle for small instances.
 ///
+/// All three run through one solve runner (detail::run_solve), which times
+/// the solve, arms `solve_options`' time limit on the problem's BDD manager
+/// for the whole solve and turns an expired limit into
+/// `solve_status::timeout`; so every flow obeys the same budget and reports
+/// `seconds` the same way.
+///
 /// Ownership and thread-safety: a solve runs entirely inside the
 /// `equation_problem`'s BDD manager, and the returned CSF automaton holds
 /// handles into that manager — keep the problem alive as long as the result.
@@ -47,14 +53,16 @@ struct solve_options {
     /// Wall-clock limit; 0 = unlimited.  The solve turns it into `deadline`
     /// (detail::with_deadline) and arms that on the problem's BDD manager
     /// for its whole run: relation construction, the subset loop and the
-    /// final trimming.  The manager probes the clock inside its operations,
-    /// so one long image cannot run far past the limit.  A timed-out solve
-    /// returns `solve_status::timeout` with no CSF; it never throws.
+    /// final trimming, or the explicit flow's automaton operations.  The
+    /// manager probes the clock inside its operations, so one long image
+    /// cannot run far past the limit.  A timed-out solve returns
+    /// `solve_status::timeout` with no CSF; it never throws.
     double time_limit_seconds = 0.0;
     /// Absolute deadline of the solve; unset = none.  Set from
     /// `time_limit_seconds` when empty; a caller may also set it directly.
     std::optional<std::chrono::steady_clock::time_point> deadline;
-    /// Cap on explored subset states; 0 = unlimited.
+    /// Cap on explored subset states; 0 = unlimited.  The explicit flow
+    /// ignores it.
     std::size_t max_subset_states = 0;
 };
 
@@ -71,7 +79,9 @@ struct solve_stats {
     std::size_t relation_parts = 0; ///< partition parts across all relations
     std::size_t clusters = 0;       ///< scheduled clusters across relations
     std::size_t images = 0;         ///< image() calls served
-    /// Live BDD nodes in the problem's manager when the solve returned.
+    /// Live BDD nodes in the problem's manager when the solve returned:
+    /// the flow's relations and intermediates are released, the CSF is
+    /// still held.
     std::size_t live_nodes_after = 0;
     /// Garbage collections the problem's manager has run, the adaptive
     /// trigger's and explicit ones alike.  Reading these statistics never
@@ -96,7 +106,7 @@ struct solve_result {
     bool empty_solution = false;
     std::size_t subset_states_explored = 0; ///< before progressive trimming
     std::size_t csf_states = 0;             ///< final states (incl. DCA)
-    double seconds = 0.0;
+    double seconds = 0.0; ///< wall time of the whole solve, any status
     solve_stats stats;
 };
 
@@ -109,9 +119,11 @@ struct solve_result {
                                             const solve_options& options = {});
 
 /// Algorithm 1 on explicit automata (oracle; exponential in |i|+|o|).
-/// Uses the problem's variable ids so results are comparable.
+/// Uses the problem's variable ids so results are comparable.  Honours
+/// `options.time_limit_seconds` / `deadline` only.
 [[nodiscard]] solve_result solve_explicit(const equation_problem& problem,
                                           const network& fixed,
-                                          const network& spec);
+                                          const network& spec,
+                                          const solve_options& options = {});
 
 } // namespace leq

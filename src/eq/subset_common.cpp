@@ -3,6 +3,7 @@
 
 #include "eq/subset_common.hpp"
 
+#include <chrono>
 #include <utility>
 
 namespace leq::detail {
@@ -26,18 +27,31 @@ solve_options with_deadline(const solve_options& options) {
     return armed;
 }
 
-deadline_scope::deadline_scope(bdd_manager& mgr, const solve_options& options)
-    : mgr_(mgr), armed_(options.deadline.has_value()) {
-    if (armed_) { mgr_.set_op_deadline(*options.deadline); }
-}
-
-deadline_scope::~deadline_scope() {
-    if (armed_) { mgr_.clear_op_deadline(); }
-}
-
-solve_result timeout_result(std::chrono::steady_clock::time_point start) {
+solve_result run_solve(const equation_problem& problem,
+                       const solve_options& options,
+                       const std::function<solve_result()>& body) {
+    const auto start = std::chrono::steady_clock::now();
+    bdd_manager& mgr = problem.mgr();
+    const solve_options armed = with_deadline(options);
+    // disarms on every exit, an exception other than the deadline's too
+    struct disarm {
+        bdd_manager& mgr;
+        ~disarm() { mgr.clear_op_deadline(); }
+    };
     solve_result result;
-    result.status = solve_status::timeout;
+    {
+        const disarm on_exit{mgr};
+        if (armed.deadline) { mgr.set_op_deadline(*armed.deadline); }
+        try {
+            result = body();
+        } catch (const bdd_deadline_exceeded&) {
+            // the deadline passed outside the subset driver (which returns
+            // its own timeout): the relation counters died with the unwound
+            // relations
+            result.status = solve_status::timeout;
+        }
+    }
+    read_manager_stats(result.stats, mgr);
     result.seconds = std::chrono::duration<double>(
                          std::chrono::steady_clock::now() - start)
                          .count();
@@ -69,12 +83,6 @@ std::vector<cofactor_class> split_by_top_block(bdd_manager& mgr, const bdd& p,
 solve_result
 subset_driver::run(const bdd& initial_state,
                    const std::function<expansion(const bdd&)>& expand) const {
-    const auto start = std::chrono::steady_clock::now();
-    const auto elapsed = [&] {
-        return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                             start)
-            .count();
-    };
     constexpr std::uint32_t none = 0xffffffffu;
 
     solve_result result;
@@ -136,7 +144,6 @@ subset_driver::run(const bdd& initial_state,
                 subsets.size() > options.max_subset_states) {
                 result.status = solve_status::state_limit;
                 result.subset_states_explored = subsets.size();
-                result.seconds = elapsed();
                 return result;
             }
             expansion exp = expand(subsets[id]);
@@ -220,7 +227,6 @@ subset_driver::run(const bdd& initial_state,
             empty.set_initial(empty.add_state(false));
             result.csf = std::move(empty);
             result.csf_states = 0;
-            result.seconds = elapsed();
             return result;
         }
 
@@ -258,12 +264,12 @@ subset_driver::run(const bdd& initial_state,
         }
         result.csf_states = csf.num_states();
         result.csf = std::move(csf);
-        result.seconds = elapsed();
         return result;
     } catch (const bdd_deadline_exceeded&) {
         // the solve's deadline passed in an expansion, the trimming or the
         // assembly
-        result = timeout_result(start);
+        result = solve_result{};
+        result.status = solve_status::timeout;
         result.subset_states_explored = subsets.size();
         return result;
     }

@@ -1,14 +1,15 @@
 /// \file subset_common.hpp
-/// \brief Machinery shared by the partitioned and monolithic subset
-/// constructions: (u,v)-cofactor class extraction, the worklist driver,
-/// progressive trimming and assembly of the final CSF automaton.
+/// \brief Machinery shared by the solver flows: the solve runner that times
+/// every flow and enforces its time budget (all three flows), and for the
+/// partitioned and monolithic subset constructions (u,v)-cofactor class
+/// extraction, the worklist driver, progressive trimming and assembly of
+/// the final CSF automaton.
 #pragma once
 
 #include "automata/automaton.hpp"
 #include "bdd/bdd.hpp"
 #include "eq/solver.hpp"
 
-#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -20,27 +21,20 @@ namespace leq::detail {
 /// range saturates to no deadline.
 [[nodiscard]] solve_options with_deadline(const solve_options& options);
 
-/// Arms `options.deadline`, when set, on the manager for the scope's
-/// lifetime and disarms it on every exit.  Each flow holds one around its
-/// whole solve — relation construction, the subset loop and trimming — so
-/// the manager's in-operation probe is the one time budget, and its
-/// bdd_deadline_exceeded the one timeout signal.
-class deadline_scope {
-public:
-    deadline_scope(bdd_manager& mgr, const solve_options& options);
-    ~deadline_scope();
-    deadline_scope(const deadline_scope&) = delete;
-    deadline_scope& operator=(const deadline_scope&) = delete;
-
-private:
-    bdd_manager& mgr_;
-    bool armed_;
-};
-
-/// A timeout-status result with `seconds` measured from `start` (shared by
-/// the driver and both solvers' deadline handlers).
+/// Runs one flow's solve under `options`' budget: the one place a solve is
+/// timed and its time limit enforced, for all three flows.  It arms
+/// with_deadline(options)'s deadline on the problem's manager for the whole
+/// of `body` — relation construction, the subset loop and trimming, or
+/// Algorithm 1's automaton operations — so the manager's in-operation probe
+/// is the one time budget and its bdd_deadline_exceeded the one timeout
+/// signal.  A bdd_deadline_exceeded that escapes `body` becomes
+/// `solve_status::timeout` (no CSF, no relation counters: the relations
+/// unwound).  The deadline is disarmed on every exit; then the manager
+/// counters are read (read_manager_stats) and `seconds` is set, from the
+/// runner's start, whatever the status.
 [[nodiscard]] solve_result
-timeout_result(std::chrono::steady_clock::time_point start);
+run_solve(const equation_problem& problem, const solve_options& options,
+          const std::function<solve_result()>& body);
 
 /// Fold one relation's shape and counters into a solve's aggregate stats
 /// (both flows call this once per transition relation they built).
@@ -48,7 +42,7 @@ void accumulate_stats(solve_stats& stats, const transition_relation& rel);
 
 /// Snapshot the manager-side counters into a finished solve's stats: live
 /// nodes (forces a count) plus total and per-op computed-cache traffic.
-/// Every solver exit path — success or deadline — calls this last.
+/// run_solve calls this once, on every exit path.
 void read_manager_stats(solve_stats& stats, bdd_manager& mgr);
 
 /// One (u,v)-cofactor class of an image P(u,v,ns): the set of (u,v)
@@ -75,7 +69,9 @@ struct expansion {
 /// next-state variables; the driver renames them back).  Returns the CSF
 /// after progressive trimming, or an early status on limits: a
 /// bdd_deadline_exceeded from the expansions, the trimming or the assembly
-/// becomes a timeout that still reports the subset states explored.
+/// becomes a timeout that still reports the subset states explored (only
+/// the driver knows that count).  It keeps no clock: run_solve, which the
+/// driver runs under, sets `seconds`.
 ///
 /// Contract:
 ///  * Subset ids are handed out in discovery order (the initial state is

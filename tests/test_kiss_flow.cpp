@@ -1,8 +1,9 @@
 /// \file test_kiss_flow.cpp
-/// \brief FSM-level equation solving from KISS2 text.
+/// \brief FSM-level equation solving from KISS2 text, loaded the one way
+/// every KISS pair is loaded (load_equation).
 
 #include "automata/kiss.hpp"
-#include "eq/kiss_flow.hpp"
+#include "cli/equation_io.hpp"
 #include "eq/solver.hpp"
 #include "eq/subsolution.hpp"
 #include "eq/verify.hpp"
@@ -50,28 +51,33 @@ const char* s_delay2_kiss = R"(
 .e
 )";
 
+/// Load an F/S pair of KISS2 texts as `leq` loads two KISS files.
+loaded_equation load_kiss(const char* f_kiss, const char* s_kiss) {
+    return load_equation({"f.kiss", f_kiss, equation_format::kiss},
+                         {"s.kiss", s_kiss, equation_format::kiss});
+}
+
 TEST(kiss_flow, builds_figure1_interfaces) {
-    const kiss_instance inst =
-        build_kiss_instance(f_delay_kiss, s_delay2_kiss);
-    EXPECT_EQ(inst.fixed.num_inputs(), 2u);
-    EXPECT_EQ(inst.fixed.num_outputs(), 2u);
-    EXPECT_EQ(inst.spec.num_inputs(), 1u);
-    EXPECT_EQ(inst.spec.num_outputs(), 1u);
-    EXPECT_EQ(inst.problem->u_vars.size(), 1u);
-    EXPECT_EQ(inst.problem->v_vars.size(), 1u);
+    const loaded_equation eq = load_kiss(f_delay_kiss, s_delay2_kiss);
+    EXPECT_EQ(eq.fixed.num_inputs(), 2u);
+    EXPECT_EQ(eq.fixed.num_outputs(), 2u);
+    EXPECT_EQ(eq.spec.num_inputs(), 1u);
+    EXPECT_EQ(eq.spec.num_outputs(), 1u);
+    const equation_problem problem(eq.fixed, eq.spec);
+    EXPECT_EQ(problem.u_vars.size(), 1u);
+    EXPECT_EQ(problem.v_vars.size(), 1u);
 }
 
 TEST(kiss_flow, encoded_f_simulates_the_mealy_machine) {
-    const kiss_instance inst =
-        build_kiss_instance(f_delay_kiss, s_delay2_kiss);
-    std::vector<bool> state = inst.fixed.initial_state();
+    const loaded_equation eq = load_kiss(f_delay_kiss, s_delay2_kiss);
+    std::vector<bool> state = eq.fixed.initial_state();
     bool last_i = false;
     std::uint32_t lcg = 11;
     for (int t = 0; t < 40; ++t) {
         lcg = lcg * 1664525u + 1013904223u;
         const bool i = (lcg >> 16) & 1u;
         const bool v = (lcg >> 17) & 1u;
-        const auto r = inst.fixed.simulate(state, {i, v});
+        const auto r = eq.fixed.simulate(state, {i, v});
         ASSERT_EQ(r.outputs.size(), 2u);
         EXPECT_EQ(r.outputs[0], v) << "o = v at t=" << t;
         EXPECT_EQ(r.outputs[1], last_i) << "u = delayed i at t=" << t;
@@ -81,9 +87,8 @@ TEST(kiss_flow, encoded_f_simulates_the_mealy_machine) {
 }
 
 TEST(kiss_flow, solves_the_delay_decomposition) {
-    const kiss_instance inst =
-        build_kiss_instance(f_delay_kiss, s_delay2_kiss);
-    const equation_problem& problem = *inst.problem;
+    const loaded_equation eq = load_kiss(f_delay_kiss, s_delay2_kiss);
+    const equation_problem problem(eq.fixed, eq.spec);
     const solve_result result = solve_partitioned(problem);
     ASSERT_EQ(result.status, solve_status::ok);
     ASSERT_FALSE(result.empty_solution);
@@ -112,12 +117,12 @@ TEST(kiss_flow, solves_the_delay_decomposition) {
 
 TEST(kiss_flow, rejects_interface_mismatch) {
     // F narrower than S
-    EXPECT_THROW((void)build_kiss_instance(s_delay2_kiss, f_delay_kiss),
+    EXPECT_THROW((void)load_kiss(s_delay2_kiss, f_delay_kiss),
                  std::invalid_argument);
 }
 
 TEST(kiss_flow, rejects_malformed_kiss) {
-    EXPECT_THROW((void)build_kiss_instance("garbage", s_delay2_kiss),
+    EXPECT_THROW((void)load_kiss("garbage", s_delay2_kiss),
                  std::runtime_error);
 }
 

@@ -4,6 +4,7 @@
 /// exists_w [ns_k == T_k(i,v,w,cs)].
 
 #include "eq/solver.hpp"
+#include "eq/subsolution.hpp"
 #include "eq/verify.hpp"
 #include "net/generator.hpp"
 #include "net/latch_split.hpp"
@@ -137,6 +138,20 @@ TEST(nondet, observable_chaos_forces_v_equals_u) {
     word[0][u0] = true;
     word[0][v0] = true;
     EXPECT_TRUE(accepts(csf, word));
+
+    // the sub-solution search on a CSF that choice inputs shape: the copy
+    // machine is its one-state answer, and each policy's raw extraction
+    // (before minimization) is already inside the CSF
+    EXPECT_EQ(csf.num_states(), 2u);
+    const subsolution_result small =
+        select_small_subsolution(csf, problem.u_vars, problem.v_vars);
+    EXPECT_EQ(small.fsm.num_states(), 1u);
+    EXPECT_EQ(small.method, "compatibility");
+    for (const extraction_policy policy :
+         {extraction_policy::first_edge, extraction_policy::prefer_visited}) {
+        EXPECT_TRUE(language_contained(
+            extract_fsm(csf, problem.u_vars, problem.v_vars, policy), csf));
+    }
 }
 
 TEST(nondet, observable_chaos_flows_agree) {

@@ -9,7 +9,7 @@
 /// verification checks.  Instances are kept small so the exponential oracle
 /// stays cheap.
 
-#include "eq/kiss_flow.hpp"
+#include "cli/equation_io.hpp"
 #include "eq/solver.hpp"
 #include "eq/verify.hpp"
 #include "gen/scenario.hpp"
@@ -184,12 +184,14 @@ class crosscheck_kiss : public ::testing::TestWithParam<kiss_case> {};
 
 TEST_P(crosscheck_kiss, three_flows_agree_on_bundled_machines) {
     const kiss_case& c = GetParam();
-    const kiss_instance inst = build_kiss_instance(c.f, c.s);
+    const loaded_equation eq =
+        load_equation({"f.kiss", c.f, equation_format::kiss},
+                      {"s.kiss", c.s, equation_format::kiss});
+    const equation_problem problem(eq.fixed, eq.spec);
 
-    const solve_result part = solve_partitioned(*inst.problem);
-    const solve_result mono = solve_monolithic(*inst.problem);
-    const solve_result oracle = solve_explicit(*inst.problem, inst.fixed,
-                                               inst.spec);
+    const solve_result part = solve_partitioned(problem);
+    const solve_result mono = solve_monolithic(problem);
+    const solve_result oracle = solve_explicit(problem, eq.fixed, eq.spec);
     ASSERT_EQ(part.status, solve_status::ok) << c.name;
     ASSERT_EQ(mono.status, solve_status::ok) << c.name;
     ASSERT_EQ(oracle.status, solve_status::ok) << c.name;
@@ -207,7 +209,7 @@ TEST_P(crosscheck_kiss, three_flows_agree_on_bundled_machines) {
     EXPECT_EQ(mono.csf_states, c.expected_csf_states) << c.name;
 
     // every solution is still a particular solution and composes safely
-    EXPECT_TRUE(verify_composition_contained(*inst.problem, *part.csf))
+    EXPECT_TRUE(verify_composition_contained(problem, *part.csf))
         << c.name;
 }
 

@@ -51,6 +51,8 @@ TEST(solver_edges, tiny_time_limit_reports_timeout) {
               solve_status::timeout);
     EXPECT_EQ(solve_monolithic(problem, options).status,
               solve_status::timeout);
+    EXPECT_EQ(solve_explicit(problem, split.fixed, original, options).status,
+              solve_status::timeout);
 }
 
 TEST(solver_edges, huge_time_limit_is_no_deadline) {
