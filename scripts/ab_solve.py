@@ -17,10 +17,11 @@ timed run is forked from a bare interpreter, so a peak RSS under about
 Before timing, each binary runs the command once with --no-timing and the
 JSON records are compared, record by record for a batch.  They may differ
 only in the computed-cache traffic counters (stats.cache_lookups,
-stats.cache_hits, stats.op_cache), the collection count (stats.gc_runs)
-and the live node count (stats.live_nodes, which the variable order moves
-without changing the answer); any other difference is a changed answer,
-and the script exits 1.  Exit 2 is a usage error or a failed run.
+stats.cache_hits, stats.op_cache), the collection count (stats.gc_runs),
+the node counters (stats.live_nodes, stats.allocated_nodes and
+stats.subst_nodes, which the variable order and the collector move without
+changing the answer); any other difference is a changed answer, and the
+script exits 1.  Exit 2 is a usage error or a failed run.
 """
 
 import json
@@ -29,10 +30,11 @@ import subprocess
 import sys
 
 # record fields a pure speed change may move: cache traffic, GC runs and
-# live nodes
+# node counts
 COUNTER_FIELDS = {("stats", "cache_lookups"), ("stats", "cache_hits"),
                   ("stats", "op_cache"), ("stats", "gc_runs"),
-                  ("stats", "live_nodes")}
+                  ("stats", "live_nodes"), ("stats", "allocated_nodes"),
+                  ("stats", "subst_nodes")}
 
 
 def fail(message):

@@ -186,6 +186,7 @@ bdd_manager::bdd_manager(std::uint32_t num_vars, unsigned cache_bits) {
     nodes_.push_back({var_nil, 0, 0});
     chain_.assign(1, idx_nil);
     ext_ref_.assign(1, 1); // the terminal is permanently live
+    stats_.allocated_nodes = 1;
     buckets_.assign(std::size_t{1} << initial_bucket_bits, idx_nil);
     cache_allocate(std::size_t{1} << cache_bits);
     stats_.gc_threshold = gc_threshold_;
@@ -237,6 +238,7 @@ std::uint32_t bdd_manager::alloc_node() {
     nodes_.push_back({});
     chain_.push_back(idx_nil);
     ext_ref_.push_back(0);
+    stats_.allocated_nodes = nodes_.size();
     return idx;
 }
 
@@ -366,7 +368,6 @@ std::size_t bdd_manager::mark_live() {
         }
     }
     stats_.live_nodes = live;
-    stats_.allocated_nodes = nodes_.size();
     return live;
 }
 

@@ -162,7 +162,9 @@ inline constexpr std::size_t bdd_num_ops = 6;
 /// Statistics snapshot for diagnostics and benchmarking.
 struct bdd_stats {
     std::size_t live_nodes = 0;     ///< nodes reachable from external roots
-    std::size_t allocated_nodes = 0;///< nodes in the arena (live + garbage)
+    /// Nodes in the arena (live + garbage); always current, since the arena
+    /// only grows.
+    std::size_t allocated_nodes = 0;
     std::size_t num_vars = 0;
     std::size_t gc_runs = 0;
     std::size_t cache_lookups = 0;
@@ -360,7 +362,7 @@ public:
     /// read: it marks but never sweeps, so the unique table, the free list,
     /// the computed cache (no ageing, no purge), the substitution memo,
     /// gc_runs and the GC trigger are left as they were.  It refreshes
-    /// stats().live_nodes and stats().allocated_nodes.
+    /// stats().live_nodes.
     [[nodiscard]] std::size_t live_node_count();
 
 #ifdef LEQ_CHECKED
@@ -516,8 +518,7 @@ private:
     void maybe_grow_cache();
     /// The mark phase of collect_garbage, shared with live_node_count: set
     /// mark_ on every node reachable from an external handle (the terminal
-    /// included), refresh stats_.live_nodes and stats_.allocated_nodes, and
-    /// return the live count.
+    /// included), refresh stats_.live_nodes, and return the live count.
     std::size_t mark_live();
 
     // external reference counting used as GC roots (per node; the complement

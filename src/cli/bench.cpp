@@ -11,7 +11,6 @@
 #include "cli/json.hpp"
 #include "eq/problem.hpp"
 #include "eq/solver.hpp"
-#include "eq/subsolution.hpp"
 #include "eq/verify.hpp"
 #include "gen/scenario.hpp"
 #include "net/blif.hpp"
@@ -29,97 +28,123 @@ namespace leq {
 namespace {
 
 // ---------------------------------------------------------------------------
-// measurement helpers
+// workloads
 // ---------------------------------------------------------------------------
 
 void add(bench_row& row, const std::string& name, double value) {
     row.metrics.push_back({name, value});
 }
 
-/// The manager counters every workload reports.  `live_node_count()`
-/// refreshes the node counters to the end state with a mark pass; it never
-/// collects, so gc_runs counts only the collections the workload ran.
-void add_manager_metrics(bench_row& row, bdd_manager& mgr) {
-    (void)mgr.live_node_count();
-    const bdd_stats& stats = mgr.stats();
-    add(row, "cache_lookups", static_cast<double>(stats.cache_lookups));
-    add(row, "cache_misses",
-        static_cast<double>(stats.cache_lookups - stats.cache_hits));
-    const double lookups = static_cast<double>(stats.cache_lookups);
-    add(row, "cache_hit_rate",
-        lookups > 0 ? static_cast<double>(stats.cache_hits) / lookups : 0.0);
-    add(row, "gc_runs", static_cast<double>(stats.gc_runs));
-    add(row, "allocated_nodes", static_cast<double>(stats.allocated_nodes));
-    add(row, "live_nodes", static_cast<double>(stats.live_nodes));
-    add(row, "subst_nodes", static_cast<double>(stats.subst_nodes));
-    add(row, "cache_entries", static_cast<double>(stats.cache_entries));
-    add(row, "cache_resizes", static_cast<double>(stats.cache_resizes));
+/// The computed-cache traffic and collections of one record, or of a
+/// batch's records summed.
+void add_traffic(bench_row& row, double lookups, double hits,
+                 double gc_runs) {
+    add(row, "cache_lookups", lookups);
+    add(row, "cache_misses", lookups - hits);
+    add(row, "cache_hit_rate", lookups > 0 ? hits / lookups : 0.0);
+    add(row, "gc_runs", gc_runs);
 }
 
-/// The answer and schedule shape of one partitioned solve: `relations` and
-/// `clusters` move when a change splits or merges a relation.
-void add_solve_metrics(bench_row& row, const solve_result& result) {
-    if (result.status != solve_status::ok) {
-        throw std::runtime_error("bench workload " + row.workload +
-                                 " gave up");
+/// One single-pair row: `leq COMMAND INPUTS --cluster-limit LIMIT`.
+struct command_row {
+    const char* id;
+    const char* command;
+    /// A `gen:` spec, or the stem of a bench/corpus/ pair (STEM_f.*,
+    /// STEM_s.*).
+    const char* inputs;
+    std::size_t cluster_limit = image_options{}.cluster_limit;
+};
+
+const std::vector<command_row>& command_rows() {
+    static const std::vector<command_row> rows = {
+        {"solve/counter_x256", "solve", "counter_x256"},
+        // every part its own cluster: the one gated row whose image chain
+        // has several steps, some retiring nothing
+        {"solve/counter_x256_flat", "solve", "counter_x256", 0},
+        {"solve/arbiter_x16", "solve", "arbiter_x16"},
+        // the one gen instance whose relations do not each fit one cluster
+        // at the default limit
+        {"solve/random_3_64", "solve", "gen:random:3:64"},
+        {"solve/kiss_counter9", "solve", "counter9"},
+        {"verify/kiss_counter9", "verify", "counter9"},
+        {"diagnose/kiss_counter9", "diagnose", "counter9"},
+        {"table1/s349", "solve", "table1_s349"},
+        {"table1/s444", "solve", "table1_s444"},
+        {"table1/s526", "solve", "table1_s526"},
+        // a 640-state CSF: past the compatibility reduction's limits
+        {"reduce/counter_16", "reduce", "gen:counter:1:16"},
+        // the paper's row: 4069 CSF states, |u| = |v| = 10
+        {"reduce/table1_s349", "reduce", "table1_s349"},
+    };
+    return rows;
+}
+
+/// The row's pair as `leq` would read it, into `config` too when the
+/// inputs carry a choice-input count.
+std::pair<equation_source, equation_source>
+row_inputs(const command_row& r, cli_config& config) {
+    if (is_gen_spec(r.inputs)) {
+        generated_pair pair = make_gen_pair(r.inputs);
+        config.choice_inputs = pair.num_choice_inputs;
+        return {std::move(pair.fixed), std::move(pair.spec)};
     }
+    const std::string stem = r.inputs;
+    std::pair<equation_source, equation_source> sources;
+    for (bench_corpus_file& file : bench_corpus_files()) {
+        equation_source* side = nullptr;
+        if (file.name.rfind(stem + "_f.", 0) == 0) { side = &sources.first; }
+        if (file.name.rfind(stem + "_s.", 0) == 0) { side = &sources.second; }
+        if (side == nullptr) { continue; }
+        side->path = "bench/corpus/" + file.name;
+        side->format = detect_format(file.name, file.text);
+        side->text = std::move(file.text);
+    }
+    if (sources.first.text.empty() || sources.second.text.empty()) {
+        throw std::logic_error("no corpus pair '" + stem + "'");
+    }
+    return sources;
+}
+
+/// Run the row's command as `leq` runs it and read the gated metrics off
+/// its record.
+bench_row run_row(const command_row& r) {
+    cli_config config;
+    config.solve.img.cluster_limit = r.cluster_limit;
+    const auto [fixed, spec] = row_inputs(r, config);
+    const solve_record record = run_command(r.command, r.id, fixed, spec,
+                                            config);
+    if (!record.completed || record.result.status != solve_status::ok) {
+        throw std::runtime_error(std::string("bench workload ") + r.id +
+                                 " did not finish: " +
+                                 (record.completed ? "gave up"
+                                                   : record.error));
+    }
+    const solve_result& result = record.result;
+    const solve_stats& s = result.stats;
+    bench_row row;
+    row.workload = r.id;
     add(row, "subset_states",
         static_cast<double>(result.subset_states_explored));
     add(row, "csf_states", static_cast<double>(result.csf_states));
-    add(row, "images", static_cast<double>(result.stats.images));
-    add(row, "relations", static_cast<double>(result.stats.relations));
-    add(row, "clusters", static_cast<double>(result.stats.clusters));
-}
-
-// ---------------------------------------------------------------------------
-// workloads
-// ---------------------------------------------------------------------------
-
-/// Solve one pair with the partitioned flow.
-bench_row run_solve(const std::string& id, const network& fixed,
-                    const network& spec, std::size_t num_choice_inputs,
-                    const solve_options& options = {}) {
-    bench_row row;
-    row.workload = id;
-    const equation_problem problem(fixed, spec, num_choice_inputs);
-    // the result (its CSF) stays alive while the manager is read
-    const solve_result result = solve_partitioned(problem, options);
-    add_solve_metrics(row, result);
-    add_manager_metrics(row, problem.mgr());
-    return row;
-}
-
-/// Solve one scaled gen/ scenario with the partitioned flow.
-bench_row run_solve_scenario(const std::string& id, scenario_family family,
-                             std::uint32_t seed, std::uint32_t scale,
-                             const solve_options& options = {}) {
-    const scenario s = make_scenario(family, seed, scale);
-    return run_solve(id, s.fixed, s.spec, s.num_choice_inputs, options);
-}
-
-/// Solve the corpus KISS pair through the FSM-level flow, then run the
-/// check `command` names over the CSF — "verify" walks the paper's Section
-/// 4 check F . X <= S, "diagnose" runs it with counterexample extraction,
-/// "solve" runs none — and read the manager counters after the check.
-bench_row run_kiss(const std::string& id, const std::string& f_kiss,
-                   const std::string& s_kiss, const std::string& command) {
-    bench_row row;
-    row.workload = id;
-    const loaded_equation eq =
-        load_equation({id + "#f", f_kiss, equation_format::kiss},
-                      {id + "#s", s_kiss, equation_format::kiss});
-    const equation_problem problem(eq.fixed, eq.spec);
-    const solve_result result = solve_partitioned(problem);
-    add_solve_metrics(row, result);
-    if (command == "verify") {
-        add(row, "composition_ok",
-            verify_composition_contained(problem, *result.csf) ? 1.0 : 0.0);
-    } else if (command == "diagnose") {
-        add(row, "diagnose_ok",
-            diagnose_composition_contained(problem, *result.csf).ok ? 1.0
-                                                                     : 0.0);
+    add(row, "images", static_cast<double>(s.images));
+    add(row, "relations", static_cast<double>(s.relations));
+    add(row, "clusters", static_cast<double>(s.clusters));
+    if (record.has_verify) {
+        add(row, "composition_ok", record.verify_ok ? 1.0 : 0.0);
     }
-    add_manager_metrics(row, problem.mgr());
+    if (record.has_diagnose) {
+        add(row, "diagnose_ok", record.diagnose_ok ? 1.0 : 0.0);
+    }
+    if (record.has_reduce) {
+        add(row, "reduced_states",
+            static_cast<double>(record.reduced_states));
+    }
+    add_traffic(row, static_cast<double>(s.cache_lookups),
+                static_cast<double>(s.cache_hits),
+                static_cast<double>(s.gc_runs));
+    add(row, "allocated_nodes", static_cast<double>(s.allocated_nodes));
+    add(row, "live_nodes", static_cast<double>(s.live_nodes_after));
+    add(row, "subst_nodes", static_cast<double>(s.subst_nodes));
     return row;
 }
 
@@ -170,26 +195,7 @@ bench_row run_batch_workload(const std::string& id) {
     add(row, "batch_empty", static_cast<double>(report.empty));
     add(row, "subset_states", subset_states);
     add(row, "csf_states", csf_states);
-    add(row, "cache_lookups", cache_lookups);
-    add(row, "cache_misses", cache_lookups - cache_hits);
-    add(row, "cache_hit_rate",
-        cache_lookups > 0 ? cache_hits / cache_lookups : 0.0);
-    add(row, "gc_runs", gc_runs);
-    return row;
-}
-
-/// Solve one pair, then run `leq reduce`'s sub-solution search on it.
-bench_row run_reduce(const std::string& id, const network& fixed,
-                     const network& spec, std::size_t num_choice_inputs) {
-    bench_row row;
-    row.workload = id;
-    const equation_problem problem(fixed, spec, num_choice_inputs);
-    const solve_result result = solve_partitioned(problem);
-    add_solve_metrics(row, result);
-    const subsolution_result small = select_small_subsolution(
-        *result.csf, problem.u_vars, problem.v_vars);
-    add(row, "reduced_states", static_cast<double>(small.fsm.num_states()));
-    add_manager_metrics(row, problem.mgr());
+    add_traffic(row, cache_lookups, cache_hits, gc_runs);
     return row;
 }
 
@@ -274,72 +280,22 @@ metric_policy bench_metric_policy(const std::string& name) {
     if (name == "cache_hit_rate") {
         return {metric_direction::down_bad, 0.10, 0.02};
     }
-    // cache_entries, cache_resizes, anything future
+    // anything future
     return {metric_direction::info, 0.0, 0.0};
 }
 
 std::vector<std::string> bench_workload_names() {
-    return {
-        "solve/counter_x256",
-        "solve/counter_x256_flat",
-        "solve/arbiter_x16",
-        "solve/random_3_64",
-        "solve/kiss_counter9",
-        "verify/kiss_counter9",
-        "diagnose/kiss_counter9",
-        "batch/families",
-        "table1/s349",
-        "table1/s444",
-        "reduce/counter_16",
-        "reduce/table1_s349",
-    };
+    std::vector<std::string> names;
+    for (const command_row& r : command_rows()) { names.emplace_back(r.id); }
+    names.emplace_back("batch/families");
+    return names;
 }
 
 bench_row run_bench_workload(const std::string& workload) {
-    if (workload == "solve/counter_x256") {
-        return run_solve_scenario(workload, scenario_family::counter, 3, 256);
+    for (const command_row& r : command_rows()) {
+        if (workload == r.id) { return run_row(r); }
     }
-    if (workload == "solve/counter_x256_flat") {
-        // every part its own cluster: the one gated row whose image chain
-        // has several steps, some retiring nothing
-        solve_options flat;
-        flat.img.cluster_limit = 0;
-        return run_solve_scenario(workload, scenario_family::counter, 3, 256,
-                                  flat);
-    }
-    if (workload == "solve/arbiter_x16") {
-        return run_solve_scenario(workload, scenario_family::arbiter, 2, 16);
-    }
-    if (workload == "solve/random_3_64") {
-        // the one gen instance whose relations do not each fit one cluster
-        // at the default limit
-        return run_solve_scenario(workload, scenario_family::random, 3, 64);
-    }
-    if (workload == "solve/kiss_counter9" ||
-        workload == "verify/kiss_counter9" ||
-        workload == "diagnose/kiss_counter9") {
-        const auto [f_kiss, s_kiss] = make_counter_kiss(9);
-        return run_kiss(workload, f_kiss, s_kiss,
-                        workload.substr(0, workload.find('/')));
-    }
-    if (workload == "batch/families") {
-        return run_batch_workload(workload);
-    }
-    if (workload.rfind("table1/", 0) == 0) {
-        const table1_pair pair =
-            make_table1_pair(workload.substr(7)); // the row's name
-        return run_solve(workload, pair.fixed, pair.spec, 0);
-    }
-    if (workload == "reduce/counter_16") {
-        // a 640-state CSF: past the compatibility reduction's limits
-        const scenario s = make_scenario(scenario_family::counter, 1, 16);
-        return run_reduce(workload, s.fixed, s.spec, s.num_choice_inputs);
-    }
-    if (workload == "reduce/table1_s349") {
-        // the paper's row: 4069 CSF states, |u| = |v| = 10
-        const table1_pair pair = make_table1_pair("s349");
-        return run_reduce(workload, pair.fixed, pair.spec, 0);
-    }
+    if (workload == "batch/families") { return run_batch_workload(workload); }
     throw std::invalid_argument("unknown bench workload '" + workload + "'");
 }
 
@@ -767,7 +723,7 @@ std::vector<bench_corpus_file> bench_corpus_files() {
         files.push_back({"counter9_f.kiss", f_kiss});
         files.push_back({"counter9_s.kiss", s_kiss});
     }
-    for (const char* name : {"s208", "s298", "s349", "s444", "s510"}) {
+    for (const char* name : {"s208", "s298", "s349", "s444", "s510", "s526"}) {
         const table1_pair pair = make_table1_pair(name);
         const std::string stem = std::string("table1_") + name;
         files.push_back({stem + "_f.blif", write_blif_string(pair.fixed)});

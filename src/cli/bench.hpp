@@ -4,14 +4,19 @@
 ///
 /// The perf story of this codebase is only as good as its ability to notice
 /// when a "harmless" change doubles the GC count or halves the cache hit
-/// rate.  This module pins a small corpus of large-but-tractable workloads
-/// (scaled gen/ scenarios, a KISS pair with hundreds of explicit states, a
-/// mixed batch campaign) and runs them under `tools/leq_bench_run`, emitting
-/// one schema-stable JSON report (`leq-bench-v1`).  A checked-in baseline
-/// (the one BENCH_PR<n>.json at the repo root) plus `leq_bench_run
-/// --compare NEW` turn the report into a CI gate: any gated metric that
-/// moves the wrong way by more than 10% (plus a small absolute slack)
-/// fails the build (for cache traffic, a move either way).
+/// rate.  This module pins a small set of large-but-tractable workloads and
+/// runs them under `tools/leq_bench_run`, emitting one schema-stable JSON
+/// report (`leq-bench-v1`).  A checked-in baseline (the one BENCH_PR<n>.json
+/// at the repo root) plus `leq_bench_run --compare NEW` turn the report into
+/// a CI gate: any gated metric that moves the wrong way by more than 10%
+/// (plus a small absolute slack) fails the build (for cache traffic, a move
+/// either way).
+///
+/// What is measured is the shipped command.  Every row but one is a single
+/// `leq COMMAND F S` run through `run_command`, the function behind `leq`'s
+/// pair commands, on a bench/corpus/ pair or a `gen:` spec; its metrics are
+/// the fields of the JSON record `leq` would print.  `batch/families` runs
+/// `leq batch` over a generated campaign and sums its records.
 ///
 /// What makes this workable across machines and compilers is that every
 /// *gated* metric is a deterministic work counter read off the BDD manager
@@ -58,7 +63,7 @@ struct bench_report {
 
 /// How the compare gate treats a metric.
 enum class metric_direction : std::uint8_t {
-    info,    ///< recorded, never gated (cache geometry)
+    info,    ///< recorded, never gated (names the gate does not know)
     up_bad,  ///< regression = grew past base * (1+tol) + slack
     down_bad,///< regression = shrank past base * (1-tol) - slack
     two_sided,///< regression = moved past base * (1 +- tol) +- slack

@@ -36,8 +36,8 @@ int usage(std::ostream& err) {
         << "solver options (all commands):\n"
         << "  --flow F         partitioned (default) | monolithic | explicit\n"
         << "                   (explicit is the exponential Algorithm-1\n"
-        << "                   oracle for small instances; it ignores\n"
-        << "                   --max-states and solver knobs)\n"
+        << "                   oracle for small instances; it takes no\n"
+        << "                   --max-states and ignores solver knobs)\n"
         << "  --cluster-limit N   merged-cluster node bound (default 2500)\n"
         << "  --time-limit SEC    wall-clock deadline per solve (default 0)\n"
         << "  --max-states N      subset-state cap per solve (default 0)\n"
@@ -218,8 +218,8 @@ int resolve_pair(parsed_args& parsed, equation_source& fixed,
     return -1;
 }
 
-/// A command option the command does not read is a usage error, not a
-/// silent no-op.  `command` is the subcommand; the one that runs on each
+/// An option the command or its flow does not read is a usage error, not
+/// a silent no-op.  `command` is the subcommand; the one that runs on each
 /// equation is `command` itself, or batch's --command.  Returns an exit code
 /// to bail with, or -1.
 int check_command_options(const std::string& command,
@@ -231,6 +231,12 @@ int check_command_options(const std::string& command,
     }
     if (!batch && parsed.command_set) {
         err << "leq: --command is read only by batch\n";
+        return 2;
+    }
+    if (parsed.config.flow == "explicit" &&
+        parsed.config.solve.max_subset_states > 0) {
+        // the Algorithm-1 oracle builds no subset states to count
+        err << "leq: --max-states is not read by --flow explicit\n";
         return 2;
     }
     const std::string& reader = batch ? parsed.batch_command : command;
@@ -369,12 +375,6 @@ int run_leq_cli(const std::vector<std::string>& args, std::ostream& out,
         const int bail = parse_flags(
             {args.begin() + 1, args.end()}, parsed, err);
         if (bail >= 0) { return bail; }
-        if (parsed.config.flow == "explicit" &&
-            parsed.config.solve.max_subset_states > 0) {
-            // the Algorithm-1 oracle builds no subset states to count; say
-            // so rather than drop the limit silently
-            err << "leq: warning: --flow explicit ignores --max-states\n";
-        }
         if (command == "solve" || command == "verify" ||
             command == "diagnose" || command == "reduce") {
             return cmd_pair(command, parsed, out, err);

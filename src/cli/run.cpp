@@ -141,6 +141,9 @@ solve_record run_command(const std::string& command, const std::string& name,
                 dispatch_solve(config.flow, problem, eq, config.solve);
             record.completed = true;
             run_checks(command, problem, config, record);
+            // the record counts the check's work too.  live_nodes stays the
+            // solve's reading: the check releases all it builds
+            read_manager_counters(record.result.stats, problem.mgr());
         } catch (...) {
             record.result.csf.reset();
             throw;
@@ -191,6 +194,8 @@ std::string record_to_json(const solve_record& record,
         stats.field("clusters", s.clusters);
         stats.field("images", s.images);
         stats.field("live_nodes", s.live_nodes_after);
+        stats.field("allocated_nodes", s.allocated_nodes);
+        stats.field("subst_nodes", s.subst_nodes);
         stats.field("gc_runs", s.gc_runs);
         stats.field("cache_lookups", s.cache_lookups);
         stats.field("cache_hits", s.cache_hits);

@@ -52,7 +52,10 @@ struct solve_record {
     /// encoding the pair, or the F/S interface check), not in the solve.
     bool input_error = false;
 
-    solve_result result; ///< CSF dropped; counters and stats kept
+    /// The solve's result with its CSF dropped.  The manager counters in
+    /// `result.stats` are read after the subcommand's check, so they cover
+    /// the whole command; `live_nodes_after` stays the solve's reading.
+    solve_result result;
 
     bool has_verify = false;
     bool verify_ok = false;

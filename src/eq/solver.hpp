@@ -96,7 +96,18 @@ struct solve_stats {
     std::size_t cache_hits = 0;
     std::array<std::size_t, bdd_num_ops> op_lookups{};
     std::array<std::size_t, bdd_num_ops> op_hits{};
+    /// Nodes in the manager's arena, live and garbage: its high-water mark.
+    std::size_t allocated_nodes = 0;
+    /// Nodes rebuilt by permute (the substitution memo's misses).
+    std::size_t subst_nodes = 0;
 };
+
+/// Copy the manager's cumulative counters into `stats`: computed-cache
+/// traffic (total and per op), GC runs, allocated and substituted nodes.
+/// No arena walk, so `live_nodes_after` is left as it was.  A solve reads
+/// them once when it returns; `leq`'s commands read them again after their
+/// check, so the record covers the whole command.
+void read_manager_counters(solve_stats& stats, const bdd_manager& mgr);
 
 struct solve_result {
     solve_status status = solve_status::ok;

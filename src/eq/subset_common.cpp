@@ -67,12 +67,7 @@ void accumulate_stats(solve_stats& stats, const transition_relation& rel) {
 
 void read_manager_stats(solve_stats& stats, bdd_manager& mgr) {
     stats.live_nodes_after = mgr.live_node_count();
-    const bdd_stats& b = mgr.stats();
-    stats.gc_runs = b.gc_runs;
-    stats.cache_lookups = b.cache_lookups;
-    stats.cache_hits = b.cache_hits;
-    stats.op_lookups = b.op_lookups;
-    stats.op_hits = b.op_hits;
+    read_manager_counters(stats, mgr);
 }
 
 std::vector<cofactor_class> split_by_top_block(bdd_manager& mgr, const bdd& p,
@@ -276,3 +271,18 @@ subset_driver::run(const bdd& initial_state,
 }
 
 } // namespace leq::detail
+
+namespace leq {
+
+void read_manager_counters(solve_stats& stats, const bdd_manager& mgr) {
+    const bdd_stats& b = mgr.stats();
+    stats.gc_runs = b.gc_runs;
+    stats.cache_lookups = b.cache_lookups;
+    stats.cache_hits = b.cache_hits;
+    stats.op_lookups = b.op_lookups;
+    stats.op_hits = b.op_hits;
+    stats.allocated_nodes = b.allocated_nodes;
+    stats.subst_nodes = b.subst_nodes;
+}
+
+} // namespace leq

@@ -41,8 +41,8 @@ run_solve(const equation_problem& problem, const solve_options& options,
 void accumulate_stats(solve_stats& stats, const transition_relation& rel);
 
 /// Snapshot the manager-side counters into a finished solve's stats: live
-/// nodes (forces a count) plus total and per-op computed-cache traffic.
-/// run_solve calls this once, on every exit path.
+/// nodes (forces a count) plus read_manager_counters.  run_solve calls this
+/// once, on every exit path.
 void read_manager_stats(solve_stats& stats, bdd_manager& mgr);
 
 /// One (u,v)-cofactor class of an image P(u,v,ns): the set of (u,v)

@@ -62,7 +62,6 @@ public:
     // ---- queries -----------------------------------------------------------
     [[nodiscard]] const std::string& name() const { return name_; }
     void set_name(std::string n) { name_ = std::move(n); }
-    [[nodiscard]] std::size_t num_signals() const { return signal_names_.size(); }
     [[nodiscard]] const std::string& signal_name(std::uint32_t id) const {
         return signal_names_[id];
     }

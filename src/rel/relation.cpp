@@ -28,7 +28,6 @@ void transition_relation::build(const std::vector<std::uint32_t>& quantify) {
     // folded out of it ahead of the chain
     image_schedule_ = quant_schedule(*mgr_, clusters_, quantify,
                                      options_.early_quantification);
-    image_schedule_.describe(stats_);
 }
 
 bdd transition_relation::image(const bdd& from) const {

@@ -77,10 +77,11 @@ quant_schedule::quant_schedule(bdd_manager& mgr,
         }
     }
     // variables in no cluster at all: quantified straight out of `from`
+    std::vector<std::uint32_t> leading;
     for (const std::uint32_t v : quantify) {
-        if (seen.count(v) == 0) { leading_.push_back(v); }
+        if (seen.count(v) == 0) { leading.push_back(v); }
     }
-    leading_cube_ = mgr.cube(leading_);
+    leading_cube_ = mgr.cube(leading);
 
     chain_.clusters.reserve(order.size());
     chain_.cubes.reserve(order.size());
@@ -166,14 +167,6 @@ bdd quant_schedule::apply(const bdd& from, const bdd& constraint) const {
         acc = mgr_->and_exists(acc, chain.clusters[k], chain.cubes[k]);
     }
     return acc;
-}
-
-void quant_schedule::describe(relation_stats& stats) const {
-    stats.quantified_per_cluster.clear();
-    for (const std::vector<std::uint32_t>& retired : retired_) {
-        stats.quantified_per_cluster.push_back(retired.size());
-    }
-    stats.leading_quantified = leading_.size();
 }
 
 } // namespace leq

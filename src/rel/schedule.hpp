@@ -42,13 +42,9 @@
 
 namespace leq {
 
-/// Per-relation statistics.  The static fields (quantified variable
-/// counts) are filled at schedule construction; `images` accumulates across
-/// image calls.
+/// Per-relation statistics, accumulated across image calls.
 struct relation_stats {
-    std::vector<std::size_t> quantified_per_cluster; ///< vars dying per cluster
-    std::size_t leading_quantified = 0; ///< vars in no cluster (from-only)
-    std::size_t images = 0;             ///< image() calls served
+    std::size_t images = 0; ///< image() calls served
 };
 
 /// An executable quantification schedule (order + per-cluster retire cubes).
@@ -81,9 +77,6 @@ public:
         return chain_.clusters.size();
     }
 
-    /// Copy the static schedule shape into a stats block.
-    void describe(relation_stats& stats) const;
-
 private:
     /// Clusters in scheduled order, each with the cube it retires.
     struct cluster_chain {
@@ -97,7 +90,6 @@ private:
     bdd_manager* mgr_ = nullptr;
     cluster_chain chain_; ///< nothing folded: cubes[k] is cube(retired_[k])
     std::vector<std::vector<std::uint32_t>> retired_;
-    std::vector<std::uint32_t> leading_;
     bdd leading_cube_;
     std::vector<std::uint32_t> private_; ///< in exactly one cluster, ascending
     std::vector<std::size_t> owner_;     ///< scheduled cluster of private_[k]

@@ -11,6 +11,7 @@
 /// BENCH_PR<n>.json there (CMake finds it).
 
 #include "cli/bench.hpp"
+#include "cli/cli.hpp"
 #include "gen/scenario.hpp"
 #include "net/blif.hpp"
 
@@ -19,6 +20,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <set>
 #include <sstream>
 #include <string>
@@ -239,7 +241,7 @@ TEST(bench_workloads, ids_are_stable_and_unknown_ids_throw) {
          {"solve/counter_x256", "solve/counter_x256_flat",
           "solve/arbiter_x16", "solve/random_3_64", "solve/kiss_counter9",
           "verify/kiss_counter9", "diagnose/kiss_counter9",
-          "batch/families", "table1/s349", "table1/s444",
+          "batch/families", "table1/s349", "table1/s444", "table1/s526",
           "reduce/counter_16", "reduce/table1_s349"}) {
         EXPECT_NE(std::find(names.begin(), names.end(), expected),
                   names.end())
@@ -261,6 +263,48 @@ TEST(bench_workloads, cheap_workloads_are_deterministic_across_runs) {
             EXPECT_DOUBLE_EQ(first.metrics[k].value, second.metrics[k].value)
                 << id << " " << first.metrics[k].name;
         }
+    }
+}
+
+TEST(bench_workloads, a_row_reads_what_the_cli_prints) {
+    // the gate measures the shipped command: a row's metrics are the fields
+    // of the record `leq` prints for the same inputs
+    std::ostringstream out, err;
+    ASSERT_EQ(run_leq_cli({"solve", "gen:random:3:64", "--no-timing"}, out,
+                          err),
+              0)
+        << err.str();
+    const std::string line = out.str();
+    const auto field = [&line](const std::string& key) {
+        const std::string needle = "\"" + key + "\":";
+        const std::size_t at = line.find(needle);
+        EXPECT_NE(at, std::string::npos) << key << " not in " << line;
+        return at == std::string::npos
+                   ? -1.0
+                   : std::stod(line.substr(at + needle.size()));
+    };
+    const double lookups = field("cache_lookups");
+    const double hits = field("cache_hits");
+    const std::map<std::string, double> want = {
+        {"subset_states", field("subset_states")},
+        {"csf_states", field("csf_states")},
+        {"images", field("images")},
+        {"relations", field("relations")},
+        {"clusters", field("clusters")},
+        {"cache_lookups", lookups},
+        {"cache_misses", lookups - hits},
+        {"cache_hit_rate", hits / lookups},
+        {"gc_runs", field("gc_runs")},
+        {"allocated_nodes", field("allocated_nodes")},
+        {"live_nodes", field("live_nodes")},
+        {"subst_nodes", field("subst_nodes")},
+    };
+    const bench_row row = run_bench_workload("solve/random_3_64");
+    EXPECT_EQ(row.metrics.size(), want.size());
+    for (const bench_metric& m : row.metrics) {
+        const auto it = want.find(m.name);
+        ASSERT_NE(it, want.end()) << m.name;
+        EXPECT_DOUBLE_EQ(m.value, it->second) << m.name;
     }
 }
 
@@ -322,7 +366,7 @@ TEST(bench_artifacts, table1_corpus_pairs_are_the_papers_latch_splits) {
     };
     for (const row r : {row{"s208", 4, 4}, row{"s298", 7, 7},
                         row{"s349", 5, 10}, row{"s444", 5, 16},
-                        row{"s510", 3, 3}}) {
+                        row{"s510", 3, 3}, row{"s526", 5, 16}}) {
         const std::string stem =
             std::string(LEQ_SOURCE_DIR) + "/bench/corpus/table1_" + r.name;
         const network f = read_blif_string(read_file(stem + "_f.blif"));

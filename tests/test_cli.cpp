@@ -308,6 +308,28 @@ TEST(cli_verify, composition_check_passes_on_examples) {
     EXPECT_EQ(raw_field(first_line(r.out), "composition_ok"), "true");
 }
 
+TEST(cli_verify, record_counts_the_check_as_well_as_the_solve) {
+    // the record's manager counters are read after the check, so verify's
+    // cache traffic exceeds solve's; the check releases what it builds, so
+    // both read the same live nodes
+    const std::string f = example("delay_f.blif");
+    const std::string s = example("delay_s.blif");
+    const cli_run solved = run({"solve", f, s, "--no-timing"});
+    const cli_run verified = run({"verify", f, s, "--no-timing"});
+    ASSERT_EQ(solved.exit_code, 0) << solved.err;
+    ASSERT_EQ(verified.exit_code, 0) << verified.err;
+    const std::string a = first_line(solved.out);
+    const std::string b = first_line(verified.out);
+    EXPECT_GT(std::stoull(raw_field(b, "cache_lookups")),
+              std::stoull(raw_field(a, "cache_lookups")))
+        << a << "\n" << b;
+    EXPECT_EQ(raw_field(b, "live_nodes"), raw_field(a, "live_nodes"));
+    for (const std::string& line : {a, b}) {
+        EXPECT_NE(raw_field(line, "allocated_nodes"), "") << line;
+        EXPECT_NE(raw_field(line, "subst_nodes"), "") << line;
+    }
+}
+
 TEST(cli_diagnose, csf_diagnosis_is_clean) {
     const cli_run r = run({"diagnose", example("passthrough_f.kiss"),
                            example("passthrough_s.kiss")});
@@ -531,6 +553,30 @@ TEST(cli_errors, batch_options_outside_batch_are_usage_errors) {
                            "--command", "verify"});
     EXPECT_EQ(r.exit_code, 0) << r.err;
     EXPECT_NE(r.err.find("[verify, jobs 2,"), std::string::npos) << r.err;
+}
+
+TEST(cli_errors, explicit_flow_refuses_a_subset_state_cap) {
+    // Algorithm 1 builds no subset states, so the cap cannot apply to it
+    const std::string f = example("delay_f.blif");
+    const std::string s = example("delay_s.blif");
+    for (const char* command : {"solve", "verify"}) {
+        const cli_run r = run({command, f, s, "--flow", "explicit",
+                               "--max-states", "5"});
+        EXPECT_EQ(r.exit_code, 2) << command;
+        EXPECT_NE(r.err.find("leq: --max-states is not read by --flow "
+                             "explicit"),
+                  std::string::npos)
+            << r.err;
+        EXPECT_TRUE(r.out.empty()) << command << ": nothing may run";
+    }
+    EXPECT_EQ(run({"batch", example("campaign.txt"), "--flow", "explicit",
+                   "--max-states", "5"})
+                  .exit_code,
+              2);
+    // 0 is no cap, which the explicit flow honours by construction
+    EXPECT_EQ(run({"solve", f, s, "--flow", "explicit", "--max-states", "0"})
+                  .exit_code,
+              0);
 }
 
 TEST(cli_errors, batch_rejects_shared_out_path) {

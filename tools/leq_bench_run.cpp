@@ -8,7 +8,10 @@
 ///   leq_bench_run [--filter SUBSTR] [--out FILE]
 ///       Run the pinned workloads (optionally only those whose id contains
 ///       SUBSTR) and write the leq-bench-v1 JSON report to FILE (stdout by
-///       default).  Progress goes to stderr.  The report holds counters
+///       default).  Progress goes to stderr.  Each workload but
+///       batch/families is one `leq COMMAND F S` run in-process through
+///       run_command, and its metrics are fields of the record `leq` would
+///       print, the check's work included.  The report holds counters
 ///       only; time two builds end to end with scripts/ab_solve.py or
 ///       solvebench.
 ///
