@@ -88,16 +88,18 @@ row_inputs(const command_row& r, cli_config& config) {
         config.choice_inputs = pair.num_choice_inputs;
         return {std::move(pair.fixed), std::move(pair.spec)};
     }
+    // built once per process: every corpus row picks its pair from it
+    static const std::vector<bench_corpus_file> corpus = bench_corpus_files();
     const std::string stem = r.inputs;
     std::pair<equation_source, equation_source> sources;
-    for (bench_corpus_file& file : bench_corpus_files()) {
+    for (const bench_corpus_file& file : corpus) {
         equation_source* side = nullptr;
         if (file.name.rfind(stem + "_f.", 0) == 0) { side = &sources.first; }
         if (file.name.rfind(stem + "_s.", 0) == 0) { side = &sources.second; }
         if (side == nullptr) { continue; }
         side->path = "bench/corpus/" + file.name;
         side->format = detect_format(file.name, file.text);
-        side->text = std::move(file.text);
+        side->text = file.text;
     }
     if (sources.first.text.empty() || sources.second.text.empty()) {
         throw std::logic_error("no corpus pair '" + stem + "'");

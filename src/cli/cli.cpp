@@ -218,10 +218,10 @@ int resolve_pair(parsed_args& parsed, equation_source& fixed,
     return -1;
 }
 
-/// An option the command or its flow does not read is a usage error, not
-/// a silent no-op.  `command` is the subcommand; the one that runs on each
-/// equation is `command` itself, or batch's --command.  Returns an exit code
-/// to bail with, or -1.
+/// A command option the command does not read is a usage error, not a
+/// silent no-op, and so is --max-states with --flow explicit.  `command` is
+/// the subcommand; the one that runs on each equation is `command` itself,
+/// or batch's --command.  Returns an exit code to bail with, or -1.
 int check_command_options(const std::string& command,
                           const parsed_args& parsed, std::ostream& err) {
     const bool batch = command == "batch";

@@ -186,23 +186,30 @@ TEST_P(relation_oracle, constrained_image_fuses_the_extra_conjunct) {
         constraints.push_back(s | (mgr.var(x1) & !mgr.var(vars.cs.back())));
     }
     const bdd& from = sets[1];
+    bdd product = mgr.one();
+    for (const bdd& p : parts) { product &= p; }
     for (const std::size_t limit :
          {std::size_t{0}, std::size_t{60}, std::size_t{2500}}) {
         image_options options;
         options.cluster_limit = limit;
         for (const auto* q : {&quantify, &with_leading}) {
             // x0 and x1 occur in no part, so with_leading's leading cube
-            // holds both
+            // holds both; the naive oracle checks that they are quantified
             const transition_relation rel(mgr, parts, *q, options);
             if (limit == 0) {
                 SCOPED_TRACE("machine " + std::to_string(GetParam()));
                 expect_empty_step_before_last(rel, parts);
             }
+            const bdd qcube = mgr.cube(*q);
             for (const bdd& constraint : constraints) {
-                EXPECT_EQ(rel.image(from, constraint),
-                          rel.image(from & constraint))
+                const bdd image = rel.image(from, constraint);
+                EXPECT_EQ(image, rel.image(from & constraint))
                     << "machine " << GetParam() << " limit " << limit
                     << " leading " << (q == &with_leading);
+                EXPECT_EQ(image,
+                          mgr.exists(product & from & constraint, qcube))
+                    << "machine " << GetParam() << " limit " << limit
+                    << " leading " << (q == &with_leading) << " (oracle)";
             }
         }
     }
@@ -322,7 +329,13 @@ TEST(relation_stats, schedule_shape_and_per_call_counters) {
     EXPECT_EQ(rel.num_clusters(), fns.next_state.size());
     EXPECT_EQ(rel.stats().images, 0u);
     const bdd init = state_cube(mgr, vars.cs, net.initial_state());
-    (void)rel.image(init);
+    // every quantified variable dies somewhere (counter: all cs vars occur;
+    // the input occurs too): the image equals conjoin-then-quantify
+    bdd product = mgr.one();
+    for (const bdd& p : next_state_parts(mgr, fns, vars)) { product &= p; }
+    std::vector<std::uint32_t> quantify = vars.in;
+    quantify.insert(quantify.end(), vars.cs.begin(), vars.cs.end());
+    EXPECT_EQ(rel.image(init), mgr.exists(product & init, mgr.cube(quantify)));
     (void)rel.image(init);
     EXPECT_EQ(rel.stats().images, 2u);
 }
