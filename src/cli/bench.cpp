@@ -20,6 +20,7 @@
 #include <cctype>
 #include <cmath>
 #include <map>
+#include <sstream>
 #include <stdexcept>
 #include <utility>
 
@@ -152,27 +153,21 @@ bench_row run_row(const command_row& r) {
 
 /// The mixed batch campaign: every family, three seeds, two workers (the
 /// shared-nothing pool makes the summed per-job counters deterministic
-/// regardless of worker count).  Per-job cache traffic and GC runs — every
-/// worker has its own manager — are summed from the per-record solve stats,
-/// so a collection added to every equation moves gc_runs by the job count.
+/// regardless of worker count).  The jobs come from a manifest of
+/// `gen:FAMILY:SEED` lines, read as `leq batch` reads one.  Per-job cache
+/// traffic and GC runs — every worker has its own manager — are summed from
+/// the per-record solve stats, so a collection added to every equation
+/// moves gc_runs by the job count.
 bench_row run_batch_workload(const std::string& id) {
     bench_row row;
     row.workload = id;
-    std::vector<batch_job> jobs;
+    std::stringstream manifest;
     for (const scenario_family family : all_scenario_families) {
         for (std::uint32_t seed = 1; seed <= 3; ++seed) {
-            const std::string spec = "gen:" + std::string(to_string(family)) +
-                                     ":" + std::to_string(seed);
-            generated_pair pair = make_gen_pair(spec);
-            batch_job job;
-            job.name = spec.substr(4);
-            job.fixed = std::move(pair.fixed);
-            job.spec = std::move(pair.spec);
-            job.has_choice_inputs = true;
-            job.choice_inputs = pair.num_choice_inputs;
-            jobs.push_back(std::move(job));
+            manifest << "gen:" << to_string(family) << ':' << seed << '\n';
         }
     }
+    const std::vector<batch_job> jobs = read_manifest(manifest, "");
     batch_options options;
     options.jobs = 2;
     options.config.timing = false;

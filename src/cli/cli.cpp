@@ -37,7 +37,7 @@ int usage(std::ostream& err) {
         << "  --flow F         partitioned (default) | monolithic | explicit\n"
         << "                   (explicit is the exponential Algorithm-1\n"
         << "                   oracle for small instances; it takes no\n"
-        << "                   --max-states and ignores solver knobs)\n"
+        << "                   --cluster-limit and no --max-states)\n"
         << "  --cluster-limit N   merged-cluster node bound (default 2500)\n"
         << "  --time-limit SEC    wall-clock deadline per solve (default 0)\n"
         << "  --max-states N      subset-state cap per solve (default 0)\n"
@@ -70,9 +70,10 @@ struct parsed_args {
     std::string name;
     std::size_t jobs = 1;
     std::string batch_command = "solve";
-    bool timing_set = false;  ///< explicit --timing/--no-timing
-    bool jobs_set = false;    ///< explicit --jobs (batch only)
-    bool command_set = false; ///< explicit --command (batch only)
+    bool timing_set = false;        ///< explicit --timing/--no-timing
+    bool cluster_limit_set = false; ///< explicit --cluster-limit
+    bool jobs_set = false;          ///< explicit --jobs (batch only)
+    bool command_set = false;       ///< explicit --command (batch only)
 };
 
 /// Parse flags into `parsed`; returns an exit code to bail with, or -1.
@@ -122,6 +123,7 @@ int parse_flags(const std::vector<std::string>& args, parsed_args& parsed,
                          parsed.config.solve.img.cluster_limit)) {
                 return 2;
             }
+            parsed.cluster_limit_set = true;
         } else if (arg == "--time-limit") {
             const std::string* v = value();
             if (v == nullptr) {
@@ -219,9 +221,10 @@ int resolve_pair(parsed_args& parsed, equation_source& fixed,
 }
 
 /// A command option the command does not read is a usage error, not a
-/// silent no-op, and so is --max-states with --flow explicit.  `command` is
-/// the subcommand; the one that runs on each equation is `command` itself,
-/// or batch's --command.  Returns an exit code to bail with, or -1.
+/// silent no-op, and so are --cluster-limit and --max-states with --flow
+/// explicit.  `command` is the subcommand; the one that runs on each
+/// equation is `command` itself, or batch's --command.  Returns an exit
+/// code to bail with, or -1.
 int check_command_options(const std::string& command,
                           const parsed_args& parsed, std::ostream& err) {
     const bool batch = command == "batch";
@@ -231,6 +234,11 @@ int check_command_options(const std::string& command,
     }
     if (!batch && parsed.command_set) {
         err << "leq: --command is read only by batch\n";
+        return 2;
+    }
+    if (parsed.config.flow == "explicit" && parsed.cluster_limit_set) {
+        // the Algorithm-1 oracle builds no transition relation to cluster
+        err << "leq: --cluster-limit is not read by --flow explicit\n";
         return 2;
     }
     if (parsed.config.flow == "explicit" &&

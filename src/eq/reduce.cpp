@@ -98,14 +98,13 @@ using clique = std::vector<std::uint32_t>; // sorted member states
 std::optional<automaton>
 reduce_subsolution(const automaton& csf,
                    const std::vector<std::uint32_t>& u_vars,
-                   const std::vector<std::uint32_t>& v_vars,
-                   const reduction_options& options) {
+                   const std::vector<std::uint32_t>& v_vars) {
     if (!csf.accepting(csf.initial())) {
         throw std::invalid_argument("reduce_subsolution: empty CSF");
     }
     const std::size_t n = csf.num_states();
-    if (n > options.max_states ||
-        u_vars.size() + v_vars.size() > options.max_alphabet_bits) {
+    if (n > reduce_max_states ||
+        u_vars.size() + v_vars.size() > reduce_max_label_bits) {
         return std::nullopt;
     }
     const tables t = build_tables(csf, u_vars, v_vars);
@@ -156,7 +155,7 @@ reduce_subsolution(const automaton& csf,
     while (!work.empty()) {
         const std::size_t id = work.back();
         work.pop_back();
-        if (cliques.size() > options.max_cliques) { return std::nullopt; }
+        if (cliques.size() > reduce_max_cliques) { return std::nullopt; }
         if (moves.size() <= id) { moves.resize(cliques.size()); }
         const clique members = cliques[id]; // copy: intern() reallocates
         std::vector<move> row(t.nu);

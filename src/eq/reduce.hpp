@@ -30,24 +30,22 @@
 
 namespace leq {
 
-struct reduction_options {
-    /// Give up beyond this many CSF states (tables are |S|^2).
-    std::size_t max_states = 512;
-    /// Give up when the cover grows past this many cliques.
-    std::size_t max_cliques = 4096;
-    /// Give up beyond this many label bits (the alphabet is enumerated).
-    std::size_t max_alphabet_bits = 14;
-};
+/// Give up beyond this many CSF states (tables are |S|^2).
+inline constexpr std::size_t reduce_max_states = 512;
+/// Give up when the cover grows past this many cliques.
+inline constexpr std::size_t reduce_max_cliques = 4096;
+/// Give up beyond this many label bits, |u| + |v| (the alphabet is
+/// enumerated).
+inline constexpr std::size_t reduce_max_label_bits = 14;
 
 /// Reduce the CSF to a small deterministic FSM by compatibility merging; the
 /// result is select_small_subsolution's first candidate, which it minimizes
-/// and checks.  Returns std::nullopt when the instance exceeds the option
-/// limits or the greedy cover gets stuck.  Throws std::invalid_argument on
+/// and checks.  Returns std::nullopt when the instance exceeds the limits
+/// above or the greedy cover gets stuck.  Throws std::invalid_argument on
 /// an empty CSF.
 [[nodiscard]] std::optional<automaton>
 reduce_subsolution(const automaton& csf,
                    const std::vector<std::uint32_t>& u_vars,
-                   const std::vector<std::uint32_t>& v_vars,
-                   const reduction_options& options = {});
+                   const std::vector<std::uint32_t>& v_vars);
 
 } // namespace leq

@@ -6,9 +6,9 @@
 /// (src/rel/): the X_P walk is a relation with no parts (image = exists v .
 /// r & label, renamed u -> v), the composition walk is the full u-match +
 /// next-state partition, and the "X enabled" substitution is the u-match
-/// relation quantifying u.  The two plain checks share one reached-set
-/// worklist; check (2)'s diagnosis explores the same composed step layer by
-/// layer instead, so the violation it finds is shortest.
+/// relation quantifying u.  Both checks run one breadth-first search,
+/// `first_violation`; check (2) is its diagnosis with the trace dropped, and
+/// the trace is rebuilt only when the search finds a violation.
 
 #include "eq/verify.hpp"
 
@@ -16,7 +16,6 @@
 
 #include <cassert>
 #include <map>
-#include <queue>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -70,40 +69,55 @@ composition_step make_composition_step(const equation_problem& problem,
     return c;
 }
 
-/// The reached-set fixpoint of both plain checks.  reached[q] is the set of
-/// the other side's states (X_P's v vector, or the product (cs_F, cs_S))
-/// that run in step with CSF state q from `init`; each popped state's set
-/// is tested with `violates(q, r)`, then carried along every CSF transition
-/// by `step`.  True when no reached pair violates.
-template <class Violates>
-bool no_reachable_violation(const automaton& csf,
-                            const transition_relation& step, const bdd& init,
-                            const Violates& violates) {
-    std::vector<bdd> reached(csf.num_states(), csf.manager().zero());
-    reached[csf.initial()] = init;
-    std::queue<std::uint32_t> work;
-    work.push(csf.initial());
-    std::vector<bool> queued(csf.num_states(), false);
-    queued[csf.initial()] = true;
-    while (!work.empty()) {
-        const std::uint32_t q = work.front();
-        work.pop();
-        queued[q] = false;
-        const bdd r = reached[q];
-        if (violates(q, r)) { return false; }
-        for (const transition& t : csf.transitions(q)) {
-            const bdd next = step.image(r, t.label);
-            const bdd grown = reached[t.dest] | next;
-            if (grown != reached[t.dest]) {
-                reached[t.dest] = grown;
-                if (!queued[t.dest]) {
-                    queued[t.dest] = true;
-                    work.push(t.dest);
+using frame = std::map<std::uint32_t, bdd>; // CSF state -> fresh set
+
+/// Where the search stopped: `bad` is the first violating set (zero when
+/// no reachable state violates), `bad_q` its CSF state, and the last frame
+/// is its layer.
+struct search_result {
+    bdd bad;
+    std::uint32_t bad_q = 0;
+    std::vector<frame> frames;
+};
+
+/// The one containment search, breadth-first.  The other side's states
+/// (X_P's v vector, or the product (cs_F, cs_S)) run in step with the CSF
+/// from `init` in its initial state; frames[t] lists, in CSF-state order,
+/// the states *first* reached at depth t in each CSF state that gained any,
+/// so a violation found at depth t is shortest and memory follows the
+/// states actually reached.  Each layer is tested with `violation(q, r)`,
+/// which returns the violating part of r (zero when none), then carried
+/// along every CSF transition by `step`.
+template <class Violation>
+search_result first_violation(const automaton& csf,
+                              const transition_relation& step,
+                              const bdd& init, const Violation& violation) {
+    bdd_manager& mgr = csf.manager();
+    search_result s{mgr.zero(), 0, {frame{{csf.initial(), init}}}};
+    std::vector<bdd> total(csf.num_states(), mgr.zero());
+    total[csf.initial()] = init;
+    while (true) {
+        for (const auto& [q, r] : s.frames.back()) {
+            s.bad = violation(q, r);
+            if (!s.bad.is_zero()) {
+                s.bad_q = q;
+                return s;
+            }
+        }
+        frame next;
+        for (const auto& [q, r] : s.frames.back()) {
+            for (const transition& tr : csf.transitions(q)) {
+                const bdd fresh = step.image(r, tr.label) & !total[tr.dest];
+                if (!fresh.is_zero()) {
+                    next.try_emplace(tr.dest, mgr.zero()).first->second |=
+                        fresh;
+                    total[tr.dest] |= fresh;
                 }
             }
         }
+        if (next.empty()) { return s; }
+        s.frames.push_back(std::move(next));
     }
-    return true;
 }
 
 /// One full satisfying assignment of f, indexed by variable id; don't-care
@@ -167,10 +181,11 @@ bool verify_particular_contained(const equation_problem& problem,
         init &= mgr.literal(problem.v_vars[m], x_init[m]);
     }
     // miss: a (v in r, any u) step with no CSF transition
-    return no_reachable_violation(
-        csf, xp_step, init, [&csf](std::uint32_t q, const bdd& r) {
-            return !(r & !csf.domain(q)).is_zero();
-        });
+    return first_violation(csf, xp_step, init,
+                           [&csf](std::uint32_t q, const bdd& r) {
+                               return r & !csf.domain(q);
+                           })
+        .bad.is_zero();
 }
 
 // ---------------------------------------------------------------------------
@@ -179,97 +194,62 @@ bool verify_particular_contained(const equation_problem& problem,
 
 bool verify_composition_contained(const equation_problem& problem,
                                   const automaton& csf) {
-    const composition_step c = make_composition_step(problem, csf);
-    // violation: an enabled composed step whose o output disagrees with S
-    // on some output j (checked one output at a time)
-    return no_reachable_violation(
-        csf, c.step, problem.initial_product_state(),
-        [&c](std::uint32_t q, const bdd& r) {
-            const bdd r_enabled = r & c.enabled[q];
-            for (const bdd& not_c : c.nonconforming) {
-                if (!(r_enabled & not_c).is_zero()) { return true; }
-            }
-            return false;
-        });
+    return diagnose_composition_contained(problem, csf).ok;
 }
 
-// The diagnosis explores breadth-first: frames[t] lists, in CSF-state
-// order, the product states *first* reached at depth t in each CSF state
-// that gained any, so a violation found at depth t is shortest and memory
-// follows the states actually reached.  A backward walk over the frames
-// then reconstructs one concrete run: at every step a full assignment is
-// picked from the BDD frontier and the partitioned functions are evaluated
-// to fill in the dependent signal values.
+// The search finds the shortest violation; only on failure does a backward
+// walk over its frames reconstruct one concrete run: at every step a full
+// assignment is picked from the BDD frontier and the partitioned functions
+// are evaluated to fill in the dependent signal values.
 verify_diagnosis diagnose_composition_contained(const equation_problem& problem,
                                                 const automaton& csf) {
     bdd_manager& mgr = problem.mgr();
     const composition_step c = make_composition_step(problem, csf);
 
-    using frame = std::map<std::uint32_t, bdd>; // CSF state -> fresh set
-    std::vector<frame> frames;
-    std::vector<bdd> total(csf.num_states(), mgr.zero());
-    total[csf.initial()] = problem.initial_product_state();
-    frames.push_back({{csf.initial(), total[csf.initial()]}});
-
+    // violation: an enabled composed step whose o output disagrees with S
+    // on some output j (checked one output at a time); the set is over
+    // (i, v, cs)
     std::size_t bad_output = 0;
-    std::uint32_t bad_q = 0;
-    bdd bad_set; // over (i, v, cs): enabled step with non-conforming output
-    const auto violation_in = [&](const frame& layer) {
-        for (const auto& [q, r] : layer) {
+    const search_result s = first_violation(
+        csf, c.step, problem.initial_product_state(),
+        [&](std::uint32_t q, const bdd& r) {
             const bdd r_enabled = r & c.enabled[q];
             for (std::size_t j = 0; j < c.nonconforming.size(); ++j) {
-                bad_set = r_enabled & c.nonconforming[j];
-                if (!bad_set.is_zero()) {
-                    bad_q = q;
+                bdd bad = r_enabled & c.nonconforming[j];
+                if (!bad.is_zero()) {
                     bad_output = j;
-                    return true;
+                    return bad;
                 }
             }
-        }
-        return false;
-    };
-    while (!violation_in(frames.back())) {
-        frame next;
-        for (const auto& [q, r] : frames.back()) {
-            for (const transition& tr : csf.transitions(q)) {
-                const bdd succ = c.step.image(r, tr.label);
-                const bdd fresh = succ & !total[tr.dest];
-                if (!fresh.is_zero()) {
-                    next.try_emplace(tr.dest, mgr.zero()).first->second |=
-                        fresh;
-                    total[tr.dest] |= fresh;
-                }
-            }
-        }
-        if (next.empty()) { return {}; }
-        frames.push_back(std::move(next));
-    }
-    const std::size_t bad_layer = frames.size() - 1;
+            return mgr.zero();
+        });
+    if (s.bad.is_zero()) { return {}; }
+    const std::size_t bad_layer = s.frames.size() - 1;
 
     // fill one step from a full (i, v, cs) assignment: u and o follow from
     // the partitioned functions
     const auto fill_step = [&](const std::vector<bool>& a) {
-        trace_step s;
-        s.i = group_values(a, problem.i_vars);
-        s.v = group_values(a, problem.v_vars);
-        for (const bdd& fu : problem.f_u) { s.u.push_back(mgr.eval(fu, a)); }
-        for (const bdd& fo : problem.f_o) { s.o.push_back(mgr.eval(fo, a)); }
-        return s;
+        trace_step st;
+        st.i = group_values(a, problem.i_vars);
+        st.v = group_values(a, problem.v_vars);
+        for (const bdd& fu : problem.f_u) { st.u.push_back(mgr.eval(fu, a)); }
+        for (const bdd& fo : problem.f_o) { st.o.push_back(mgr.eval(fo, a)); }
+        return st;
     };
     verify_diagnosis d;
     d.ok = false;
     d.trace.resize(bad_layer + 1);
-    std::vector<bool> bad = pick_assignment(mgr, bad_set);
+    std::vector<bool> bad = pick_assignment(mgr, s.bad);
     d.trace[bad_layer] = fill_step(bad);
     {
         std::ostringstream reason;
         reason << "output " << bad_output
                << " of the composition disagrees with S at step " << bad_layer
-               << " (CSF state " << bad_q << ")";
+               << " (CSF state " << s.bad_q << ")";
         d.reason = reason.str();
     }
 
-    std::uint32_t cur_q = bad_q;
+    std::uint32_t cur_q = s.bad_q;
     std::vector<bool> cur = bad; // carries the target cs assignment
     for (std::size_t t = bad_layer; t > 0; --t) {
         // step relation restricted to the known successor state: each next
@@ -284,7 +264,7 @@ verify_diagnosis diagnose_composition_contained(const equation_problem& problem,
                                              : !problem.s_next[k];
         }
         bool stepped = false;
-        for (const auto& [q, r] : frames[t - 1]) {
+        for (const auto& [q, r] : s.frames[t - 1]) {
             for (const transition& tr : csf.transitions(q)) {
                 if (tr.dest != cur_q) { continue; }
                 const bdd cand = r & c.u_subst.image(tr.label) & step_rel;

@@ -7,10 +7,12 @@
 ///       keeps the composition inside the specification.
 ///
 /// Both checks, and check (2)'s counterexample extraction, live in
-/// verify.cpp.  They run symbolically: the explicit CSF states index a
-/// family of reachable-set BDDs, and the component moves are applied
-/// through the partitioned functions (u substituted by and-exists against
-/// the U_m parts), so no monolithic relation is ever built here either.
+/// verify.cpp and run one breadth-first search.  They run symbolically: the
+/// explicit CSF states index a family of reachable-set BDDs, and the
+/// component moves are applied through the partitioned functions (u
+/// substituted by and-exists against the U_m parts), so no monolithic
+/// relation is ever built here either.  Check (2) is its diagnosis with
+/// the trace dropped; the trace is built only on failure.
 #pragma once
 
 #include "automata/automaton.hpp"

@@ -15,6 +15,10 @@ namespace leq {
 
 namespace {
 
+constexpr std::size_t explicit_max_latches = 6;    ///< fixed+spec latch cap
+constexpr std::size_t explicit_max_label_bits = 7; ///< i+o+u+v+w cap
+constexpr std::size_t max_subset_states = 50000;   ///< per solve
+
 std::string describe(const image_options& o) {
     std::ostringstream text;
     text << "limit" << o.cluster_limit
@@ -71,7 +75,7 @@ run_differential_impl(const network& fixed, const network& spec,
 
     solve_options solve;
     solve.time_limit_seconds = options.time_limit_seconds;
-    solve.max_subset_states = options.max_subset_states;
+    solve.max_subset_states = max_subset_states;
 
     // partitioned flow across the option matrix; entry 0 is the reference
     std::vector<solve_result> part;
@@ -112,9 +116,8 @@ run_differential_impl(const network& fixed, const network& spec,
 
     // explicit Algorithm-1 oracle on small instances
     if (options.with_explicit &&
-        fixed.num_latches() + spec.num_latches() <=
-            options.explicit_max_latches &&
-        label_bits(fixed) <= options.explicit_max_label_bits) {
+        fixed.num_latches() + spec.num_latches() <= explicit_max_latches &&
+        label_bits(fixed) <= explicit_max_label_bits) {
         const solve_result oracle = solve_explicit(problem, fixed, spec);
         if (oracle.status != solve_status::ok) {
             return fail(std::move(out), "explicit oracle did not complete");
@@ -129,33 +132,32 @@ run_differential_impl(const network& fixed, const network& spec,
         }
     }
 
-    if (options.with_verification) {
-        if (!is_deterministic(*ref.csf)) {
-            return fail(std::move(out), "CSF is not deterministic");
+    // closure and verification properties of the reference CSF
+    if (!is_deterministic(*ref.csf)) {
+        return fail(std::move(out), "CSF is not deterministic");
+    }
+    if (!is_prefix_closed(*ref.csf)) {
+        return fail(std::move(out), "CSF is not prefix-closed");
+    }
+    if (!ref.empty_solution) {
+        if (!verify_composition_contained(problem, *ref.csf)) {
+            return fail(std::move(out),
+                        "composition check failed: F . X is not "
+                        "contained in S");
         }
-        if (!is_prefix_closed(*ref.csf)) {
-            return fail(std::move(out), "CSF is not prefix-closed");
-        }
-        if (!ref.empty_solution) {
-            if (!verify_composition_contained(problem, *ref.csf)) {
+        // the largest solution contains every sub-solution
+        if (!problem.u_vars.empty()) {
+            const automaton sub =
+                extract_fsm(*ref.csf, problem.u_vars, problem.v_vars,
+                            extraction_policy::first_edge);
+            if (!language_contained(sub, *ref.csf)) {
                 return fail(std::move(out),
-                            "composition check failed: F . X is not "
-                            "contained in S");
+                            "extracted sub-solution escapes the CSF");
             }
-            // the largest solution contains every sub-solution
-            if (!problem.u_vars.empty()) {
-                const automaton sub =
-                    extract_fsm(*ref.csf, problem.u_vars, problem.v_vars,
-                                extraction_policy::first_edge);
-                if (!language_contained(sub, *ref.csf)) {
-                    return fail(std::move(out),
-                                "extracted sub-solution escapes the CSF");
-                }
-                if (!verify_composition_contained(problem, sub)) {
-                    return fail(std::move(out),
-                                "extracted sub-solution fails the "
-                                "composition check");
-                }
+            if (!verify_composition_contained(problem, sub)) {
+                return fail(std::move(out),
+                            "extracted sub-solution fails the "
+                            "composition check");
             }
         }
     }

@@ -43,15 +43,12 @@ struct differential_options {
     /// self-tests set `fault_suppress_var` to a live variable id here).
     std::function<void(const equation_problem&, std::vector<image_options>&)>
         tune_matrix;
-    /// Run the explicit Algorithm-1 oracle when the instance is small.
+    /// Run the explicit Algorithm-1 oracle when the instance is small: at
+    /// most 6 fixed+spec latches and 7 i+o+u+v+w label bits.
     bool with_explicit = true;
-    std::size_t explicit_max_latches = 6; ///< fixed+spec latch cap
-    std::size_t explicit_max_label_bits = 7; ///< i+o+u+v+w cap
-    /// Run the closure/verification property checks on the reference CSF.
-    bool with_verification = true;
-    /// Per-solve limits; a scenario that blows them is a finding, not a hang.
+    /// Per-solve time limit; a scenario that blows it (or 50000 subset
+    /// states) is a finding, not a hang.
     double time_limit_seconds = 60.0;
-    std::size_t max_subset_states = 50000;
 };
 
 /// The sweep the differential runs by default: reference options, an

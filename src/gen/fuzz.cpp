@@ -72,8 +72,7 @@ fuzz_report run_fuzz(const fuzz_options& options) {
                         return !run_differential(d.fixed, d.spec,
                                                  d.num_choice_inputs, diff)
                                     .ok;
-                    },
-                    options.shrink);
+                    });
                 record.shrunk = shrunk.accepted > 0;
                 record.repro =
                     package(sc, out.failure, options.diff, shrunk.inst,
@@ -100,8 +99,7 @@ fuzz_report run_fuzz(const fuzz_options& options) {
                 }
             }
             report.failures.push_back(std::move(record));
-            if (options.max_failures != 0 &&
-                report.failures.size() >= options.max_failures) {
+            if (report.failures.size() >= fuzz_max_failures) {
                 if (options.log != nullptr) {
                     *options.log << "stopping: " << report.failures.size()
                                  << " failures\n";

@@ -39,15 +39,15 @@ struct fuzz_options {
     /// Shrink failing scenarios to minimal reproducers.
     bool shrink_failures = true;
     differential_options diff;
-    shrink_options shrink;
     /// When non-empty, every failure writes reproducer files under
     /// `<stem>-<family>-<seed>*` (see write_reproducer).
     std::string reproducer_stem;
     /// Progress / failure log; null = silent.
     std::ostream* log = nullptr;
-    /// Stop the campaign after this many failures (0 = never stop early).
-    std::size_t max_failures = 10;
 };
+
+/// `run_fuzz` stops the campaign after this many failures.
+inline constexpr std::size_t fuzz_max_failures = 10;
 
 struct fuzz_failure {
     scenario_family family = scenario_family::random;

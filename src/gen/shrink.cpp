@@ -17,6 +17,14 @@ namespace leq {
 
 namespace {
 
+/// Machines beyond this many explicit states skip the state pass.
+constexpr std::size_t state_pass_max_states = 64;
+/// Safety valve on accepted reductions (the loop is finite anyway: every
+/// acceptance strictly removes structure).
+constexpr std::size_t max_accepted = 512;
+/// The explicit-state count reported for the shrunk machines stops here.
+constexpr std::size_t reported_max_states = 1024;
+
 /// Predicate wrapper: an exception while building/solving a candidate means
 /// the candidate is not a smaller instance of the same failure.
 bool still_fails(const shrink_predicate& pred,
@@ -169,16 +177,15 @@ template <typename swap_fn>
 void state_pass_one_machine(shrink_instance_desc& desc, const network& which,
                             const swap_fn& swap_in,
                             const shrink_predicate& pred,
-                            const shrink_options& options,
                             shrink_result& result) {
     network current = which;
     bool improved = true;
-    while (improved && result.accepted < options.max_accepted) {
+    while (improved && result.accepted < max_accepted) {
         improved = false;
         stg_view view;
         automaton aut(view.mgr, {});
         try {
-            aut = network_stg(view, current, options.state_pass_max_states);
+            aut = network_stg(view, current, state_pass_max_states);
         } catch (const std::exception&) {
             return; // machine too large for the explicit pass
         }
@@ -217,9 +224,9 @@ std::size_t explicit_state_count(const network& net, std::size_t cap) {
 }
 
 void netlist_pass(shrink_instance_desc& desc, const shrink_predicate& pred,
-                  const shrink_options& options, shrink_result& result) {
+                  shrink_result& result) {
     bool progress = true;
-    while (progress && result.accepted < options.max_accepted) {
+    while (progress && result.accepted < max_accepted) {
         progress = false;
         for (const move& m : enumerate_moves(desc)) {
             shrink_instance_desc candidate;
@@ -241,8 +248,7 @@ void netlist_pass(shrink_instance_desc& desc, const shrink_predicate& pred,
 } // namespace
 
 shrink_result shrink_instance(shrink_instance_desc start,
-                              const shrink_predicate& still_failing,
-                              const shrink_options& options) {
+                              const shrink_predicate& still_failing) {
     shrink_result result;
     result.inst = std::move(start);
     if (!still_fails(still_failing, result.inst, result.predicate_runs)) {
@@ -252,34 +258,31 @@ shrink_result shrink_instance(shrink_instance_desc start,
         return result;
     }
 
-    netlist_pass(result.inst, still_failing, options, result);
-    if (options.state_pass) {
-        state_pass_one_machine(
-            result.inst, result.inst.spec,
-            [](const shrink_instance_desc& d, const network& m) {
-                shrink_instance_desc out = d;
-                out.spec = m;
-                return out;
-            },
-            still_failing, options, result);
-        state_pass_one_machine(
-            result.inst, result.inst.fixed,
-            [](const shrink_instance_desc& d, const network& m) {
-                shrink_instance_desc out = d;
-                out.fixed = m;
-                return out;
-            },
-            still_failing, options, result);
-        // the state pass may have freed netlist-level moves (e.g. an input
-        // that became irrelevant); one more sweep keeps 1-minimality
-        netlist_pass(result.inst, still_failing, options, result);
-    }
+    netlist_pass(result.inst, still_failing, result);
+    state_pass_one_machine(
+        result.inst, result.inst.spec,
+        [](const shrink_instance_desc& d, const network& m) {
+            shrink_instance_desc out = d;
+            out.spec = m;
+            return out;
+        },
+        still_failing, result);
+    state_pass_one_machine(
+        result.inst, result.inst.fixed,
+        [](const shrink_instance_desc& d, const network& m) {
+            shrink_instance_desc out = d;
+            out.fixed = m;
+            return out;
+        },
+        still_failing, result);
+    // the state pass may have freed netlist-level moves (e.g. an input that
+    // became irrelevant); one more sweep keeps 1-minimality
+    netlist_pass(result.inst, still_failing, result);
 
-    const std::size_t cap = options.state_pass_max_states < 1024
-                                ? 1024
-                                : options.state_pass_max_states;
-    result.spec_states = explicit_state_count(result.inst.spec, cap);
-    result.fixed_states = explicit_state_count(result.inst.fixed, cap);
+    result.spec_states =
+        explicit_state_count(result.inst.spec, reported_max_states);
+    result.fixed_states =
+        explicit_state_count(result.inst.fixed, reported_max_states);
     return result;
 }
 

@@ -11,7 +11,8 @@
 ///   phase 1 (netlist): tie spec/fixed latches to their reset values (each
 ///     tied latch removes one partitioned relation part), drop u outputs,
 ///     tie v/w/i inputs to 0, drop o output pairs;
-///   phase 2 (explicit states): re-derive each machine's STG, delete one
+///   phase 2 (explicit states, machines of at most 64 states): re-derive
+///     each machine's STG, delete one
 ///     state at a time (in-edges redirected to the initial state), and
 ///     re-encode the survivor — this is what gets a reproducer under a
 ///     handful of states rather than a handful of latches.
@@ -43,22 +44,12 @@ struct shrink_instance_desc {
 /// that makes the instance unbuildable is not a smaller failure).
 using shrink_predicate = std::function<bool(const shrink_instance_desc&)>;
 
-struct shrink_options {
-    /// Run the explicit state-deletion pass after the netlist pass.
-    bool state_pass = true;
-    /// Skip the state pass for machines beyond this many explicit states.
-    std::size_t state_pass_max_states = 64;
-    /// Safety valve on accepted reductions (the loop is finite anyway:
-    /// every acceptance strictly removes structure).
-    std::size_t max_accepted = 512;
-};
-
 struct shrink_result {
     shrink_instance_desc inst; ///< the minimal failing instance
     std::size_t accepted = 0;        ///< reductions that kept the failure
     std::size_t predicate_runs = 0;  ///< total predicate evaluations
     /// Reachable explicit states of the shrunk machines (0 = not computed,
-    /// machine larger than `state_pass_max_states`).
+    /// machine larger than 1024 states).
     std::size_t spec_states = 0;
     std::size_t fixed_states = 0;
 };
@@ -67,8 +58,7 @@ struct shrink_result {
 /// expected to be true for `start` itself; if it is not, the result is
 /// simply `start` unshrunk.
 [[nodiscard]] shrink_result shrink_instance(shrink_instance_desc start,
-                                            const shrink_predicate& still_failing,
-                                            const shrink_options& options = {});
+                                            const shrink_predicate& still_failing);
 
 // ---------------------------------------------------------------------------
 // reproducer emission

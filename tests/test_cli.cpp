@@ -579,6 +579,29 @@ TEST(cli_errors, explicit_flow_refuses_a_subset_state_cap) {
               0);
 }
 
+TEST(cli_errors, explicit_flow_refuses_a_cluster_limit) {
+    // Algorithm 1 builds no transition relation, so there is nothing to
+    // cluster; the default limit alone is not an error
+    const std::string f = example("delay_f.blif");
+    const std::string s = example("delay_s.blif");
+    for (const char* command : {"solve", "verify"}) {
+        const cli_run r = run({command, f, s, "--flow", "explicit",
+                               "--cluster-limit", "7"});
+        EXPECT_EQ(r.exit_code, 2) << command;
+        EXPECT_NE(r.err.find("leq: --cluster-limit is not read by --flow "
+                             "explicit"),
+                  std::string::npos)
+            << r.err;
+        EXPECT_TRUE(r.out.empty()) << command << ": nothing may run";
+    }
+    EXPECT_EQ(run({"batch", example("campaign.txt"), "--flow", "explicit",
+                   "--cluster-limit", "7"})
+                  .exit_code,
+              2);
+    EXPECT_EQ(run({"solve", f, s, "--flow", "explicit"}).exit_code, 0);
+    EXPECT_EQ(run({"solve", f, s, "--cluster-limit", "7"}).exit_code, 0);
+}
+
 TEST(cli_errors, batch_rejects_shared_out_path) {
     EXPECT_EQ(run({"batch", example("campaign.txt"), "--command", "reduce",
                    "--out", "x.kiss"})

@@ -1,7 +1,7 @@
 /// \file test_diagnose.cpp
-/// \brief Counterexample extraction for the paper's check (2): diagnoses
-/// agree with the plain verdicts, and extracted traces replay on the actual
-/// networks.
+/// \brief Counterexample extraction for the paper's check (2), which is the
+/// plain check too: solved CSFs pass, and extracted traces replay on the
+/// actual networks.
 
 #include "eq/solver.hpp"
 #include "eq/verify.hpp"
@@ -79,7 +79,7 @@ void expect_replays_on_networks(const solved& s, const verify_diagnosis& d) {
 }
 
 // ---------------------------------------------------------------------------
-// agreement with the plain verdicts on valid CSFs
+// valid CSFs pass; failing verdicts replay
 // ---------------------------------------------------------------------------
 
 TEST(diagnose, ok_on_valid_csf_paper_example) {
@@ -94,7 +94,10 @@ TEST(diagnose, ok_on_valid_csf_paper_example) {
 
 class diagnose_families : public ::testing::TestWithParam<int> {};
 
-TEST_P(diagnose_families, verdicts_agree_with_plain_checks) {
+TEST_P(diagnose_families, verdicts_have_independent_referees) {
+    // the plain check is the diagnosis, so each verdict is refereed
+    // outside the search: a failure must replay on the networks, and a
+    // pass by the universal X must be a solution the CSF contains
     const int id = GetParam();
     const network net = id == 0   ? make_counter(3)
                         : id == 1 ? make_lfsr(4, {1})
@@ -105,8 +108,18 @@ TEST_P(diagnose_families, verdicts_agree_with_plain_checks) {
     ASSERT_EQ(s.result.status, solve_status::ok);
     if (s.result.empty_solution) { GTEST_SKIP(); }
     const automaton& csf = *s.result.csf;
-    EXPECT_EQ(diagnose_composition_contained(s.problem, csf).ok,
-              verify_composition_contained(s.problem, csf));
+    EXPECT_TRUE(verify_composition_contained(s.problem, csf));
+    EXPECT_TRUE(verify_particular_contained(s.problem, csf,
+                                            s.split.part.initial_state()));
+
+    const automaton anything = universal(csf);
+    const auto d = diagnose_composition_contained(s.problem, anything);
+    if (d.ok) {
+        EXPECT_TRUE(language_contained(anything, csf));
+    } else {
+        ASSERT_FALSE(d.trace.empty());
+        expect_replays_on_networks(s, d);
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(families, diagnose_families,

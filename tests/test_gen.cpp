@@ -223,8 +223,7 @@ TEST(gen_shrink, structural_predicate_reaches_1_minimality) {
         {sc.fixed, sc.spec, sc.num_choice_inputs},
         [](const shrink_instance_desc& d) {
             return d.spec.num_latches() >= 1;
-        },
-        {});
+        });
     EXPECT_EQ(r.inst.spec.num_latches(), 1u);
     EXPECT_EQ(r.inst.fixed.num_latches(), 0u);
     EXPECT_EQ(r.inst.spec.num_inputs(), 0u);
@@ -237,7 +236,7 @@ TEST(gen_shrink, passing_instance_is_returned_untouched) {
     const scenario sc = make_scenario(scenario_family::counter, 1);
     const shrink_result r = shrink_instance(
         {sc.fixed, sc.spec, sc.num_choice_inputs},
-        [](const shrink_instance_desc&) { return false; }, {});
+        [](const shrink_instance_desc&) { return false; });
     EXPECT_EQ(r.accepted, 0u);
     EXPECT_EQ(write_blif_string(r.inst.spec), write_blif_string(sc.spec));
 }
@@ -272,8 +271,7 @@ TEST(gen_shrink, injected_image_bug_shrinks_to_tiny_reproducer) {
             return !run_differential(d.fixed, d.spec, d.num_choice_inputs,
                                      diff)
                         .ok;
-        },
-        {});
+        });
     EXPECT_GT(r.accepted, 0u);
     ASSERT_GT(r.spec_states, 0u) << "state count must be computable";
     ASSERT_GT(r.fixed_states, 0u);

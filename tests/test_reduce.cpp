@@ -72,23 +72,47 @@ TEST(reduce, collapses_far_below_the_csf) {
     EXPECT_TRUE(verify_composition_contained(s.problem, *r));
 }
 
+/// The `count` variable ids from `from` on.
+std::vector<std::uint32_t> first_vars(std::uint32_t count,
+                                      std::uint32_t from = 0) {
+    std::vector<std::uint32_t> vars(count);
+    for (std::uint32_t k = 0; k < count; ++k) { vars[k] = from + k; }
+    return vars;
+}
+
+/// A chain of `n` accepting states over every letter; the last state loops.
+automaton letter_chain(bdd_manager& mgr, const std::vector<std::uint32_t>& vars,
+                       std::uint32_t n) {
+    automaton a(mgr, vars);
+    for (std::uint32_t q = 0; q < n; ++q) { a.add_state(true); }
+    a.set_initial(0);
+    for (std::uint32_t q = 0; q < n; ++q) {
+        a.add_transition(q, q + 1 < n ? q + 1 : q, mgr.one());
+    }
+    return a;
+}
+
 TEST(reduce, respects_state_limit) {
-    solved s(make_counter(3), {2});
-    ASSERT_EQ(s.result.status, solve_status::ok);
-    reduction_options options;
-    options.max_states = 1;
-    EXPECT_FALSE(reduce_subsolution(*s.result.csf, s.problem.u_vars,
-                                    s.problem.v_vars, options)
+    // one u and one v: reduce_max_states states reduce, one more is refused
+    bdd_manager mgr(2);
+    const std::vector<std::uint32_t> u{0}, v{1};
+    const auto n = static_cast<std::uint32_t>(reduce_max_states);
+    EXPECT_TRUE(reduce_subsolution(letter_chain(mgr, {0, 1}, n), u, v)
+                    .has_value());
+    EXPECT_FALSE(reduce_subsolution(letter_chain(mgr, {0, 1}, n + 1), u, v)
                      .has_value());
 }
 
 TEST(reduce, respects_alphabet_limit) {
-    solved s(make_counter(3), {2});
-    ASSERT_EQ(s.result.status, solve_status::ok);
-    reduction_options options;
-    options.max_alphabet_bits = 1;
-    EXPECT_FALSE(reduce_subsolution(*s.result.csf, s.problem.u_vars,
-                                    s.problem.v_vars, options)
+    // 7 u bits + 7 v bits reduce; 8 + 7 are refused
+    static_assert(reduce_max_label_bits == 14);
+    bdd_manager mgr(15);
+    const std::vector<std::uint32_t> v = first_vars(7, 8);
+    EXPECT_TRUE(reduce_subsolution(letter_chain(mgr, first_vars(14, 1), 1),
+                                   first_vars(7, 1), v)
+                    .has_value());
+    EXPECT_FALSE(reduce_subsolution(letter_chain(mgr, first_vars(15), 1),
+                                    first_vars(8), v)
                      .has_value());
 }
 
